@@ -2,9 +2,8 @@
 
 Per-timestamp matching: a user's scan at time t is checked against every
 published segment whose validity window contains t; the first segment whose
-similarity reaches the threshold flags the timestamp as a contact (matching
-stops there, which never changes the boolean outcome, only which segment gets
-recorded).
+similarity reaches the threshold flags the timestamp as a contact and is the
+one recorded. All scans are scored in one batch by similarity.score_scans.
 
 Close-contact aggregation: a sliding time window of configurable length is
 passed over the flags; wherever the true flags inside some window placement
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import ProcessedProfile, SignalProfile
-from .similarity import signal_similarity
+from .similarity import score_scans
 
 
 @dataclass(frozen=True)
@@ -106,26 +105,17 @@ def detect_contacts(
 
     Output has exactly one flag per user scan, in timestamp order.
     """
+    segments = [seg for profile in published for seg in profile.segments]
+    owners = [(profile.case_label, seg_idx) for profile in published
+              for seg_idx in range(len(profile.segments))]
+    scores, matched = score_scans(user.vectors, segments, cfg.alpha)
     flags: list[ContactFlag] = []
-    for vec in user.vectors:
-        t = vec.timestamp
-        best = 0.0
-        flag = None
-        for profile in published:
-            for seg_idx, seg in enumerate(profile.segments):
-                if not seg.covers(t):
-                    continue
-                score = signal_similarity(vec, seg.vector)
-                if score > best:
-                    best = score
-                if score >= cfg.alpha:
-                    flag = ContactFlag(t, True, score, seg_idx, profile.case_label)
-                    break
-            if flag is not None:
-                break
-        if flag is None:
-            flag = ContactFlag(t, False, best)
-        flags.append(flag)
+    for vec, score, g in zip(user.vectors, scores.tolist(), matched.tolist()):
+        if g < 0:
+            flags.append(ContactFlag(vec.timestamp, False, score))
+        else:
+            label, seg_idx = owners[g]
+            flags.append(ContactFlag(vec.timestamp, True, score, seg_idx, label))
     return flags
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
 from .processing import build_area_profile, build_case_profile
-from .similarity import aed, amd, jaccard, signal_similarity
+from .similarity import aed, amd, jaccard, score_scans
 from .simulator import (
     DeviceParams,
     SiteLayout,
@@ -63,9 +63,8 @@ class LabeledDataset:
 
     def scores(self) -> np.ndarray:
         """Best time-gated similarity per record (0 if no window covers it)."""
-        return np.array(
-            [record_score(r.vector, self.processed) for r in self.records]
-        )
+        return score_scans([r.vector for r in self.records],
+                           self.processed.segments)[0]
 
     def truth(self) -> np.ndarray:
         return np.array([r.contact for r in self.records], dtype=bool)
@@ -122,14 +121,7 @@ def precision_recall_f1(ground_truth: set, detected: set) -> tuple[float, float,
 def record_score(vector: SignalVector, processed: ProcessedProfile) -> float:
     """Similarity of one scan to a published profile: the best score among
     segments whose validity window contains the scan time."""
-    best = 0.0
-    t = vector.timestamp
-    for seg in processed.segments:
-        if seg.covers(t):
-            s = signal_similarity(vector, seg.vector)
-            if s > best:
-                best = s
-    return best
+    return score_scans([vector], processed.segments)[0].item()
 
 
 def _prf_from_masks(truth: np.ndarray, detected: np.ndarray) -> tuple[float, float, float]:
@@ -218,9 +210,8 @@ class ProximityData:
 
     def scores(self) -> np.ndarray:
         """Per-scan similarity to the processed profile (label-free)."""
-        return np.array(
-            [record_score(vec, self.processed) for vec, _ in self.vectors]
-        )
+        return score_scans([vec for vec, _ in self.vectors],
+                           self.processed.segments)[0]
 
 
 def collect_proximity_data(
@@ -315,19 +306,10 @@ def run_inout_study(
     gating (the question is where the scan was taken, not when). Returns
     precision and recall of the "inside" class.
     """
-    records = [(vec, True) for vec in inside_data] + [
-        (vec, False) for vec in outside_data
-    ]
-    truth = {i for i, (_, inside) in enumerate(records) if inside}
-    detected = set()
-    for i, (vec, _) in enumerate(records):
-        score = max(
-            (signal_similarity(vec, seg.vector) for seg in area_profile.segments),
-            default=0.0,
-        )
-        if score >= alpha:
-            detected.add(i)
-    precision, recall, _ = precision_recall_f1(truth, detected)
+    scans = list(inside_data) + list(outside_data)
+    scores, _ = score_scans(scans, area_profile.segments, time_gated=False)
+    truth = np.arange(len(scans)) < len(inside_data)
+    precision, recall, _ = _prf_from_masks(truth, scores >= alpha)
     return precision, recall
 
 
@@ -487,13 +469,13 @@ def _filtered_records(
     ids = sorted({sid for vec, _ in data.vectors for sid in vec.readings})
     rng = np.random.default_rng((seed, 0xF117E2))
     removed = {sid for sid, u in zip(ids, rng.random(len(ids))) if u < rate}
-    scores, distances = [], []
-    for vec, dist in data.vectors:
-        kept = {sid: r for sid, r in vec.readings.items() if sid not in removed}
-        scores.append(record_score(SignalVector(kept, vec.timestamp),
-                                   data.processed))
-        distances.append(dist)
-    return np.array(scores), np.array(distances)
+    filtered = [
+        SignalVector({sid: r for sid, r in vec.readings.items()
+                      if sid not in removed}, vec.timestamp)
+        for vec, _ in data.vectors
+    ]
+    scores, _ = score_scans(filtered, data.processed.segments)
+    return scores, np.array([dist for _, dist in data.vectors])
 
 
 def random_walk(
@@ -609,10 +591,8 @@ def _moving_recall(env: SimEnvironment, layout: SiteLayout, period: int,
         env, random_walk(area, duration, env.seed, offset=0.25),
         period, stream=_USER_STREAM + 500,
     )
-    hits = sum(
-        1 for vec in user_walk.vectors if record_score(vec, processed) >= alpha
-    )
-    return hits / len(user_walk.vectors)
+    scores, _ = score_scans(user_walk.vectors, processed.segments)
+    return int(np.count_nonzero(scores >= alpha)) / len(user_walk.vectors)
 
 
 # --- output ----------------------------------------------------------------------

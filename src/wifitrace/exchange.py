@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import threading
 import time
 import urllib.error
@@ -50,12 +51,23 @@ class PublishedRecord:
     published_at: int
 
 
-def _frame(record: PublishedRecord) -> bytes:
-    header = (
+def _frame_header(record: PublishedRecord) -> bytes:
+    return (
         f"record id={record.record_id} at={record.published_at} "
         f"len={len(record.profile_bytes)}\n"
-    )
-    return header.encode("ascii") + record.profile_bytes + b"\n"
+    ).encode("ascii")
+
+
+def _frame(record: PublishedRecord) -> bytes:
+    return _frame_header(record) + record.profile_bytes + b"\n"
+
+
+# exactly the headers _frame writes: canonical decimals of at most 19 digits
+# (ids, epochs and lengths all fit), a sign only on the publish time
+_HEADER = re.compile(
+    rb"record id=(0|[1-9][0-9]{0,18}) at=(0|-?[1-9][0-9]{0,18}) "
+    rb"len=(0|[1-9][0-9]{0,18})\n"
+)
 
 
 def _read_frames(data: bytes) -> tuple[list[PublishedRecord], int]:
@@ -64,21 +76,13 @@ def _read_frames(data: bytes) -> tuple[list[PublishedRecord], int]:
     records: list[PublishedRecord] = []
     pos = 0
     while pos < len(data):
-        nl = data.find(b"\n", pos)
-        if nl < 0:
+        header = _HEADER.match(data, pos)
+        if header is None:
             break
-        try:
-            fields = dict(
-                part.split("=", 1)
-                for part in data[pos:nl].decode("ascii").split(" ")[1:]
-            )
-            if not data[pos:nl].startswith(b"record "):
-                break
-            rid, at, length = int(fields["id"]), int(fields["at"]), int(fields["len"])
-        except (ValueError, KeyError, UnicodeDecodeError):
-            break
-        start, end = nl + 1, nl + 1 + length
-        if end + 1 > len(data) or data[end:end + 1] != b"\n":
+        rid, at, length = (int(g) for g in header.groups())
+        start = header.end()
+        end = start + length
+        if data[end:end + 1] != b"\n":
             break
         records.append(PublishedRecord(rid, data[start:end], at))
         pos = end + 1
@@ -125,19 +129,26 @@ class ProfileStore:
     def publish(self, profile_bytes: bytes, now: int | None = None) -> int:
         """Validate, durably append, and return the record id.
 
-        Re-publishing byte-identical content returns the original id.
+        Re-publishing byte-identical content returns the original id
+        without parsing it again: only bytes that passed validation are in
+        the digest index.
 
         Raises:
             ProfileFormatError: bytes do not parse as a processed profile.
         """
+        digest = hashlib.sha256(profile_bytes).digest()
+        with self._lock:
+            existing = self._by_digest.get(digest)
+        if existing is not None:
+            return existing
         profile = parse_profile(profile_bytes)
         if not isinstance(profile, ProcessedProfile):
             raise ProfileFormatError(
                 "only processed profiles may be published (raw scan profiles "
                 "never leave a device)"
             )
-        digest = hashlib.sha256(profile_bytes).digest()
         with self._lock:
+            # the same bytes may have been appended while this one parsed
             existing = self._by_digest.get(digest)
             if existing is not None:
                 return existing
@@ -178,11 +189,14 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status: int, body: bytes,
                content_type: str = "text/plain") -> None:
+        self._send_head(status, len(body), content_type)
+        self.wfile.write(body)
+
+    def _send_head(self, status: int, length: int, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(length))
         self.end_headers()
-        self.wfile.write(body)
 
     def do_POST(self):
         if urllib.parse.urlparse(self.path).path != "/v1/profiles":
@@ -214,8 +228,13 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
                 raise ValueError
         except ValueError:
             return self._reply(400, b"since must be a non-negative integer\n")
-        body = b"".join(_frame(r) for r in self.server.store.fetch_since(since))
-        self._reply(200, body, content_type="application/octet-stream")
+        # one frame in memory at a time: the response can be the whole log
+        records = self.server.store.fetch_since(since)
+        length = sum(len(_frame_header(r)) + len(r.profile_bytes) + 1
+                     for r in records)
+        self._send_head(200, length, "application/octet-stream")
+        for record in records:
+            self.wfile.write(_frame(record))
 
 
 class ExchangeServer(ThreadingHTTPServer):

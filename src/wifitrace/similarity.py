@@ -9,13 +9,24 @@ is fully covered.
 Jaccard, average Manhattan distance (AMD) and average Euclidean distance (AED)
 are the scan-to-scan baselines used for comparison; AMD/AED fill ids missing
 on one side with the -100 dBm floor.
+
+signal_similarity() scores one pair and is the reference arithmetic;
+score_scans() scores many scans against many segments at once with numpy and
+gives bit-identical floats. Detection and evaluation both go through it.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Sequence
 
-from .model import RSSI_FLOOR, ProcessedVector, SignalVector
+import numpy as np
+
+from .model import RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalVector
+
+_UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
+_CELLS = 1 << 16  # bound on the elements of score_scans()'s temporaries
 
 
 def overlap_ratio(a: SignalVector, p: ProcessedVector) -> float:
@@ -53,6 +64,144 @@ def signal_similarity(a: SignalVector, p: ProcessedVector) -> float:
     if d is None:
         return 0.0
     return overlap_ratio(a, p) / (d + 1.0)
+
+
+def _times(values: list[int]) -> np.ndarray:
+    """Times as int64, or as Python ints when one does not fit int64 (a
+    profile file may carry any integer), so comparisons stay exact."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class _Columns:
+    """A batch of segments in columnar form. Ids are interned to dense
+    column numbers for this batch only; segment g's entries (column, lo, hi)
+    sit at [ptr[g], ptr[g] + length[g]). Ranges fit int16, since
+    ProcessedVector validates them into [-100, 0]."""
+
+    def __init__(self, segments: Sequence[ProfileSegment]):
+        ranges = [seg.vector.ranges for seg in segments]
+        self.index: dict[bytes, int] = {}
+        self.col = np.array(
+            [self.index.setdefault(sid.value, len(self.index))
+             for r in ranges for sid in r],
+            dtype=np.intp,
+        )
+        lo_hi = np.fromiter(
+            chain.from_iterable(chain.from_iterable(r.values() for r in ranges)),
+            dtype=np.int16, count=2 * len(self.col),
+        )
+        self.lo, self.hi = lo_hi[0::2], lo_hi[1::2]
+        self.length = np.fromiter(map(len, ranges), dtype=np.intp,
+                                  count=len(ranges))
+        self.ptr = np.cumsum(self.length) - self.length
+        self.t_start = _times([seg.t_start for seg in segments])
+        self.t_end = _times([seg.t_end for seg in segments])
+        self.width = len(self.index) + 1  # the last column: ids no segment has
+
+    def rssi_block(
+        self, scans: Sequence[SignalVector]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (scan x column) RSSI matrix, _UNHEARD where a scan lacks
+        the id, and each scan's id count."""
+        readings = [vec.readings for vec in scans]
+        sizes = np.fromiter(map(len, readings), dtype=np.intp, count=len(readings))
+        other = self.width - 1
+        cols = [self.index.get(sid.value, other) for r in readings for sid in r]
+        rssi = np.fromiter(chain.from_iterable(r.values() for r in readings),
+                           dtype=np.int16, count=len(cols))
+        block = np.full((len(readings), self.width), _UNHEARD, dtype=np.int16)
+        block[np.repeat(np.arange(len(readings)), sizes), cols] = rssi
+        return block, sizes
+
+    def shared_terms(self, block: np.ndarray, row: np.ndarray,
+                     seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Shared-id count and summed out-of-range distance of each pair
+        (block[row[i]], segment seg[i]); every segment must be non-empty."""
+        lens = self.length[seg]
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        entry = (np.arange(int(ends[-1]))
+                 - np.repeat(starts - self.ptr[seg], lens))
+        rssi = block.ravel().take(np.repeat(row * self.width, lens)
+                                  + self.col.take(entry))
+        heard = rssi != _UNHEARD
+        dist = np.maximum(np.maximum(self.lo.take(entry) - rssi,
+                                     rssi - self.hi.take(entry)), 0) * heard
+        return (np.add.reduceat(heard, starts, dtype=np.int64),
+                np.add.reduceat(dist, starts, dtype=np.int64))
+
+
+def score_scans(
+    scans: Sequence[SignalVector],
+    segments: Sequence[ProfileSegment],
+    alpha: float | None = None,
+    time_gated: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every scan against its candidate segments in one batched pass.
+
+    A segment is a candidate for a scan when ``time_gated`` is off, or when
+    its validity window contains the scan time; scans need not be ordered.
+    Each candidate pair scores ``signal_similarity(scan, segment.vector)``,
+    bit for bit: the shared-id count, the smaller id count and the summed
+    out-of-range distance are exact integers, then O = count / smaller,
+    D = total / count and O / (D + 1.0) are float64 divisions in that order.
+
+    Returns two arrays with one entry per scan, ``(score, segment)``. When
+    ``alpha`` is given and some candidate scores >= alpha, they hold the
+    first such candidate's score and index in input order. Otherwise the
+    segment is -1 and the score is the best candidate score, 0.0 with none.
+    """
+    n = len(scans)
+    score = np.zeros(n)
+    matched = np.full(n, -1, dtype=np.intp)
+    if not n or not segments:
+        return score, matched
+    cols = _Columns(segments)
+    times = _times([vec.timestamp for vec in scans])
+    # an empty segment shares no id, and shared_terms needs entries per pair
+    nonempty = cols.length > 0
+    step = max(1, _CELLS // max(1, int(cols.length.max())))
+
+    # chunks of scans keep the cover matrix and the RSSI block small
+    rows = max(1, _CELLS // max(len(segments), cols.width))
+    for first in range(0, n, rows):
+        t = times[first:first + rows, None]
+        if time_gated:
+            cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
+        else:
+            cover = np.broadcast_to(nonempty, (len(t), len(segments)))
+        live = first + np.flatnonzero(cover.any(axis=1))
+        block, sizes = cols.rssi_block([scans[i] for i in live])
+
+        # candidate pairs, scan-major with segments in input order; at most
+        # _CELLS (pair, segment id) entries at a time
+        row, seg = np.nonzero(cover[live - first])
+        count = np.empty(len(row), dtype=np.int64)
+        total = np.empty(len(row), dtype=np.int64)
+        for a in range(0, len(row), step):
+            count[a:a + step], total[a:a + step] = cols.shared_terms(
+                block, row[a:a + step], seg[a:a + step])
+
+        keep = count > 0  # a pair without shared ids scores 0
+        if not keep.any():
+            continue
+        row, seg, count, total = row[keep], seg[keep], count[keep], total[keep]
+        smaller = np.minimum(sizes[row], cols.length[seg])
+        pair_score = (count / smaller) / (total / count + 1.0)
+        scan = live[row]
+        heads = np.flatnonzero(np.r_[True, scan[1:] != scan[:-1]])
+        score[scan[heads]] = np.maximum.reduceat(pair_score, heads)
+        if alpha is not None:
+            hits = np.flatnonzero(pair_score >= alpha)
+            if len(hits):
+                # the first hit of each scan: pairs are scan-major
+                hits = hits[np.r_[True, scan[hits][1:] != scan[hits][:-1]]]
+                score[scan[hits]] = pair_score[hits]
+                matched[scan[hits]] = seg[hits]
+    return score, matched
 
 
 def jaccard(a: SignalVector, b: SignalVector) -> float:

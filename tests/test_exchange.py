@@ -4,12 +4,15 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wifitrace import exchange
 from wifitrace.exchange import (
     ExchangeError,
     ProfileStore,
     PublishedRecord,
     SyncState,
+    _frame,
     _read_frames,
     client_sync,
     fetch_since,
@@ -57,6 +60,23 @@ class TestProfileStore:
     def test_idempotent_on_identical_bytes(self, store):
         data = processed_bytes()
         assert store.publish(data) == store.publish(data) == 1
+
+    def test_republish_skips_parsing(self, store, monkeypatch):
+        data = processed_bytes()
+        assert store.publish(data) == 1
+        calls = []
+        real_parse = exchange.parse_profile
+        monkeypatch.setattr(exchange, "parse_profile",
+                            lambda body: calls.append(body) or real_parse(body))
+        assert store.publish(data) == 1
+        assert calls == []
+        # bodies that never parsed are not in the digest index
+        for bad in (b"vcontact/1 processed\nt=10..5\n",
+                    serialize_profile(SignalProfile([SignalVector({X: -50}, 0)]))):
+            for _ in range(2):
+                with pytest.raises(ProfileFormatError):
+                    store.publish(bad)
+        assert len(calls) == 4
 
     def test_rejects_malformed(self, store):
         with pytest.raises(ProfileFormatError):
@@ -175,6 +195,49 @@ class TestWireProtocol:
         records, consumed = _read_frames(raw)
         assert consumed == len(raw)
         assert [r.record_id for r in records] == [1, 2]
+
+    def test_fetch_body_is_the_concatenated_frames(self, server, store):
+        for label in ("a", "bb", ""):
+            publish(server.endpoint, processed_bytes(label))
+        for since in (0, 2, 3):
+            raw = urllib.request.urlopen(
+                f"{server.endpoint}/v1/profiles?since={since}").read()
+            assert raw == b"".join(_frame(r) for r in store.fetch_since(since))
+
+
+class TestFrames:
+    def test_negative_length_rejected(self):
+        assert _read_frames(b"record id=1 at=0 len=-1\n") == ([], 0)
+
+    @pytest.mark.parametrize("header", [
+        b"record id=+1 at=0 len=1\n", b"record id=01 at=0 len=1\n",
+        b"record id=1 at=0 len=01\n", b"record id=1 at=-0 len=1\n",
+        b"record id=1 at=0 len=1 x=2\n", b"record  id=1 at=0 len=1\n",
+        b"record id=1 len=1 at=0\n", b"record id=1_0 at=0 len=1\n",
+    ])
+    def test_only_canonical_headers(self, header):
+        good = _frame(PublishedRecord(1, b"x", 0))
+        records, consumed = _read_frames(good + header + b"x\n")
+        assert consumed == len(good) and len(records) == 1
+
+    def test_client_reports_bad_frames_as_exchange_error(self, monkeypatch):
+        monkeypatch.setattr(exchange, "_request",
+                            lambda url, **kw: b"record id=1 at=0 len=-1\n")
+        with pytest.raises(ExchangeError, match="malformed frame"):
+            fetch_since("http://relay.invalid", 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.lists(st.builds(PublishedRecord, st.integers(0, 10**6),
+                           st.binary(max_size=12), st.integers(-10**10, 10**10)),
+                 max_size=4).map(lambda rs: b"".join(map(_frame, rs))),
+    ), st.binary(max_size=8), st.integers(0, 64))
+    def test_parsed_prefix_reframes_exactly(self, clean, noise, at):
+        data = clean[:at] + noise + clean[at:]
+        records, good = _read_frames(data)
+        assert 0 <= good <= len(data)
+        assert b"".join(_frame(r) for r in records) == data[:good]
 
 
 class TestClientSync:

@@ -1,0 +1,185 @@
+"""The batched scorer against a straight per-pair loop over signal_similarity.
+
+Every comparison is exact: the kernel must give the same floats as the
+scalar reference, not merely close ones.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from wifitrace import similarity
+from wifitrace.detection import ContactFlag, DetectionConfig, detect_contacts
+from wifitrace.evaluation import (
+    LabeledDataset,
+    LabeledRecord,
+    ProximityData,
+    precision_recall_f1,
+    record_score,
+    run_inout_study,
+)
+from wifitrace.model import (
+    ProcessedProfile,
+    ProcessedVector,
+    ProfileSegment,
+    SignalProfile,
+    SignalVector,
+)
+from wifitrace.similarity import score_scans, signal_similarity
+
+from conftest import ID_POOL
+
+POOL = ID_POOL[:10]  # small, so scans and segments share ids often
+
+rssi = st.integers(-100, 0)
+readings = st.dictionaries(st.sampled_from(POOL), rssi, max_size=len(POOL))
+
+
+@st.composite
+def id_ranges(draw):
+    ids = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=len(POOL)))
+    ranges = {}
+    for sid in ids:
+        a, b = draw(rssi), draw(rssi)
+        ranges[sid] = (min(a, b), max(a, b))
+    return ProcessedVector(ranges)
+
+
+@st.composite
+def profiles(draw, label="case"):
+    # t_start from a coarse grid so that equal starts and overlapping
+    # lifespan windows are common
+    starts = sorted(draw(st.lists(st.integers(0, 6), max_size=4)))
+    segments = [
+        ProfileSegment(draw(id_ranges()), 10 * s, 10 * s + draw(st.integers(1, 40)))
+        for s in starts
+    ]
+    return ProcessedProfile(segments, case_label=label)
+
+
+@st.composite
+def published(draw):
+    n = draw(st.integers(0, 3))
+    return [draw(profiles(label=f"case-{i}")) for i in range(n)]
+
+
+# scans from before the first window to after the last one
+times = st.integers(-10, 110)
+unordered_scans = st.lists(st.builds(SignalVector, readings, times), max_size=12)
+
+
+@st.composite
+def user_profiles(draw):
+    ts = sorted(draw(st.lists(times, unique=True, max_size=12)))
+    return SignalProfile([SignalVector(draw(readings), t) for t in ts])
+
+
+def reference_detect(user, profiles, alpha):
+    flags = []
+    for vec in user.vectors:
+        best, flag = 0.0, None
+        for profile in profiles:
+            for seg_idx, seg in enumerate(profile.segments):
+                if not seg.covers(vec.timestamp):
+                    continue
+                score = signal_similarity(vec, seg.vector)
+                best = max(best, score)
+                if score >= alpha:
+                    flag = ContactFlag(vec.timestamp, True, score, seg_idx,
+                                       profile.case_label)
+                    break
+            if flag is not None:
+                break
+        flags.append(flag or ContactFlag(vec.timestamp, False, best))
+    return flags
+
+
+def reference_best(vec, segments, time_gated=True):
+    return max((signal_similarity(vec, seg.vector) for seg in segments
+                if not time_gated or seg.covers(vec.timestamp)), default=0.0)
+
+
+@pytest.fixture(params=[similarity._CELLS, 3], ids=["cells-default", "cells-3"])
+def cells(request, monkeypatch):
+    """Also run with tiny chunks, so every chunk boundary is crossed."""
+    monkeypatch.setattr(similarity, "_CELLS", request.param)
+
+
+# the cells fixture holds for every example of a test, as it should
+examples = settings(deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+alphas = st.sampled_from([0.05, 0.2, 0.4, 0.5, 1.0])
+
+
+@settings(examples, max_examples=150)
+@given(user=user_profiles(), profiles=published(), alpha=alphas)
+def test_detect_contacts_matches_per_pair_loop(cells, user, profiles, alpha):
+    got = detect_contacts(user, profiles, DetectionConfig(alpha=alpha))
+    assert got == reference_detect(user, profiles, alpha)
+    assert all(type(f.best_score) is float for f in got)
+
+
+@settings(examples, max_examples=150)
+@given(scans=unordered_scans, profile=profiles())
+def test_record_score_and_dataset_scores_match(cells, scans, profile):
+    expected = [reference_best(vec, profile.segments) for vec in scans]
+    assert [record_score(vec, profile) for vec in scans] == expected
+    records = [LabeledRecord(vec, True, 1.0) for vec in scans]
+    got = LabeledDataset(records, profile).scores()
+    assert got.dtype == np.float64 and got.tolist() == expected
+    data = ProximityData(profile, tuple((vec, 1.0) for vec in scans))
+    assert data.scores().tolist() == expected
+
+
+@settings(examples, max_examples=150)
+@given(inside=unordered_scans, outside=unordered_scans, area=profiles(),
+       alpha=st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+def test_inout_study_matches_per_pair_loop(cells, inside, outside, area, alpha):
+    scans = inside + outside
+    truth = set(range(len(inside)))
+    detected = {i for i, vec in enumerate(scans)
+                if reference_best(vec, area.segments, time_gated=False) >= alpha}
+    expected = precision_recall_f1(truth, detected)[:2]
+    assert run_inout_study(area, inside, outside, alpha) == expected
+
+
+@settings(examples, max_examples=100)
+@given(scans=unordered_scans, profile=profiles(), gated=st.booleans())
+def test_score_scans_without_alpha_is_the_best_score(cells, scans, profile, gated):
+    scores, matched = score_scans(scans, profile.segments, time_gated=gated)
+    expected = [reference_best(vec, profile.segments, gated) for vec in scans]
+    assert scores.tolist() == expected
+    assert (matched == -1).all()
+
+
+@pytest.mark.parametrize("big", [2**63, 2**70, -2**63 - 1])
+def test_times_beyond_int64_compare_exactly(big):
+    sid = ID_POOL[0]
+    vector = ProcessedVector({sid: (-60, -40)})
+    user = SignalProfile([SignalVector({sid: -50}, t)
+                          for t in sorted({0, 5, big, big + 1})])
+    profiles = [ProcessedProfile([ProfileSegment(vector, *sorted((0, big)))]),
+                ProcessedProfile([ProfileSegment(vector, big, big + 1)])]
+    assert (detect_contacts(user, profiles, DetectionConfig())
+            == reference_detect(user, profiles, 0.2))
+
+
+def tie_case():
+    """6 of 10 ids shared, summed out-of-range distance 3: exactly 0.4 in
+    rationals, 0.39999999999999997 in floats."""
+    scan = SignalVector({sid: -50 for sid in ID_POOL[:10]}, 30)
+    ranges = {sid: (-50, -50) for sid in ID_POOL[4:14]}
+    ranges[ID_POOL[4]] = (-47, -40)  # 3 dB above the scan's -50
+    segment = ProfileSegment(ProcessedVector(ranges), 0, 60)
+    return scan, ProcessedProfile([segment], case_label="tie")
+
+
+def test_tie_with_alpha_keeps_float_rounding():
+    scan, profile = tie_case()
+    tie = 0.39999999999999997
+    assert signal_similarity(scan, profile.segments[0].vector) == tie
+    assert record_score(scan, profile) == tie
+    (flag,) = detect_contacts(SignalProfile([scan]), [profile],
+                              DetectionConfig(alpha=0.4))
+    assert flag == ContactFlag(30, False, tie)
