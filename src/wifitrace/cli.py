@@ -2,12 +2,14 @@
 
 Study subcommands read a scenario/study config (INI-style key=value
 sections), write fixed-schema CSV files, and print one JSON summary line.
-Exit codes: 0 on success, 2 on a config problem.
+Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
+import dataclasses
 import json
 import os
 import sys
@@ -25,8 +27,8 @@ from .exchange import (
     publish,
 )
 from .model import SignalProfile
-from .profileio import ProfileFormatError, read_profile
-from .simulator import ScenarioError, emit_scenario, load_scenario, read_config
+from .profileio import read_profile
+from .simulator import emit_scenario, load_scenario, radio_overrides, read_config
 
 CONFIG_ERROR = 2
 
@@ -50,12 +52,7 @@ def _study_params(config_path):
     proximities = tuple(
         float(k) for k in study.get("proximities", "1 2 3 4 5").split()
     )
-    site_kwargs = {}
-    for key, cast in (("path_loss_exponent", float), ("shadowing_std", float),
-                      ("detection_floor", int)):
-        if key in env:
-            site_kwargs[key] = cast(env[key])
-    return cp, preset, seeds, proximities, study, site_kwargs
+    return cp, preset, seeds, proximities, study, radio_overrides(env)
 
 
 def _out_dir(args) -> Path:
@@ -113,32 +110,39 @@ def cmd_inout_study(args) -> int:
     return 0
 
 
+def _parse_like(token: str, like):
+    """Parse a knob token like ``like``; a tuple is written ``bias:rate``."""
+    if not isinstance(like, tuple):
+        return type(like)(token)
+    parts = token.split(":")
+    if len(parts) != len(like):
+        raise ConfigProblem(f"bad value {token!r}, want {len(like)} values "
+                            "joined by ':'")
+    return tuple(map(_parse_like, parts, like))
+
+
+def _robustness_knobs(cp) -> ev.RobustnessKnobs:
+    """[robustness] overrides: one key per RobustnessKnobs field, each a
+    space-separated list parsed like the field's first default element."""
+    defaults = {f.name: f.default for f in dataclasses.fields(ev.RobustnessKnobs)}
+    sec = cp["robustness"] if cp.has_section("robustness") else {}
+    kwargs = {}
+    for key, text in sec.items():
+        if key in defaults:
+            kwargs[key] = tuple(_parse_like(t, defaults[key][0]) for t in text.split())
+        elif key not in cp.defaults():  # [DEFAULT] keys show in every section
+            raise ConfigProblem(f"unknown [robustness] key {key!r}, "
+                                f"know {sorted(defaults)}")
+    return ev.RobustnessKnobs(**kwargs)
+
+
 def cmd_robustness(args) -> int:
     cp, preset, seeds, _, study, site_kwargs = _study_params(args.config)
-    knob_kwargs = {}
-    if cp.has_section("robustness"):
-        sec = cp["robustness"]
-        if "filter_rates" in sec:
-            knob_kwargs["filter_rates"] = tuple(
-                float(v) for v in sec["filter_rates"].split())
-        if "noise_stds" in sec:
-            knob_kwargs["noise_stds"] = tuple(
-                float(v) for v in sec["noise_stds"].split())
-        if "sampling_periods" in sec:
-            knob_kwargs["sampling_periods"] = tuple(
-                int(v) for v in sec["sampling_periods"].split())
-        if "device_pairs" in sec:
-            pairs = []
-            for token in sec["device_pairs"].split():
-                bias, _, rate = token.partition(":")
-                pairs.append((float(bias), float(rate)))
-            knob_kwargs["device_pairs"] = tuple(pairs)
+    knobs = _robustness_knobs(cp)
     proximity = float(study.get("proximity", 2))
     out = _out_dir(args)
-    tables = ev.run_robustness_suite(
-        preset, seeds, ev.RobustnessKnobs(**knob_kwargs),
-        proximity=proximity, **site_kwargs,
-    )
+    tables = ev.run_robustness_suite(preset, seeds, knobs, proximity=proximity,
+                                     **site_kwargs)
     paths = {}
     for name, rows in tables.items():
         path = out / f"robustness_{name}_{preset}.csv"
@@ -253,8 +257,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigProblem, ScenarioError, ProfileFormatError,
-            FileNotFoundError, KeyError, ValueError) as exc:
+    # ValueError also covers ScenarioError and ProfileFormatError
+    except (ConfigProblem, FileNotFoundError, configparser.Error,
+            ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except ExchangeError as exc:

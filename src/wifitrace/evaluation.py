@@ -27,6 +27,7 @@ from .simulator import (
     SiteLayout,
     SimEnvironment,
     SimTrajectory,
+    drop_ids,
     make_site,
     perturb_rssi_noise,
     simulate_profile,
@@ -101,21 +102,25 @@ class CalibrationCurve:
         raise ValueError("intersection_alpha not on the curve")
 
 
-def precision_recall_f1(ground_truth: set, detected: set) -> tuple[float, float, float]:
-    """Set-overlap precision, recall and F1.
+def _prf(overlap: int, n_det: int, n_true: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 from counts.
 
-    Empty detected set: precision 1 if the truth set is empty too, else 0.
-    Empty truth set: recall 1. F1 is 0 whenever precision + recall is 0.
+    Nothing detected: precision 1 if nothing is true either, else 0.
+    Nothing true: recall 1. F1 is 0 whenever precision + recall is 0.
     """
-    ground_truth, detected = set(ground_truth), set(detected)
-    overlap = len(ground_truth & detected)
-    if detected:
-        precision = overlap / len(detected)
+    if n_det:
+        precision = overlap / n_det
     else:
-        precision = 1.0 if not ground_truth else 0.0
-    recall = overlap / len(ground_truth) if ground_truth else 1.0
+        precision = 1.0 if n_true == 0 else 0.0
+    recall = overlap / n_true if n_true else 1.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
+
+
+def precision_recall_f1(ground_truth: set, detected: set) -> tuple[float, float, float]:
+    """Set-overlap precision, recall and F1 (empty-set conventions: ``_prf``)."""
+    ground_truth, detected = set(ground_truth), set(detected)
+    return _prf(len(ground_truth & detected), len(detected), len(ground_truth))
 
 
 def record_score(vector: SignalVector, processed: ProcessedProfile) -> float:
@@ -125,16 +130,8 @@ def record_score(vector: SignalVector, processed: ProcessedProfile) -> float:
 
 
 def _prf_from_masks(truth: np.ndarray, detected: np.ndarray) -> tuple[float, float, float]:
-    overlap = int(np.count_nonzero(truth & detected))
-    n_det = int(np.count_nonzero(detected))
-    n_true = int(np.count_nonzero(truth))
-    if n_det:
-        precision = overlap / n_det
-    else:
-        precision = 1.0 if n_true == 0 else 0.0
-    recall = overlap / n_true if n_true else 1.0
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    return _prf(int(np.count_nonzero(truth & detected)),
+                int(np.count_nonzero(detected)), int(np.count_nonzero(truth)))
 
 
 def sweep_scores(
@@ -230,10 +227,7 @@ def collect_proximity_data(
     collection. ``user_profile_hook`` (profile, position) -> profile lets
     robustness studies perturb the user side before matching.
     """
-    case_walk = simulate_profile(
-        env, stationary(layout.line_position(0), 0, duration),
-        sampling_period, stream=_CASE_STREAM,
-    )
+    case_walk = case_raw_vectors(env, layout, duration, sampling_period)
     processed = build_case_profile(case_walk, LifespanSchedule(default=0))
     vectors: list[tuple[SignalVector, float]] = []
     for i in positions:
@@ -461,23 +455,6 @@ class RobustnessKnobs:
     )
 
 
-def _filtered_records(
-    data: ProximityData, rate: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and distances after dropping a site-wide random id subset from
-    every user scan (one draw per seed, shared by all positions)."""
-    ids = sorted({sid for vec, _ in data.vectors for sid in vec.readings})
-    rng = np.random.default_rng((seed, 0xF117E2))
-    removed = {sid for sid, u in zip(ids, rng.random(len(ids))) if u < rate}
-    filtered = [
-        SignalVector({sid: r for sid, r in vec.readings.items()
-                      if sid not in removed}, vec.timestamp)
-        for vec, _ in data.vectors
-    ]
-    scores, _ = score_scans(filtered, data.processed.segments)
-    return scores, np.array([dist for _, dist in data.vectors])
-
-
 def random_walk(
     area: tuple[tuple[float, float], tuple[float, float]],
     duration: int,
@@ -536,7 +513,9 @@ def run_robustness_suite(
         alpha = pick_intersection(base_points).alpha
 
         for rate in knobs.filter_rates:
-            scores, _ = _filtered_records(data, rate, seed)
+            # one site-wide draw per seed, shared by every position's scans
+            filtered = drop_ids([vec for vec, _ in data.vectors], rate, seed)
+            scores, _ = score_scans(filtered, data.processed.segments)
             p, r, f1 = _prf_from_masks(truth, scores >= alpha)
             filter_rows.append(dict(seed=seed, filter_rate=rate, alpha=alpha,
                                     precision=p, recall=r, f1=f1))

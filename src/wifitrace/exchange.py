@@ -346,15 +346,18 @@ def client_sync(
     """One sync round: fetch new profiles, match locally, advance the cursor.
 
     Nothing from the user's profile is transmitted; the request carries only
-    the cursor. On network failure the cursor is untouched and ExchangeError
-    propagates. With no new records the report is empty and no matching runs.
+    the cursor. On network failure or a bad record, ExchangeError propagates
+    and the cursor is untouched. No new records: empty report, no matching.
     """
     records = fetch_since(endpoint, state.last_record_id, **request_kwargs)
     if not records:
         return ContactReport((), ())
     published = []
     for record in records:
-        profile = parse_profile(record.profile_bytes)
+        try:
+            profile = parse_profile(record.profile_bytes)
+        except ProfileFormatError as exc:
+            raise ExchangeError(f"record {record.record_id}: {exc}") from None
         if not isinstance(profile, ProcessedProfile):
             raise ExchangeError(
                 f"record {record.record_id} is not a processed profile"

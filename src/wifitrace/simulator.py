@@ -23,6 +23,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -240,27 +241,34 @@ def make_paired_scenario(
     return first, second, float(separation)
 
 
-def perturb_filter_aps(
-    profile: SignalProfile, rate: float, seed: int = 0
-) -> SignalProfile:
-    """Drop a random fraction of the profile's distinct ids from every scan.
+def drop_ids(
+    vectors: Sequence[SignalVector], rate: float, seed: int = 0
+) -> list[SignalVector]:
+    """Drop a random fraction of the scans' distinct ids from every scan.
 
     Each id is removed independently with probability ``rate`` (chosen once
-    for the whole profile, matching an AP disappearing from the site).
+    for the whole sequence, matching an AP disappearing from the site).
     """
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must be in [0, 1]")
-    ids = sorted({sid for vec in profile.vectors for sid in vec.readings})
+    ids = sorted({sid for vec in vectors for sid in vec.readings})
     rng = np.random.default_rng((seed, 0xF117E2))
     removed = {sid for sid, u in zip(ids, rng.random(len(ids))) if u < rate}
-    vectors = [
+    return [
         SignalVector(
             {sid: r for sid, r in vec.readings.items() if sid not in removed},
             vec.timestamp,
         )
-        for vec in profile.vectors
+        for vec in vectors
     ]
-    return SignalProfile(vectors, device_tag=profile.device_tag)
+
+
+def perturb_filter_aps(
+    profile: SignalProfile, rate: float, seed: int = 0
+) -> SignalProfile:
+    """``drop_ids`` over one profile's scans."""
+    return SignalProfile(drop_ids(profile.vectors, rate, seed),
+                         device_tag=profile.device_tag)
 
 
 def perturb_rssi_noise(
@@ -440,18 +448,21 @@ def _parse_waypoints(text: str) -> tuple[tuple[int, tuple[float, float]], ...]:
     return tuple(waypoints)
 
 
+def radio_overrides(sec: Mapping[str, str]) -> dict:
+    """The radio keys of an [environment] section, cast; absent keys are
+    left out so the site's own defaults apply."""
+    casts = {"path_loss_exponent": float, "shadowing_std": float,
+             "detection_floor": int}
+    return {key: cast(sec[key]) for key, cast in casts.items() if key in sec}
+
+
 def _env_from_config(cp: configparser.ConfigParser) -> tuple[SimEnvironment, SiteLayout]:
     if not cp.has_section("environment"):
         raise ScenarioError("missing [environment] section")
     sec = cp["environment"]
-    kwargs = dict(
-        seed=sec.getint("seed", fallback=0),
-        path_loss_exponent=sec.getfloat("path_loss_exponent", fallback=2.5),
-        shadowing_std=sec.getfloat("shadowing_std", fallback=2.0),
-    )
+    kwargs = dict(seed=sec.getint("seed", fallback=0), **radio_overrides(sec))
     if "preset" in sec:
-        floor = sec.getint("detection_floor", fallback=None)
-        return make_site(sec["preset"], detection_floor=floor, **kwargs)
+        return make_site(sec["preset"], **kwargs)
     # explicit site: ap_count + area + site_seed
     try:
         count = sec.getint("ap_count")
@@ -461,7 +472,6 @@ def _env_from_config(cp: configparser.ConfigParser) -> tuple[SimEnvironment, Sit
     area = ((x0, y0), (x1, y1))
     env = SimEnvironment(
         aps=_generate_aps(count, area, sec.getint("site_seed", fallback=1)),
-        detection_floor=sec.getint("detection_floor", fallback=-90),
         **kwargs,
     )
     layout = SiteLayout(area, ((x0 + x1) / 2, (y0 + y1) / 2), (0.0, 1.0))

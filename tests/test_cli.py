@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from wifitrace.cli import main
 from wifitrace.exchange import ProfileStore, serve_in_thread
@@ -127,3 +130,58 @@ def test_exchange_error_exit_code_is_1(tmp_path, capsys):
     code = main(["publish", paths["processed"],
                  "--endpoint", "http://127.0.0.1:1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [
+    "preset = office\n",  # no section header
+    "[environment]\npreset = office\n[environment]\npreset = mall\n",
+])
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["calibrate", cfg]) == 2
+    assert main(["simulate", cfg]) == 2
+
+
+@pytest.mark.parametrize("knob, message", [
+    ("filter_rate = 0.5", "unknown [robustness] key 'filter_rate'"),
+    ("filter_rates = 0.0 1.5", "rate must be in [0, 1]"),
+    ("device_pairs = 0:1.0 -3:0.9:1", "bad value '-3:0.9:1'"),
+])
+def test_robustness_rejects_bad_knobs(tmp_path, capsys, knob, message):
+    cfg = write(tmp_path, "study.cfg", f"{STUDY_CFG}\n[robustness]\n{knob}\n")
+    assert main(["robustness", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_robustness_knobs_ignore_default_section_keys(tmp_path, capsys):
+    cfg = write(tmp_path, "study.cfg", "[DEFAULT]\nnote = x\n" + STUDY_CFG
+                + "\n[robustness]\nfilter_rates = 0.5\nnoise_stds =\n"
+                "sampling_periods =\ndevice_pairs = 0:1\n")
+    code, summary = run_cli(capsys, "robustness", cfg, "--out",
+                            str(tmp_path / "out"))
+    assert code == 0
+    rows = open(summary["filter"]).read().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("1,0.5,")
+
+
+def test_bad_relay_record_is_an_exchange_error(tmp_path, capsys):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    # a well-framed record whose payload does not parse; replay only reads
+    # the frames, so the relay serves it as it is
+    payload = b"vcontact/1 processed\nt=0..60 zz:1..2\n"
+    relay_dir = tmp_path / "relay"
+    relay_dir.mkdir()
+    (relay_dir / ProfileStore.LOG_NAME).write_bytes(
+        b"record id=1 at=%d len=%d\n%s\n" % (int(time.time()), len(payload),
+                                             payload))
+    server = serve_in_thread(ProfileStore(relay_dir))
+    state = tmp_path / "state"
+    try:
+        code = main(["sync", "--endpoint", server.endpoint,
+                     "--profile", paths["user"], "--state", str(state)])
+    finally:
+        server.shutdown()
+    assert code == 1
+    assert "record 1: line 2: bad signal id 'zz'" in capsys.readouterr().err
+    assert not (state / "cursor").exists()

@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from wifitrace.evaluation import (
@@ -259,6 +260,39 @@ class TestRobustnessSuite:
         for row in (zero_filter, zero_noise):
             assert (row["precision"], row["recall"], row["f1"]) == (p, r, f1)
             assert row["alpha"] == alpha
+
+
+    def test_filter_row_drops_one_site_wide_id_draw(self):
+        from wifitrace.evaluation import (RobustnessKnobs,
+                                          run_robustness_suite, sweep_scores)
+        seed, rate, k = 1, 0.5, 2.0
+        tables = run_robustness_suite(
+            "office", seeds=(seed,), proximity=k,
+            knobs=RobustnessKnobs(filter_rates=(rate,), noise_stds=(),
+                                  sampling_periods=(), device_pairs=()))
+        env, layout = make_site("office", seed=seed)
+        data = collect_proximity_data(env, layout)
+        truth = data.labeled(k).truth()
+        alpha = pick_intersection(
+            sweep_scores(data.scores(), truth, DEFAULT_ALPHA_GRID)).alpha
+        # one draw over the distinct ids of every position's scans together
+        ids = sorted({sid for vec, _ in data.vectors for sid in vec.readings})
+        draws = np.random.default_rng((seed, 0xF117E2)).random(len(ids))
+        removed = {sid for sid, u in zip(ids, draws) if u < rate}
+        assert 0 < len(removed) < len(ids)
+        detected = set()
+        for i, (vec, _) in enumerate(data.vectors):
+            kept = SignalVector({sid: r for sid, r in vec.readings.items()
+                                 if sid not in removed}, vec.timestamp)
+            best = max((signal_similarity(kept, seg.vector)
+                        for seg in data.processed.segments
+                        if seg.covers(vec.timestamp)), default=0.0)
+            if best >= alpha:
+                detected.add(i)
+        expected = precision_recall_f1(set(np.flatnonzero(truth)), detected)
+        (row,) = tables["filter"]
+        assert row["alpha"] == alpha
+        assert (row["precision"], row["recall"], row["f1"]) == expected
 
 
 class TestDatasetConstruction:
