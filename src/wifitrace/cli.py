@@ -245,10 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help="local raw scan profile")
     p.add_argument("--state", required=True, help="cursor state directory")
     p.add_argument("--report", default=None, help="write the full report here")
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--window", type=int, default=600)
-    p.add_argument("--min-exposure", type=int, default=300)
-    p.add_argument("--period", type=int, default=60)
+    defaults = DetectionConfig()
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
+    p.add_argument("--window", type=int, default=defaults.window_length)
+    p.add_argument("--min-exposure", type=int, default=defaults.min_exposure)
+    p.add_argument("--period", type=int, default=defaults.sampling_period)
     p.set_defaults(fn=cmd_sync)
     return parser
 

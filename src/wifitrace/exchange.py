@@ -19,7 +19,9 @@ returns the original record id.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import operator
 import os
 import re
 import threading
@@ -36,6 +38,8 @@ from .model import ProcessedProfile, SignalProfile
 from .profileio import ProfileFormatError, parse_profile
 
 DEFAULT_RETENTION_DAYS = 28
+# far above the largest processed profile a day of scans makes (~130 KB)
+_MAX_BODY_BYTES = 16 << 20
 TOKEN_HEADER = "X-Upload-Token"
 TOKEN_ENV_VAR = "WIFITRACE_UPLOAD_TOKEN"
 
@@ -174,11 +178,13 @@ class ProfileStore:
         now = int(time.time()) if now is None else int(now)
         horizon = now - self.retention_days * 86400
         with self._lock:
-            snapshot = list(self._records)
-        return [
-            r for r in snapshot
-            if r.record_id > last_record_id and r.published_at >= horizon
-        ]
+            start = bisect.bisect_right(
+                self._records, last_record_id,
+                key=operator.attrgetter("record_id"),
+            )
+            tail = self._records[start:]
+        # publish times need not ascend (clocks, the ``now`` argument)
+        return [r for r in tail if r.published_at >= horizon]
 
 
 class _ExchangeHandler(BaseHTTPRequestHandler):
@@ -192,23 +198,39 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
         self._send_head(status, len(body), content_type)
         self.wfile.write(body)
 
-    def _send_head(self, status: int, length: int, content_type: str) -> None:
+    def _send_head(self, status: int, length: int, content_type: str,
+                   close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(length))
+        if close:
+            # sets close_connection, so the server hangs up after this reply
+            self.send_header("Connection", "close")
         self.end_headers()
+
+    def _refuse(self, status: int, body: bytes) -> None:
+        """Reply without reading the request body, then close: the unread
+        body must not be taken for the next request."""
+        self._send_head(status, len(body), "text/plain", close=True)
+        self.wfile.write(body)
 
     def do_POST(self):
         if urllib.parse.urlparse(self.path).path != "/v1/profiles":
-            return self._reply(404, b"unknown endpoint\n")
+            return self._refuse(404, b"unknown endpoint\n")
         token = self.server.upload_token
         if token and self.headers.get(TOKEN_HEADER) != token:
-            return self._reply(401, b"bad or missing upload token\n")
+            return self._refuse(401, b"bad or missing upload token\n")
+        text = self.headers.get("Content-Length", "0")
+        if not (text.isascii() and text.isdigit()):
+            return self._refuse(400, b"Content-Length must be a decimal\n")
+        length = int(text)
+        if length > _MAX_BODY_BYTES:
+            return self._refuse(
+                413, f"body over {_MAX_BODY_BYTES} bytes\n".encode("ascii"))
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             body = self.rfile.read(length)
-        except (ValueError, OSError):
-            return self._reply(400, b"unreadable request body\n")
+        except OSError:
+            return self._refuse(400, b"unreadable request body\n")
         try:
             record_id = self.server.store.publish(body)
         except ProfileFormatError as exc:

@@ -13,8 +13,10 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -76,6 +78,19 @@ def clamp_rssi(raw: int) -> int:
     return min(RSSI_CEIL, max(RSSI_FLOOR, int(raw)))
 
 
+def _rssis_in_range(values) -> bool:
+    """True when every value is an exact int in [RSSI_FLOOR, RSSI_CEIL].
+
+    Only C-level primitives run per value, so checking an already canonical
+    mapping costs far less than rebuilding it.
+    """
+    return not values or (
+        {int}.issuperset(map(type, values))
+        and RSSI_FLOOR <= min(values)
+        and max(values) <= RSSI_CEIL
+    )
+
+
 @dataclass(frozen=True)
 class SignalVector:
     """One scan: AP ids with their RSSIs, at one timestamp.
@@ -88,7 +103,11 @@ class SignalVector:
     timestamp: int
 
     def __post_init__(self) -> None:
-        clamped = {sid: clamp_rssi(rssi) for sid, rssi in self.readings.items()}
+        if _rssis_in_range(self.readings.values()):
+            # a dict copy keeps the stored key hashes
+            clamped = dict(self.readings)
+        else:
+            clamped = {sid: clamp_rssi(rssi) for sid, rssi in self.readings.items()}
         object.__setattr__(self, "readings", MappingProxyType(clamped))
         object.__setattr__(self, "timestamp", int(self.timestamp))
 
@@ -128,6 +147,15 @@ class ProcessedVector:
     ranges: Mapping[SignalId, tuple[int, int]]
 
     def __post_init__(self) -> None:
+        pairs = list(self.ranges.values())
+        if {tuple}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs)):
+            flat = list(chain.from_iterable(pairs))
+            if _rssis_in_range(flat) and not any(
+                map(operator.gt, flat[0::2], flat[1::2])
+            ):
+                # already canonical: a dict copy keeps the stored key hashes
+                object.__setattr__(self, "ranges", MappingProxyType(dict(self.ranges)))
+                return
         canon: dict[SignalId, tuple[int, int]] = {}
         for sid, (lo, hi) in self.ranges.items():
             lo, hi = int(lo), int(hi)

@@ -11,13 +11,24 @@ Both profile kinds share the layout::
 Fields are space-separated, ids sorted lexicographically, segments ordered by
 start time. Serialization is byte-for-byte stable for a given profile, and
 ``parse_profile(serialize_profile(p)) == p``.
+
+Parsing accepts only these canonical bytes: integers without sign or leading
+zeros beyond what ``str(int)`` writes, lowercase hex ids in strictly
+ascending order, one space between fields, ``\n`` after every line including
+the last, no blank lines, and a label escaped exactly as ``quote(label,
+safe='')`` escapes it. The one exception: signal readings outside [-100, 0]
+are clamped, as at scan ingest.
 """
 
 from __future__ import annotations
 
+import operator
 import urllib.parse
+from typing import NoReturn
 
 from .model import (
+    RSSI_CEIL,
+    RSSI_FLOOR,
     ProcessedProfile,
     ProcessedVector,
     ProfileSegment,
@@ -71,17 +82,81 @@ def serialize_profile(profile: SignalProfile | ProcessedProfile) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# Each record line is checked in bulk (C-level splits, joins, lookups and
+# comparisons), so no Python code runs per token; only a line that fails is
+# walked token by token, to name the bad field.
+
+# every canonical "lo..hi" range token, mapped to one shared (lo, hi) tuple:
+# a lookup checks the integer form, the floor, the ceiling and lo <= hi
+_RANGES = {
+    f"{lo}..{hi}": (lo, hi)
+    for lo in range(RSSI_FLOOR, RSSI_CEIL + 1)
+    for hi in range(lo, RSSI_CEIL + 1)
+}
+
+
+def _canonical_int(text: str) -> int:
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(text)
+    return value
+
+
+def _signal_id(text: str) -> SignalId:
+    sid = SignalId.from_hex(text)
+    if sid.hex != text:
+        raise ValueError(text)
+    return sid
+
+
+def _fields(
+    line: str, ids: dict[str, SignalId]
+) -> tuple[str, list[SignalId], list[str]]:
+    """Split a record laid out as ``t=<x> <id>:<v> ...`` with ids ascending.
+
+    Returns the text after ``t=``, the ids interned through ``ids`` and the
+    value tokens. Raises ValueError on any other layout or a bad id.
+    """
+    fields = line.replace(":", " ").split(" ")
+    hexes, values = fields[1::2], fields[2::2]
+    if (
+        fields[0][:2] != "t="
+        or " ".join([fields[0], *map(":".join, zip(hexes, values))]) != line
+        or any(map(operator.ge, hexes, hexes[1:]))
+    ):
+        raise ValueError(line)
+    for text in set(hexes).difference(ids):
+        ids[text] = _signal_id(text)
+    return fields[0][2:], list(map(ids.__getitem__, hexes)), values
+
+
+def _signal_record(line: str, ids: dict[str, SignalId]) -> SignalVector:
+    when, sids, tokens = _fields(line, ids)
+    rssis = list(map(int, tokens))
+    if list(map(str, rssis)) != tokens:
+        raise ValueError(line)
+    return SignalVector(dict(zip(sids, rssis)), _canonical_int(when))
+
+
+def _processed_record(line: str, ids: dict[str, SignalId]) -> ProfileSegment:
+    window, sids, tokens = _fields(line, ids)
+    start, _, end = window.partition("..")
+    ranges = dict(zip(sids, map(_RANGES.__getitem__, tokens)))
+    return ProfileSegment(
+        ProcessedVector(ranges), _canonical_int(start), _canonical_int(end)
+    )
+
+
 def _parse_id(token: str, line_no: int) -> SignalId:
     try:
-        sid = SignalId.from_hex(token)
+        return _signal_id(token)
     except ValueError:
         raise ProfileFormatError(f"bad signal id {token!r}", line_no) from None
-    return sid
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
     try:
-        return int(token)
+        return _canonical_int(token)
     except ValueError:
         raise ProfileFormatError(f"bad {what} {token!r}", line_no) from None
 
@@ -96,81 +171,101 @@ def _split_range(token: str, what: str, line_no: int) -> tuple[int, int]:
     )
 
 
-def _parse_signal_record(line: str, line_no: int) -> SignalVector:
+def _walk(line: str, line_no: int, processed: bool) -> NoReturn:
+    """Raise a ProfileFormatError naming the first bad field of a record."""
+    if not line:
+        raise ProfileFormatError("blank line", line_no)
     tokens = line.split(" ")
     if not tokens[0].startswith("t="):
-        raise ProfileFormatError("record must start with t=<epoch>", line_no)
-    ts = _parse_int(tokens[0][2:], "timestamp", line_no)
-    readings: dict[SignalId, int] = {}
+        want = "<start>..<end>" if processed else "<epoch>"
+        raise ProfileFormatError(f"record must start with t={want}", line_no)
+    if processed:
+        window = _split_range(tokens[0][2:], "time window", line_no)
+    else:
+        timestamp = _parse_int(tokens[0][2:], "timestamp", line_no)
+    values: dict[SignalId, object] = {}
+    previous = ""
     for token in tokens[1:]:
-        id_part, sep, rssi_part = token.partition(":")
-        if not sep:
-            raise ProfileFormatError(f"bad reading {token!r} (want id:rssi)", line_no)
-        sid = _parse_id(id_part, line_no)
-        if sid in readings:
-            raise ProfileFormatError(f"duplicate signal id {id_part!r}", line_no)
-        readings[sid] = _parse_int(rssi_part, "rssi", line_no)
-    return SignalVector(readings, ts)
-
-
-def _parse_processed_record(line: str, line_no: int) -> ProfileSegment:
-    tokens = line.split(" ")
-    if not tokens[0].startswith("t="):
-        raise ProfileFormatError("record must start with t=<start>..<end>", line_no)
-    t_start, t_end = _split_range(tokens[0][2:], "time window", line_no)
-    ranges: dict[SignalId, tuple[int, int]] = {}
-    for token in tokens[1:]:
-        id_part, sep, range_part = token.partition(":")
+        id_part, sep, value = token.partition(":")
         if not sep:
             raise ProfileFormatError(
-                f"bad range {token!r} (want id:min..max)", line_no
+                f"bad range {token!r} (want id:min..max)" if processed
+                else f"bad reading {token!r} (want id:rssi)", line_no
             )
         sid = _parse_id(id_part, line_no)
-        if sid in ranges:
+        if id_part == previous:
             raise ProfileFormatError(f"duplicate signal id {id_part!r}", line_no)
-        ranges[sid] = _split_range(range_part, "rssi range", line_no)
+        if id_part < previous:
+            raise ProfileFormatError(
+                f"signal id {id_part!r} out of order (ids must ascend)", line_no
+            )
+        previous = id_part
+        if processed:
+            values[sid] = _split_range(value, "rssi range", line_no)
+        else:
+            values[sid] = _parse_int(value, "rssi", line_no)
     try:
-        vector = ProcessedVector(ranges)
-        return ProfileSegment(vector, t_start, t_end)
+        if processed:
+            ProfileSegment(ProcessedVector(values), *window)
+        else:
+            SignalVector(values, timestamp)
     except ValueError as exc:
         raise ProfileFormatError(str(exc), line_no) from None
+    raise ProfileFormatError("malformed record", line_no)
+
+
+def _parse_header(line: str) -> tuple[str, str]:
+    """The kind and the label of a header line."""
+    head = line.split(" ")
+    if len(head) < 2 or head[0] != MAGIC or head[1] not in (KIND_SIGNAL, KIND_PROCESSED):
+        raise ProfileFormatError(
+            f"bad header {line!r} (want '{MAGIC} signal|processed')", 1
+        )
+    if len(head) == 2:
+        return head[1], ""
+    if len(head) == 3 and head[2].startswith("label="):
+        quoted = head[2][len("label="):]
+        label = urllib.parse.unquote(quoted)
+        if not quoted or urllib.parse.quote(label, safe="") != quoted:
+            raise ProfileFormatError(f"non-canonical label {quoted!r}", 1)
+        return head[1], label
+    raise ProfileFormatError(f"unexpected header fields {head[2:]!r}", 1)
 
 
 def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
-    """Parse profile bytes, rejecting any invariant violation.
+    """Parse canonical profile bytes, rejecting anything else.
+
+    Only bytes that :func:`serialize_profile` writes are accepted, except
+    that signal readings outside [-100, 0] are clamped.
 
     Raises:
-        ProfileFormatError: malformed bytes or violated invariants, with a
-            diagnostic naming the offending line and field.
+        ProfileFormatError: malformed or non-canonical bytes, or violated
+            invariants, with a diagnostic naming the offending line and field.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProfileFormatError(f"not UTF-8: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ProfileFormatError("empty input, missing header", 1)
-
-    head = lines[0].split(" ")
-    if len(head) < 2 or head[0] != MAGIC or head[1] not in (KIND_SIGNAL, KIND_PROCESSED):
-        raise ProfileFormatError(
-            f"bad header {lines[0]!r} (want '{MAGIC} signal|processed')", 1
-        )
-    label = ""
-    if len(head) == 3 and head[2].startswith("label="):
-        label = urllib.parse.unquote(head[2][len("label="):])
-    elif len(head) > 2:
-        raise ProfileFormatError(f"unexpected header fields {head[2:]!r}", 1)
-
-    records = [(i + 2, line) for i, line in enumerate(lines[1:]) if line]
+    lines = text.split("\n")
+    kind, label = _parse_header(lines[0])
+    if lines[-1]:
+        raise ProfileFormatError("missing final newline", len(lines))
+    processed = kind == KIND_PROCESSED
+    parse_record = _processed_record if processed else _signal_record
+    # per call, never shared: the relay parses untrusted bodies
+    ids: dict[str, SignalId] = {}
+    records = []
+    for line_no, line in enumerate(lines[1:-1], 2):
+        try:
+            records.append(parse_record(line, ids))
+        except (KeyError, ValueError):
+            _walk(line, line_no, processed)
     try:
-        if head[1] == KIND_SIGNAL:
-            vectors = [_parse_signal_record(line, no) for no, line in records]
-            return SignalProfile(vectors, device_tag=label)
-        segments = [_parse_processed_record(line, no) for no, line in records]
-        return ProcessedProfile(segments, case_label=label)
-    except ProfileFormatError:
-        raise
+        if processed:
+            return ProcessedProfile(records, case_label=label)
+        return SignalProfile(records, device_tag=label)
     except ValueError as exc:
         # profile-level invariant (timestamp order, segment order)
         raise ProfileFormatError(str(exc)) from None

@@ -489,14 +489,16 @@ def _trajectory_from_config(sec, layout: SiteLayout) -> SimTrajectory:
 
 
 def _detection_from_config(cp: configparser.ConfigParser) -> DetectionConfig:
+    default = DetectionConfig()
     if not cp.has_section("detection"):
-        return DetectionConfig()
+        return default
     sec = cp["detection"]
     return DetectionConfig(
-        alpha=sec.getfloat("alpha", fallback=0.2),
-        window_length=sec.getint("window_length", fallback=600),
-        min_exposure=sec.getint("min_exposure", fallback=300),
-        sampling_period=sec.getint("sampling_period", fallback=60),
+        alpha=sec.getfloat("alpha", fallback=default.alpha),
+        window_length=sec.getint("window_length", fallback=default.window_length),
+        min_exposure=sec.getint("min_exposure", fallback=default.min_exposure),
+        sampling_period=sec.getint(
+            "sampling_period", fallback=default.sampling_period),
     )
 
 

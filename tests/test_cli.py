@@ -3,10 +3,12 @@ import time
 
 import pytest
 
+from wifitrace import cli
 from wifitrace.cli import main
+from wifitrace.detection import ContactReport, DetectionConfig
 from wifitrace.exchange import ProfileStore, serve_in_thread
 from wifitrace.model import ProcessedProfile, SignalProfile
-from wifitrace.profileio import read_profile
+from wifitrace.profileio import read_profile, write_profile
 
 STUDY_CFG = """
 [environment]
@@ -113,6 +115,22 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
         assert report_path.read_text().startswith("vcontact-report/1")
     finally:
         server.shutdown()
+
+
+def test_sync_without_flags_uses_the_detection_defaults(tmp_path, capsys,
+                                                       monkeypatch):
+    write_profile(tmp_path / "user.signal", SignalProfile([]))
+    configs = []
+
+    def fake_sync(state, endpoint, profile, cfg):
+        configs.append(cfg)
+        return ContactReport((), ())
+
+    monkeypatch.setattr(cli, "client_sync", fake_sync)
+    code, _ = run_cli(capsys, "sync", "--endpoint", "http://relay.invalid",
+                      "--profile", str(tmp_path / "user.signal"),
+                      "--state", str(tmp_path / "state"))
+    assert code == 0 and configs == [DetectionConfig()]
 
 
 def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):

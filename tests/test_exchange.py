@@ -12,6 +12,7 @@ from wifitrace.exchange import (
     ProfileStore,
     PublishedRecord,
     SyncState,
+    _MAX_BODY_BYTES,
     _frame,
     _read_frames,
     client_sync,
@@ -38,6 +39,20 @@ def processed_bytes(label="c", lo=-70, hi=-50, t_end=1860) -> bytes:
         [ProfileSegment(ProcessedVector({X: (lo, hi)}), 0, t_end)],
         case_label=label)
     return serialize_profile(profile)
+
+
+def raw_post(endpoint: str, head: str, body: bytes = b"") -> bytes:
+    """POST over a socket that stays open for writing; everything the relay
+    sends until it closes the connection. A relay that waits for more of the
+    body instead fails the read's timeout."""
+    host, port = endpoint.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(f"POST /v1/profiles HTTP/1.1\r\nHost: relay\r\n"
+                     f"{head}\r\n".encode("latin-1") + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @pytest.fixture
@@ -130,6 +145,21 @@ class TestProfileStore:
         much_later = 1_000_000 + 29 * 86_400
         assert [r.record_id for r in store.fetch_since(0, now=much_later)] == [2]
 
+    def test_fetch_since_equals_a_full_scan(self, tmp_path, rng):
+        # publish times out of order, as clocks and the ``now`` argument allow
+        store = ProfileStore(tmp_path / "s", retention_days=1)
+        published = []
+        for i in range(40):
+            at = rng.randint(0, 5 * 86_400)
+            rid = store.publish(processed_bytes(f"case-{i}"), now=at)
+            published.append(PublishedRecord(rid, processed_bytes(f"case-{i}"), at))
+        for _ in range(300):
+            cursor = rng.randint(0, 45)
+            now = rng.randint(0, 7 * 86_400)
+            expected = [r for r in published if r.record_id > cursor
+                        and r.published_at >= now - 86_400]
+            assert store.fetch_since(cursor, now=now) == expected
+
     def test_concurrent_publishes_totally_ordered(self, store):
         ids = []
         lock = threading.Lock()
@@ -186,6 +216,37 @@ class TestWireProtocol:
             assert len(fetch_since(server.endpoint, 0)) == 1
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400), ("abc", 400), ("+5", 400), ("5.0", 400), ("\u00b2", 400),
+        (str(_MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_bad_content_length_refused_without_reading(self, server, length,
+                                                        status):
+        reply = raw_post(server.endpoint, f"Content-Length: {length}\r\n")
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in reply
+
+    def test_body_at_the_size_bound_is_read(self, server, monkeypatch):
+        monkeypatch.setattr(exchange, "_MAX_BODY_BYTES", 64)
+        reply = raw_post(server.endpoint,
+                         "Content-Length: 64\r\nConnection: close\r\n",
+                         b"x" * 64)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"rejected: line 1" in reply
+        reply = raw_post(server.endpoint, "Content-Length: 65\r\n")
+        assert reply.startswith(b"HTTP/1.1 413 ")
+
+    def test_refused_body_is_not_read_as_a_request(self, store):
+        server = serve_in_thread(store, upload_token="sesame")
+        try:
+            smuggled = b"GET /v1/profiles?since=0 HTTP/1.1\r\nHost: r\r\n\r\n"
+            reply = raw_post(server.endpoint,
+                             f"Content-Length: {len(smuggled)}\r\n", smuggled)
+        finally:
+            server.shutdown()
+        assert reply.startswith(b"HTTP/1.1 401 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
 
     def test_frames_parse_back(self, server):
         for label in ("a", "b"):

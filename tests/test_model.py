@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,6 +115,56 @@ class TestProcessedTypes:
         profile = ProcessedProfile([ProfileSegment(pv, 0, 2000),
                                     ProfileSegment(pv, 60, 2060)])
         assert len(profile) == 2
+
+
+class TestCanonicalConstruction:
+    """Exact (int, int) ranges and in-range int readings are copied as they
+    are; anything else is rebuilt with int() and clamping."""
+
+    X, Y = ID_POOL[:2]
+
+    @pytest.mark.parametrize("pair, want", [
+        ((-60, -50), (-60, -50)),
+        ((np.int16(-60), -50), (-60, -50)),
+        ([-60, -50], (-60, -50)),
+        ((-60.0, -50), (-60, -50)),
+        ((False, 0), (0, 0)),
+    ])
+    def test_ranges_become_exact_int_pairs(self, pair, want):
+        got = ProcessedVector({self.Y: (-70, -60), self.X: pair}).ranges[self.X]
+        assert got == want
+        assert type(got) is tuple and {type(v) for v in got} == {int}
+
+    @pytest.mark.parametrize("pair, message", [
+        ((-40, -50), "rssiMin -40 > rssiMax -50"),
+        ((-120, -50), "rssiMin -120 below floor"),
+        ((-60, 5), "rssiMax 5 above 0"),
+        ((-60, -50, -40), "too many values"),
+        ((-60,), "not enough values"),
+    ])
+    def test_first_bad_range_named(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            ProcessedVector({self.Y: (-70, -60), self.X: pair, ID_POOL[2]: (1, 0)})
+
+    @pytest.mark.parametrize("rssi, want", [
+        (-60, -60), (np.int16(-60), -60), (-60.7, -60), (True, 0),
+        (-130, -100), (5, 0),
+    ])
+    def test_readings_become_clamped_ints(self, rssi, want):
+        got = SignalVector({self.Y: -70, self.X: rssi}, 0).readings[self.X]
+        assert got == want and type(got) is int
+
+    def test_canonical_mappings_copied_without_rehashing(self, monkeypatch):
+        ranges = {sid: (-60, -50) for sid in ID_POOL[:8]}
+        readings = {sid: -60 for sid in ID_POOL[:8]}
+        calls = []
+        original = SignalId.__hash__
+        monkeypatch.setattr(SignalId, "__hash__",
+                            lambda sid: calls.append(sid) or original(sid))
+        pv, vec = ProcessedVector(ranges), SignalVector(readings, 0)
+        assert calls == []
+        monkeypatch.undo()
+        assert pv.ranges == ranges and vec.readings == readings
 
 
 class TestLifespanSchedule:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from wifitrace.model import (
     ProcessedProfile,
+    clamp_rssi,
     ProcessedVector,
     ProfileSegment,
     SignalProfile,
@@ -164,3 +166,141 @@ def test_random_profiles_round_trip_bulk(rng):
         processed = make_processed_profile(rng, n_segments=rng.randint(0, 4),
                                            label="case x")
         assert parse_profile(serialize_profile(processed)) == processed
+
+
+# the bytes serialize_profile writes are the only bytes parse_profile takes
+
+EDIT_BYTES = b" :.+-0_\r\nA" + b"0123456789abcdef"
+
+
+@st.composite
+def edited(draw, profiles):
+    data = serialize_profile(draw(profiles))
+    # half the edits land on a separator or a sign, where layout faults hide
+    marks = [i for i, byte in enumerate(data) if byte in b" :.=-\n"]
+    at = draw(st.one_of(st.integers(0, len(data)), st.sampled_from(marks)))
+    byte = bytes([draw(st.sampled_from(EDIT_BYTES))])
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        return data[:at] + byte + data[at:]
+    if kind == "delete" or at == len(data):
+        return data[:at] + data[at + 1:]
+    return data[:at] + byte + data[at + 1:]
+
+
+def _clamped_readings(data: bytes) -> bytes:
+    """The bytes with each signal reading clamped, as the parser does; in a
+    signal profile every ':' precedes a reading (labels are escaped)."""
+    return re.sub(rb"(?<=:)-?[0-9]+",
+                  lambda m: str(clamp_rssi(int(m.group()))).encode(), data)
+
+
+@given(edited(processed_profiles()))
+@settings(max_examples=400)
+def test_processed_parse_accepts_only_canonical_bytes(data):
+    try:
+        profile = parse_profile(data)
+    except ProfileFormatError:
+        return
+    assert serialize_profile(profile) == data
+
+
+@given(edited(signal_profiles()))
+@settings(max_examples=400)
+def test_signal_parse_accepts_only_canonical_bytes(data):
+    try:
+        profile = parse_profile(data)
+    except ProfileFormatError:
+        return
+    assert serialize_profile(profile) == _clamped_readings(data)
+
+
+A, B = sorted(sid.hex for sid in ID_POOL[:2])
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (f"vcontact/1 signal\nt=10 {A.upper()}:-50\n", 2, "bad signal id"),
+    (f"vcontact/1 signal\nt=10 {A}:+5\n", 2, "bad rssi"),
+    (f"vcontact/1 signal\nt=+5 {A}:-50\n", 2, "bad timestamp"),
+    (f"vcontact/1 signal\nt=10 {A}:-05\n", 2, "bad rssi"),
+    (f"vcontact/1 signal\nt=05 {A}:-50\n", 2, "bad timestamp"),
+    (f"vcontact/1 signal\nt=10 {A}:-0\n", 2, "bad rssi"),
+    (f"vcontact/1 processed\nt=0..10 {A}:-0..0\n", 2, "bad rssi range"),
+    (f"vcontact/1 processed\nt=-0..10 {A}:-60..-50\n", 2, "bad time window"),
+    (f"vcontact/1 processed\nt=0..+10 {A}:-60..-50\n", 2, "bad time window"),
+    (f"vcontact/1 processed\nt=0..10 {A}:-060..-50\n", 2, "bad rssi range"),
+    (f"vcontact/1 signal\nt=10 {B}:-50 {A}:-60\n", 2, "out of order"),
+    (f"vcontact/1 processed\nt=0..10 {B}:-60..-50 {A}:-60..-50\n", 2,
+     "out of order"),
+    (f"vcontact/1 signal\r\nt=10 {A}:-50\r\n", 1, "header"),
+    (f"vcontact/1 processed\nt=0..10 {A}:-60..-50\r\n", 2, "bad rssi range"),
+    (f"vcontact/1 signal\nt=10 {A}:-50\r\n", 2, "bad rssi"),
+    (f"vcontact/1 signal\nt=10 {A}:-50\n\nt=20 {A}:-50\n", 3, "blank line"),
+    (f"vcontact/1 signal\nt=10 {A}:-50\n\n", 3, "blank line"),
+    (f"vcontact/1 signal\nt=10 {A}:-50", 2, "missing final newline"),
+    ("vcontact/1 processed", 1, "missing final newline"),
+    (f"vcontact/1 signal\nt=10  {A}:-50\n", 2, "bad reading ''"),
+    (f"vcontact/1 signal\nt=10:{A} -50\n", 2, "bad timestamp"),
+    (f"vcontact/1 processed\nt=0..10 {A} -60..-50\n", 2, "bad range"),
+    (f"vcontact/1 processed\nt=0..10 {A}:-60..-50:{B} -60..-50\n", 2,
+     "bad rssi range"),
+    (f"vcontact/1 signal\nt=10 {A}:-50 \n", 2, "reading"),
+    ("vcontact/1 processed label=%41\n", 1, "non-canonical label"),
+    ("vcontact/1 processed label=%c3%a9\n", 1, "non-canonical label"),
+    ("vcontact/1 processed label=a%2\n", 1, "non-canonical label"),
+    ("vcontact/1 processed label=\n", 1, "non-canonical label"),
+])
+def test_non_canonical_forms_rejected_naming_the_line(data, line, message):
+    with pytest.raises(ProfileFormatError, match=f"^line {line}: .*{message}"):
+        parse_profile(data.encode())
+
+
+def test_parsed_ranges_are_exact_int_pairs():
+    data = f"vcontact/1 processed\nt=-5..10 {A}:-100..0 {B}:-7..-7\n".encode()
+    segment = parse_profile(data).segments[0]
+    assert (segment.t_start, segment.t_end) == (-5, 10)
+    for pair in segment.vector.ranges.values():
+        assert type(pair) is tuple and {type(v) for v in pair} == {int}
+    assert sorted(segment.vector.ranges.values()) == [(-100, 0), (-7, -7)]
+
+
+def test_ids_are_interned_per_call():
+    data = f"vcontact/1 signal\nt=1 {A}:-50\nt=2 {A}:-60\n".encode()
+    first, second = (next(iter(v.readings)) for v in parse_profile(data).vectors)
+    assert first is second
+    again = next(iter(parse_profile(data).vectors[0].readings))
+    assert again == first and again is not first
+
+
+NUMBERS = [str(v) for v in range(-102, 3)]
+NON_CANONICAL = ["+0", "-0", "00", "+5", "05", "-05", "-0100", "1_0", "\u0663",
+                 "-5.0", ""]
+
+
+def test_range_tokens_accepted_exactly_when_canonical_and_in_range():
+    for lo in NUMBERS + NON_CANONICAL:
+        for hi in NUMBERS + NON_CANONICAL:
+            data = f"vcontact/1 processed\nt=0..10 {A}:{lo}..{hi}\n".encode()
+            valid = (lo in NUMBERS and hi in NUMBERS
+                     and -100 <= int(lo) <= int(hi) <= 0)
+            try:
+                profile = parse_profile(data)
+            except ProfileFormatError as exc:
+                assert not valid and exc.line_no == 2, (lo, hi)
+            else:
+                assert valid and serialize_profile(profile) == data, (lo, hi)
+
+
+def test_numbers_accepted_exactly_when_canonical():
+    # signal readings out of range are canonical too: they are clamped
+    for template in ("vcontact/1 signal\nt={} {}:-50\n",
+                     "vcontact/1 signal\nt=7 {1}:{0}\n",
+                     "vcontact/1 processed\nt={}..200 {}:-60..-50\n",
+                     "vcontact/1 processed\nt=-300..{} {}:-60..-50\n"):
+        for text in NUMBERS + NON_CANONICAL:
+            try:
+                parse_profile(template.format(text, A).encode())
+            except ProfileFormatError as exc:
+                assert text not in NUMBERS and exc.line_no == 2, (template, text)
+            else:
+                assert text in NUMBERS, (template, text)

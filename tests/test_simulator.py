@@ -4,6 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
+from wifitrace.detection import DetectionConfig
 from wifitrace.model import RSSI_CEIL, RSSI_FLOOR
 from wifitrace.similarity import signal_similarity
 from wifitrace.processing import build_processed_vector
@@ -296,6 +297,11 @@ alpha = 0.25
         processed = read_profile(paths["processed"])
         assert isinstance(processed, ProcessedProfile)
         assert processed.case_label == "case-a"
+
+    def test_empty_detection_section_gives_the_defaults(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(self.CONFIG.replace("alpha = 0.25\n", ""))
+        assert load_scenario(cfg).detection == DetectionConfig()
 
     def test_missing_sections_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
