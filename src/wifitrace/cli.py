@@ -41,13 +41,25 @@ def _summary(**kwargs) -> None:
     print(json.dumps(kwargs, sort_keys=True))
 
 
+def _section(cp, name: str, known) -> dict:
+    """The known keys of [name]. Any other key is a config error, unless it
+    comes from [DEFAULT], whose keys show up in every section."""
+    sec = cp[name] if cp.has_section(name) else {}
+    for key in sec:
+        if key not in known and key not in cp.defaults():
+            raise ConfigProblem(f"unknown [{name}] key {key!r}, "
+                                f"know {sorted(known)}")
+    return {key: sec[key] for key in sec if key in known}
+
+
 def _study_params(config_path):
     cp = read_config(config_path)
     env = cp["environment"] if cp.has_section("environment") else {}
     preset = env.get("preset")
     if not preset:
         raise ConfigProblem("study commands need [environment] preset = ...")
-    study = cp["study"] if cp.has_section("study") else {}
+    study = _section(cp, "study", ("seeds", "proximities", "alpha",
+                                   "calibration_proximity", "proximity"))
     seeds = tuple(int(s) for s in study.get("seeds", "1 3 5 7 9").split())
     proximities = tuple(
         float(k) for k in study.get("proximities", "1 2 3 4 5").split()
@@ -125,15 +137,9 @@ def _robustness_knobs(cp) -> ev.RobustnessKnobs:
     """[robustness] overrides: one key per RobustnessKnobs field, each a
     space-separated list parsed like the field's first default element."""
     defaults = {f.name: f.default for f in dataclasses.fields(ev.RobustnessKnobs)}
-    sec = cp["robustness"] if cp.has_section("robustness") else {}
-    kwargs = {}
-    for key, text in sec.items():
-        if key in defaults:
-            kwargs[key] = tuple(_parse_like(t, defaults[key][0]) for t in text.split())
-        elif key not in cp.defaults():  # [DEFAULT] keys show in every section
-            raise ConfigProblem(f"unknown [robustness] key {key!r}, "
-                                f"know {sorted(defaults)}")
-    return ev.RobustnessKnobs(**kwargs)
+    return ev.RobustnessKnobs(**{
+        key: tuple(_parse_like(t, defaults[key][0]) for t in text.split())
+        for key, text in _section(cp, "robustness", defaults).items()})
 
 
 def cmd_robustness(args) -> int:

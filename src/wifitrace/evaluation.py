@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,28 +219,19 @@ def collect_proximity_data(
     duration: int = 600,
     sampling_period: int = 5,
     user_device: DeviceParams = DeviceParams(),
-    user_profile_hook=None,
 ) -> ProximityData:
     """Stationary case at the reference spot, users at fixed distances.
 
     Case and users record simultaneously over [0, duration); the case profile
     is processed with zero lifespan since nothing outlives the co-timed
-    collection. ``user_profile_hook`` (profile, position) -> profile lets
-    robustness studies perturb the user side before matching.
+    collection.
     """
     case_walk = case_raw_vectors(env, layout, duration, sampling_period)
     processed = build_case_profile(case_walk, LifespanSchedule(default=0))
-    vectors: list[tuple[SignalVector, float]] = []
-    for i in positions:
-        profile = simulate_profile(
-            env,
-            stationary(layout.line_position(i), 0, duration, user_device),
-            sampling_period, stream=_USER_STREAM + i,
-        )
-        if user_profile_hook is not None:
-            profile = user_profile_hook(profile, i)
-        vectors += [(vec, float(i)) for vec in profile.vectors]
-    return ProximityData(processed, tuple(vectors))
+    return ProximityData(processed, tuple(
+        (vec, float(i)) for i in positions for vec in simulate_profile(
+            env, stationary(layout.line_position(i), 0, duration, user_device),
+            sampling_period, stream=_USER_STREAM + i).vectors))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout,
@@ -512,23 +504,25 @@ def run_robustness_suite(
         base_points = sweep_scores(data.scores(), truth, alpha_grid)
         alpha = pick_intersection(base_points).alpha
 
-        for rate in knobs.filter_rates:
-            # one site-wide draw per seed, shared by every position's scans
-            filtered = drop_ids([vec for vec, _ in data.vectors], rate, seed)
-            scores, _ = score_scans(filtered, data.processed.segments)
-            p, r, f1 = _prf_from_masks(truth, scores >= alpha)
-            filter_rows.append(dict(seed=seed, filter_rate=rate, alpha=alpha,
-                                    precision=p, recall=r, f1=f1))
-
-        for std in knobs.noise_stds:
-            noisy = collect_proximity_data(
-                env, layout,
-                user_profile_hook=lambda prof, i: perturb_rssi_noise(
-                    prof, std, seed * 10000 + i),
-            )
-            p, r, f1 = _prf_from_masks(truth, noisy.scores() >= alpha)
-            noise_rows.append(dict(seed=seed, noise_std=std, alpha=alpha,
-                                   precision=p, recall=r, f1=f1))
+        # perturbed copies of the scans simulated above; nothing re-simulates
+        scans = [vec for vec, _ in data.vectors]
+        by_position = [(int(d), SignalProfile([vec for vec, _ in group]))
+                       for d, group in groupby(data.vectors, lambda vd: vd[1])]
+        perturbations = (
+            # one site-wide id draw per seed, shared by every position's scans
+            (filter_rows, "filter_rate", knobs.filter_rates,
+             lambda rate: drop_ids(scans, rate, seed)),
+            # one noise stream per position (positions are whole meters)
+            (noise_rows, "noise_std", knobs.noise_stds,
+             lambda std: [vec for i, prof in by_position for vec in
+                          perturb_rssi_noise(prof, std, seed * 10000 + i).vectors]),
+        )
+        for rows, knob, values, perturb in perturbations:
+            for value in values:
+                scores, _ = score_scans(perturb(value), data.processed.segments)
+                p, r, f1 = _prf_from_masks(truth, scores >= alpha)
+                rows.append({"seed": seed, knob: value, "alpha": alpha,
+                             "precision": p, "recall": r, "f1": f1})
 
         for bias, rate in knobs.device_pairs:
             hetero = collect_proximity_data(

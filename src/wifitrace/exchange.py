@@ -40,6 +40,8 @@ from .profileio import ProfileFormatError, parse_profile
 DEFAULT_RETENTION_DAYS = 28
 # far above the largest processed profile a day of scans makes (~130 KB)
 _MAX_BODY_BYTES = 16 << 20
+# a parse error quotes the bad input; a 400 echoes no more of it than this
+_MAX_DETAIL_CHARS = 300
 TOKEN_HEADER = "X-Upload-Token"
 TOKEN_ENV_VAR = "WIFITRACE_UPLOAD_TOKEN"
 
@@ -189,6 +191,7 @@ class ProfileStore:
 
 class _ExchangeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = 30  # s per socket read: a short body gets a 400, not a thread
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -234,7 +237,7 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
         try:
             record_id = self.server.store.publish(body)
         except ProfileFormatError as exc:
-            return self._reply(400, f"rejected: {exc}\n".encode())
+            return self._reply(400, f"rejected: {str(exc)[:_MAX_DETAIL_CHARS]}\n".encode())
         except OSError as exc:
             return self._reply(500, f"storage failure: {exc}\n".encode())
         self._reply(200, f"{record_id}\n".encode("ascii"))

@@ -94,12 +94,6 @@ class SimEnvironment:
             self, "_ap_tx", np.array([ap.tx_power for ap in self.aps], dtype=float)
         )
 
-    def with_seed(self, seed: int) -> "SimEnvironment":
-        return SimEnvironment(
-            self.aps, self.path_loss_exponent, self.shadowing_std,
-            self.detection_floor, seed,
-        )
-
 
 @dataclass(frozen=True)
 class SimTrajectory:

@@ -171,6 +171,14 @@ def test_robustness_rejects_bad_knobs(tmp_path, capsys, knob, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["calibrate", "proximity-study",
+                                     "inout-study", "robustness"])
+def test_study_rejects_unknown_keys(tmp_path, capsys, command):
+    cfg = write(tmp_path, "study.cfg", STUDY_CFG.replace("seeds", "seed"))
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown [study] key 'seed'" in capsys.readouterr().err
+
+
 def test_robustness_knobs_ignore_default_section_keys(tmp_path, capsys):
     cfg = write(tmp_path, "study.cfg", "[DEFAULT]\nnote = x\n" + STUDY_CFG
                 + "\n[robustness]\nfilter_rates = 0.5\nnoise_stds =\n"

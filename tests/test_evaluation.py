@@ -294,6 +294,53 @@ class TestRobustnessSuite:
         assert row["alpha"] == alpha
         assert (row["precision"], row["recall"], row["f1"]) == expected
 
+    def test_noise_row_perturbs_each_position_once(self, monkeypatch):
+        from wifitrace import evaluation
+        from wifitrace.evaluation import (RobustnessKnobs, _USER_STREAM,
+                                          run_robustness_suite, sweep_scores)
+        from wifitrace.simulator import (perturb_rssi_noise, simulate_profile,
+                                         stationary)
+        seed, std, k = 1, 4.0, 2.0
+        simulated = []
+
+        def counting(*args, **kwargs):
+            simulated.append(kwargs["stream"])
+            return simulate_profile(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "simulate_profile", counting)
+        tables = run_robustness_suite(
+            "office", seeds=(seed,), proximity=k,
+            knobs=RobustnessKnobs(filter_rates=(), noise_stds=(std,),
+                                  sampling_periods=(), device_pairs=()))
+        # one proximity drill: the case and each position, simulated once
+        assert len(set(simulated)) == len(simulated) == 11
+        monkeypatch.undo()
+        env, layout = make_site("office", seed=seed)
+        data = collect_proximity_data(env, layout)
+        truth = data.labeled(k).truth()
+        alpha = pick_intersection(
+            sweep_scores(data.scores(), truth, DEFAULT_ALPHA_GRID)).alpha
+        # each position simulated alone, then noised with its own seed
+        noisy = []
+        for i in range(1, 11):
+            profile = simulate_profile(
+                env, stationary(layout.line_position(i), 0, 600), 5,
+                stream=_USER_STREAM + i)
+            noisy += perturb_rssi_noise(profile, std, seed * 10000 + i).vectors
+        assert len(noisy) == len(data.vectors)
+        assert all(n != vec for n, (vec, _) in zip(noisy, data.vectors))
+        detected = set()
+        for i, vec in enumerate(noisy):
+            best = max((signal_similarity(vec, seg.vector)
+                        for seg in data.processed.segments
+                        if seg.covers(vec.timestamp)), default=0.0)
+            if best >= alpha:
+                detected.add(i)
+        expected = precision_recall_f1(set(np.flatnonzero(truth)), detected)
+        (row,) = tables["noise"]
+        assert row["alpha"] == alpha
+        assert (row["precision"], row["recall"], row["f1"]) == expected
+
 
 class TestDatasetConstruction:
     def test_records_cover_all_positions_with_distances(self):

@@ -237,6 +237,23 @@ class TestWireProtocol:
         reply = raw_post(server.endpoint, "Content-Length: 65\r\n")
         assert reply.startswith(b"HTTP/1.1 413 ")
 
+    def test_rejection_echoes_a_bounded_diagnostic(self, server):
+        body = b"x" * (1 << 20)
+        reply = raw_post(server.endpoint, f"Content-Length: {len(body)}\r\n"
+                         "Connection: close\r\n", body)
+        head, _, text = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert text.startswith(b"rejected: line 1: bad ")
+        assert len(text) <= 400
+
+    def test_short_body_times_out_into_a_400(self, server, monkeypatch):
+        assert vars(exchange._ExchangeHandler)["timeout"] > 0
+        monkeypatch.setattr(exchange._ExchangeHandler, "timeout", 0.5)
+        # declares five bytes, sends none, keeps the socket open
+        reply = raw_post(server.endpoint, "Content-Length: 5\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b"unreadable request body\n")
+
     def test_refused_body_is_not_read_as_a_request(self, store):
         server = serve_in_thread(store, upload_token="sesame")
         try:
