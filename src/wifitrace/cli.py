@@ -1,21 +1,21 @@
 """Command line front end.
 
-Study subcommands read a scenario/study config (INI-style key=value
-sections), write fixed-schema CSV files, and print one JSON summary line.
+``simulate`` reads a scenario config and the study subcommands a study
+config, both through ``wifitrace.config``, which rejects unknown keys. Study
+subcommands write fixed-schema CSV files and print one JSON summary line.
 Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import evaluation as ev
+from .config import load_scenario, load_study
 from .detection import DetectionConfig, serialize_report
 from .exchange import (
     TOKEN_ENV_VAR,
@@ -28,43 +28,13 @@ from .exchange import (
 )
 from .model import SignalProfile
 from .profileio import read_profile
-from .simulator import emit_scenario, load_scenario, radio_overrides, read_config
+from .simulator import emit_scenario
 
 CONFIG_ERROR = 2
 
 
-class ConfigProblem(Exception):
-    pass
-
-
 def _summary(**kwargs) -> None:
     print(json.dumps(kwargs, sort_keys=True))
-
-
-def _section(cp, name: str, known) -> dict:
-    """The known keys of [name]. Any other key is a config error, unless it
-    comes from [DEFAULT], whose keys show up in every section."""
-    sec = cp[name] if cp.has_section(name) else {}
-    for key in sec:
-        if key not in known and key not in cp.defaults():
-            raise ConfigProblem(f"unknown [{name}] key {key!r}, "
-                                f"know {sorted(known)}")
-    return {key: sec[key] for key in sec if key in known}
-
-
-def _study_params(config_path):
-    cp = read_config(config_path)
-    env = cp["environment"] if cp.has_section("environment") else {}
-    preset = env.get("preset")
-    if not preset:
-        raise ConfigProblem("study commands need [environment] preset = ...")
-    study = _section(cp, "study", ("seeds", "proximities", "alpha",
-                                   "calibration_proximity", "proximity"))
-    seeds = tuple(int(s) for s in study.get("seeds", "1 3 5 7 9").split())
-    proximities = tuple(
-        float(k) for k in study.get("proximities", "1 2 3 4 5").split()
-    )
-    return cp, preset, seeds, proximities, study, radio_overrides(env)
 
 
 def _out_dir(args) -> Path:
@@ -81,81 +51,57 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _, preset, seeds, proximities, study, site_kwargs = _study_params(args.config)
-    k = args.k if args.k is not None else float(
-        study.get("calibration_proximity", 2)
-    )
+    preset, radio, study, _ = load_study(args.config)
+    k = args.k if args.k is not None else study.calibration_proximity
     out = _out_dir(args)
-    curves = ev.run_calibration_study(preset, [k], seed=seeds[0], **site_kwargs)
+    curves = ev.run_calibration_study(preset, [k], seed=study.seeds[0], **radio)
     curve = curves[k]
     path = out / f"calibration_{preset}_k{k:g}.csv"
     ev.write_csv(path, ev.curve_rows(curve), ev.CSV_COLUMNS["calibration"])
     best = curve.at_intersection()
-    _summary(command="calibrate", preset=preset, k=k, seed=seeds[0],
+    _summary(command="calibrate", preset=preset, k=k, seed=study.seeds[0],
              intersection_alpha=best.alpha, precision=best.precision,
              recall=best.recall, f1=best.f1, csv=str(path))
     return 0
 
 
 def cmd_proximity_study(args) -> int:
-    _, preset, seeds, proximities, _, site_kwargs = _study_params(args.config)
+    preset, radio, study, _ = load_study(args.config)
     out = _out_dir(args)
-    rows = ev.run_proximity_study(preset, proximities, seeds, **site_kwargs)
+    rows = ev.run_proximity_study(preset, study.proximities, study.seeds,
+                                  **radio)
     path = out / f"proximity_{preset}.csv"
     ev.write_csv(path, rows, ev.CSV_COLUMNS["proximity"])
     mean_f1 = sum(r["f1"] for r in rows) / len(rows)
-    _summary(command="proximity-study", preset=preset, seeds=list(seeds),
-             proximities=list(proximities), rows=len(rows),
+    _summary(command="proximity-study", preset=preset, seeds=list(study.seeds),
+             proximities=list(study.proximities), rows=len(rows),
              mean_f1=round(mean_f1, 4), csv=str(path))
     return 0
 
 
 def cmd_inout_study(args) -> int:
-    _, preset, seeds, _, study, site_kwargs = _study_params(args.config)
-    alpha = float(study.get("alpha", 0.2))
+    preset, radio, study, _ = load_study(args.config)
     out = _out_dir(args)
-    rows = ev.run_inout_suite(preset, seeds, alpha=alpha, **site_kwargs)
+    rows = ev.run_inout_suite(preset, study.seeds, alpha=study.alpha, **radio)
     path = out / f"inout_{preset}.csv"
     ev.write_csv(path, rows, ev.CSV_COLUMNS["inout"])
-    _summary(command="inout-study", preset=preset, alpha=alpha,
+    _summary(command="inout-study", preset=preset, alpha=study.alpha,
              rows=len(rows), csv=str(path))
     return 0
 
 
-def _parse_like(token: str, like):
-    """Parse a knob token like ``like``; a tuple is written ``bias:rate``."""
-    if not isinstance(like, tuple):
-        return type(like)(token)
-    parts = token.split(":")
-    if len(parts) != len(like):
-        raise ConfigProblem(f"bad value {token!r}, want {len(like)} values "
-                            "joined by ':'")
-    return tuple(map(_parse_like, parts, like))
-
-
-def _robustness_knobs(cp) -> ev.RobustnessKnobs:
-    """[robustness] overrides: one key per RobustnessKnobs field, each a
-    space-separated list parsed like the field's first default element."""
-    defaults = {f.name: f.default for f in dataclasses.fields(ev.RobustnessKnobs)}
-    return ev.RobustnessKnobs(**{
-        key: tuple(_parse_like(t, defaults[key][0]) for t in text.split())
-        for key, text in _section(cp, "robustness", defaults).items()})
-
-
 def cmd_robustness(args) -> int:
-    cp, preset, seeds, _, study, site_kwargs = _study_params(args.config)
-    knobs = _robustness_knobs(cp)
-    proximity = float(study.get("proximity", 2))
+    preset, radio, study, knobs = load_study(args.config)
     out = _out_dir(args)
-    tables = ev.run_robustness_suite(preset, seeds, knobs, proximity=proximity,
-                                     **site_kwargs)
+    tables = ev.run_robustness_suite(preset, study.seeds, knobs,
+                                     proximity=study.proximity, **radio)
     paths = {}
     for name, rows in tables.items():
         path = out / f"robustness_{name}_{preset}.csv"
         ev.write_csv(path, rows, ev.CSV_COLUMNS[name])
         paths[name] = str(path)
-    _summary(command="robustness", preset=preset, seeds=list(seeds),
-             proximity=proximity, **paths)
+    _summary(command="robustness", preset=preset, seeds=list(study.seeds),
+             proximity=study.proximity, **paths)
     return 0
 
 
@@ -183,7 +129,7 @@ def cmd_publish(args) -> int:
 def cmd_sync(args) -> int:
     profile = read_profile(args.profile)
     if not isinstance(profile, SignalProfile):
-        raise ConfigProblem(f"{args.profile} is not a raw signal profile")
+        raise ValueError(f"{args.profile} is not a raw signal profile")
     cfg = DetectionConfig(alpha=args.alpha, window_length=args.window,
                           min_exposure=args.min_exposure,
                           sampling_period=args.period)
@@ -265,8 +211,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # ValueError also covers ScenarioError and ProfileFormatError
-    except (ConfigProblem, FileNotFoundError, configparser.Error,
-            ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except ExchangeError as exc:

@@ -19,11 +19,10 @@ per-scan AP counts land near 19 / 24 / 46 respectively.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -295,17 +294,13 @@ class SiteLayout:
     """Where devices can be placed within a preset site.
 
     walk_area is the experiment zone (the office room, the store); site_area
-    is the whole region devices could roam (defaults to the walk area).
+    is the whole region devices could roam.
     """
 
     walk_area: tuple[tuple[float, float], tuple[float, float]]
     line_anchor: tuple[float, float]
     line_direction: tuple[float, float]
-    site_area: tuple[tuple[float, float], tuple[float, float]] | None = None
-
-    def __post_init__(self) -> None:
-        if self.site_area is None:
-            object.__setattr__(self, "site_area", self.walk_area)
+    site_area: tuple[tuple[float, float], tuple[float, float]]
 
     def line_position(self, meters: float) -> tuple[float, float]:
         dx, dy = self.line_direction
@@ -355,7 +350,8 @@ _PRESETS: dict[str, dict] = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def _generate_aps(count: int, area, site_seed: int) -> tuple[SimAp, ...]:
+def generate_aps(count: int, area, site_seed: int) -> tuple[SimAp, ...]:
+    """``count`` APs placed uniformly over ``area`` by ``site_seed``."""
     rng = np.random.default_rng(site_seed)
     (x0, y0), (x1, y1) = area
     xs = rng.uniform(x0, x1, count)
@@ -369,37 +365,28 @@ def _generate_aps(count: int, area, site_seed: int) -> tuple[SimAp, ...]:
     return tuple(aps)
 
 
-def make_site(
-    name: str,
-    seed: int = 0,
-    path_loss_exponent: float = 2.5,
-    shadowing_std: float = 2.0,
-    detection_floor: int | None = None,
-) -> tuple[SimEnvironment, SiteLayout]:
+def make_site(name: str, seed: int = 0,
+              **radio) -> tuple[SimEnvironment, SiteLayout]:
     """Build a preset site. ``seed`` drives only the scan noise; the AP
-    layout is fixed per preset."""
+    layout is fixed per preset. ``radio`` overrides SimEnvironment fields."""
     if name not in _PRESETS:
         raise ValueError(f"unknown site preset {name!r}, know {PRESET_NAMES}")
     p = _PRESETS[name]
     env = SimEnvironment(
-        aps=_generate_aps(p["ap_count"], p["scatter"], _SITE_SEEDS[name]),
-        path_loss_exponent=path_loss_exponent,
-        shadowing_std=shadowing_std,
-        detection_floor=p["floor"] if detection_floor is None else detection_floor,
-        seed=seed,
+        aps=generate_aps(p["ap_count"], p["scatter"], _SITE_SEEDS[name]),
+        seed=seed, **{"detection_floor": p["floor"], **radio},
     )
     layout = SiteLayout(p["walk"], p["anchor"], p["direction"], p["scatter"])
     return env, layout
 
 
-# --- scenario config files --------------------------------------------------
+# --- scenarios ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Scenario:
     """A full simulation scenario loaded from a config file."""
 
     env: SimEnvironment
-    layout: SiteLayout
     case: SimTrajectory
     user: SimTrajectory
     case_period: int = 5
@@ -425,105 +412,6 @@ class Scenario:
         if self.noise_std > 0:
             profile = perturb_rssi_noise(profile, self.noise_std, self.env.seed)
         return profile
-
-
-class ScenarioError(ValueError):
-    """Scenario config file problem."""
-
-
-def _parse_waypoints(text: str) -> tuple[tuple[int, tuple[float, float]], ...]:
-    waypoints = []
-    for token in text.split():
-        parts = token.split(",")
-        if len(parts) != 3:
-            raise ScenarioError(f"bad waypoint {token!r} (want t,x,y)")
-        t, x, y = parts
-        waypoints.append((int(t), (float(x), float(y))))
-    return tuple(waypoints)
-
-
-def radio_overrides(sec: Mapping[str, str]) -> dict:
-    """The radio keys of an [environment] section, cast; absent keys are
-    left out so the site's own defaults apply."""
-    casts = {"path_loss_exponent": float, "shadowing_std": float,
-             "detection_floor": int}
-    return {key: cast(sec[key]) for key, cast in casts.items() if key in sec}
-
-
-def _env_from_config(cp: configparser.ConfigParser) -> tuple[SimEnvironment, SiteLayout]:
-    if not cp.has_section("environment"):
-        raise ScenarioError("missing [environment] section")
-    sec = cp["environment"]
-    kwargs = dict(seed=sec.getint("seed", fallback=0), **radio_overrides(sec))
-    if "preset" in sec:
-        return make_site(sec["preset"], **kwargs)
-    # explicit site: ap_count + area + site_seed
-    try:
-        count = sec.getint("ap_count")
-        x0, y0, x1, y1 = (float(v) for v in sec["area"].split(","))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"environment needs preset, or ap_count and area: {exc}")
-    area = ((x0, y0), (x1, y1))
-    env = SimEnvironment(
-        aps=_generate_aps(count, area, sec.getint("site_seed", fallback=1)),
-        **kwargs,
-    )
-    layout = SiteLayout(area, ((x0 + x1) / 2, (y0 + y1) / 2), (0.0, 1.0))
-    return env, layout
-
-
-def _trajectory_from_config(sec, layout: SiteLayout) -> SimTrajectory:
-    device = DeviceParams(
-        bias=sec.getfloat("device_bias", fallback=0.0),
-        detect_rate=sec.getfloat("device_detect_rate", fallback=1.0),
-    )
-    if "waypoints" not in sec:
-        raise ScenarioError(f"[{sec.name}] needs waypoints = t,x,y t,x,y ...")
-    return SimTrajectory(_parse_waypoints(sec["waypoints"]), device)
-
-
-def _detection_from_config(cp: configparser.ConfigParser) -> DetectionConfig:
-    default = DetectionConfig()
-    if not cp.has_section("detection"):
-        return default
-    sec = cp["detection"]
-    return DetectionConfig(
-        alpha=sec.getfloat("alpha", fallback=default.alpha),
-        window_length=sec.getint("window_length", fallback=default.window_length),
-        min_exposure=sec.getint("min_exposure", fallback=default.min_exposure),
-        sampling_period=sec.getint(
-            "sampling_period", fallback=default.sampling_period),
-    )
-
-
-def read_config(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not cp.read(path):
-        raise ScenarioError(f"cannot read config file {path}")
-    return cp
-
-
-def load_scenario(path) -> Scenario:
-    """Load a scenario config (key=value sections, see README)."""
-    cp = read_config(path)
-    env, layout = _env_from_config(cp)
-    for section in ("case", "user"):
-        if not cp.has_section(section):
-            raise ScenarioError(f"missing [{section}] section")
-    perturb = cp["perturb"] if cp.has_section("perturb") else {}
-    return Scenario(
-        env=env,
-        layout=layout,
-        case=_trajectory_from_config(cp["case"], layout),
-        user=_trajectory_from_config(cp["user"], layout),
-        case_period=cp["case"].getint("sampling_period", fallback=5),
-        user_period=cp["user"].getint("sampling_period", fallback=60),
-        lifespan=cp["case"].getint("lifespan", fallback=1800),
-        case_label=cp["case"].get("label", fallback="case"),
-        filter_rate=float(perturb.get("filter_rate", 0.0)),
-        noise_std=float(perturb.get("noise_std", 0.0)),
-        detection=_detection_from_config(cp),
-    )
 
 
 def write_ground_truth(path, scenario: Scenario, user_profile: SignalProfile) -> None:

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -79,6 +80,13 @@ def test_config_error_exit_code_is_2(tmp_path, capsys):
     assert main(["calibrate", bad]) == 2
     assert main(["simulate", str(tmp_path / "missing.cfg")]) == 2
     assert main(["proximity-study", bad]) == 2
+    # a study takes its seeds from [study] and its site from the preset only
+    seeded = write(tmp_path, "seeded.cfg", STUDY_CFG.replace(
+        "preset = office\n", "preset = office\nseed = 3\n"))
+    assert main(["calibrate", seeded]) == 2
+    explicit = write(tmp_path, "explicit.cfg", STUDY_CFG.replace(
+        "preset = office\n", "preset = office\nap_count = 9\n"))
+    assert main(["calibrate", explicit]) == 2
 
 
 def test_inout_study_runs(tmp_path, capsys):
@@ -177,6 +185,32 @@ def test_study_rejects_unknown_keys(tmp_path, capsys, command):
     cfg = write(tmp_path, "study.cfg", STUDY_CFG.replace("seeds", "seed"))
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
     assert "unknown [study] key 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seeds", "proximities"])
+@pytest.mark.parametrize("command", ["calibrate", "proximity-study",
+                                     "inout-study", "robustness"])
+def test_study_rejects_empty_lists(tmp_path, capsys, command, key):
+    cfg = write(tmp_path, "study.cfg",
+                re.sub(rf"^{key} = .*$", f"{key} =", STUDY_CFG, flags=re.M))
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("environment", "ap_cuont"),
+    ("case", "lifespan_s"),
+    ("user", "lifespan"),  # the lifespan belongs to the case
+    ("perturb", "noise"),
+    ("detection", "alpah"),
+])
+def test_scenario_rejects_unknown_keys(tmp_path, capsys, section, key):
+    text = SCENARIO_CFG + "\n[perturb]\n\n[detection]\n"
+    cfg = write(tmp_path, "scenario.cfg", text.replace(
+        f"[{section}]\n", f"[{section}]\n{key} = 0.9\n"))
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown [{section}] key {key!r}" in capsys.readouterr().err
 
 
 def test_robustness_knobs_ignore_default_section_keys(tmp_path, capsys):

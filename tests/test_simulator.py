@@ -8,15 +8,14 @@ from wifitrace.detection import DetectionConfig
 from wifitrace.model import RSSI_CEIL, RSSI_FLOOR
 from wifitrace.similarity import signal_similarity
 from wifitrace.processing import build_processed_vector
+from wifitrace.config import ScenarioError, load_scenario
 from wifitrace.simulator import (
     DeviceParams,
     Scenario,
-    ScenarioError,
     SimAp,
     SimEnvironment,
     SimTrajectory,
     emit_scenario,
-    load_scenario,
     make_paired_scenario,
     make_site,
     perturb_filter_aps,
@@ -241,6 +240,11 @@ class TestSitePresets:
         env_b, _ = make_site("office", seed=2)
         assert env_a.aps == env_b.aps
 
+    def test_explicit_radio_overrides_beat_the_preset(self):
+        assert make_site("office")[0].detection_floor == -67
+        env, _ = make_site("office", detection_floor=-80, shadowing_std=0.5)
+        assert (env.detection_floor, env.shadowing_std) == (-80, 0.5)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             make_site("stadium")
@@ -331,3 +335,12 @@ alpha = 0.25
         scenario = load_scenario(cfg)
         assert len(scenario.env.aps) == 12
         assert len(scenario.case_profile()) == 60
+
+    def test_explicit_environment_needs_ap_count(self, tmp_path):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(
+            "[environment]\narea = 0,0,20,20\n"
+            "[case]\nwaypoints = 0,10,10 300,10,10\n"
+            "[user]\nwaypoints = 0,11,10 300,11,10\n")
+        with pytest.raises(ScenarioError, match="ap_count"):
+            load_scenario(cfg)
