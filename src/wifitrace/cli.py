@@ -54,14 +54,12 @@ def cmd_calibrate(args) -> int:
     preset, radio, study, _ = load_study(args.config)
     k = args.k if args.k is not None else study.calibration_proximity
     out = _out_dir(args)
-    curves = ev.run_calibration_study(preset, [k], seed=study.seeds[0], **radio)
-    curve = curves[k]
+    curve = ev.run_calibration_study(preset, k, study.seeds[0], **radio)
     path = out / f"calibration_{preset}_k{k:g}.csv"
     ev.write_csv(path, ev.curve_rows(curve), ev.CSV_COLUMNS["calibration"])
-    best = curve.at_intersection()
     _summary(command="calibrate", preset=preset, k=k, seed=study.seeds[0],
-             intersection_alpha=best.alpha, precision=best.precision,
-             recall=best.recall, f1=best.f1, csv=str(path))
+             **ev.point_row(curve.at_intersection(), "intersection_alpha"),
+             csv=str(path))
     return 0
 
 

@@ -3,7 +3,8 @@
 Each section's keys and value kinds come from one schema, mostly the fields
 of the dataclass the section configures (README's "Scenario config
 reference" lists them). ``section`` returns only the keys a file sets, so
-each default stays with the dataclass or function the value goes to.
+each default stays with the dataclass or function the value goes to. Each
+loader rejects a section it does not read.
 """
 
 from __future__ import annotations
@@ -12,28 +13,13 @@ import configparser
 import dataclasses
 
 from .detection import DetectionConfig
-from .evaluation import RobustnessKnobs
+from .evaluation import RobustnessKnobs, StudyParams
 from .simulator import (DeviceParams, Scenario, SimEnvironment, SimTrajectory,
                         generate_aps, make_site)
 
 
 class ScenarioError(ValueError):
     """Config file problem."""
-
-
-@dataclasses.dataclass(frozen=True)
-class StudyParams:
-    """[study]: what the study subcommands run on a preset site."""
-
-    seeds: tuple[int, ...] = (1, 3, 5, 7, 9)
-    proximities: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
-    calibration_proximity: float = 2.0
-    proximity: float = 2.0  # robustness tables
-    alpha: float = 0.2  # in/out classification threshold
-
-    def __post_init__(self) -> None:
-        if not (self.seeds and self.proximities):
-            raise ValueError("[study] seeds and proximities must not be empty")
 
 
 def _joined(like: tuple, sep: str):
@@ -112,10 +98,23 @@ def section(cp: configparser.ConfigParser, name: str) -> dict:
     return values
 
 
-def _environment(cp) -> tuple[dict, dict]:
-    """[environment] split into the site's keys and SimEnvironment's."""
-    env = section(cp, "environment")
-    return {key: env.pop(key) for key in _SITE if key in env}, env
+def _sections(path, *names) -> list[dict]:
+    """[name] for each of ``names`` in the config at path, parsed by its
+    schema. Any other section is an error."""
+    cp = read_config(path)
+    unknown = sorted(set(cp.sections()) - set(names))
+    if unknown:
+        raise ScenarioError(f"unknown section(s) {unknown}, know {list(names)}")
+    return [section(cp, name) for name in names]
+
+
+def _site(env: dict) -> dict:
+    """Pop the site's keys from [environment], leaving SimEnvironment's."""
+    site = {key: env.pop(key) for key in _SITE if key in env}
+    if "preset" in site and len(site) > 1:
+        raise ScenarioError("[environment] sets a preset or an explicit site "
+                            "(ap_count, area, site_seed), not both")
+    return site
 
 
 def _trajectory(sec: dict, name: str) -> SimTrajectory:
@@ -129,8 +128,9 @@ def _trajectory(sec: dict, name: str) -> SimTrajectory:
 
 def load_scenario(path) -> Scenario:
     """Load a scenario config (key=value sections, see README)."""
-    cp = read_config(path)
-    site, radio = _environment(cp)
+    radio, case, user, perturb, detection = _sections(
+        path, "environment", "case", "user", "perturb", "detection")
+    site = _site(radio)
     if "preset" in site:
         env, _ = make_site(site["preset"], **radio)
     elif "ap_count" in site and "area" in site:
@@ -140,15 +140,14 @@ def load_scenario(path) -> Scenario:
         env = SimEnvironment(aps, **radio)
     else:
         raise ScenarioError("[environment] needs preset, or ap_count and area")
-    case, user = section(cp, "case"), section(cp, "user")
     given = {"case_period": case.get("sampling_period"),
              "user_period": user.get("sampling_period"),
              "lifespan": case.get("lifespan"),
              "case_label": case.get("label"),
-             **section(cp, "perturb")}
+             **perturb}
     return Scenario(
         env, _trajectory(case, "case"), _trajectory(user, "user"),
-        detection=DetectionConfig(**section(cp, "detection")),
+        detection=DetectionConfig(**detection),
         **{key: value for key, value in given.items() if value is not None},
     )
 
@@ -156,10 +155,11 @@ def load_scenario(path) -> Scenario:
 def load_study(path) -> tuple[str, dict, StudyParams, RobustnessKnobs]:
     """Load a study config: the preset, its SimEnvironment overrides, and
     the [study] and [robustness] sections."""
-    cp = read_config(path)
-    site, radio = _environment(cp)
-    if not site.get("preset") or len(site) > 1 or "seed" in radio:
+    radio, study, robustness = _sections(path, "environment", "study",
+                                         "robustness")
+    site = _site(radio)
+    if not site.get("preset") or "seed" in radio:
         raise ScenarioError("study commands need [environment] preset = ..., "
                             "with no explicit site and seeds in [study]")
-    return (site["preset"], radio, StudyParams(**section(cp, "study")),
-            RobustnessKnobs(**section(cp, "robustness")))
+    return (site["preset"], radio, StudyParams(**study),
+            RobustnessKnobs(**robustness))

@@ -4,8 +4,10 @@ Datasets mirror the measurement drill behind the threshold studies: a case
 device sits at a reference spot while user devices record at 1..10 m along a
 line; records within the contact proximity k are the ground-truth positives.
 Thresholds are calibrated at the precision/recall intersection (the grid
-point minimizing |precision - recall|, ties to the smaller threshold) and
-the studies evaluate at that operating point.
+point minimizing |precision - recall|, ties to the smaller threshold) by
+``calibrate``, and the studies evaluate at that operating point. Each seed's
+drill is simulated and scored once and read by every table of that seed
+(README, "Studies": which tables keep the seed's alpha, which recalibrate).
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -14,7 +16,7 @@ so downstream plots regenerate bit-identically.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -37,6 +39,13 @@ from .simulator import (
 
 DEFAULT_ALPHA_GRID = tuple(i / 100 for i in range(1, 101))
 
+# the proximity drill: user positions (m from the case) and scan interval (s)
+_POSITIONS = tuple(range(1, 11))
+_DRILL_PERIOD = 5
+# studies record case and users together, so no case segment need outlive
+# its own scans
+_NO_LIFESPAN = LifespanSchedule(default=0)
+
 # stream ids keep every simulated device on its own draw sequence
 _CASE_STREAM = 1000
 _USER_STREAM = 2000  # + position index
@@ -49,7 +58,6 @@ _OUTSIDE_STREAM = 3200  # + spot index
 class LabeledRecord:
     vector: SignalVector
     contact: bool
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,24 @@ def pick_intersection(points: Sequence[CalibrationPoint]) -> CalibrationPoint:
     return min(live, key=lambda p: (abs(p.precision - p.recall), p.alpha))
 
 
+def calibrate(
+    scores: np.ndarray,
+    truth: np.ndarray,
+    grid: Sequence[float] = DEFAULT_ALPHA_GRID,
+    detect_below: bool = False,
+) -> CalibrationPoint:
+    """The point of the sweep over ``grid`` where precision meets recall."""
+    return pick_intersection(sweep_scores(scores, truth, grid, detect_below))
+
+
+def point_row(point: CalibrationPoint, threshold: str = "alpha",
+              **fields) -> dict:
+    """A table row: ``fields``, then the point's threshold (under the key
+    ``threshold``), precision, recall and F1."""
+    return {**fields, threshold: point.alpha, "precision": point.precision,
+            "recall": point.recall, "f1": point.f1}
+
+
 def sweep_threshold(
     dataset: LabeledDataset, alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID
 ) -> CalibrationCurve:
@@ -202,7 +228,7 @@ class ProximityData:
 
     def labeled(self, proximity: float) -> LabeledDataset:
         records = tuple(
-            LabeledRecord(vec, dist <= proximity, dist) for vec, dist in self.vectors
+            LabeledRecord(vec, dist <= proximity) for vec, dist in self.vectors
         )
         return LabeledDataset(records, self.processed)
 
@@ -215,68 +241,82 @@ class ProximityData:
 def collect_proximity_data(
     env: SimEnvironment,
     layout: SiteLayout,
-    positions: Sequence[int] = tuple(range(1, 11)),
+    positions: Sequence[int] = _POSITIONS,
     duration: int = 600,
-    sampling_period: int = 5,
-    user_device: DeviceParams = DeviceParams(),
 ) -> ProximityData:
     """Stationary case at the reference spot, users at fixed distances.
 
     Case and users record simultaneously over [0, duration); the case profile
-    is processed with zero lifespan since nothing outlives the co-timed
-    collection.
+    is processed with zero lifespan.
     """
-    case_walk = case_raw_vectors(env, layout, duration, sampling_period)
-    processed = build_case_profile(case_walk, LifespanSchedule(default=0))
-    return ProximityData(processed, tuple(
-        (vec, float(i)) for i in positions for vec in simulate_profile(
-            env, stationary(layout.line_position(i), 0, duration, user_device),
-            sampling_period, stream=_USER_STREAM + i).vectors))
+    case_walk = case_raw_vectors(env, layout, duration)
+    return ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
+                         _user_scans(env, layout, DeviceParams(), positions, duration))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout,
-                     duration: int = 600, sampling_period: int = 5) -> SignalProfile:
+                     duration: int = 600) -> SignalProfile:
     """The case's raw scan profile (baselines match raw scans, not ranges)."""
     return simulate_profile(
         env, stationary(layout.line_position(0), 0, duration),
-        sampling_period, stream=_CASE_STREAM,
+        _DRILL_PERIOD, stream=_CASE_STREAM,
     )
+
+
+def _user_scans(env: SimEnvironment, layout: SiteLayout, device: DeviceParams,
+                positions: Sequence[int] = _POSITIONS,
+                duration: int = 600) -> tuple[tuple[SignalVector, float], ...]:
+    """Each position's scans by a user device, with the distance in m."""
+    return tuple(
+        (vec, float(i)) for i in positions for vec in simulate_profile(
+            env, stationary(layout.line_position(i), 0, duration, device),
+            _DRILL_PERIOD, stream=_USER_STREAM + i).vectors)
 
 
 # --- studies ------------------------------------------------------------------
 
-def run_calibration_study(
-    preset: str,
-    proximities: Sequence[float],
-    seed: int,
-    alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
-    **site_kwargs,
-) -> dict[float, CalibrationCurve]:
-    """Threshold sweep per contact proximity on one preset site."""
-    env, layout = make_site(preset, seed=seed, **site_kwargs)
-    data = collect_proximity_data(env, layout)
-    return {k: sweep_threshold(data.labeled(k), alpha_grid) for k in proximities}
+@dataclass(frozen=True)
+class StudyParams:
+    """[study]: what the study subcommands run on a preset site."""
+
+    seeds: tuple[int, ...] = (1, 3, 5, 7, 9)
+    proximities: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
+    calibration_proximity: float = 2.0
+    proximity: float = 2.0  # robustness tables
+    alpha: float = 0.2  # in/out classification threshold
+
+    def __post_init__(self) -> None:
+        if not (self.seeds and self.proximities):
+            raise ValueError("[study] seeds and proximities must not be empty")
 
 
-def run_proximity_study(
-    preset: str,
-    proximities: Sequence[float],
-    seeds: Sequence[int],
-    alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
-    **site_kwargs,
-) -> list[dict]:
+@dataclass(frozen=True)
+class RobustnessKnobs:
+    filter_rates: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
+    noise_stds: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
+    sampling_periods: tuple[int, ...] = (10, 20, 40, 60, 80)
+    device_pairs: tuple[tuple[float, float], ...] = (
+        (0.0, 1.0), (-3.0, 0.9), (3.0, 0.8), (-6.0, 0.7),
+    )
+
+
+def run_calibration_study(preset: str, proximity: float, seed: int,
+                          **site_kwargs) -> CalibrationCurve:
+    """Threshold sweep at one contact proximity on one preset site."""
+    data = collect_proximity_data(*make_site(preset, seed=seed, **site_kwargs))
+    return sweep_threshold(data.labeled(proximity))
+
+
+def run_proximity_study(preset: str, proximities: Sequence[float],
+                        seeds: Sequence[int], **site_kwargs) -> list[dict]:
     """Detection quality versus contact proximity, threshold calibrated per
     proximity. Rows: seed, k, alpha, precision, recall, f1."""
     rows = []
     for seed in seeds:
-        env, layout = make_site(preset, seed=seed, **site_kwargs)
-        data = collect_proximity_data(env, layout)
-        for k in proximities:
-            curve = sweep_threshold(data.labeled(k), alpha_grid)
-            best = curve.at_intersection()
-            rows.append(dict(seed=seed, k=k, alpha=best.alpha,
-                             precision=best.precision, recall=best.recall,
-                             f1=best.f1))
+        data = collect_proximity_data(*make_site(preset, seed=seed, **site_kwargs))
+        scores = data.scores()
+        rows += [point_row(calibrate(scores, data.labeled(k).truth()),
+                           seed=seed, k=k) for k in proximities]
     return rows
 
 
@@ -284,7 +324,7 @@ def run_inout_study(
     area_profile: ProcessedProfile,
     inside_data: Sequence[SignalVector],
     outside_data: Sequence[SignalVector],
-    alpha: float = 0.2,
+    alpha: float = StudyParams.alpha,
 ) -> tuple[float, float]:
     """Classify scans as inside/outside an infected area by similarity alone.
 
@@ -356,9 +396,8 @@ def build_inout_data(
     return area, inside, outside
 
 
-def run_inout_suite(
-    preset: str, seeds: Sequence[int], alpha: float = 0.2, **site_kwargs
-) -> list[dict]:
+def run_inout_suite(preset: str, seeds: Sequence[int],
+                    alpha: float = StudyParams.alpha, **site_kwargs) -> list[dict]:
     """In/out detection rows: seed, alpha, precision, recall."""
     rows = []
     for seed in seeds:
@@ -388,18 +427,8 @@ def baseline_scores(
     )
 
 
-def _value_grid(scores: np.ndarray) -> list[float]:
-    values = sorted(set(float(s) for s in scores))
-    return values or [0.0]
-
-
-def run_baseline_comparison(
-    preset: str,
-    proximities: Sequence[float],
-    seeds: Sequence[int],
-    alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
-    **site_kwargs,
-) -> list[dict]:
+def run_baseline_comparison(preset: str, proximities: Sequence[float],
+                            seeds: Sequence[int], **site_kwargs) -> list[dict]:
     """Contact detection quality of the range similarity versus the raw
     scan-to-scan baselines, each at its own calibrated threshold.
 
@@ -409,43 +438,24 @@ def run_baseline_comparison(
     rows = []
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
-        data = collect_proximity_data(env, layout)
         case_walk = case_raw_vectors(env, layout)
+        data = ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
+                             _user_scans(env, layout, DeviceParams()))
         vectors = [vec for vec, _ in data.vectors]
-        distances = np.array([d for _, d in data.vectors])
-        main_scores = data.scores()
-        per_metric = {
-            m: baseline_scores(m, vectors, case_walk) for m in BASELINE_METRICS
-        }
+        per_metric = {"similarity": (data.scores(), DEFAULT_ALPHA_GRID, False)}
+        for m in BASELINE_METRICS:
+            scores = baseline_scores(m, vectors, case_walk)
+            grid = sorted(set(scores.tolist())) or [0.0]
+            per_metric[m] = (scores, grid, m in ("amd", "aed"))
         for k in proximities:
-            truth = distances <= k
-            points = sweep_scores(main_scores, truth, alpha_grid)
-            best = pick_intersection(points)
-            rows.append(dict(seed=seed, k=k, metric="similarity",
-                             threshold=best.alpha, precision=best.precision,
-                             recall=best.recall, f1=best.f1))
-            for m in BASELINE_METRICS:
-                scores = per_metric[m]
-                points = sweep_scores(scores, truth, _value_grid(scores),
-                                      detect_below=(m in ("amd", "aed")))
-                best = pick_intersection(points)
-                rows.append(dict(seed=seed, k=k, metric=m,
-                                 threshold=best.alpha, precision=best.precision,
-                                 recall=best.recall, f1=best.f1))
+            truth = data.labeled(k).truth()
+            rows += [point_row(calibrate(scores, truth, grid, below), "threshold",
+                               seed=seed, k=k, metric=m)
+                     for m, (scores, grid, below) in per_metric.items()]
     return rows
 
 
 # --- robustness suite -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class RobustnessKnobs:
-    filter_rates: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
-    noise_stds: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
-    sampling_periods: tuple[int, ...] = (10, 20, 40, 60, 80)
-    device_pairs: tuple[tuple[float, float], ...] = (
-        (0.0, 1.0), (-3.0, 0.9), (3.0, 0.8), (-6.0, 0.7),
-    )
-
 
 def random_walk(
     area: tuple[tuple[float, float], tuple[float, float]],
@@ -484,8 +494,7 @@ def run_robustness_suite(
     preset: str,
     seeds: Sequence[int],
     knobs: RobustnessKnobs = RobustnessKnobs(),
-    proximity: float = 2.0,
-    alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID,
+    proximity: float = StudyParams.proximity,
     **site_kwargs,
 ) -> dict[str, list[dict]]:
     """Sensitivity tables: AP filtering, RSSI noise, heterogeneous devices,
@@ -500,9 +509,8 @@ def run_robustness_suite(
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
         data = collect_proximity_data(env, layout)
-        truth = np.array([d <= proximity for _, d in data.vectors])
-        base_points = sweep_scores(data.scores(), truth, alpha_grid)
-        alpha = pick_intersection(base_points).alpha
+        truth = data.labeled(proximity).truth()
+        alpha = calibrate(data.scores(), truth).alpha
 
         # perturbed copies of the scans simulated above; nothing re-simulates
         scans = [vec for vec, _ in data.vectors]
@@ -520,20 +528,16 @@ def run_robustness_suite(
         for rows, knob, values, perturb in perturbations:
             for value in values:
                 scores, _ = score_scans(perturb(value), data.processed.segments)
-                p, r, f1 = _prf_from_masks(truth, scores >= alpha)
-                rows.append({"seed": seed, knob: value, "alpha": alpha,
-                             "precision": p, "recall": r, "f1": f1})
+                (point,) = sweep_scores(scores, truth, [alpha])
+                rows.append(point_row(point, seed=seed, **{knob: value}))
 
+        # another phone model: its own user scans against the same case profile
         for bias, rate in knobs.device_pairs:
-            hetero = collect_proximity_data(
-                env, layout, user_device=DeviceParams(bias, rate)
-            )
-            points = sweep_scores(hetero.scores(), truth, alpha_grid)
-            best = pick_intersection(points)
-            device_rows.append(dict(seed=seed, device_bias=bias,
-                                    device_detect_rate=rate, alpha=best.alpha,
-                                    precision=best.precision, recall=best.recall,
-                                    f1=best.f1))
+            hetero = replace(data, vectors=_user_scans(env, layout,
+                                                       DeviceParams(bias, rate)))
+            device_rows.append(point_row(calibrate(hetero.scores(), truth),
+                                         seed=seed, device_bias=bias,
+                                         device_detect_rate=rate))
 
         for period in knobs.sampling_periods:
             recall = _moving_recall(env, layout, period, alpha)
@@ -558,7 +562,7 @@ def _moving_recall(env: SimEnvironment, layout: SiteLayout, period: int,
                                  period, stream=_CASE_STREAM + 500)
     if len(case_walk.vectors) < 2:
         return 0.0
-    processed = build_case_profile(case_walk, LifespanSchedule(default=0),
+    processed = build_case_profile(case_walk, _NO_LIFESPAN,
                                    max_gap=max(600, period + 1))
     user_walk = simulate_profile(
         env, random_walk(area, duration, env.seed, offset=0.25),
@@ -593,7 +597,4 @@ def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
 
 
 def curve_rows(curve: CalibrationCurve) -> list[dict]:
-    return [
-        dict(alpha=p.alpha, precision=p.precision, recall=p.recall, f1=p.f1)
-        for p in curve.points
-    ]
+    return [point_row(p) for p in curve.points]

@@ -213,6 +213,27 @@ def test_scenario_rejects_unknown_keys(tmp_path, capsys, section, key):
     assert f"unknown [{section}] key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [("simulate", SCENARIO_CFG),
+                                           ("calibrate", STUDY_CFG)])
+def test_unknown_sections_are_rejected(tmp_path, capsys, command, text):
+    # a misspelt [detection] must not run with the default alpha
+    cfg = write(tmp_path, "typo.cfg", text + "\n[detetcion]\nalpha = 0.9\n")
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown section(s) ['detetcion']" in capsys.readouterr().err
+    # [DEFAULT] is not a section: its keys show up in every section instead
+    cfg = write(tmp_path, "default.cfg", "[DEFAULT]\nnote = x\n" + text)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("key", ["ap_count = 5", "area = 0,0,1,1",
+                                 "site_seed = 2"])
+def test_scenario_rejects_preset_with_explicit_site(tmp_path, capsys, key):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG.replace(
+        "preset = office\n", f"preset = office\n{key}\n"))
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "a preset or an explicit site" in capsys.readouterr().err
+
+
 def test_robustness_knobs_ignore_default_section_keys(tmp_path, capsys):
     cfg = write(tmp_path, "study.cfg", "[DEFAULT]\nnote = x\n" + STUDY_CFG
                 + "\n[robustness]\nfilter_rates = 0.5\nnoise_stds =\n"

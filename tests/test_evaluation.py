@@ -71,7 +71,7 @@ def dataset_from_scores(pairs) -> LabeledDataset:
     records = []
     for i, (gap, contact) in enumerate(pairs):
         vec = SignalVector({X: -50 - gap}, i)
-        records.append(LabeledRecord(vec, contact, float(gap)))
+        records.append(LabeledRecord(vec, contact))
     return LabeledDataset(tuple(records), processed)
 
 
@@ -81,10 +81,10 @@ class TestSweepThreshold:
         processed = ProcessedProfile(
             [ProfileSegment(ProcessedVector({X: (-50, -50)}), 0, 10_000)])
         records = [
-            LabeledRecord(SignalVector({X: -50}, i), True, 0.0)
+            LabeledRecord(SignalVector({X: -50}, i), True)
             for i in range(5)
         ] + [
-            LabeledRecord(SignalVector({Y: -50}, 5 + i), False, 9.0)
+            LabeledRecord(SignalVector({Y: -50}, 5 + i), False)
             for i in range(5)
         ]
         curve = sweep_threshold(LabeledDataset(tuple(records), processed))
@@ -296,11 +296,15 @@ class TestRobustnessSuite:
 
     def test_noise_row_perturbs_each_position_once(self, monkeypatch):
         from wifitrace import evaluation
-        from wifitrace.evaluation import (RobustnessKnobs, _USER_STREAM,
-                                          run_robustness_suite, sweep_scores)
-        from wifitrace.simulator import (perturb_rssi_noise, simulate_profile,
-                                         stationary)
+        from wifitrace.evaluation import (RobustnessKnobs, _CASE_STREAM,
+                                          _USER_STREAM, run_robustness_suite,
+                                          sweep_scores)
+        from wifitrace.model import LifespanSchedule
+        from wifitrace.processing import build_case_profile
+        from wifitrace.simulator import (DeviceParams, perturb_rssi_noise,
+                                         simulate_profile, stationary)
         seed, std, k = 1, 4.0, 2.0
+        bias, rate = -3.0, 0.9
         simulated = []
 
         def counting(*args, **kwargs):
@@ -311,11 +315,31 @@ class TestRobustnessSuite:
         tables = run_robustness_suite(
             "office", seeds=(seed,), proximity=k,
             knobs=RobustnessKnobs(filter_rates=(), noise_stds=(std,),
-                                  sampling_periods=(), device_pairs=()))
-        # one proximity drill: the case and each position, simulated once
-        assert len(set(simulated)) == len(simulated) == 11
+                                  sampling_periods=(),
+                                  device_pairs=((bias, rate),)))
+        # one proximity drill: the case once, each position once, and each
+        # position once more by the other device; noise re-simulates nothing
+        users = [_USER_STREAM + i for i in range(1, 11)]
+        assert sorted(simulated) == [_CASE_STREAM] + sorted(users * 2)
         monkeypatch.undo()
         env, layout = make_site("office", seed=seed)
+        # the device row equals one from a fresh case walk and profile, with
+        # every user position re-simulated under the device pair
+        case = simulate_profile(env, stationary(layout.line_position(0), 0, 600),
+                                5, stream=_CASE_STREAM)
+        processed = build_case_profile(case, LifespanSchedule(default=0))
+        records = [
+            LabeledRecord(vec, i <= k) for i in range(1, 11)
+            for vec in simulate_profile(
+                env, stationary(layout.line_position(i), 0, 600,
+                                DeviceParams(bias, rate)),
+                5, stream=_USER_STREAM + i).vectors]
+        best = sweep_threshold(
+            LabeledDataset(records, processed)).at_intersection()
+        assert tables["devices"] == [dict(
+            seed=seed, device_bias=bias, device_detect_rate=rate,
+            alpha=best.alpha, precision=best.precision, recall=best.recall,
+            f1=best.f1)]
         data = collect_proximity_data(env, layout)
         truth = data.labeled(k).truth()
         alpha = pick_intersection(
@@ -340,6 +364,23 @@ class TestRobustnessSuite:
         (row,) = tables["noise"]
         assert row["alpha"] == alpha
         assert (row["precision"], row["recall"], row["f1"]) == expected
+
+
+def test_study_rows_are_the_sweep_intersections():
+    from wifitrace.evaluation import (run_baseline_comparison,
+                                      run_proximity_study)
+    seed, ks = 1, (1.0, 2.0, 3.0, 4.0, 5.0)
+    proximity = run_proximity_study("office", ks, seeds=(seed,))
+    similarity = [row for row in run_baseline_comparison("office", ks, (seed,))
+                  if row["metric"] == "similarity"]
+    assert len(proximity) == len(similarity) == len(ks)
+    data = collect_proximity_data(*make_site("office", seed=seed))
+    for k, ours, baseline in zip(ks, proximity, similarity):
+        best = sweep_threshold(data.labeled(k)).at_intersection()
+        metrics = dict(precision=best.precision, recall=best.recall, f1=best.f1)
+        assert ours == dict(seed=seed, k=k, alpha=best.alpha, **metrics)
+        assert baseline == dict(seed=seed, k=k, metric="similarity",
+                                threshold=best.alpha, **metrics)
 
 
 class TestDatasetConstruction:

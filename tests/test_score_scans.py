@@ -125,7 +125,7 @@ def test_detect_contacts_matches_per_pair_loop(cells, user, profiles, alpha):
 def test_record_score_and_dataset_scores_match(cells, scans, profile):
     expected = [reference_best(vec, profile.segments) for vec in scans]
     assert [record_score(vec, profile) for vec in scans] == expected
-    records = [LabeledRecord(vec, True, 1.0) for vec in scans]
+    records = [LabeledRecord(vec, True) for vec in scans]
     got = LabeledDataset(records, profile).scores()
     assert got.dtype == np.float64 and got.tolist() == expected
     data = ProximityData(profile, tuple((vec, 1.0) for vec in scans))
