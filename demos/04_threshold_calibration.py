@@ -8,29 +8,32 @@ contact proximity. Closer proximities demand larger thresholds.
 """
 
 from wifitrace.evaluation import (
+    calibrate,
     collect_proximity_data,
+    pick_intersection,
     run_proximity_study,
-    sweep_threshold,
+    sweep_scores,
 )
 from wifitrace.simulator import make_site
 
 env, layout = make_site("office", seed=1)
 data = collect_proximity_data(env, layout)
+scores = data.scores()  # label-free: one scoring serves every proximity
 
 print("threshold sweep at contact proximity k = 2 m (selected rows):")
-curve = sweep_threshold(data.labeled(2))
+points = sweep_scores(scores, data.truth(2))
 print(f"{'alpha':>6} {'precision':>10} {'recall':>7} {'f1':>6}")
-for point in curve.points[4::10]:
+for point in points[4::10]:
     print(f"{point.alpha:>6.2f} {point.precision:>10.3f} "
           f"{point.recall:>7.3f} {point.f1:>6.3f}")
-best = curve.at_intersection()
+best = pick_intersection(points)
 print(f"intersection: alpha={best.alpha:.2f} "
       f"(precision {best.precision:.3f} / recall {best.recall:.3f})")
 
 print("\nintersection threshold per proximity (tighter contact needs a"
       " stricter threshold):")
 for k in (1, 2, 4):
-    point = sweep_threshold(data.labeled(k)).at_intersection()
+    point = calibrate(scores, data.truth(k))
     print(f"  k={k} m: alpha={point.alpha:.2f} f1={point.f1:.3f}")
 
 print("\nmetrics at the calibrated threshold, office preset, 5 seeds:")

@@ -54,11 +54,12 @@ def cmd_calibrate(args) -> int:
     preset, radio, study, _ = load_study(args.config)
     k = args.k if args.k is not None else study.calibration_proximity
     out = _out_dir(args)
-    curve = ev.run_calibration_study(preset, k, study.seeds[0], **radio)
+    points = ev.run_calibration_study(preset, k, study.seeds[0], **radio)
     path = out / f"calibration_{preset}_k{k:g}.csv"
-    ev.write_csv(path, ev.curve_rows(curve), ev.CSV_COLUMNS["calibration"])
+    ev.write_csv(path, [ev.point_row(p) for p in points],
+                 ev.CSV_COLUMNS["calibration"])
     _summary(command="calibrate", preset=preset, k=k, seed=study.seeds[0],
-             **ev.point_row(curve.at_intersection(), "intersection_alpha"),
+             **ev.point_row(ev.pick_intersection(points), "intersection_alpha"),
              csv=str(path))
     return 0
 

@@ -1,13 +1,16 @@
 """Precision/recall evaluation and the experiment suites.
 
-Datasets mirror the measurement drill behind the threshold studies: a case
-device sits at a reference spot while user devices record at 1..10 m along a
-line; records within the contact proximity k are the ground-truth positives.
-Thresholds are calibrated at the precision/recall intersection (the grid
-point minimizing |precision - recall|, ties to the smaller threshold) by
-``calibrate``, and the studies evaluate at that operating point. Each seed's
-drill is simulated and scored once and read by every table of that seed
-(README, "Studies": which tables keep the seed's alpha, which recalibrate).
+The threshold studies run on one measurement drill per seed: a case device
+sits at a reference spot while user devices record at 1..10 m along a line.
+``ProximityData`` holds the drill as the case's processed profile plus the
+distance of every user scan; ``scores()`` scores the scans once, and
+``truth(k)`` marks the scans within contact proximity k as the positives.
+``sweep_scores`` evaluates scores against a truth mask at every threshold of
+a grid, and ``pick_intersection`` picks the point where precision meets
+recall (the minimizer of |precision - recall|, ties to the smaller
+threshold); ``calibrate`` is the two together, and the studies evaluate at
+that operating point. Every table of a seed reads that seed's drill (README,
+"Studies": which tables keep the seed's alpha, which recalibrate).
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -39,9 +42,15 @@ from .simulator import (
 
 DEFAULT_ALPHA_GRID = tuple(i / 100 for i in range(1, 101))
 
-# the proximity drill: user positions (m from the case) and scan interval (s)
+# the proximity drill: user positions (m from the case), length and scan
+# interval (s)
 _POSITIONS = tuple(range(1, 11))
+_DRILL_DURATION = 600
 _DRILL_PERIOD = 5
+# the in/out drill: scan interval, dwell per test spot and area lifespan (s)
+_INOUT_PERIOD = 5
+_INOUT_DWELL = 60
+_INOUT_LIFESPAN = 1800
 # studies record case and users together, so no case segment need outlive
 # its own scans
 _NO_LIFESPAN = LifespanSchedule(default=0)
@@ -55,60 +64,11 @@ _OUTSIDE_STREAM = 3200  # + spot index
 
 
 @dataclass(frozen=True)
-class LabeledRecord:
-    vector: SignalVector
-    contact: bool
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Ground-truth-labeled user scans plus the published profile they are
-    matched against."""
-
-    records: tuple[LabeledRecord, ...]
-    processed: ProcessedProfile
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-
-    def scores(self) -> np.ndarray:
-        """Best time-gated similarity per record (0 if no window covers it)."""
-        return score_scans([r.vector for r in self.records],
-                           self.processed.segments)[0]
-
-    def truth(self) -> np.ndarray:
-        return np.array([r.contact for r in self.records], dtype=bool)
-
-
-@dataclass(frozen=True)
 class CalibrationPoint:
     alpha: float
     precision: float
     recall: float
     f1: float
-
-
-@dataclass(frozen=True)
-class CalibrationCurve:
-    points: tuple[CalibrationPoint, ...]
-    intersection_alpha: float
-
-    def __post_init__(self) -> None:
-        points = tuple(self.points)
-        for prev, cur in zip(points, points[1:]):
-            if cur.alpha <= prev.alpha:
-                raise ValueError("curve points must be sorted by alpha")
-        for p in points:
-            for v in (p.precision, p.recall, p.f1):
-                if not (0.0 <= v <= 1.0):
-                    raise ValueError("metrics must lie in [0, 1]")
-        object.__setattr__(self, "points", points)
-
-    def at_intersection(self) -> CalibrationPoint:
-        for p in self.points:
-            if p.alpha == self.intersection_alpha:
-                return p
-        raise ValueError("intersection_alpha not on the curve")
 
 
 def _prf(overlap: int, n_det: int, n_true: int) -> tuple[float, float, float]:
@@ -146,7 +106,7 @@ def _prf_from_masks(truth: np.ndarray, detected: np.ndarray) -> tuple[float, flo
 def sweep_scores(
     scores: np.ndarray,
     truth: np.ndarray,
-    grid: Sequence[float],
+    grid: Sequence[float] = DEFAULT_ALPHA_GRID,
     detect_below: bool = False,
 ) -> list[CalibrationPoint]:
     """Evaluate detection at every threshold on the grid.
@@ -194,28 +154,6 @@ def point_row(point: CalibrationPoint, threshold: str = "alpha",
             "recall": point.recall, "f1": point.f1}
 
 
-def sweep_threshold(
-    dataset: LabeledDataset, alpha_grid: Sequence[float] = DEFAULT_ALPHA_GRID
-) -> CalibrationCurve:
-    """Threshold sweep over a labeled dataset.
-
-    Raises:
-        ValueError: empty dataset, empty grid, or a grid that is not
-            ascending within (0, 1].
-    """
-    if not dataset.records:
-        raise ValueError("dataset has no records")
-    grid = list(alpha_grid)
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    if any(not (0.0 < a <= 1.0) for a in grid):
-        raise ValueError("alpha grid values must lie in (0, 1]")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly ascending")
-    points = sweep_scores(dataset.scores(), dataset.truth(), grid)
-    return CalibrationCurve(tuple(points), pick_intersection(points).alpha)
-
-
 # --- dataset construction ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -226,11 +164,10 @@ class ProximityData:
     processed: ProcessedProfile
     vectors: tuple[tuple[SignalVector, float], ...]  # (scan, distance in m)
 
-    def labeled(self, proximity: float) -> LabeledDataset:
-        records = tuple(
-            LabeledRecord(vec, dist <= proximity) for vec, dist in self.vectors
-        )
-        return LabeledDataset(records, self.processed)
+    def truth(self, proximity: float) -> np.ndarray:
+        """Contact labels: the scans taken within ``proximity`` m."""
+        return np.array([dist <= proximity for _, dist in self.vectors],
+                        dtype=bool)
 
     def scores(self) -> np.ndarray:
         """Per-scan similarity to the processed profile (label-free)."""
@@ -238,38 +175,32 @@ class ProximityData:
                            self.processed.segments)[0]
 
 
-def collect_proximity_data(
-    env: SimEnvironment,
-    layout: SiteLayout,
-    positions: Sequence[int] = _POSITIONS,
-    duration: int = 600,
-) -> ProximityData:
+def collect_proximity_data(env: SimEnvironment,
+                           layout: SiteLayout) -> ProximityData:
     """Stationary case at the reference spot, users at fixed distances.
 
-    Case and users record simultaneously over [0, duration); the case profile
-    is processed with zero lifespan.
+    Case and users record simultaneously over the drill; the case profile is
+    processed with zero lifespan.
     """
-    case_walk = case_raw_vectors(env, layout, duration)
+    case_walk = case_raw_vectors(env, layout)
     return ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
-                         _user_scans(env, layout, DeviceParams(), positions, duration))
+                         _user_scans(env, layout, DeviceParams()))
 
 
-def case_raw_vectors(env: SimEnvironment, layout: SiteLayout,
-                     duration: int = 600) -> SignalProfile:
+def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
     """The case's raw scan profile (baselines match raw scans, not ranges)."""
     return simulate_profile(
-        env, stationary(layout.line_position(0), 0, duration),
+        env, stationary(layout.line_position(0), 0, _DRILL_DURATION),
         _DRILL_PERIOD, stream=_CASE_STREAM,
     )
 
 
-def _user_scans(env: SimEnvironment, layout: SiteLayout, device: DeviceParams,
-                positions: Sequence[int] = _POSITIONS,
-                duration: int = 600) -> tuple[tuple[SignalVector, float], ...]:
+def _user_scans(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
+                ) -> tuple[tuple[SignalVector, float], ...]:
     """Each position's scans by a user device, with the distance in m."""
     return tuple(
-        (vec, float(i)) for i in positions for vec in simulate_profile(
-            env, stationary(layout.line_position(i), 0, duration, device),
+        (vec, float(i)) for i in _POSITIONS for vec in simulate_profile(
+            env, stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
             _DRILL_PERIOD, stream=_USER_STREAM + i).vectors)
 
 
@@ -301,10 +232,10 @@ class RobustnessKnobs:
 
 
 def run_calibration_study(preset: str, proximity: float, seed: int,
-                          **site_kwargs) -> CalibrationCurve:
+                          **site_kwargs) -> list[CalibrationPoint]:
     """Threshold sweep at one contact proximity on one preset site."""
     data = collect_proximity_data(*make_site(preset, seed=seed, **site_kwargs))
-    return sweep_threshold(data.labeled(proximity))
+    return sweep_scores(data.scores(), data.truth(proximity))
 
 
 def run_proximity_study(preset: str, proximities: Sequence[float],
@@ -315,7 +246,7 @@ def run_proximity_study(preset: str, proximities: Sequence[float],
     for seed in seeds:
         data = collect_proximity_data(*make_site(preset, seed=seed, **site_kwargs))
         scores = data.scores()
-        rows += [point_row(calibrate(scores, data.labeled(k).truth()),
+        rows += [point_row(calibrate(scores, data.truth(k)),
                            seed=seed, k=k) for k in proximities]
     return rows
 
@@ -340,12 +271,7 @@ def run_inout_study(
 
 
 def build_inout_data(
-    preset: str,
-    seed: int,
-    dwell: int = 60,
-    sampling_period: int = 5,
-    lifespan: int = 1800,
-    **site_kwargs,
+    preset: str, seed: int, **site_kwargs,
 ) -> tuple[ProcessedProfile, list[SignalVector], list[SignalVector]]:
     """Survey an area and collect labeled inside/outside test scans.
 
@@ -364,36 +290,27 @@ def build_inout_data(
     survey_walk = simulate_profile(
         env,
         SimTrajectory(tuple((i * leg, c) for i, c in enumerate(corners))),
-        sampling_period, stream=_SURVEY_STREAM,
+        _INOUT_PERIOD, stream=_SURVEY_STREAM,
     )
-    area = build_area_profile(survey_walk, 0, leg * (len(corners) - 1), lifespan)
+    area = build_area_profile(survey_walk, 0, leg * (len(corners) - 1),
+                              _INOUT_LIFESPAN)
 
-    def spots_inside() -> list[tuple[float, float]]:
-        xs = np.linspace(x0 + inset, x1 - inset, 3)
-        ys = np.linspace(y0 + inset, y1 - inset, 3)
-        return [(float(x), float(y)) for x in xs for y in ys]
+    xs = np.linspace(x0 + inset, x1 - inset, 3)
+    ys = np.linspace(y0 + inset, y1 - inset, 3)
+    inside = [(float(x), float(y)) for x in xs for y in ys]
+    cx, cy = layout.center
+    w, h = (x1 - x0) / 2, (y1 - y0) / 2
+    outside = [spot for margin in (5.0, 10.0) for spot in (
+        (cx - w - margin, cy), (cx + w + margin, cy),
+        (cx, cy - h - margin), (cx, cy + h + margin))]
 
-    def spots_outside() -> list[tuple[float, float]]:
-        cx, cy = layout.center
-        w, h = (x1 - x0) / 2, (y1 - y0) / 2
-        out = []
-        for margin in (5.0, 10.0):
-            out += [
-                (cx - w - margin, cy), (cx + w + margin, cy),
-                (cx, cy - h - margin), (cx, cy + h + margin),
-            ]
-        return out
+    def scans(spots, stream: int) -> list[SignalVector]:
+        return [vec for j, spot in enumerate(spots) for vec in simulate_profile(
+            env, stationary(spot, 0, _INOUT_DWELL), _INOUT_PERIOD,
+            stream=stream + j).vectors]
 
-    inside, outside = [], []
-    for j, spot in enumerate(spots_inside()):
-        p = simulate_profile(env, stationary(spot, 0, dwell), sampling_period,
-                             stream=_INSIDE_STREAM + j)
-        inside += list(p.vectors)
-    for j, spot in enumerate(spots_outside()):
-        p = simulate_profile(env, stationary(spot, 0, dwell), sampling_period,
-                             stream=_OUTSIDE_STREAM + j)
-        outside += list(p.vectors)
-    return area, inside, outside
+    return (area, scans(inside, _INSIDE_STREAM),
+            scans(outside, _OUTSIDE_STREAM))
 
 
 def run_inout_suite(preset: str, seeds: Sequence[int],
@@ -448,7 +365,7 @@ def run_baseline_comparison(preset: str, proximities: Sequence[float],
             grid = sorted(set(scores.tolist())) or [0.0]
             per_metric[m] = (scores, grid, m in ("amd", "aed"))
         for k in proximities:
-            truth = data.labeled(k).truth()
+            truth = data.truth(k)
             rows += [point_row(calibrate(scores, truth, grid, below), "threshold",
                                seed=seed, k=k, metric=m)
                      for m, (scores, grid, below) in per_metric.items()]
@@ -462,10 +379,8 @@ def random_walk(
     duration: int,
     walk_seed: int,
     offset: float = 0.0,
-    speed: float = 1.2,
-    device: DeviceParams = DeviceParams(),
 ) -> SimTrajectory:
-    """Aperiodic waypoint walk across an area at roughly walking speed.
+    """Aperiodic waypoint walk across an area at walking speed (1.2 m/s).
 
     Deterministic per walk_seed; ``offset`` shifts the whole path so two
     devices can walk together without overlapping exactly.
@@ -484,10 +399,10 @@ def random_walk(
         dist = float(np.linalg.norm(target - pos))
         if dist < 2.0:
             continue
-        t += max(1.0, dist / speed)
+        t += max(1.0, dist / 1.2)
         pos = target
         waypoints.append((int(round(t)), (pos[0] + offset, pos[1] + offset)))
-    return SimTrajectory(tuple(waypoints), device)
+    return SimTrajectory(tuple(waypoints))
 
 
 def run_robustness_suite(
@@ -509,7 +424,7 @@ def run_robustness_suite(
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
         data = collect_proximity_data(env, layout)
-        truth = data.labeled(proximity).truth()
+        truth = data.truth(proximity)
         alpha = calibrate(data.scores(), truth).alpha
 
         # perturbed copies of the scans simulated above; nothing re-simulates
@@ -553,19 +468,19 @@ def run_robustness_suite(
 
 
 def _moving_recall(env: SimEnvironment, layout: SiteLayout, period: int,
-                   alpha: float, duration: int = 3600) -> float:
-    """Recall for two devices walking together across the whole site, both
-    sampling at the given interval; every user scan is a ground-truth
-    contact (the pair stays well inside the contact proximity)."""
+                   alpha: float) -> float:
+    """Recall for two devices walking together across the whole site for an
+    hour, both sampling at the given interval; every user scan is a
+    ground-truth contact (the pair stays well inside the contact proximity)."""
     area = layout.site_area
-    case_walk = simulate_profile(env, random_walk(area, duration, env.seed),
+    case_walk = simulate_profile(env, random_walk(area, 3600, env.seed),
                                  period, stream=_CASE_STREAM + 500)
     if len(case_walk.vectors) < 2:
         return 0.0
     processed = build_case_profile(case_walk, _NO_LIFESPAN,
                                    max_gap=max(600, period + 1))
     user_walk = simulate_profile(
-        env, random_walk(area, duration, env.seed, offset=0.25),
+        env, random_walk(area, 3600, env.seed, offset=0.25),
         period, stream=_USER_STREAM + 500,
     )
     scores, _ = score_scans(user_walk.vectors, processed.segments)
@@ -594,7 +509,3 @@ def write_csv(path, rows: Sequence[dict], columns: Sequence[str]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({c: row[c] for c in columns})
-
-
-def curve_rows(curve: CalibrationCurve) -> list[dict]:
-    return [point_row(p) for p in curve.points]

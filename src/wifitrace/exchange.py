@@ -356,8 +356,13 @@ class SyncState:
             return 0
 
     def advance(self, record_id: int) -> None:
+        # the new cursor is on disk before it replaces the old one, so a
+        # crash leaves one or the other, never an empty file
         tmp = self._path.with_suffix(".tmp")
-        tmp.write_text(f"{record_id}\n")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"{record_id}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self._path)
 
 

@@ -243,16 +243,3 @@ class LifespanSchedule:
         if self.per_segment is None:
             return self.default
         return self.per_segment[segment_index]
-
-
-def _sorted_ids(ids) -> list[SignalId]:
-    return sorted(ids, key=lambda s: s.value)
-
-
-# shared by serialization and the similarity metrics
-def sorted_readings(vec: SignalVector) -> list[tuple[SignalId, int]]:
-    return [(sid, vec.readings[sid]) for sid in _sorted_ids(vec.readings)]
-
-
-def sorted_ranges(pv: ProcessedVector) -> list[tuple[SignalId, tuple[int, int]]]:
-    return [(sid, pv.ranges[sid]) for sid in _sorted_ids(pv.ranges)]

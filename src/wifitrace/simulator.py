@@ -30,11 +30,13 @@ from .detection import DetectionConfig
 from .model import (
     RSSI_CEIL,
     RSSI_FLOOR,
+    LifespanSchedule,
     SignalId,
     SignalProfile,
     SignalVector,
     clamp_rssi,
 )
+from .processing import build_case_profile
 from .profileio import write_profile
 
 TRUTH_MAGIC = "vcontact-truth/1"
@@ -256,14 +258,6 @@ def drop_ids(
     ]
 
 
-def perturb_filter_aps(
-    profile: SignalProfile, rate: float, seed: int = 0
-) -> SignalProfile:
-    """``drop_ids`` over one profile's scans."""
-    return SignalProfile(drop_ids(profile.vectors, rate, seed),
-                         device_tag=profile.device_tag)
-
-
 def perturb_rssi_noise(
     profile: SignalProfile, std: float, seed: int = 0
 ) -> SignalProfile:
@@ -408,7 +402,9 @@ class Scenario:
         profile = simulate_profile(self.env, self.user, self.user_period,
                                    stream=self.USER_STREAM)
         if self.filter_rate > 0:
-            profile = perturb_filter_aps(profile, self.filter_rate, self.env.seed)
+            profile = SignalProfile(
+                drop_ids(profile.vectors, self.filter_rate, self.env.seed),
+                device_tag=profile.device_tag)
         if self.noise_std > 0:
             profile = perturb_rssi_noise(profile, self.noise_std, self.env.seed)
         return profile
@@ -431,9 +427,6 @@ def emit_scenario(scenario: Scenario, out_dir) -> dict[str, str]:
     """Materialize a scenario: raw case/user profiles, the publishable
     processed case profile, and the ground-truth sidecar. Returns the
     written paths."""
-    from .model import LifespanSchedule
-    from .processing import build_case_profile
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     case_profile = scenario.case_profile()

@@ -21,10 +21,12 @@ from wifitrace.detection import (
 from wifitrace.evaluation import (
     DEFAULT_ALPHA_GRID,
     RobustnessKnobs,
+    calibrate,
     collect_proximity_data,
+    pick_intersection,
     run_baseline_comparison,
     run_robustness_suite,
-    sweep_threshold,
+    sweep_scores,
 )
 from wifitrace.exchange import (
     ExchangeError,
@@ -187,10 +189,10 @@ def test_c05_calibration_trend():
         data = collect_proximity_data(env, layout)
         intersections = {}
         for k in (1, 2, 4):
-            curve = sweep_threshold(data.labeled(k))
-            recalls = [p.recall for p in curve.points]
+            points = sweep_scores(data.scores(), data.truth(k))
+            recalls = [p.recall for p in points]
             assert all(b <= a for a, b in zip(recalls, recalls[1:]))
-            best = curve.at_intersection()
+            best = pick_intersection(points)
             assert abs(best.precision - best.recall) <= 0.05
             intersections[k] = best.alpha
         assert intersections[1] >= intersections[2] >= intersections[4]
@@ -204,7 +206,7 @@ def test_c06_proximity_study_trend():
             data = collect_proximity_data(env, layout)
             f1s = []
             for k in (1, 2, 3, 4, 5):
-                best = sweep_threshold(data.labeled(k)).at_intersection()
+                best = calibrate(data.scores(), data.truth(k))
                 f1s.append(best.f1)
                 if k == 2:
                     assert best.precision >= 0.5, f"seed {seed}"

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import time
@@ -5,11 +6,13 @@ import time
 import pytest
 
 from wifitrace import cli
+from wifitrace import evaluation as ev
 from wifitrace.cli import main
 from wifitrace.detection import ContactReport, DetectionConfig
 from wifitrace.exchange import ProfileStore, serve_in_thread
 from wifitrace.model import ProcessedProfile, SignalProfile
 from wifitrace.profileio import read_profile, write_profile
+from wifitrace.simulator import make_site
 
 STUDY_CFG = """
 [environment]
@@ -73,6 +76,19 @@ def test_calibrate_writes_curve_and_summary(tmp_path, capsys):
     lines = open(summary["csv"]).read().splitlines()
     assert lines[0] == "alpha,precision,recall,f1"
     assert len(lines) == 101
+    # the study config's one seed and calibration proximity
+    data = ev.collect_proximity_data(*make_site("office", seed=1))
+    scores, truth = data.scores(), data.truth(2.0)
+    points = ev.sweep_scores(scores, truth)
+    assert len(points) == 100
+    with open(summary["csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{key: str(value) for key, value in ev.point_row(p).items()}
+                    for p in points]
+    best = ev.calibrate(scores, truth)
+    assert summary == dict(
+        command="calibrate", preset="office", k=2.0, seed=1, csv=summary["csv"],
+        **ev.point_row(best, "intersection_alpha"))
 
 
 def test_config_error_exit_code_is_2(tmp_path, capsys):

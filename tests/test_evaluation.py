@@ -5,17 +5,16 @@ import pytest
 
 from wifitrace.evaluation import (
     CSV_COLUMNS,
-    CalibrationCurve,
     CalibrationPoint,
     DEFAULT_ALPHA_GRID,
-    LabeledDataset,
-    LabeledRecord,
+    ProximityData,
+    calibrate,
     collect_proximity_data,
     pick_intersection,
     precision_recall_f1,
     record_score,
     run_inout_study,
-    sweep_threshold,
+    sweep_scores,
     write_csv,
 )
 from wifitrace.model import (
@@ -63,45 +62,51 @@ class TestPrecisionRecallF1:
                 prf_brute(truth, detected))
 
 
-def dataset_from_scores(pairs) -> LabeledDataset:
-    """(score-of-one-shared-id, contact) pairs encoded as real records whose
-    single-AP similarity equals 1 / (gap + 1)."""
+# drills built by hand put contacts at 1 m and everything else at 2 m, and
+# label them at a 1 m proximity
+CONTACT, FAR = 1.0, 2.0
+
+
+def drill(scans) -> ProximityData:
+    """(scan, contact) pairs as a drill against one always-valid segment."""
     processed = ProcessedProfile(
         [ProfileSegment(ProcessedVector({X: (-50, -50)}), 0, 10_000)])
-    records = []
-    for i, (gap, contact) in enumerate(pairs):
-        vec = SignalVector({X: -50 - gap}, i)
-        records.append(LabeledRecord(vec, contact))
-    return LabeledDataset(tuple(records), processed)
+    return ProximityData(processed, tuple(
+        (vec, CONTACT if contact else FAR) for vec, contact in scans))
 
 
-class TestSweepThreshold:
+def drill_from_scores(pairs) -> ProximityData:
+    """(score-of-one-shared-id, contact) pairs encoded as real scans whose
+    single-AP similarity equals 1 / (gap + 1)."""
+    return drill((SignalVector({X: -50 - gap}, i), contact)
+                 for i, (gap, contact) in enumerate(pairs))
+
+
+def sweep(data: ProximityData) -> list[CalibrationPoint]:
+    return sweep_scores(data.scores(), data.truth(CONTACT))
+
+
+class TestSweepScores:
     def test_separable_dataset_intersects_at_smallest_alpha(self):
         # contacts score exactly 1.0, non-contacts exactly 0.0 (disjoint ids)
-        processed = ProcessedProfile(
-            [ProfileSegment(ProcessedVector({X: (-50, -50)}), 0, 10_000)])
-        records = [
-            LabeledRecord(SignalVector({X: -50}, i), True)
-            for i in range(5)
-        ] + [
-            LabeledRecord(SignalVector({Y: -50}, 5 + i), False)
-            for i in range(5)
-        ]
-        curve = sweep_threshold(LabeledDataset(tuple(records), processed))
-        for point in curve.points:
+        data = drill(
+            [(SignalVector({X: -50}, i), True) for i in range(5)]
+            + [(SignalVector({Y: -50}, 5 + i), False) for i in range(5)])
+        points = sweep(data)
+        for point in points:
             assert (point.precision, point.recall) == (1.0, 1.0)
-        assert curve.intersection_alpha == DEFAULT_ALPHA_GRID[0]
+        assert pick_intersection(points).alpha == DEFAULT_ALPHA_GRID[0]
 
     def test_recall_non_increasing_everywhere(self, rng):
         pairs = [(rng.randint(0, 30), rng.random() < 0.5) for _ in range(200)]
         if not any(c for _, c in pairs):
             pairs[0] = (0, True)
-        curve = sweep_threshold(dataset_from_scores(pairs))
-        recalls = [p.recall for p in curve.points]
+        points = sweep(drill_from_scores(pairs))
+        recalls = [p.recall for p in points]
         assert all(b <= a for a, b in zip(recalls, recalls[1:]))
 
     def test_threshold_set_nesting_is_exact(self, rng):
-        data = dataset_from_scores(
+        data = drill_from_scores(
             [(rng.randint(0, 30), rng.random() < 0.5) for _ in range(100)])
         scores = data.scores()
         previous = None
@@ -111,41 +116,27 @@ class TestSweepThreshold:
                 assert detected <= previous
             previous = detected
 
-    def test_grid_validation(self):
-        data = dataset_from_scores([(0, True), (10, False)])
-        with pytest.raises(ValueError, match="empty"):
-            sweep_threshold(data, [])
-        with pytest.raises(ValueError, match="ascending"):
-            sweep_threshold(data, [0.5, 0.2])
-        with pytest.raises(ValueError, match="0, 1"):
-            sweep_threshold(data, [0.0, 0.5])
-        with pytest.raises(ValueError, match="records"):
-            sweep_threshold(LabeledDataset((), data.processed))
-
     def test_degenerate_zero_zero_points_not_selected(self):
         # all scores far below 1.0: thresholds above them give (0, 0)
-        data = dataset_from_scores([(3, True)] * 6 + [(20, False)] * 6)
-        curve = sweep_threshold(data)
-        best = curve.at_intersection()
+        data = drill_from_scores([(3, True)] * 6 + [(20, False)] * 6)
+        best = calibrate(data.scores(), data.truth(CONTACT))
         assert best.precision + best.recall > 0
 
+    def test_default_grid_is_the_alpha_grid(self):
+        data = drill_from_scores([(i % 7, i % 3 == 0) for i in range(50)])
+        points = sweep(data)
+        assert tuple(p.alpha for p in points) == DEFAULT_ALPHA_GRID
+        assert points == sweep_scores(data.scores(), data.truth(CONTACT),
+                                      list(DEFAULT_ALPHA_GRID))
+
     def test_deterministic(self):
-        data = dataset_from_scores([(i % 7, i % 3 == 0) for i in range(50)])
-        a = sweep_threshold(data)
-        b = sweep_threshold(data)
+        data = drill_from_scores([(i % 7, i % 3 == 0) for i in range(50)])
+        a = sweep(data)
+        b = sweep(data)
         assert a == b
 
 
-class TestCalibrationCurve:
-    def test_points_must_be_sorted(self):
-        p = CalibrationPoint(0.5, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="sorted"):
-            CalibrationCurve((p, CalibrationPoint(0.2, 1.0, 1.0, 1.0)), 0.5)
-
-    def test_metrics_must_be_in_unit_interval(self):
-        with pytest.raises(ValueError, match="0, 1"):
-            CalibrationCurve((CalibrationPoint(0.5, 1.5, 1.0, 1.0),), 0.5)
-
+class TestPickIntersection:
     def test_pick_intersection_prefers_smaller_alpha_on_ties(self):
         points = (
             CalibrationPoint(0.1, 0.6, 0.6, 0.6),
@@ -223,13 +214,11 @@ class TestCsvOutput:
 
 class TestSweepDegenerateInputs:
     def test_single_record_dataset_follows_conventions(self):
-        data = dataset_from_scores([(0, True)])  # one contact scoring 1.0
-        curve = sweep_threshold(data)
+        data = drill_from_scores([(0, True)])  # one contact scoring 1.0
         assert all(p.precision == p.recall == p.f1 == 1.0
-                   for p in curve.points)
-        lone_negative = dataset_from_scores([(4, False)])  # scores 0.2
-        curve = sweep_threshold(lone_negative)
-        for p in curve.points:
+                   for p in sweep(data))
+        lone_negative = drill_from_scores([(4, False)])  # scores 0.2
+        for p in sweep(lone_negative):
             if p.alpha <= 0.2:  # detected: precision 0 (truth empty -> r=1)
                 assert (p.precision, p.recall, p.f1) == (0.0, 1.0, 0.0)
             else:  # nothing detected and nothing to detect
@@ -247,7 +236,7 @@ class TestRobustnessSuite:
                                   sampling_periods=(), device_pairs=()))
         env, layout = make_site("office", seed=1)
         data = collect_proximity_data(env, layout)
-        truth = data.labeled(2).truth()
+        truth = data.truth(2)
         from wifitrace.evaluation import (pick_intersection, sweep_scores,
                                           _prf_from_masks)
         alpha = pick_intersection(
@@ -272,7 +261,7 @@ class TestRobustnessSuite:
                                   sampling_periods=(), device_pairs=()))
         env, layout = make_site("office", seed=seed)
         data = collect_proximity_data(env, layout)
-        truth = data.labeled(k).truth()
+        truth = data.truth(k)
         alpha = pick_intersection(
             sweep_scores(data.scores(), truth, DEFAULT_ALPHA_GRID)).alpha
         # one draw over the distinct ids of every position's scans together
@@ -328,20 +317,19 @@ class TestRobustnessSuite:
         case = simulate_profile(env, stationary(layout.line_position(0), 0, 600),
                                 5, stream=_CASE_STREAM)
         processed = build_case_profile(case, LifespanSchedule(default=0))
-        records = [
-            LabeledRecord(vec, i <= k) for i in range(1, 11)
+        hetero = ProximityData(processed, tuple(
+            (vec, float(i)) for i in range(1, 11)
             for vec in simulate_profile(
                 env, stationary(layout.line_position(i), 0, 600,
                                 DeviceParams(bias, rate)),
-                5, stream=_USER_STREAM + i).vectors]
-        best = sweep_threshold(
-            LabeledDataset(records, processed)).at_intersection()
+                5, stream=_USER_STREAM + i).vectors))
+        best = calibrate(hetero.scores(), hetero.truth(k))
         assert tables["devices"] == [dict(
             seed=seed, device_bias=bias, device_detect_rate=rate,
             alpha=best.alpha, precision=best.precision, recall=best.recall,
             f1=best.f1)]
         data = collect_proximity_data(env, layout)
-        truth = data.labeled(k).truth()
+        truth = data.truth(k)
         alpha = pick_intersection(
             sweep_scores(data.scores(), truth, DEFAULT_ALPHA_GRID)).alpha
         # each position simulated alone, then noised with its own seed
@@ -376,7 +364,7 @@ def test_study_rows_are_the_sweep_intersections():
     assert len(proximity) == len(similarity) == len(ks)
     data = collect_proximity_data(*make_site("office", seed=seed))
     for k, ours, baseline in zip(ks, proximity, similarity):
-        best = sweep_threshold(data.labeled(k)).at_intersection()
+        best = calibrate(data.scores(), data.truth(k))
         metrics = dict(precision=best.precision, recall=best.recall, f1=best.f1)
         assert ours == dict(seed=seed, k=k, alpha=best.alpha, **metrics)
         assert baseline == dict(seed=seed, k=k, metric="similarity",
@@ -384,17 +372,16 @@ def test_study_rows_are_the_sweep_intersections():
 
 
 class TestDatasetConstruction:
-    def test_records_cover_all_positions_with_distances(self):
+    def test_drill_covers_ten_positions_with_distances(self):
         env, layout = make_site("office", seed=1)
-        data = collect_proximity_data(env, layout, positions=(1, 2, 3),
-                                      duration=60)
+        data = collect_proximity_data(env, layout)
         distances = sorted({d for _, d in data.vectors})
-        assert distances == [1.0, 2.0, 3.0]
-        assert len(data.vectors) == 3 * 12
-        assert len(data.processed) == 11
+        assert distances == [float(i) for i in range(1, 11)]
+        assert len(data.vectors) == 10 * 120
+        assert len(data.processed) == 119
 
-    def test_every_record_time_covered_by_profile(self):
+    def test_every_scan_time_covered_by_profile(self):
         env, layout = make_site("office", seed=1)
-        data = collect_proximity_data(env, layout, positions=(1,), duration=120)
+        data = collect_proximity_data(env, layout)
         for vec, _ in data.vectors:
             assert any(s.covers(vec.timestamp) for s in data.processed.segments)

@@ -339,6 +339,31 @@ class TestClientSync:
         again = client_sync(state, server.endpoint, self.user_profile())
         assert again.flags == () and again.episodes == ()
 
+    def test_cursor_is_fsynced_before_it_replaces_the_old_one(
+            self, tmp_path, monkeypatch):
+        state = SyncState(tmp_path / "client")
+        state.advance(4)
+        tmp = tmp_path / "client" / "cursor.tmp"
+        events = []
+        real_fsync, real_replace = exchange.os.fsync, exchange.os.replace
+
+        def fsync(fd):
+            events.append(("fsync", tmp.read_text()))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", str(src), str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(exchange.os, "fsync", fsync)
+        monkeypatch.setattr(exchange.os, "replace", replace)
+        state.advance(9)
+        assert events == [
+            ("fsync", "9\n"),
+            ("replace", str(tmp), str(tmp_path / "client" / "cursor")),
+        ]
+        assert state.last_record_id == 9 and not tmp.exists()
+
     def test_network_failure_leaves_state_unchanged(self, tmp_path):
         state = SyncState(tmp_path / "client")
         state.advance(7)

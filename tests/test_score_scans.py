@@ -11,8 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wifitrace import similarity
 from wifitrace.detection import ContactFlag, DetectionConfig, detect_contacts
 from wifitrace.evaluation import (
-    LabeledDataset,
-    LabeledRecord,
     ProximityData,
     precision_recall_f1,
     record_score,
@@ -121,15 +119,19 @@ def test_detect_contacts_matches_per_pair_loop(cells, user, profiles, alpha):
 
 
 @settings(examples, max_examples=150)
-@given(scans=unordered_scans, profile=profiles())
-def test_record_score_and_dataset_scores_match(cells, scans, profile):
+@given(scans=unordered_scans, profile=profiles(),
+       proximity=st.sampled_from([0.5, 1.0, 2.5, 10.0]))
+def test_record_score_and_dataset_scores_match(cells, scans, profile,
+                                               proximity):
     expected = [reference_best(vec, profile.segments) for vec in scans]
     assert [record_score(vec, profile) for vec in scans] == expected
-    records = [LabeledRecord(vec, True) for vec in scans]
-    got = LabeledDataset(records, profile).scores()
+    distances = [float(i % 10 + 1) for i in range(len(scans))]
+    data = ProximityData(profile, tuple(zip(scans, distances)))
+    got = data.scores()
     assert got.dtype == np.float64 and got.tolist() == expected
-    data = ProximityData(profile, tuple((vec, 1.0) for vec in scans))
-    assert data.scores().tolist() == expected
+    truth = data.truth(proximity)
+    assert truth.dtype == bool
+    assert truth.tolist() == [d <= proximity for d in distances]
 
 
 @settings(examples, max_examples=150)

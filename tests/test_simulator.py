@@ -15,10 +15,10 @@ from wifitrace.simulator import (
     SimAp,
     SimEnvironment,
     SimTrajectory,
+    drop_ids,
     emit_scenario,
     make_paired_scenario,
     make_site,
-    perturb_filter_aps,
     perturb_rssi_noise,
     sample_scan,
     simulate_profile,
@@ -169,33 +169,39 @@ class TestPerturbations:
         return simulate_profile(env, stationary((6.0, 6.0), 0, 300), 5)
 
     def test_filter_rate_zero_identity(self):
-        profile = self.make_profile()
-        assert perturb_filter_aps(profile, 0.0, seed=3) == profile
+        scans = self.make_profile().vectors
+        assert drop_ids(scans, 0.0, seed=3) == list(scans)
 
     def test_filter_rate_one_empties_all(self):
-        profile = self.make_profile()
-        filtered = perturb_filter_aps(profile, 1.0, seed=3)
-        assert all(len(v) == 0 for v in filtered.vectors)
-        assert [v.timestamp for v in filtered.vectors] == [
-            v.timestamp for v in profile.vectors]
+        scans = self.make_profile().vectors
+        filtered = drop_ids(scans, 1.0, seed=3)
+        assert all(len(v) == 0 for v in filtered)
+        assert [v.timestamp for v in filtered] == [v.timestamp for v in scans]
 
     def test_filter_half_removes_about_half_the_ids(self):
-        profile = self.make_profile()
+        scans = self.make_profile().vectors
         survivors = []
         for seed in range(30):
-            filtered = perturb_filter_aps(profile, 0.5, seed=seed)
-            survivors.append(len({s for v in filtered.vectors
-                                  for s in v.readings}))
-        total = len({s for v in profile.vectors for s in v.readings})
+            filtered = drop_ids(scans, 0.5, seed=seed)
+            survivors.append(len({s for v in filtered for s in v.readings}))
+        total = len({s for v in scans for s in v.readings})
         assert total == 25
         assert 0.3 * total < statistics.mean(survivors) < 0.7 * total
 
     def test_filter_deterministic_per_seed(self):
-        profile = self.make_profile()
-        assert perturb_filter_aps(profile, 0.4, 9) == perturb_filter_aps(
-            profile, 0.4, 9)
-        assert perturb_filter_aps(profile, 0.4, 9) != perturb_filter_aps(
-            profile, 0.4, 10)
+        scans = self.make_profile().vectors
+        assert drop_ids(scans, 0.4, 9) == drop_ids(scans, 0.4, 9)
+        assert drop_ids(scans, 0.4, 9) != drop_ids(scans, 0.4, 10)
+
+    def test_scenario_filter_drops_ids_from_the_user_scans(self):
+        env = grid_env(std=2.0, seed=4)
+        walk = stationary((6.0, 6.0), 0, 300)
+        plain = Scenario(env, walk, walk, user_period=5)
+        filtered = Scenario(env, walk, walk, user_period=5, filter_rate=0.3)
+        scans = plain.user_profile().vectors
+        assert filtered.user_profile().vectors == tuple(
+            drop_ids(scans, 0.3, seed=4))
+        assert filtered.user_profile() != plain.user_profile()
 
     def test_noise_zero_identity(self):
         profile = self.make_profile()
