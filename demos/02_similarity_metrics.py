@@ -17,7 +17,6 @@ from wifitrace import (
     jaccard,
     overlap_ratio,
     rssi_difference,
-    signal_similarity,
 )
 from wifitrace.evaluation import record_score
 from wifitrace.simulator import make_paired_scenario, make_site

@@ -18,7 +18,8 @@ gives bit-identical floats. Detection and evaluation both go through it.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, count
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -83,12 +84,11 @@ class _Columns:
 
     def __init__(self, segments: Sequence[ProfileSegment]):
         ranges = [seg.vector.ranges for seg in segments]
-        self.index: dict[bytes, int] = {}
-        self.col = np.array(
-            [self.index.setdefault(sid.value, len(self.index))
-             for r in ranges for sid in r],
-            dtype=np.intp,
-        )
+        values = list(map(attrgetter("value"), chain.from_iterable(ranges)))
+        # numbered in first-seen order
+        self.index: dict[bytes, int] = dict(zip(dict.fromkeys(values), count()))
+        self.col = np.fromiter(map(self.index.__getitem__, values),
+                               dtype=np.intp, count=len(values))
         lo_hi = np.fromiter(
             chain.from_iterable(chain.from_iterable(r.values() for r in ranges)),
             dtype=np.int16, count=2 * len(self.col),

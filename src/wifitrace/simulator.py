@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +36,6 @@ from .model import (
     SignalId,
     SignalProfile,
     SignalVector,
-    clamp_rssi,
 )
 from .processing import build_case_profile
 from .profileio import write_profile
@@ -43,6 +44,12 @@ TRUTH_MAGIC = "vcontact-truth/1"
 
 # fixed per-site layout seeds: a preset is the same site in every scenario
 _SITE_SEEDS = {"office": 132, "bus-station": 201, "mall": 319}
+
+# scans x APs per block of simulated scans: bounds the float temporaries
+_BLOCK = 1 << 16
+
+# SignalId orders by its value; keying on the bytes keeps comparisons in C
+_VALUE = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,9 @@ class SimEnvironment:
         object.__setattr__(
             self, "_ap_tx", np.array([ap.tx_power for ap in self.aps], dtype=float)
         )
+        object.__setattr__(
+            self, "_ap_ids", np.array([ap.sid for ap in self.aps], dtype=object)
+        )
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,16 @@ class SimTrajectory:
         object.__setattr__(self, "waypoints", wps)
 
     def position_at(self, t: float) -> tuple[float, float]:
-        times = [w[0] for w in self.waypoints]
-        xs = [w[1][0] for w in self.waypoints]
-        ys = [w[1][1] for w in self.waypoints]
-        return (float(np.interp(t, times, xs)), float(np.interp(t, times, ys)))
+        x, y = self._positions([t])[0].tolist()
+        return (x, y)
+
+    def _positions(self, times: Sequence[float]) -> np.ndarray:
+        """(len(times), 2) positions, one np.interp per axis."""
+        wp_t = [w[0] for w in self.waypoints]
+        return np.column_stack([
+            np.interp(times, wp_t, [w[1][axis] for w in self.waypoints])
+            for axis in (0, 1)
+        ])
 
     @property
     def t_start(self) -> int:
@@ -140,6 +156,48 @@ def _rng(env: SimEnvironment, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng((env.seed, stream, index))
 
 
+def _scan_readings(
+    env: SimEnvironment,
+    positions: np.ndarray,
+    device: DeviceParams,
+    stream: int,
+    first_index: int,
+) -> list[dict[SignalId, int]]:
+    """Readings of one scan per row of ``positions``, in AP order.
+
+    Scan i draws from its own generator (env.seed, stream, first_index + i):
+    one normal over all APs, then one uniform over all APs. Path loss is
+    computed once per run of equal positions, so once for a stationary walk.
+    """
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("scan position must be finite")
+    n_aps = len(env.aps)
+    if n_aps == 0:
+        return [{} for _ in positions]
+    moved = np.ones(len(positions), dtype=bool)
+    moved[1:] = np.any(positions[1:] != positions[:-1], axis=1)
+    spots = positions[moved]
+    dist = np.hypot(env._ap_pos[:, 0] - spots[:, :1],
+                    env._ap_pos[:, 1] - spots[:, 1:])
+    # tx_power is referenced at 1 m; the model is not valid closer than that
+    mean = env._ap_tx - 10.0 * env.path_loss_exponent * np.log10(
+        np.maximum(dist, 1.0)
+    )
+    noise = np.empty((len(positions), n_aps))
+    uniform = np.empty_like(noise)
+    for i in range(len(positions)):
+        rng = _rng(env, stream, first_index + i)
+        noise[i] = rng.normal(0.0, env.shadowing_std or 0.0, n_aps)
+        uniform[i] = rng.random(n_aps)
+    rssi = mean[np.cumsum(moved) - 1] + noise + device.bias
+    rssi = np.clip(np.rint(rssi), RSSI_FLOOR, RSSI_CEIL).astype(int)
+    heard = (rssi >= env.detection_floor) & (uniform < device.detect_rate)
+    # row-major: scan by scan, each scan's APs in AP order
+    readings = zip(env._ap_ids[np.nonzero(heard)[1]].tolist(),
+                   rssi[heard].tolist())
+    return [dict(islice(readings, n)) for n in heard.sum(axis=1).tolist()]
+
+
 def sample_scan(
     env: SimEnvironment,
     position: tuple[float, float],
@@ -153,26 +211,8 @@ def sample_scan(
     (stream, index) select the random draw; the same (env.seed, stream,
     index) always reproduces the same scan bit-for-bit.
     """
-    pos = np.asarray(position, dtype=float)
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("scan position must be finite")
-    n_aps = len(env.aps)
-    if n_aps == 0:
-        return SignalVector({}, timestamp)
-    rng = _rng(env, stream, index)
-    dist = np.hypot(*(env._ap_pos - pos).T)
-    # tx_power is referenced at 1 m; the model is not valid closer than that
-    rssi = env._ap_tx - 10.0 * env.path_loss_exponent * np.log10(
-        np.maximum(dist, 1.0)
-    )
-    rssi = rssi + rng.normal(0.0, env.shadowing_std or 0.0, n_aps) + device.bias
-    detect = rng.random(n_aps) < device.detect_rate
-    rssi = np.clip(np.rint(rssi), RSSI_FLOOR, RSSI_CEIL).astype(int)
-    readings = {
-        env.aps[i].sid: int(rssi[i])
-        for i in range(n_aps)
-        if rssi[i] >= env.detection_floor and detect[i]
-    }
+    pos = np.asarray(position, dtype=float).reshape(1, 2)
+    readings, = _scan_readings(env, pos, device, stream, index)
     return SignalVector(readings, timestamp)
 
 
@@ -193,16 +233,20 @@ def simulate_profile(
     """Scan along a trajectory, one scan per sampling period.
 
     Timestamps start at the first waypoint and run to (but not including)
-    the last; a single-waypoint trajectory yields one scan.
+    the last; a single-waypoint trajectory yields one scan. Scan i draws
+    exactly what ``sample_scan(..., stream=stream, index=i)`` draws.
     """
-    vectors = []
-    for i, t in enumerate(scan_times(trajectory.t_start, trajectory.t_end,
-                                     sampling_period)):
-        vectors.append(
-            sample_scan(env, trajectory.position_at(t), trajectory.device,
-                        stream=stream, index=i, timestamp=t)
-        )
-    return SignalProfile(vectors, device_tag=device_tag)
+    times = scan_times(trajectory.t_start, trajectory.t_end, sampling_period)
+    positions = trajectory._positions(times)
+    step = max(1, _BLOCK // max(1, len(env.aps)))
+    readings = []
+    for lo in range(0, len(times), step):
+        readings += _scan_readings(env, positions[lo:lo + step],
+                                   trajectory.device, stream, lo)
+    return SignalProfile(
+        [SignalVector(r, t) for r, t in zip(readings, times)],
+        device_tag=device_tag,
+    )
 
 
 def make_paired_scenario(
@@ -246,12 +290,14 @@ def drop_ids(
     """
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must be in [0, 1]")
-    ids = sorted({sid for vec in vectors for sid in vec.readings})
+    values = sorted(set(map(_VALUE, chain.from_iterable(
+        vec.readings for vec in vectors))))
     rng = np.random.default_rng((seed, 0xF117E2))
-    removed = {sid for sid, u in zip(ids, rng.random(len(ids))) if u < rate}
+    removed = set(compress(values, (rng.random(len(values)) < rate).tolist()))
     return [
         SignalVector(
-            {sid: r for sid, r in vec.readings.items() if sid not in removed},
+            {sid: r for sid, r in vec.readings.items()
+             if sid.value not in removed},
             vec.timestamp,
         )
         for vec in vectors
@@ -261,23 +307,26 @@ def drop_ids(
 def perturb_rssi_noise(
     profile: SignalProfile, std: float, seed: int = 0
 ) -> SignalProfile:
-    """Add Gaussian noise to every reading, re-clamped into [-100, 0]."""
+    """Add Gaussian noise to every reading, re-clamped into [-100, 0].
+
+    One stream per profile, drawn over the readings scan by scan, each
+    scan's readings in id order.
+    """
     if std < 0:
         raise ValueError("std must be >= 0")
+    order = [sorted(vec.readings, key=_VALUE) for vec in profile.vectors]
+    total = sum(map(len, order))
+    rssi = np.fromiter(
+        chain.from_iterable(map(vec.readings.__getitem__, ids)
+                            for vec, ids in zip(profile.vectors, order)),
+        dtype=float, count=total,
+    )
     rng = np.random.default_rng((seed, 0x201E))
-    vectors = []
-    for vec in profile.vectors:
-        items = sorted(vec.readings.items())
-        noise = rng.normal(0.0, std, len(items))
-        vectors.append(
-            SignalVector(
-                {
-                    sid: clamp_rssi(int(round(rssi + dn)))
-                    for (sid, rssi), dn in zip(items, noise)
-                },
-                vec.timestamp,
-            )
-        )
+    noisy = iter(np.clip(np.rint(rssi + rng.normal(0.0, std, total)),
+                         RSSI_FLOOR, RSSI_CEIL).astype(int).tolist())
+    # zip stops at the end of ids without taking a value from noisy
+    vectors = [SignalVector(dict(zip(ids, noisy)), vec.timestamp)
+               for vec, ids in zip(profile.vectors, order)]
     return SignalProfile(vectors, device_tag=profile.device_tag)
 
 

@@ -9,6 +9,8 @@ other way around.
 from fractions import Fraction
 from math import ceil
 
+import numpy as np
+
 FLOOR = -100
 
 
@@ -159,6 +161,67 @@ def episodes_brute(flags: list[tuple[int, bool]], window: int, min_exposure: int
         members = [t for t in trues if lo <= t <= hi]
         episodes.append((members[0], members[-1], len(members)))
     return episodes
+
+
+# --- simulator ------------------------------------------------------------------
+# The per-scan, per-reading simulator the vectorised one replaced. Same draws
+# in the same order: each scan has its own generator (seed, stream, index)
+# with one normal then one uniform over all APs, in AP order; RSSI noise is
+# one stream per profile over each scan's readings in id order.
+
+def sample_scan_ref(env, position, device, stream=0, index=0) -> dict:
+    x, y = position
+    if not (np.isfinite(x) and np.isfinite(y)):
+        raise ValueError("scan position must be finite")
+    n_aps = len(env.aps)
+    if n_aps == 0:
+        return {}
+    rng = np.random.default_rng((env.seed, stream, index))
+    pos = np.array([ap.position for ap in env.aps], dtype=float)
+    tx = np.array([ap.tx_power for ap in env.aps], dtype=float)
+    dist = np.hypot(*(pos - np.array([x, y], dtype=float)).T)
+    rssi = tx - 10.0 * env.path_loss_exponent * np.log10(np.maximum(dist, 1.0))
+    rssi = rssi + rng.normal(0.0, env.shadowing_std or 0.0, n_aps) + device.bias
+    detect = rng.random(n_aps) < device.detect_rate
+    rssi = np.clip(np.rint(rssi), -100, 0).astype(int)
+    return {
+        env.aps[i].sid: int(rssi[i])
+        for i in range(n_aps)
+        if rssi[i] >= env.detection_floor and detect[i]
+    }
+
+
+def simulate_profile_ref(env, trajectory, sampling_period, stream=0) -> list:
+    """[(timestamp, readings)] of one scan per period along the waypoints."""
+    times = [w[0] for w in trajectory.waypoints]
+    xs = [w[1][0] for w in trajectory.waypoints]
+    ys = [w[1][1] for w in trajectory.waypoints]
+    instants = list(range(times[0], times[-1], sampling_period)) or [times[0]]
+    return [
+        (t, sample_scan_ref(env, (float(np.interp(t, times, xs)),
+                                  float(np.interp(t, times, ys))),
+                            trajectory.device, stream, i))
+        for i, t in enumerate(instants)
+    ]
+
+
+def drop_ids_ref(scans: list, rate: float, seed: int = 0) -> list:
+    ids = sorted({sid for _, readings in scans for sid in readings})
+    rng = np.random.default_rng((seed, 0xF117E2))
+    removed = {sid for sid, u in zip(ids, rng.random(len(ids))) if u < rate}
+    return [(t, {sid: r for sid, r in readings.items() if sid not in removed})
+            for t, readings in scans]
+
+
+def perturb_rssi_noise_ref(scans: list, std: float, seed: int = 0) -> list:
+    rng = np.random.default_rng((seed, 0x201E))
+    out = []
+    for t, readings in scans:
+        items = sorted(readings.items())
+        noise = rng.normal(0.0, std, len(items))
+        out.append((t, {sid: min(0, max(FLOOR, int(round(rssi + dn))))
+                        for (sid, rssi), dn in zip(items, noise)}))
+    return out
 
 
 # --- metrics ------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from wifitrace.detection import (
     match_and_notify,
 )
 from wifitrace.evaluation import (
-    DEFAULT_ALPHA_GRID,
     RobustnessKnobs,
     calibrate,
     collect_proximity_data,

@@ -1,10 +1,11 @@
 import math
 import statistics
 
-import numpy as np
 import pytest
 
+import oracles
 from wifitrace.detection import DetectionConfig
+from wifitrace.evaluation import random_walk
 from wifitrace.model import RSSI_CEIL, RSSI_FLOOR
 from wifitrace.similarity import signal_similarity
 from wifitrace.processing import build_processed_vector
@@ -226,6 +227,106 @@ class TestPerturbations:
         ]
         expected = std * math.sqrt(2 / math.pi)
         assert statistics.mean(changes) == pytest.approx(expected, rel=0.12)
+
+
+def assert_same_scans(vectors, expected):
+    """Equal readings, in the same dict order, as int values."""
+    assert [v.timestamp for v in vectors] == [t for t, _ in expected]
+    for vec, (_, readings) in zip(vectors, expected):
+        assert vec.readings == readings
+        assert list(vec.readings.items()) == list(readings.items())
+        assert all(type(r) is int for r in vec.readings.values())
+
+
+def plain(vectors):
+    return [(v.timestamp, dict(v.readings)) for v in vectors]
+
+
+class TestMatchesReference:
+    """The vectorised simulator draws exactly what the per-scan loop in
+    oracles.py draws."""
+
+    BIASED = DeviceParams(bias=-4.5, detect_rate=0.7)
+
+    @pytest.mark.parametrize("name", ["office", "bus-station", "mall"])
+    @pytest.mark.parametrize("device", [DeviceParams(), BIASED])
+    def test_stationary_on_every_preset(self, name, device):
+        env, layout = make_site(name, seed=5)
+        walk = stationary(layout.center, 30, 1230, device)  # 240 scans
+        assert_same_scans(
+            simulate_profile(env, walk, 5, stream=3).vectors,
+            oracles.simulate_profile_ref(env, walk, 5, stream=3))
+
+    @pytest.mark.parametrize("name", ["office", "bus-station", "mall"])
+    def test_random_walk_on_every_preset(self, name):
+        env, layout = make_site(name, seed=2)
+        walk = SimTrajectory(random_walk(layout.walk_area, 1800, 7).waypoints,
+                             self.BIASED)
+        assert_same_scans(
+            simulate_profile(env, walk, 5, stream=1).vectors,
+            oracles.simulate_profile_ref(env, walk, 5, stream=1))
+
+    def test_single_waypoint(self):
+        env, layout = make_site("office", seed=4)
+        walk = SimTrajectory(((100, layout.center),), self.BIASED)
+        assert_same_scans(simulate_profile(env, walk, 5).vectors,
+                          oracles.simulate_profile_ref(env, walk, 5))
+
+    @pytest.mark.parametrize("x,bias,rssi", [
+        (0.0, 0.5, -40), (0.0, 1.5, -38), (0.0, -2.5, -42), (0.0, 45.0, 0),
+        (1e6, 0.0, -100),
+    ])
+    def test_rounding_ties_and_clamping(self, x, bias, rssi):
+        # no shadowing: at the AP rssi is exactly tx + bias, so a half-dB
+        # bias is a rounding tie (half to even) and +45 dB clamps at 0; 1 km
+        # away it clamps at -100, which still clears a -100 floor
+        env = one_ap_env(tx=-40.0)
+        walk = stationary((x, 0.0), 0, 20, DeviceParams(bias=bias))
+        expected = oracles.simulate_profile_ref(env, walk, 5)
+        assert_same_scans(simulate_profile(env, walk, 5).vectors, expected)
+        assert expected[0][1] == {ID_POOL[0]: rssi}
+
+    def test_no_aps(self):
+        walk = stationary((1.0, 2.0), 0, 60)
+        profile = simulate_profile(SimEnvironment(()), walk, 5)
+        assert_same_scans(profile.vectors, [(t, {}) for t in range(0, 60, 5)])
+        assert sample_scan(SimEnvironment(()), (1.0, 2.0)).readings == {}
+
+    @pytest.mark.parametrize("index", [0, 1, 250, 2**40])
+    def test_sample_scan(self, index):
+        env, layout = make_site("mall", seed=9)
+        vec = sample_scan(env, layout.center, self.BIASED, stream=4,
+                          index=index, timestamp=17)
+        assert_same_scans([vec], [(17, oracles.sample_scan_ref(
+            env, layout.center, self.BIASED, stream=4, index=index))])
+
+    @pytest.mark.parametrize("std", [0.0, 1.0, 2.5, 4.0, 8.0, 40.0])
+    def test_rssi_noise(self, std):
+        env, layout = make_site("bus-station", seed=3)
+        walk = random_walk(layout.walk_area, 900, 2)
+        profile = simulate_profile(env, walk, 5, device_tag="dev")
+        noisy = perturb_rssi_noise(profile, std, seed=11)
+        assert noisy.device_tag == "dev"
+        assert_same_scans(noisy.vectors, oracles.perturb_rssi_noise_ref(
+            plain(profile.vectors), std, seed=11))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+    def test_drop_ids(self, rate):
+        env, layout = make_site("mall", seed=3)
+        walk = random_walk(layout.walk_area, 900, 4)
+        scans = simulate_profile(env, walk, 5).vectors
+        assert_same_scans(drop_ids(scans, rate, seed=6),
+                          oracles.drop_ids_ref(plain(scans), rate, seed=6))
+
+    def test_non_finite_position_rejected(self):
+        env, _ = make_site("office")
+        with pytest.raises(ValueError, match="finite"):
+            sample_scan(env, (math.nan, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            sample_scan(SimEnvironment(()), (1.0, math.inf))
+        walk = SimTrajectory(((0, (1.0, 1.0)), (60, (math.inf, 1.0))))
+        with pytest.raises(ValueError, match="finite"):
+            simulate_profile(env, walk, 5)
 
 
 class TestSitePresets:
