@@ -42,7 +42,7 @@ print(f"\ncase profile: {len(case_profile)} segments")
 for seg in case_profile.segments:
     spans = ", ".join(
         f"{sid.hex[:8]}:{lo}..{hi}" for sid, (lo, hi) in sorted(
-            seg.vector.ranges.items(), key=lambda kv: kv[0].value))
+            seg.vector.ranges.items()))
     print(f"  [{seg.t_start:>4} .. {seg.t_end:>4}] {spans}")
 print("note: an id missing from one of the two scans opens its range at the")
 print("weak-signal floor (-100), e.g. the street AP above.")
@@ -60,7 +60,7 @@ area_profile = build_area_profile(
 seg = area_profile.segments[0]
 print(f"\narea profile: window [{seg.t_start}, {seg.t_end}] "
       f"(stay end + lifespan)")
-for sid, (lo, hi) in sorted(seg.vector.ranges.items(), key=lambda kv: kv[0].value):
+for sid, (lo, hi) in sorted(seg.vector.ranges.items()):
     print(f"  {sid.hex[:8]}: {lo}..{hi}")
 
 # The file format round-trips byte for byte.

@@ -18,6 +18,7 @@ from . import evaluation as ev
 from .config import load_scenario, load_study
 from .detection import DetectionConfig, serialize_report
 from .exchange import (
+    DEFAULT_RETENTION_DAYS,
     TOKEN_ENV_VAR,
     ExchangeError,
     ExchangeServer,
@@ -182,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--token", default=None,
                    help=f"upload token (or set {TOKEN_ENV_VAR})")
-    p.add_argument("--retention-days", type=float, default=28)
+    p.add_argument("--retention-days", type=float,
+                   default=DEFAULT_RETENTION_DAYS)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("publish", help="upload a processed profile file")

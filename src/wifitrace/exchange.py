@@ -112,11 +112,18 @@ class ProfileStore:
         self._records: list[PublishedRecord] = []
         self._by_digest: dict[bytes, int] = {}
         self.retention_days = retention_days
+        if not self._path.exists():
+            # the log's directory entry is on disk before any publish is
+            # acknowledged, so a power loss cannot take an acked record
+            self._path.touch()
+            dir_fd = os.open(self._dir, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         self._replay()
 
     def _replay(self) -> None:
-        if not self._path.exists():
-            return
         data = self._path.read_bytes()
         records, good = _read_frames(data)
         if good < len(data):
@@ -246,11 +253,13 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
         url = urllib.parse.urlparse(self.path)
         if url.path != "/v1/profiles":
             return self._reply(404, b"unknown endpoint\n")
-        params = urllib.parse.parse_qs(url.query)
+        params = urllib.parse.parse_qs(url.query, keep_blank_values=True)
         try:
-            since = int(params.get("since", ["0"])[0])
-            if since < 0:
-                raise ValueError
+            # one plain decimal, as fetch_since writes it
+            (text,) = params.get("since", ["0"])
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError(text)
+            since = int(text)
         except ValueError:
             return self._reply(400, b"since must be a non-negative integer\n")
         # one frame in memory at a time: the response can be the whole log

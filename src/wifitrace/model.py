@@ -2,10 +2,12 @@
 
 A scan produces a :class:`SignalVector`: the set of access points heard at one
 instant, keyed by a salted one-way hash of the AP MAC address, with integer
-RSSIs in dBm. A device accumulates scans into a :class:`SignalProfile`.
-Published artifacts are :class:`ProcessedProfile` objects, whose per-AP RSSI
-*ranges* summarize an interval (or a surveyed area) and whose validity windows
-are extended by the virus lifespan.
+RSSIs in dBm. A :class:`SignalId` is its 32 digest bytes: it hashes, compares
+and sorts as them, and equals a raw ``bytes`` of the same value. A device
+accumulates scans into a :class:`SignalProfile`. Published artifacts are
+:class:`ProcessedProfile` objects, whose per-AP RSSI *ranges* summarize an
+interval (or a surveyed area) and whose validity windows are extended by the
+virus lifespan.
 
 All types are immutable after construction and safe to share across threads.
 """
@@ -30,26 +32,32 @@ class InsufficientDataError(ValueError):
     """Raised when an operation needs more scan data than was supplied."""
 
 
-@dataclass(frozen=True, order=True)
-class SignalId:
+class SignalId(bytes):
     """Opaque 32-byte digest identifying one access point."""
 
-    value: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != 32:
+    def __new__(cls, value: bytes) -> "SignalId":
+        if not isinstance(value, bytes) or len(value) != 32:
             raise ValueError("SignalId value must be a 32-byte digest")
+        return super().__new__(cls, value)
 
     @classmethod
     def from_hex(cls, text: str) -> "SignalId":
         return cls(bytes.fromhex(text))
 
     @property
+    def value(self) -> bytes:
+        return bytes(self)
+
+    @property
     def hex(self) -> str:
-        return self.value.hex()
+        return bytes.hex(self)
 
     def __repr__(self) -> str:
-        return f"SignalId({self.value.hex()[:12]}..)"
+        return f"SignalId({self.hex[:12]}..)"
+
+    __str__ = __repr__
 
 
 def hash_mac(mac: str, salt: bytes) -> SignalId:

@@ -58,11 +58,6 @@ def _header(kind: str, label: str) -> str:
     return f"{MAGIC} {kind}"
 
 
-def _by_id(entries: dict) -> list[tuple]:
-    """``entries`` (readings or ranges keyed by id) in file order."""
-    return sorted(entries.items(), key=lambda item: item[0].value)
-
-
 def serialize_profile(profile: SignalProfile | ProcessedProfile) -> bytes:
     """Serialize a profile to its canonical UTF-8 byte form."""
     lines: list[str] = []
@@ -70,14 +65,16 @@ def serialize_profile(profile: SignalProfile | ProcessedProfile) -> bytes:
         lines.append(_header(KIND_SIGNAL, profile.device_tag))
         for vec in profile.vectors:
             tokens = [f"t={vec.timestamp}"]
-            tokens += [f"{sid.hex}:{rssi}" for sid, rssi in _by_id(vec.readings)]
+            tokens += [f"{sid.hex}:{rssi}"
+                       for sid, rssi in sorted(vec.readings.items())]
             lines.append(" ".join(tokens))
     elif isinstance(profile, ProcessedProfile):
         lines.append(_header(KIND_PROCESSED, profile.case_label))
         for seg in profile.segments:
             tokens = [f"t={seg.t_start}..{seg.t_end}"]
             tokens += [
-                f"{sid.hex}:{lo}..{hi}" for sid, (lo, hi) in _by_id(seg.vector.ranges)
+                f"{sid.hex}:{lo}..{hi}"
+                for sid, (lo, hi) in sorted(seg.vector.ranges.items())
             ]
             lines.append(" ".join(tokens))
     else:

@@ -18,8 +18,7 @@ gives bit-identical floats. Detection and evaluation both go through it.
 from __future__ import annotations
 
 import math
-from itertools import chain, count
-from operator import attrgetter
+from itertools import chain, count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -84,11 +83,11 @@ class _Columns:
 
     def __init__(self, segments: Sequence[ProfileSegment]):
         ranges = [seg.vector.ranges for seg in segments]
-        values = list(map(attrgetter("value"), chain.from_iterable(ranges)))
+        ids = list(chain.from_iterable(ranges))
         # numbered in first-seen order
-        self.index: dict[bytes, int] = dict(zip(dict.fromkeys(values), count()))
-        self.col = np.fromiter(map(self.index.__getitem__, values),
-                               dtype=np.intp, count=len(values))
+        self.index: dict[bytes, int] = dict(zip(dict.fromkeys(ids), count()))
+        self.col = np.fromiter(map(self.index.__getitem__, ids),
+                               dtype=np.intp, count=len(ids))
         lo_hi = np.fromiter(
             chain.from_iterable(chain.from_iterable(r.values() for r in ranges)),
             dtype=np.int16, count=2 * len(self.col),
@@ -109,7 +108,8 @@ class _Columns:
         readings = [vec.readings for vec in scans]
         sizes = np.fromiter(map(len, readings), dtype=np.intp, count=len(readings))
         other = self.width - 1
-        cols = [self.index.get(sid.value, other) for r in readings for sid in r]
+        cols = list(map(self.index.get, chain.from_iterable(readings),
+                        repeat(other)))
         rssi = np.fromiter(chain.from_iterable(r.values() for r in readings),
                            dtype=np.int16, count=len(cols))
         block = np.full((len(readings), self.width), _UNHEARD, dtype=np.int16)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
-from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -47,9 +46,6 @@ _SITE_SEEDS = {"office": 132, "bus-station": 201, "mall": 319}
 
 # scans x APs per block of simulated scans: bounds the float temporaries
 _BLOCK = 1 << 16
-
-# SignalId orders by its value; keying on the bytes keeps comparisons in C
-_VALUE = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -290,16 +286,12 @@ def drop_ids(
     """
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must be in [0, 1]")
-    values = sorted(set(map(_VALUE, chain.from_iterable(
-        vec.readings for vec in vectors))))
+    ids = sorted(set(chain.from_iterable(vec.readings for vec in vectors)))
     rng = np.random.default_rng((seed, 0xF117E2))
-    removed = set(compress(values, (rng.random(len(values)) < rate).tolist()))
+    removed = set(compress(ids, (rng.random(len(ids)) < rate).tolist()))
     return [
-        SignalVector(
-            {sid: r for sid, r in vec.readings.items()
-             if sid.value not in removed},
-            vec.timestamp,
-        )
+        SignalVector({sid: r for sid, r in vec.readings.items()
+                      if sid not in removed}, vec.timestamp)
         for vec in vectors
     ]
 
@@ -314,7 +306,7 @@ def perturb_rssi_noise(
     """
     if std < 0:
         raise ValueError("std must be >= 0")
-    order = [sorted(vec.readings, key=_VALUE) for vec in profile.vectors]
+    order = [sorted(vec.readings) for vec in profile.vectors]
     total = sum(map(len, order))
     rssi = np.fromiter(
         chain.from_iterable(map(vec.readings.__getitem__, ids)

@@ -9,7 +9,8 @@ from wifitrace import cli
 from wifitrace import evaluation as ev
 from wifitrace.cli import main
 from wifitrace.detection import ContactReport, DetectionConfig
-from wifitrace.exchange import ProfileStore, serve_in_thread
+from wifitrace.exchange import (DEFAULT_RETENTION_DAYS, ProfileStore,
+                                serve_in_thread)
 from wifitrace.model import ProcessedProfile, SignalProfile
 from wifitrace.profileio import read_profile, write_profile
 from wifitrace.simulator import make_site
@@ -155,6 +156,11 @@ def test_sync_without_flags_uses_the_detection_defaults(tmp_path, capsys,
                       "--profile", str(tmp_path / "user.signal"),
                       "--state", str(tmp_path / "state"))
     assert code == 0 and configs == [DetectionConfig()]
+
+
+def test_serve_retention_defaults_to_the_store_default():
+    args = cli.build_parser().parse_args(["serve", "--data-dir", "d"])
+    assert args.retention_days == DEFAULT_RETENTION_DAYS
 
 
 def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import os
 import socket
+import stat
 import threading
 import urllib.error
 import urllib.request
@@ -104,6 +106,24 @@ class TestProfileStore:
         with pytest.raises(ProfileFormatError, match="processed"):
             store.publish(raw)
 
+    def test_log_entry_is_fsynced_before_the_first_publish(
+            self, tmp_path, monkeypatch):
+        events = []
+        real_fsync = exchange.os.fsync
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                          else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(exchange.os, "fsync", fsync)
+        store = ProfileStore(tmp_path / "store")
+        store.publish(processed_bytes())
+        events.append("published")
+        assert events == ["dir", "file", "published"]
+        ProfileStore(tmp_path / "store")
+        assert events == ["dir", "file", "published"]
+
     def test_fetch_since_filters_and_orders(self, store):
         for label in "abc":
             store.publish(processed_bytes(label))
@@ -203,6 +223,18 @@ class TestWireProtocol:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"{server.endpoint}/v1/profiles?since=abc")
         assert exc_info.value.code == 400
+
+    @pytest.mark.parametrize("query, status", [
+        ("0", 200), ("7", 200), ("1_0", 400), ("+5", 400), ("%205", 400),
+        ("%D9%A3", 400), ("-0", 400), ("5&since=x", 400), ("", 400),
+    ])
+    def test_since_is_one_plain_decimal(self, server, query, status):
+        url = f"{server.endpoint}/v1/profiles?since={query}"
+        try:
+            got = urllib.request.urlopen(url).status
+        except urllib.error.HTTPError as exc:
+            got = exc.code
+        assert got == status
 
     def test_upload_token_gate(self, store):
         server = serve_in_thread(store, upload_token="sesame")

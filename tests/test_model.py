@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +53,36 @@ class TestHashMac:
     def test_hex_round_trip(self):
         sid = hash_mac(MAC, b"s")
         assert SignalId.from_hex(sid.hex) == sid
+
+
+DIGESTS = st.binary(min_size=32, max_size=32)
+
+
+class TestSignalId:
+    """An id is its digest bytes: it hashes, compares and sorts as them."""
+
+    @given(DIGESTS, DIGESTS)
+    def test_behaves_as_its_bytes(self, a, b):
+        x, y = SignalId(a), SignalId(b)
+        assert (x == y) == (a == b) and x == a and y == b
+        assert (x < y) == (a < b) and (y < x) == (b < a)
+        assert hash(x) == hash(a) and hash(y) == hash(b)
+        assert sorted([y, x]) == sorted([b, a])
+        for sid in (x, y):
+            for back in (pickle.loads(pickle.dumps(sid)), copy.deepcopy(sid)):
+                assert type(back) is SignalId and back == sid
+            assert type(sid.value) is bytes and sid.value == sid
+            assert repr(sid) == str(sid) == f"SignalId({sid.hex[:12]}..)"
+
+    def test_hash_runs_no_python(self):
+        assert SignalId.__hash__ is bytes.__hash__
+
+    @pytest.mark.parametrize("bad", [
+        b"x" * 31, b"x" * 33, "x" * 32, bytearray(32),
+    ])
+    def test_rejects_anything_but_32_bytes(self, bad):
+        with pytest.raises(ValueError):
+            SignalId(bad)
 
 
 class TestClampRssi:
