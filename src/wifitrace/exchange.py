@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import io
 import operator
 import os
 import re
@@ -74,25 +75,34 @@ _HEADER = re.compile(
     rb"record id=(0|[1-9][0-9]{0,18}) at=(0|-?[1-9][0-9]{0,18}) "
     rb"len=(0|[1-9][0-9]{0,18})\n"
 )
+_MAX_HEADER_LINE = 79  # one byte past the longest header _HEADER matches
 
 
-def _read_frames(data: bytes) -> tuple[list[PublishedRecord], int]:
-    """Parse concatenated frames; returns records and the offset of the
-    first byte that could not be parsed (== len(data) when clean)."""
+def _read_frames(
+        stream: io.BufferedIOBase) -> tuple[list[PublishedRecord], int]:
+    """Parse frames from a seekable binary stream one at a time; returns the
+    records and the offset just past the last good frame."""
     records: list[PublishedRecord] = []
-    pos = 0
-    while pos < len(data):
-        header = _HEADER.match(data, pos)
-        if header is None:
+    size = stream.seek(0, os.SEEK_END)
+    good = stream.seek(0)
+    while header := _HEADER.fullmatch(stream.readline(_MAX_HEADER_LINE)):
+        rid, at, length = map(int, header.groups())
+        if stream.tell() + length >= size:  # torn: the payload is not all there
             break
-        rid, at, length = (int(g) for g in header.groups())
-        start = header.end()
-        end = start + length
-        if data[end:end + 1] != b"\n":
+        payload = stream.read(length)
+        if stream.read(1) != b"\n":
             break
-        records.append(PublishedRecord(rid, data[start:end], at))
-        pos = end + 1
-    return records, pos
+        records.append(PublishedRecord(rid, payload, at))
+        good = stream.tell()
+    return records, good
+
+
+def _parse_processed(profile_bytes: bytes) -> ProcessedProfile:
+    """The record rule on both sides of the relay."""
+    profile = parse_profile(profile_bytes)
+    if not isinstance(profile, ProcessedProfile):
+        raise ProfileFormatError("not a processed profile (scans stay on a device)")
+    return profile
 
 
 class ProfileStore:
@@ -124,11 +134,10 @@ class ProfileStore:
         self._replay()
 
     def _replay(self) -> None:
-        data = self._path.read_bytes()
-        records, good = _read_frames(data)
-        if good < len(data):
-            # torn tail from a crash mid-append: drop it
-            with open(self._path, "r+b") as fh:
+        with open(self._path, "r+b") as fh:
+            records, good = _read_frames(fh)
+            if fh.seek(0, os.SEEK_END) > good:
+                # torn tail from a crash mid-append: drop it
                 fh.truncate(good)
         self._records = records
         self._by_digest = {
@@ -154,12 +163,7 @@ class ProfileStore:
             existing = self._by_digest.get(digest)
         if existing is not None:
             return existing
-        profile = parse_profile(profile_bytes)
-        if not isinstance(profile, ProcessedProfile):
-            raise ProfileFormatError(
-                "only processed profiles may be published (raw scan profiles "
-                "never leave a device)"
-            )
+        _parse_processed(profile_bytes)
         with self._lock:
             # the same bytes may have been appended while this one parsed
             existing = self._by_digest.get(digest)
@@ -342,7 +346,7 @@ def fetch_since(endpoint: str, last_record_id: int,
     """Download all records newer than the cursor."""
     body = _request(f"{endpoint}/v1/profiles?since={int(last_record_id)}",
                     **request_kwargs)
-    records, good = _read_frames(body)
+    records, good = _read_frames(io.BytesIO(body))
     if good != len(body):
         raise ExchangeError("malformed frame in server response")
     return records
@@ -394,14 +398,9 @@ def client_sync(
     published = []
     for record in records:
         try:
-            profile = parse_profile(record.profile_bytes)
+            published.append(_parse_processed(record.profile_bytes))
         except ProfileFormatError as exc:
             raise ExchangeError(f"record {record.record_id}: {exc}") from None
-        if not isinstance(profile, ProcessedProfile):
-            raise ExchangeError(
-                f"record {record.record_id} is not a processed profile"
-            )
-        published.append(profile)
     report = match_and_notify(user_profile, published, cfg)
     state.advance(max(r.record_id for r in records))
     return report

@@ -1,3 +1,4 @@
+import io
 import os
 import socket
 import stat
@@ -302,7 +303,7 @@ class TestWireProtocol:
             publish(server.endpoint, processed_bytes(label))
         raw = urllib.request.urlopen(
             f"{server.endpoint}/v1/profiles?since=0").read()
-        records, consumed = _read_frames(raw)
+        records, consumed = _read_frames(io.BytesIO(raw))
         assert consumed == len(raw)
         assert [r.record_id for r in records] == [1, 2]
 
@@ -317,7 +318,7 @@ class TestWireProtocol:
 
 class TestFrames:
     def test_negative_length_rejected(self):
-        assert _read_frames(b"record id=1 at=0 len=-1\n") == ([], 0)
+        assert _read_frames(io.BytesIO(b"record id=1 at=0 len=-1\n")) == ([], 0)
 
     @pytest.mark.parametrize("header", [
         b"record id=+1 at=0 len=1\n", b"record id=01 at=0 len=1\n",
@@ -327,7 +328,7 @@ class TestFrames:
     ])
     def test_only_canonical_headers(self, header):
         good = _frame(PublishedRecord(1, b"x", 0))
-        records, consumed = _read_frames(good + header + b"x\n")
+        records, consumed = _read_frames(io.BytesIO(good + header + b"x\n"))
         assert consumed == len(good) and len(records) == 1
 
     def test_client_reports_bad_frames_as_exchange_error(self, monkeypatch):
@@ -345,7 +346,7 @@ class TestFrames:
     ), st.binary(max_size=8), st.integers(0, 64))
     def test_parsed_prefix_reframes_exactly(self, clean, noise, at):
         data = clean[:at] + noise + clean[at:]
-        records, good = _read_frames(data)
+        records, good = _read_frames(io.BytesIO(data))
         assert 0 <= good <= len(data)
         assert b"".join(_frame(r) for r in records) == data[:good]
 
