@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import hmac
+import http.client
 import io
+import itertools
 import operator
 import os
 import re
@@ -97,6 +100,14 @@ def _read_frames(
     return records, good
 
 
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _parse_processed(profile_bytes: bytes) -> ProcessedProfile:
     """The record rule on both sides of the relay."""
     profile = parse_profile(profile_bytes)
@@ -116,6 +127,8 @@ class ProfileStore:
 
     def __init__(self, data_dir, retention_days: float = DEFAULT_RETENTION_DAYS):
         self._dir = Path(data_dir)
+        created = list(itertools.takewhile(
+            lambda d: not d.exists(), (self._dir, *self._dir.parents)))
         self._dir.mkdir(parents=True, exist_ok=True)
         self._path = self._dir / self.LOG_NAME
         self._lock = threading.Lock()
@@ -123,14 +136,12 @@ class ProfileStore:
         self._by_digest: dict[bytes, int] = {}
         self.retention_days = retention_days
         if not self._path.exists():
-            # the log's directory entry is on disk before any publish is
-            # acknowledged, so a power loss cannot take an acked record
+            # the log's entry and that of every directory made for it are on
+            # disk before any publish is acknowledged, so a power loss cannot
+            # take an acked record
             self._path.touch()
-            dir_fd = os.open(self._dir, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
+            for directory in (self._dir, *(d.parent for d in created)):
+                _fsync_dir(directory)
         self._replay()
 
     def _replay(self) -> None:
@@ -232,7 +243,8 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
         if urllib.parse.urlparse(self.path).path != "/v1/profiles":
             return self._refuse(404, b"unknown endpoint\n")
         token = self.server.upload_token
-        if token and self.headers.get(TOKEN_HEADER) != token:
+        if token and not hmac.compare_digest(
+                self.headers.get(TOKEN_HEADER, "").encode(), token.encode()):
             return self._refuse(401, b"bad or missing upload token\n")
         text = self.headers.get("Content-Length", "0")
         if not (text.isascii() and text.isdigit()):
@@ -323,7 +335,8 @@ def _request(
             # a definitive server answer: do not retry
             detail = exc.read().decode("utf-8", "replace").strip()
             raise ExchangeError(f"{exc.code}: {detail or exc.reason}") from None
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
+        # HTTPException: a reply cut short or garbled on the way
+        except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             last_error = exc
             if attempt + 1 < retries:
                 time.sleep(backoff * (2 ** attempt))
@@ -338,7 +351,11 @@ def publish(endpoint: str, profile_bytes: bytes,
         headers[TOKEN_HEADER] = upload_token
     body = _request(f"{endpoint}/v1/profiles", data=profile_bytes,
                     headers=headers, **request_kwargs)
-    return int(body.strip())
+    # exactly the reply do_POST writes: a canonical decimal and a newline
+    reply = re.fullmatch(rb"(0|[1-9][0-9]{0,18})\n", body)
+    if reply is None:
+        raise ExchangeError(f"malformed publish reply {body[:40]!r}")
+    return int(reply[1])
 
 
 def fetch_since(endpoint: str, last_record_id: int,

@@ -106,6 +106,23 @@ def test_config_error_exit_code_is_2(tmp_path, capsys):
     assert main(["calibrate", explicit]) == 2
 
 
+def test_proximity_study_writes_one_row_per_proximity(tmp_path, capsys):
+    cfg = write(tmp_path, "study.cfg", STUDY_CFG)
+    code, summary = run_cli(capsys, "proximity-study", cfg, "--out",
+                            str(tmp_path / "out"))
+    assert code == 0
+    with open(summary["csv"], newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ev.CSV_COLUMNS["proximity"]
+    # the config's one seed at each of its proximities
+    assert [(r["seed"], float(r["k"])) for r in rows] == [("1", 1.0),
+                                                           ("1", 2.0)]
+    assert summary["rows"] == len(rows)
+    mean_f1 = sum(float(r["f1"]) for r in rows) / len(rows)
+    assert summary["mean_f1"] == round(mean_f1, 4)
+
+
 def test_inout_study_runs(tmp_path, capsys):
     cfg = write(tmp_path, "study.cfg", STUDY_CFG)
     code, summary = run_cli(capsys, "inout-study", cfg, "--out",

@@ -251,6 +251,20 @@ class TestRobustnessSuite:
             assert row["alpha"] == alpha
 
 
+    def test_sampling_rows_walk_the_site(self):
+        from wifitrace.evaluation import RobustnessKnobs, run_robustness_suite
+        knobs = RobustnessKnobs(filter_rates=(0.0,), noise_stds=(),
+                                sampling_periods=(40, 7200), device_pairs=())
+        tables = run_robustness_suite("office", seeds=(1,), knobs=knobs)
+        (filter_row,) = tables["filter"]
+        walk, too_long = tables["sampling"]
+        assert walk["sampling_period"] == 40 and 0 <= walk["recall"] <= 1
+        assert walk["alpha"] == too_long["alpha"] == filter_row["alpha"]
+        # an hour's walk sampled every two hours is one scan: no segments
+        assert too_long["sampling_period"] == 7200 and too_long["recall"] == 0.0
+        again = run_robustness_suite("office", seeds=(1,), knobs=knobs)
+        assert again["sampling"] == tables["sampling"]
+
     def test_filter_row_drops_one_site_wide_id_draw(self):
         from wifitrace.evaluation import (RobustnessKnobs,
                                           run_robustness_suite, sweep_scores)

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import os
 import socket
 import stat
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifitrace import exchange
+from wifitrace.cli import main
 from wifitrace.exchange import (
     ExchangeError,
     ProfileStore,
@@ -56,6 +59,29 @@ def raw_post(endpoint: str, head: str, body: bytes = b"") -> bytes:
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+@contextlib.contextmanager
+def canned_relay(reply: bytes, connections: int = 1):
+    """A raw socket server that answers each of ``connections`` requests with
+    ``reply`` and hangs up; yields its endpoint and the requests it read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    requests = []
+
+    def serve():
+        for _ in range(connections):
+            conn, _ = listener.accept()
+            with conn:
+                requests.append(conn.recv(65536))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+    finally:
+        thread.join(timeout=5)
+        listener.close()
 
 
 @pytest.fixture
@@ -121,9 +147,29 @@ class TestProfileStore:
         store = ProfileStore(tmp_path / "store")
         store.publish(processed_bytes())
         events.append("published")
-        assert events == ["dir", "file", "published"]
+        # the log's entry in store/, then store/'s entry in tmp_path
+        assert events == ["dir", "dir", "file", "published"]
         ProfileStore(tmp_path / "store")
-        assert events == ["dir", "file", "published"]
+        assert events == ["dir", "dir", "file", "published"]
+
+    def test_every_directory_the_store_creates_is_fsynced(
+            self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = exchange.os.fsync
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(exchange.os, "fsync", fsync)
+        path = tmp_path / "a" / "b" / "store"
+        ProfileStore(path)
+        # up to and including tmp_path, the first ancestor that existed
+        assert synced == [(True, d.stat().st_ino) for d in
+                          (path, path.parent, path.parent.parent, tmp_path)]
+        ProfileStore(path)
+        assert len(synced) == 4
 
     def test_fetch_since_filters_and_orders(self, store):
         for label in "abc":
@@ -157,6 +203,18 @@ class TestProfileStore:
         recovered = ProfileStore(tmp_path / "s")
         assert recovered.last_record_id == 1
         assert len(recovered.fetch_since(0)) == 1
+
+    def test_crash_at_every_offset_of_the_last_frame(self, tmp_path):
+        store = ProfileStore(tmp_path / "s")
+        store.publish(processed_bytes("a"))
+        store.publish(processed_bytes("b"))
+        first = store.fetch_since(0)[0]
+        log = tmp_path / "s" / ProfileStore.LOG_NAME
+        whole = log.read_bytes()
+        for cut in range(len(_frame(first)), len(whole)):
+            log.write_bytes(whole[:cut])
+            assert ProfileStore(tmp_path / "s").fetch_since(0) == [first], cut
+            assert log.read_bytes() == _frame(first), cut
 
     def test_retention_window(self, store):
         store.publish(processed_bytes("old"), now=1_000_000)
@@ -220,6 +278,11 @@ class TestWireProtocol:
         with pytest.raises(ExchangeError, match="404"):
             publish(server.endpoint + "/nope", processed_bytes())
 
+    def test_unknown_get_path_404(self, server):
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            urllib.request.urlopen(f"{server.endpoint}/v1/nope")
+        assert exc_info.value.code == 404
+
     def test_bad_since_parameter_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"{server.endpoint}/v1/profiles?since=abc")
@@ -240,6 +303,16 @@ class TestWireProtocol:
     def test_upload_token_gate(self, store):
         server = serve_in_thread(store, upload_token="sesame")
         try:
+            body = processed_bytes()
+            statuses = []
+            for token in ("", "X-Upload-Token: open\r\n",
+                          "X-Upload-Token: s\u00e9same\r\n",
+                          "X-Upload-Token: sesame\r\n"):
+                reply = raw_post(server.endpoint,
+                                 f"{token}Content-Length: {len(body)}\r\n"
+                                 "Connection: close\r\n", body)
+                statuses.append(int(reply.split()[1]))
+            assert statuses == [401, 401, 401, 200]
             with pytest.raises(ExchangeError, match="401"):
                 publish(server.endpoint, processed_bytes())
             rid = publish(server.endpoint, processed_bytes(),
@@ -331,6 +404,38 @@ class TestFrames:
         records, consumed = _read_frames(io.BytesIO(good + header + b"x\n"))
         assert consumed == len(good) and len(records) == 1
 
+    def test_a_length_past_the_end_is_never_read(self, tmp_path):
+        # 19 digits pass the header pattern but are no size a read can take
+        good = PublishedRecord(1, b"x", 0)
+        data = _frame(good) + b"record id=2 at=0 len=9999999999999999999\nx\n"
+        assert _read_frames(io.BytesIO(data)) == ([good], len(_frame(good)))
+        (tmp_path / "s").mkdir()
+        log = tmp_path / "s" / ProfileStore.LOG_NAME
+        log.write_bytes(data)
+        assert ProfileStore(tmp_path / "s").fetch_since(0, now=0) == [good]
+        assert log.read_bytes() == _frame(good)
+
+    def test_truncated_response_is_retried_then_an_exchange_error(self):
+        with canned_relay(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+                          b"record id=1", connections=2) as (endpoint, seen):
+            with pytest.raises(ExchangeError, match="IncompleteRead"):
+                fetch_since(endpoint, 0, retries=2, backoff=0.01)
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("reply", [
+        b"1_0\n", b"oops\n", b"10", b" 10\n", b"+10\n", b"010\n", b"10\n\n",
+        b"\xd9\xa3\n", b"",
+    ])
+    def test_publish_accepts_only_the_relay_reply(self, monkeypatch, tmp_path,
+                                                  reply):
+        monkeypatch.setattr(exchange, "_request", lambda url, **kw: reply)
+        with pytest.raises(ExchangeError, match="malformed publish reply"):
+            publish("http://relay.invalid", processed_bytes())
+        path = tmp_path / "case.processed"
+        path.write_bytes(processed_bytes())
+        assert main(["publish", str(path),
+                     "--endpoint", "http://relay.invalid"]) == 1
+
     def test_client_reports_bad_frames_as_exchange_error(self, monkeypatch):
         monkeypatch.setattr(exchange, "_request",
                             lambda url, **kw: b"record id=1 at=0 len=-1\n")
@@ -397,6 +502,26 @@ class TestClientSync:
         ]
         assert state.last_record_id == 9 and not tmp.exists()
 
+    def test_raw_profile_record_is_an_exchange_error(self, tmp_path):
+        # the relay never accepts one, so write its frame into the log
+        now = int(time.time())
+        raw = serialize_profile(SignalProfile([SignalVector({X: -50}, 0)]))
+        relay_dir = tmp_path / "relay"
+        relay_dir.mkdir()
+        (relay_dir / ProfileStore.LOG_NAME).write_bytes(
+            _frame(PublishedRecord(1, processed_bytes(), now))
+            + _frame(PublishedRecord(2, raw, now)))
+        server = serve_in_thread(ProfileStore(relay_dir))
+        state = SyncState(tmp_path / "client")
+        try:
+            with pytest.raises(ExchangeError,
+                               match="record 2: not a processed profile"):
+                client_sync(state, server.endpoint, self.user_profile())
+        finally:
+            server.shutdown()
+        assert state.last_record_id == 0
+        assert not (tmp_path / "client" / "cursor").exists()
+
     def test_network_failure_leaves_state_unchanged(self, tmp_path):
         state = SyncState(tmp_path / "client")
         state.advance(7)
@@ -408,25 +533,12 @@ class TestClientSync:
 
     def test_sync_wire_capture_contains_only_the_cursor(self, tmp_path):
         # a one-shot raw socket server records exactly what a sync sends
-        captured = []
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-
-        def serve_once():
-            conn, _ = listener.accept()
-            captured.append(conn.recv(65536))
-            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n"
-                         b"Connection: close\r\n\r\n")
-            conn.close()
-
-        thread = threading.Thread(target=serve_once, daemon=True)
-        thread.start()
         state = SyncState(tmp_path / "client")
         state.advance(3)
-        report = client_sync(state, f"http://127.0.0.1:{port}",
-                             self.user_profile(), retries=1)
-        thread.join(timeout=5)
-        listener.close()
+        with canned_relay(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n"
+                          b"Connection: close\r\n\r\n") as (endpoint, captured):
+            report = client_sync(state, endpoint, self.user_profile(),
+                                 retries=1)
         wire = captured[0].decode("latin-1")
         request_line = wire.splitlines()[0]
         assert request_line == "GET /v1/profiles?since=3 HTTP/1.1"
