@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import evaluation as ev
@@ -134,9 +135,13 @@ def cmd_sync(args) -> int:
                           min_exposure=args.min_exposure,
                           sampling_period=args.period)
     state = SyncState(args.state)
-    report = client_sync(state, args.endpoint, profile, cfg)
-    if args.report:
-        Path(args.report).write_bytes(serialize_report(report))
+    # opened before the sync advances the cursor, so a report that cannot be
+    # written fails first; appending keeps the old report if the sync fails
+    with open(args.report, "ab") if args.report else nullcontext() as out:
+        report = client_sync(state, args.endpoint, profile, cfg)
+        if out:
+            out.truncate(0)
+            out.write(serialize_report(report))
     _summary(command="sync", cursor=state.last_record_id,
              **report.summary())
     return 0

@@ -3,7 +3,7 @@
 Per-timestamp matching: a user's scan at time t is checked against every
 published segment whose validity window contains t; the first segment whose
 similarity reaches the threshold flags the timestamp as a contact and is the
-one recorded. All scans are scored in one batch by similarity.score_scans.
+one recorded. All scans are scored in one batch by similarity's kernel.
 
 Close-contact aggregation: a sliding time window of configurable length is
 passed over the flags; wherever the true flags inside some window placement
@@ -19,8 +19,8 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import ProcessedProfile, SignalProfile
-from .similarity import score_scans
+from .model import ProcessedProfile, SignalProfile, SignalVector
+from .similarity import _Columns, _score_columns
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,26 @@ def detect_contacts(
     Output has exactly one flag per user scan, in timestamp order.
     """
     segments = [seg for profile in published for seg in profile.segments]
-    owners = [(profile.case_label, seg_idx) for profile in published
-              for seg_idx in range(len(profile.segments))]
-    scores, matched = score_scans(user.vectors, segments, cfg.alpha)
+    return _detect_columns(user.vectors, _Columns.from_segments(segments),
+                           [profile.case_label for profile in published],
+                           [len(profile.segments) for profile in published],
+                           cfg)
+
+
+def _detect_columns(
+    vectors: Sequence[SignalVector],
+    cols: _Columns,
+    labels: Sequence[str],
+    counts: Sequence[int],
+    cfg: DetectionConfig,
+) -> list[ContactFlag]:
+    """detect_contacts over records already in one batch of columns, given
+    each record's case label and segment count in input order."""
+    owners = [(label, seg_idx) for label, n in zip(labels, counts)
+              for seg_idx in range(n)]
+    scores, matched = _score_columns(vectors, cols, cfg.alpha)
     flags: list[ContactFlag] = []
-    for vec, score, g in zip(user.vectors, scores.tolist(), matched.tolist()):
+    for vec, score, g in zip(vectors, scores.tolist(), matched.tolist()):
         if g < 0:
             flags.append(ContactFlag(vec.timestamp, False, score))
         else:

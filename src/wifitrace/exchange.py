@@ -37,9 +37,11 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .detection import ContactReport, DetectionConfig, match_and_notify
-from .model import ProcessedProfile, SignalProfile
-from .profileio import ProfileFormatError, parse_profile
+from . import detection
+from .detection import ContactReport, DetectionConfig
+from .model import SignalProfile
+from .profileio import ProfileFormatError, _read_processed
+from .similarity import _Columns
 
 DEFAULT_RETENTION_DAYS = 28
 # far above the largest processed profile a day of scans makes (~130 KB)
@@ -108,12 +110,14 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _parse_processed(profile_bytes: bytes) -> ProcessedProfile:
-    """The record rule on both sides of the relay."""
-    profile = parse_profile(profile_bytes)
-    if not isinstance(profile, ProcessedProfile):
-        raise ProfileFormatError("not a processed profile (scans stay on a device)")
-    return profile
+def _make_dirs(path: Path) -> list[Path]:
+    """Create a directory and its missing parents. Returns the directories
+    whose entries changed, the parent of each one created, innermost first:
+    each must be fsynced for the new directories to survive a power loss."""
+    created = list(itertools.takewhile(
+        lambda d: not d.exists(), (path, *path.parents)))
+    path.mkdir(parents=True, exist_ok=True)
+    return [d.parent for d in created]
 
 
 class ProfileStore:
@@ -127,9 +131,7 @@ class ProfileStore:
 
     def __init__(self, data_dir, retention_days: float = DEFAULT_RETENTION_DAYS):
         self._dir = Path(data_dir)
-        created = list(itertools.takewhile(
-            lambda d: not d.exists(), (self._dir, *self._dir.parents)))
-        self._dir.mkdir(parents=True, exist_ok=True)
+        changed = _make_dirs(self._dir)
         self._path = self._dir / self.LOG_NAME
         self._lock = threading.Lock()
         self._records: list[PublishedRecord] = []
@@ -140,7 +142,7 @@ class ProfileStore:
             # disk before any publish is acknowledged, so a power loss cannot
             # take an acked record
             self._path.touch()
-            for directory in (self._dir, *(d.parent for d in created)):
+            for directory in (self._dir, *changed):
                 _fsync_dir(directory)
         self._replay()
 
@@ -174,7 +176,7 @@ class ProfileStore:
             existing = self._by_digest.get(digest)
         if existing is not None:
             return existing
-        _parse_processed(profile_bytes)
+        _read_processed([profile_bytes])
         with self._lock:
             # the same bytes may have been appended while this one parsed
             existing = self._by_digest.get(digest)
@@ -375,7 +377,8 @@ class SyncState:
 
     def __init__(self, state_dir):
         self._dir = Path(state_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
+        for directory in _make_dirs(self._dir):
+            _fsync_dir(directory)
         self._path = self._dir / "cursor"
 
     @property
@@ -387,13 +390,15 @@ class SyncState:
 
     def advance(self, record_id: int) -> None:
         # the new cursor is on disk before it replaces the old one, so a
-        # crash leaves one or the other, never an empty file
+        # crash leaves one or the other, never an empty file; the directory
+        # fsync makes the replace itself durable
         tmp = self._path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"{record_id}\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._path)
+        _fsync_dir(self._dir)
 
 
 def client_sync(
@@ -412,12 +417,15 @@ def client_sync(
     records = fetch_since(endpoint, state.last_record_id, **request_kwargs)
     if not records:
         return ContactReport((), ())
-    published = []
-    for record in records:
-        try:
-            published.append(_parse_processed(record.profile_bytes))
-        except ProfileFormatError as exc:
-            raise ExchangeError(f"record {record.record_id}: {exc}") from None
-    report = match_and_notify(user_profile, published, cfg)
+    try:
+        labels, counts, columns = _read_processed(
+            [record.profile_bytes for record in records])
+    except ProfileFormatError as exc:
+        raise ExchangeError(
+            f"record {records[exc.record].record_id}: {exc}") from None
+    flags = detection._detect_columns(
+        user_profile.vectors, _Columns(*columns), labels, counts, cfg)
+    # through the module, so that a wrapper set on aggregate_episodes sees it
+    report = detection.aggregate_episodes(flags, cfg)
     state.advance(max(r.record_id for r in records))
     return report

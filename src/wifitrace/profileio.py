@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import urllib.parse
-from typing import NoReturn
+from typing import NoReturn, Sequence
 
 from .model import (
     RSSI_CEIL,
@@ -43,7 +43,13 @@ KIND_PROCESSED = "processed"
 
 
 class ProfileFormatError(ValueError):
-    """Parse failure; the message names the offending line and field."""
+    """Parse failure; the message names the offending line and field.
+
+    When a batch of records was read, ``record`` is the position of the bad
+    one in the batch.
+    """
+
+    record: int | None = None
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
@@ -95,6 +101,13 @@ _RANGES = {
 }
 
 
+def _canonical_ints(texts: list[str]) -> list[int]:
+    values = list(map(int, texts))
+    if list(map(str, values)) != texts:
+        raise ValueError(texts)
+    return values
+
+
 def _canonical_int(text: str) -> int:
     value = int(text)
     if str(value) != text:
@@ -132,10 +145,8 @@ def _fields(
 
 def _signal_record(line: str, ids: dict[str, SignalId]) -> SignalVector:
     when, sids, tokens = _fields(line, ids)
-    rssis = list(map(int, tokens))
-    if list(map(str, rssis)) != tokens:
-        raise ValueError(line)
-    return SignalVector(dict(zip(sids, rssis)), _canonical_int(when))
+    return SignalVector(dict(zip(sids, _canonical_ints(tokens))),
+                        _canonical_int(when))
 
 
 def _processed_record(line: str, ids: dict[str, SignalId]) -> ProfileSegment:
@@ -232,16 +243,8 @@ def _parse_header(line: str) -> tuple[str, str]:
     raise ProfileFormatError(f"unexpected header fields {head[2:]!r}", 1)
 
 
-def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
-    """Parse canonical profile bytes, rejecting anything else.
-
-    Only bytes that :func:`serialize_profile` writes are accepted, except
-    that signal readings outside [-100, 0] are clamped.
-
-    Raises:
-        ProfileFormatError: malformed or non-canonical bytes, or violated
-            invariants, with a diagnostic naming the offending line and field.
-    """
+def _split(data: bytes) -> tuple[str, str, list[str]]:
+    """The kind, the label and the record lines of profile bytes."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -252,12 +255,26 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
     kind, label = _parse_header(lines[0])
     if lines[-1]:
         raise ProfileFormatError("missing final newline", len(lines))
+    return kind, label, lines[1:-1]
+
+
+def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
+    """Parse canonical profile bytes, rejecting anything else.
+
+    Only bytes that :func:`serialize_profile` writes are accepted, except
+    that signal readings outside [-100, 0] are clamped.
+
+    Raises:
+        ProfileFormatError: malformed or non-canonical bytes, or violated
+            invariants, with a diagnostic naming the offending line and field.
+    """
+    kind, label, lines = _split(data)
     processed = kind == KIND_PROCESSED
     parse_record = _processed_record if processed else _signal_record
     # per call, never shared: the relay parses untrusted bodies
     ids: dict[str, SignalId] = {}
     records = []
-    for line_no, line in enumerate(lines[1:-1], 2):
+    for line_no, line in enumerate(lines, 2):
         try:
             records.append(parse_record(line, ids))
         except (KeyError, ValueError):
@@ -269,6 +286,67 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
     except ValueError as exc:
         # profile-level invariant (timestamp order, segment order)
         raise ProfileFormatError(str(exc)) from None
+
+
+def _read_processed(
+    records: Sequence[bytes],
+) -> tuple[list[str], list[int], tuple]:
+    """Read processed-profile records straight into the layout of one batch
+    of columns, building no per-token objects. Returns each record's label
+    and segment count, and the arguments of the batch's ``_Columns``, which a
+    caller that only validates never builds.
+
+    A record is accepted exactly when ``parse_profile`` reads it as a
+    processed profile: each line passes ``_fields`` and the range table,
+    then each record's windows are checked as integers.
+
+    Raises:
+        ProfileFormatError: for the first bad record, as ``parse_profile``
+            raises it (or "not a processed profile"), with ``record`` set
+            to its position.
+    """
+    # per call, never shared: the relay parses untrusted bodies
+    ids: dict[str, SignalId] = {}
+    keys: list[SignalId] = []
+    pairs: list[tuple[int, int]] = []
+    lengths: list[int] = []
+    t_start: list[int] = []
+    t_end: list[int] = []
+    labels: list[str] = []
+    counts: list[int] = []
+    for position, data in enumerate(records):
+        try:
+            kind, label, lines = _split(data)
+            if kind != KIND_PROCESSED:
+                raise ValueError(kind)
+            starts, ends = [], []
+            for line in lines:
+                window, sids, tokens = _fields(line, ids)
+                keys += sids
+                pairs += map(_RANGES.__getitem__, tokens)
+                lengths.append(len(sids))
+                start, _, end = window.partition("..")
+                starts.append(start)
+                ends.append(end)
+            starts, ends = _canonical_ints(starts), _canonical_ints(ends)
+            if (any(map(operator.ge, starts, ends))
+                    or any(map(operator.gt, starts, starts[1:]))):
+                raise ValueError(label)
+        except (KeyError, ValueError):
+            # parse_profile's walk names the bad line and field
+            try:
+                if not isinstance(parse_profile(data), ProcessedProfile):
+                    raise ProfileFormatError(
+                        "not a processed profile (scans stay on a device)")
+            except ProfileFormatError as exc:
+                exc.record = position
+                raise
+            raise  # unreachable: the checks above are parse_profile's
+        t_start += starts
+        t_end += ends
+        labels.append(label)
+        counts.append(len(lines))
+    return labels, counts, (keys, pairs, lengths, t_start, t_end)
 
 
 def write_profile(path, profile: SignalProfile | ProcessedProfile) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, count, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,27 +78,38 @@ def _times(values: list[int]) -> np.ndarray:
 class _Columns:
     """A batch of segments in columnar form. Ids are interned to dense
     column numbers for this batch only; segment g's entries (column, lo, hi)
-    sit at [ptr[g], ptr[g] + length[g]). Ranges fit int16, since
-    ProcessedVector validates them into [-100, 0]."""
+    sit at [ptr[g], ptr[g] + length[g]). Ranges fit int16, since they are
+    validated into [-100, 0].
 
-    def __init__(self, segments: Sequence[ProfileSegment]):
-        ranges = [seg.vector.ranges for seg in segments]
-        ids = list(chain.from_iterable(ranges))
+    Built from each entry's id and (lo, hi) pair, and each segment's entry
+    count and window: from record bytes with the arguments
+    ``profileio._read_processed`` returns, from segments by
+    :meth:`from_segments`.
+    """
+
+    def __init__(self, ids: Sequence[bytes], pairs: Iterable[tuple[int, int]],
+                 lengths: Sequence[int], t_start: list[int], t_end: list[int]):
         # numbered in first-seen order
         self.index: dict[bytes, int] = dict(zip(dict.fromkeys(ids), count()))
         self.col = np.fromiter(map(self.index.__getitem__, ids),
                                dtype=np.intp, count=len(ids))
-        lo_hi = np.fromiter(
-            chain.from_iterable(chain.from_iterable(r.values() for r in ranges)),
-            dtype=np.int16, count=2 * len(self.col),
-        )
+        lo_hi = np.fromiter(chain.from_iterable(pairs), dtype=np.int16,
+                            count=2 * len(ids))
         self.lo, self.hi = lo_hi[0::2], lo_hi[1::2]
-        self.length = np.fromiter(map(len, ranges), dtype=np.intp,
-                                  count=len(ranges))
+        self.length = np.array(lengths, dtype=np.intp)
         self.ptr = np.cumsum(self.length) - self.length
-        self.t_start = _times([seg.t_start for seg in segments])
-        self.t_end = _times([seg.t_end for seg in segments])
+        self.t_start = _times(t_start)
+        self.t_end = _times(t_end)
         self.width = len(self.index) + 1  # the last column: ids no segment has
+
+    @classmethod
+    def from_segments(cls, segments: Sequence[ProfileSegment]) -> "_Columns":
+        ranges = [seg.vector.ranges for seg in segments]
+        return cls(list(chain.from_iterable(ranges)),
+                   chain.from_iterable(r.values() for r in ranges),
+                   list(map(len, ranges)),
+                   [seg.t_start for seg in segments],
+                   [seg.t_end for seg in segments])
 
     def rssi_block(
         self, scans: Sequence[SignalVector]
@@ -154,25 +165,36 @@ def score_scans(
     first such candidate's score and index in input order. Otherwise the
     segment is -1 and the score is the best candidate score, 0.0 with none.
     """
-    n = len(scans)
+    return _score_columns(scans, _Columns.from_segments(segments), alpha,
+                          time_gated)
+
+
+def _score_columns(
+    scans: Sequence[SignalVector],
+    cols: _Columns,
+    alpha: float | None = None,
+    time_gated: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """score_scans over a batch already in columns; segment indices are
+    positions in the batch."""
+    n, m = len(scans), len(cols.length)
     score = np.zeros(n)
     matched = np.full(n, -1, dtype=np.intp)
-    if not n or not segments:
+    if not n or not m:
         return score, matched
-    cols = _Columns(segments)
     times = _times([vec.timestamp for vec in scans])
     # an empty segment shares no id, and shared_terms needs entries per pair
     nonempty = cols.length > 0
     step = max(1, _CELLS // max(1, int(cols.length.max())))
 
     # chunks of scans keep the cover matrix and the RSSI block small
-    rows = max(1, _CELLS // max(len(segments), cols.width))
+    rows = max(1, _CELLS // max(m, cols.width))
     for first in range(0, n, rows):
         t = times[first:first + rows, None]
         if time_gated:
             cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
         else:
-            cover = np.broadcast_to(nonempty, (len(t), len(segments)))
+            cover = np.broadcast_to(nonempty, (len(t), m))
         live = first + np.flatnonzero(cover.any(axis=1))
         block, sizes = cols.rssi_block([scans[i] for i in live])
 

@@ -159,6 +159,32 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
         server.shutdown()
 
 
+def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    server = serve_in_thread(ProfileStore(tmp_path / "server-data"))
+    state = tmp_path / "state"
+    sync = ["sync", "--endpoint", server.endpoint, "--profile", paths["user"],
+            "--state", str(state), "--report"]
+    try:
+        run_cli(capsys, "publish", paths["processed"],
+                "--endpoint", server.endpoint)
+        code, _ = run_cli(capsys, *sync, str(tmp_path / "missing" / "r.txt"))
+        assert code == 2 and not (state / "cursor").exists()
+        report = tmp_path / "report.txt"
+        report.write_text("an older, longer report\n" * 100)
+        # a sync that fails keeps the old report
+        dead = [sync[0], "--endpoint", "http://127.0.0.1:1", *sync[3:]]
+        assert main([*dead, str(report)]) == 1
+        assert report.read_text() == "an older, longer report\n" * 100
+        code, summary = run_cli(capsys, *sync, str(report))
+    finally:
+        server.shutdown()
+    assert code == 0 and summary["cursor"] == 1 and summary["episodes"] == 1
+    text = report.read_text()
+    assert text.startswith("vcontact-report/1\n") and "older" not in text
+
+
 def test_sync_without_flags_uses_the_detection_defaults(tmp_path, capsys,
                                                        monkeypatch):
     write_profile(tmp_path / "user.signal", SignalProfile([]))

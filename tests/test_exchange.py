@@ -3,16 +3,19 @@ import io
 import os
 import socket
 import stat
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wifitrace import exchange
 from wifitrace.cli import main
+from wifitrace.detection import DetectionConfig, match_and_notify
 from wifitrace.exchange import (
     ExchangeError,
     ProfileStore,
@@ -33,7 +36,8 @@ from wifitrace.model import (
     SignalProfile,
     SignalVector,
 )
-from wifitrace.profileio import ProfileFormatError, serialize_profile
+from wifitrace.profileio import (ProfileFormatError, parse_profile,
+                                 serialize_profile)
 
 from conftest import ID_POOL
 
@@ -109,9 +113,10 @@ class TestProfileStore:
         data = processed_bytes()
         assert store.publish(data) == 1
         calls = []
-        real_parse = exchange.parse_profile
-        monkeypatch.setattr(exchange, "parse_profile",
-                            lambda body: calls.append(body) or real_parse(body))
+        real_read = exchange._read_processed
+        monkeypatch.setattr(exchange, "_read_processed",
+                            lambda bodies: calls.append(bodies)
+                            or real_read(bodies))
         assert store.publish(data) == 1
         assert calls == []
         # bodies that never parsed are not in the digest index
@@ -486,7 +491,9 @@ class TestClientSync:
         real_fsync, real_replace = exchange.os.fsync, exchange.os.replace
 
         def fsync(fd):
-            events.append(("fsync", tmp.read_text()))
+            # by inode and size: cursor.tmp is gone after the replace
+            info = os.fstat(fd)
+            events.append(("fsync", info.st_ino, info.st_size))
             real_fsync(fd)
 
         def replace(src, dst):
@@ -496,11 +503,32 @@ class TestClientSync:
         monkeypatch.setattr(exchange.os, "fsync", fsync)
         monkeypatch.setattr(exchange.os, "replace", replace)
         state.advance(9)
+        cursor, directory = tmp_path / "client" / "cursor", tmp_path / "client"
         assert events == [
-            ("fsync", "9\n"),
-            ("replace", str(tmp), str(tmp_path / "client" / "cursor")),
+            ("fsync", cursor.stat().st_ino, len("9\n")),
+            ("replace", str(tmp), str(cursor)),
+            ("fsync", directory.stat().st_ino, directory.stat().st_size),
         ]
         assert state.last_record_id == 9 and not tmp.exists()
+
+    def test_every_directory_the_state_creates_is_fsynced(
+            self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = exchange.os.fsync
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(exchange.os, "fsync", fsync)
+        path = tmp_path / "a" / "b" / "client"
+        SyncState(path)
+        # the parent of each new directory, up to tmp_path, which existed
+        assert synced == [(True, d.stat().st_ino) for d in
+                          (path.parent, path.parent.parent, tmp_path)]
+        SyncState(path)
+        assert len(synced) == 3
 
     def test_raw_profile_record_is_an_exchange_error(self, tmp_path):
         # the relay never accepts one, so write its frame into the log
@@ -545,3 +573,62 @@ class TestClientSync:
         head, _, body = wire.partition("\r\n\r\n")
         assert body == ""  # nothing beyond headers leaves the device
         assert report.flags == () and report.episodes == ()
+
+
+# a device's batch read equals parsing every record and matching them all
+
+@pytest.fixture(scope="module")
+def relay():
+    """One server for every example; each example gives it a fresh store."""
+    with tempfile.TemporaryDirectory() as root:
+        server = serve_in_thread(ProfileStore(Path(root)))
+        yield server
+        server.shutdown()
+
+
+SHARED = ID_POOL[:5]  # every record and scan draws from a few shared ids
+
+
+@st.composite
+def sync_inputs(draw):
+    # times on both sides of the int64 bounds, where the columns hold objects
+    base = draw(st.sampled_from([0, 2**63 - 1500, -2**63 - 500]))
+    ranges = st.dictionaries(
+        st.sampled_from(SHARED),
+        st.tuples(st.integers(-100, -50), st.integers(-50, 0)), max_size=4)
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = base + draw(st.integers(0, 1200))
+        segments = []
+        for _ in range(draw(st.integers(0, 4))):  # a segment may be empty
+            end = t + draw(st.integers(1, 1800))
+            segments.append(
+                ProfileSegment(ProcessedVector(draw(ranges)), t, end))
+            t += draw(st.integers(0, 600))
+        label = draw(st.text(max_size=8))  # escaped on the wire
+        records.append(serialize_profile(
+            ProcessedProfile(segments, case_label=label)))
+    scans = []
+    t = base + draw(st.integers(0, 600))
+    for _ in range(draw(st.integers(1, 15))):
+        readings = draw(st.dictionaries(st.sampled_from(SHARED),
+                                        st.integers(-100, 0), max_size=5))
+        scans.append(SignalVector(readings, t))
+        t += draw(st.sampled_from([60, 120]))
+    cfg = DetectionConfig(alpha=draw(st.sampled_from([0.1, 0.2, 0.5])),
+                          min_exposure=120)
+    return records, SignalProfile(scans), cfg
+
+
+@given(sync_inputs())
+@settings(max_examples=40, deadline=None)
+def test_client_sync_equals_matching_the_parsed_records(relay, inputs):
+    records, user, cfg = inputs
+    with tempfile.TemporaryDirectory() as root:
+        relay.store = ProfileStore(Path(root) / "relay")
+        for data in records:
+            relay.store.publish(data)
+        report = client_sync(SyncState(Path(root) / "device"),
+                             relay.endpoint, user, cfg)
+    published = [parse_profile(data) for data in dict.fromkeys(records)]
+    assert report == match_and_notify(user, published, cfg)

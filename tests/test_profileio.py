@@ -14,9 +14,11 @@ from wifitrace.model import (
 )
 from wifitrace.profileio import (
     ProfileFormatError,
+    _read_processed,
     parse_profile,
     serialize_profile,
 )
+from wifitrace.similarity import _Columns
 
 from conftest import ID_POOL, make_processed_profile, make_profile
 
@@ -37,9 +39,9 @@ def signal_profiles(draw):
 
 
 @st.composite
-def processed_profiles(draw):
+def processed_profiles(draw, starts=st.integers(0, 1000)):
     n = draw(st.integers(0, 5))
-    t = draw(st.integers(0, 1000))
+    t = draw(starts)
     segments = []
     for _ in range(n):
         pairs = draw(st.dictionaries(
@@ -303,3 +305,70 @@ def test_numbers_accepted_exactly_when_canonical():
                 assert text not in NUMBERS and exc.line_no == 2, (template, text)
             else:
                 assert text in NUMBERS, (template, text)
+
+
+# the batch pass reads into columns exactly what parse_profile reads as a
+# processed profile, and rejects the rest with parse_profile's error
+
+def _processed_or_error(data: bytes):
+    try:
+        profile = parse_profile(data)
+    except ProfileFormatError as exc:
+        return exc
+    if not isinstance(profile, ProcessedProfile):
+        return ProfileFormatError(
+            "not a processed profile (scans stay on a device)")
+    return profile
+
+
+def assert_same_columns(got: _Columns, want: _Columns):
+    assert got.index == want.index and got.width == want.width
+    for name in ("col", "lo", "hi", "length", "ptr", "t_start", "t_end"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+
+
+def assert_batch_reads_as_parse_profile(records: list[bytes]):
+    wants = list(map(_processed_or_error, records))
+    bad = [i for i, want in enumerate(wants)
+           if isinstance(want, ProfileFormatError)]
+    if bad:
+        want = wants[bad[0]]
+        with pytest.raises(ProfileFormatError) as got:
+            _read_processed(records)
+        assert str(got.value) == str(want)
+        assert (got.value.line_no, got.value.record) == (want.line_no, bad[0])
+        return
+    labels, counts, columns = _read_processed(records)
+    assert labels == [p.case_label for p in wants]
+    assert counts == [len(p.segments) for p in wants]
+    assert_same_columns(
+        _Columns(*columns),
+        _Columns.from_segments([s for p in wants for s in p.segments]))
+
+
+@given(st.one_of(edited(processed_profiles()), edited(signal_profiles())))
+@settings(max_examples=400)
+def test_batch_read_of_one_record_is_parse_profile(data):
+    assert_batch_reads_as_parse_profile([data])
+
+
+# times on both sides of the int64 bounds, where the columns hold objects
+starts = st.one_of(st.integers(0, 1000),
+                   st.integers(2**63 - 4000, 2**63 + 1000),
+                   st.integers(-2**63 - 1000, -2**63 + 4000))
+
+
+@given(st.lists(st.one_of(processed_profiles(starts).map(serialize_profile),
+                          edited(processed_profiles(starts))),
+                min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_batch_read_of_many_records_is_parse_profile(records):
+    assert_batch_reads_as_parse_profile(records)
+
+
+def test_batch_read_of_nothing_is_empty():
+    labels, counts, columns = _read_processed([])
+    assert labels == counts == [] and _Columns(*columns).width == 1
+    assert_same_columns(_Columns(*columns), _Columns.from_segments([]))
