@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import urllib.parse
+from itertools import islice
 from typing import NoReturn, Sequence
 
 from .model import (
@@ -149,15 +150,6 @@ def _signal_record(line: str, ids: dict[str, SignalId]) -> SignalVector:
                         _canonical_int(when))
 
 
-def _processed_record(line: str, ids: dict[str, SignalId]) -> ProfileSegment:
-    window, sids, tokens = _fields(line, ids)
-    start, _, end = window.partition("..")
-    ranges = dict(zip(sids, map(_RANGES.__getitem__, tokens)))
-    return ProfileSegment(
-        ProcessedVector(ranges), _canonical_int(start), _canonical_int(end)
-    )
-
-
 def _parse_id(token: str, line_no: int) -> SignalId:
     try:
         return _signal_id(token)
@@ -182,8 +174,8 @@ def _split_range(token: str, what: str, line_no: int) -> tuple[int, int]:
     )
 
 
-def _walk(line: str, line_no: int, processed: bool) -> NoReturn:
-    """Raise a ProfileFormatError naming the first bad field of a record."""
+def _walk(line: str, line_no: int, processed: bool):
+    """A record checked token by token; raises naming its first bad field."""
     if not line:
         raise ProfileFormatError("blank line", line_no)
     tokens = line.split(" ")
@@ -217,12 +209,23 @@ def _walk(line: str, line_no: int, processed: bool) -> NoReturn:
             values[sid] = _parse_int(value, "rssi", line_no)
     try:
         if processed:
-            ProfileSegment(ProcessedVector(values), *window)
-        else:
-            SignalVector(values, timestamp)
+            return ProfileSegment(ProcessedVector(values), *window)
+        return SignalVector(values, timestamp)
     except ValueError as exc:
         raise ProfileFormatError(str(exc), line_no) from None
-    raise ProfileFormatError("malformed record", line_no)
+
+
+def _explain(kind: str, label: str, lines: list[str]) -> NoReturn:
+    """Raise a ProfileFormatError naming the fault of a profile a bulk pass
+    rejected: its first bad line, else its broken order of times."""
+    processed = kind == KIND_PROCESSED
+    records = [_walk(line, line_no, processed)
+               for line_no, line in enumerate(lines, 2)]
+    try:
+        (ProcessedProfile if processed else SignalProfile)(records, label)
+    except ValueError as exc:
+        raise ProfileFormatError(str(exc)) from None
+    raise ProfileFormatError("malformed profile")
 
 
 def _parse_header(line: str) -> tuple[str, str]:
@@ -269,36 +272,55 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
             invariants, with a diagnostic naming the offending line and field.
     """
     kind, label, lines = _split(data)
-    processed = kind == KIND_PROCESSED
-    parse_record = _processed_record if processed else _signal_record
     # per call, never shared: the relay parses untrusted bodies
     ids: dict[str, SignalId] = {}
-    records = []
-    for line_no, line in enumerate(lines, 2):
+    if kind == KIND_SIGNAL:
         try:
-            records.append(parse_record(line, ids))
-        except (KeyError, ValueError):
-            _walk(line, line_no, processed)
+            return SignalProfile([_signal_record(line, ids) for line in lines],
+                                 device_tag=label)
+        except ValueError:
+            _explain(kind, label, lines)
+    keys, pairs, lengths, t_start, t_end = columns = [], [], [], [], []
+    _read_columns(label, lines, ids, columns)
+    entries = zip(keys, pairs)
+    return ProcessedProfile([
+        ProfileSegment(ProcessedVector(dict(islice(entries, n))), start, end)
+        for n, start, end in zip(lengths, t_start, t_end)], case_label=label)
+
+
+def _read_columns(label: str, lines: list[str], ids: dict[str, SignalId],
+                  columns: Sequence[list]) -> None:
+    """The one reader of processed record lines: appends them to ``columns``
+    (ids, (lo, hi) pairs, segment lengths, starts, ends) through ``_fields``
+    and the range table, then checks the windows as integers."""
+    keys, pairs, lengths, t_start, t_end = columns
+    starts, ends = [], []
     try:
-        if processed:
-            return ProcessedProfile(records, case_label=label)
-        return SignalProfile(records, device_tag=label)
-    except ValueError as exc:
-        # profile-level invariant (timestamp order, segment order)
-        raise ProfileFormatError(str(exc)) from None
+        for line in lines:
+            window, sids, tokens = _fields(line, ids)
+            keys += sids
+            pairs += map(_RANGES.__getitem__, tokens)
+            lengths.append(len(sids))
+            start, _, end = window.partition("..")
+            starts.append(start)
+            ends.append(end)
+        starts, ends = _canonical_ints(starts), _canonical_ints(ends)
+        if (any(map(operator.ge, starts, ends))
+                or any(map(operator.gt, starts, starts[1:]))):
+            raise ValueError(label)
+    except (KeyError, ValueError):
+        _explain(KIND_PROCESSED, label, lines)
+    t_start += starts
+    t_end += ends
 
 
 def _read_processed(
     records: Sequence[bytes],
 ) -> tuple[list[str], list[int], tuple]:
     """Read processed-profile records straight into the layout of one batch
-    of columns, building no per-token objects. Returns each record's label
-    and segment count, and the arguments of the batch's ``_Columns``, which a
-    caller that only validates never builds.
-
-    A record is accepted exactly when ``parse_profile`` reads it as a
-    processed profile: each line passes ``_fields`` and the range table,
-    then each record's windows are checked as integers.
+    of columns. Returns each record's label and segment count, and the
+    arguments of the batch's ``_Columns``, which a caller that only
+    validates never builds.
 
     Raises:
         ProfileFormatError: for the first bad record, as ``parse_profile``
@@ -307,46 +329,23 @@ def _read_processed(
     """
     # per call, never shared: the relay parses untrusted bodies
     ids: dict[str, SignalId] = {}
-    keys: list[SignalId] = []
-    pairs: list[tuple[int, int]] = []
-    lengths: list[int] = []
-    t_start: list[int] = []
-    t_end: list[int] = []
+    columns = ([], [], [], [], [])
     labels: list[str] = []
     counts: list[int] = []
     for position, data in enumerate(records):
         try:
             kind, label, lines = _split(data)
             if kind != KIND_PROCESSED:
-                raise ValueError(kind)
-            starts, ends = [], []
-            for line in lines:
-                window, sids, tokens = _fields(line, ids)
-                keys += sids
-                pairs += map(_RANGES.__getitem__, tokens)
-                lengths.append(len(sids))
-                start, _, end = window.partition("..")
-                starts.append(start)
-                ends.append(end)
-            starts, ends = _canonical_ints(starts), _canonical_ints(ends)
-            if (any(map(operator.ge, starts, ends))
-                    or any(map(operator.gt, starts, starts[1:]))):
-                raise ValueError(label)
-        except (KeyError, ValueError):
-            # parse_profile's walk names the bad line and field
-            try:
-                if not isinstance(parse_profile(data), ProcessedProfile):
-                    raise ProfileFormatError(
-                        "not a processed profile (scans stay on a device)")
-            except ProfileFormatError as exc:
-                exc.record = position
-                raise
-            raise  # unreachable: the checks above are parse_profile's
-        t_start += starts
-        t_end += ends
+                parse_profile(data)  # names the fault of a bad signal body
+                raise ProfileFormatError(
+                    "not a processed profile (scans stay on a device)")
+            _read_columns(label, lines, ids, columns)
+        except ProfileFormatError as exc:
+            exc.record = position
+            raise
         labels.append(label)
         counts.append(len(lines))
-    return labels, counts, (keys, pairs, lengths, t_start, t_end)
+    return labels, counts, columns
 
 
 def write_profile(path, profile: SignalProfile | ProcessedProfile) -> None:
