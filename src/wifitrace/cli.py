@@ -3,7 +3,8 @@
 ``simulate`` reads a scenario config and the study subcommands a study
 config, both through ``wifitrace.config``, which rejects unknown keys. Study
 subcommands write fixed-schema CSV files and print one JSON summary line.
-Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem.
+Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem or a
+file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -216,8 +217,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # ValueError also covers ScenarioError and ProfileFormatError
-    except (FileNotFoundError, ValueError) as exc:
+    # ValueError also covers ScenarioError and ProfileFormatError; OSError a
+    # file or directory that cannot be read or written
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except ExchangeError as exc:

@@ -46,7 +46,8 @@ from .similarity import _Columns
 DEFAULT_RETENTION_DAYS = 28
 # far above the largest processed profile a day of scans makes (~130 KB)
 _MAX_BODY_BYTES = 16 << 20
-# a parse error quotes the bad input; a 400 echoes no more of it than this
+# a parse error quotes the bad input; a 400 echoes no more of it than this,
+# and the client reads no more of an error reply
 _MAX_DETAIL_CHARS = 300
 TOKEN_HEADER = "X-Upload-Token"
 TOKEN_ENV_VAR = "WIFITRACE_UPLOAD_TOKEN"
@@ -248,6 +249,8 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
         if token and not hmac.compare_digest(
                 self.headers.get(TOKEN_HEADER, "").encode(), token.encode()):
             return self._refuse(401, b"bad or missing upload token\n")
+        if "Transfer-Encoding" in self.headers:
+            return self._refuse(411, b"send the body with a Content-Length\n")
         text = self.headers.get("Content-Length", "0")
         if not (text.isascii() and text.isdigit()):
             return self._refuse(400, b"Content-Length must be a decimal\n")
@@ -335,7 +338,8 @@ def _request(
                 return resp.read()
         except urllib.error.HTTPError as exc:
             # a definitive server answer: do not retry
-            detail = exc.read().decode("utf-8", "replace").strip()
+            detail = exc.read(_MAX_DETAIL_CHARS)
+            detail = detail.decode("utf-8", "replace").strip()
             raise ExchangeError(f"{exc.code}: {detail or exc.reason}") from None
         # HTTPException: a reply cut short or garbled on the way
         except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:

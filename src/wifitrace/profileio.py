@@ -18,6 +18,13 @@ ascending order, one space between fields, ``\n`` after every line including
 the last, no blank lines, and a label escaped exactly as ``quote(label,
 safe='')`` escapes it. The one exception: signal readings outside [-100, 0]
 are clamped, as at scan ingest.
+
+Each record line is checked in bulk. Processed lines have one reader, which
+appends them to columns: ``parse_profile`` builds its segments from them,
+and the relay's publish check and the device's sync round read fetched
+records with it through ``_read_processed``. A profile of either kind that
+a bulk pass rejects goes to one explainer, which walks its lines token by
+token to name the first bad field, then checks its order of times.
 """
 
 from __future__ import annotations

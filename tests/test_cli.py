@@ -169,8 +169,9 @@ def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
     try:
         run_cli(capsys, "publish", paths["processed"],
                 "--endpoint", server.endpoint)
-        code, _ = run_cli(capsys, *sync, str(tmp_path / "missing" / "r.txt"))
-        assert code == 2 and not (state / "cursor").exists()
+        for unwritable in (tmp_path / "missing" / "r.txt", tmp_path):
+            code, _ = run_cli(capsys, *sync, str(unwritable))
+            assert code == 2 and not (state / "cursor").exists()
         report = tmp_path / "report.txt"
         report.write_text("an older, longer report\n" * 100)
         # a sync that fails keeps the old report
@@ -213,6 +214,15 @@ def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):
                  "--profile", paths["processed"],
                  "--state", str(tmp_path / "state")])
     assert code == 2
+
+
+def test_unreadable_input_file_is_exit_2(tmp_path, capsys):
+    dead = ["--endpoint", "http://127.0.0.1:1"]
+    assert main(["publish", str(tmp_path), *dead]) == 2
+    assert main(["sync", "--profile", str(tmp_path),
+                 "--state", str(tmp_path / "state"), *dead]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error: ") for e in err)
 
 
 def test_exchange_error_exit_code_is_1(tmp_path, capsys):

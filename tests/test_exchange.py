@@ -8,6 +8,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,43 @@ class TestWireProtocol:
         assert reply.startswith(b"HTTP/1.1 401 ")
         assert reply.count(b"HTTP/1.1 ") == 1
 
+    def test_chunked_body_is_refused_without_reading(self, server, store):
+        body = processed_bytes()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        # raw_post returns only once the relay has closed the connection
+        reply = raw_post(server.endpoint, "Transfer-Encoding: chunked\r\n",
+                         chunked)
+        assert reply.startswith(b"HTTP/1.1 411 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert store.fetch_since(0) == []
+
+    def test_error_reply_detail_is_bounded(self):
+        class Loud(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = b"x" * (1 << 20)
+                self.send_response(500)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                # the client hangs up after the part it reads
+                with contextlib.suppress(OSError):
+                    self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), Loud)
+        threading.Thread(target=stub.serve_forever, daemon=True).start()
+        try:
+            with pytest.raises(ExchangeError) as err:
+                publish(f"http://127.0.0.1:{stub.server_address[1]}",
+                        processed_bytes())
+        finally:
+            stub.shutdown()
+            stub.server_close()
+        message = str(err.value)
+        assert message.startswith("500: xxx")
+        assert len(message) <= len("500: ") + exchange._MAX_DETAIL_CHARS
+
     def test_frames_parse_back(self, server):
         for label in ("a", "b"):
             publish(server.endpoint, processed_bytes(label))
@@ -393,6 +431,42 @@ class TestWireProtocol:
                 f"{server.endpoint}/v1/profiles?since={since}").read()
             assert raw == b"".join(_frame(r) for r in store.fetch_since(since))
 
+
+
+# the relay's check and its 400 reply name a fault exactly as parse_profile
+# does; a well-formed signal body is the one fault parse_profile accepts
+@pytest.mark.parametrize("data, message", [
+    (b"vcontact/2 processed\n", "line 1: bad header 'vcontact/2 processed' "
+     "(want 'vcontact/1 signal|processed')"),
+    (b"vcontact/1 processed\nt=0..10 zz:-60..-50\n",
+     "line 2: bad signal id 'zz'"),
+    (f"vcontact/1 processed\nt=0..10 {X.hex}:-60..+5\n".encode(),
+     "line 2: bad rssi range '+5'"),
+    (f"vcontact/1 processed\nt=5..5 {X.hex}:-60..-50\n".encode(),
+     "line 2: tStart 5 must precede tEnd 5"),
+    (f"vcontact/1 processed\nt=10..20 {X.hex}:-60..-50\n"
+     f"t=5..20 {X.hex}:-60..-50\n".encode(),
+     "segments must be ordered by tStart (10 followed by 5)"),
+    (serialize_profile(SignalProfile([SignalVector({X: -50}, 0)])),
+     "not a processed profile (scans stay on a device)"),
+    (f"vcontact/1 signal\nt=10 {X.hex}:-50\nt=20 {X.hex}:weak\n".encode(),
+     "line 3: bad rssi 'weak'"),
+])
+def test_every_reader_names_a_fault_alike(server, store, data, message):
+    try:
+        parsed = parse_profile(data)
+    except ProfileFormatError as exc:
+        assert (str(exc), exc.record) == (message, None)
+    else:
+        assert isinstance(parsed, SignalProfile)
+    with pytest.raises(ProfileFormatError) as got:
+        store.publish(data)
+    assert (str(got.value), got.value.record) == (message, 0)
+    reply = raw_post(server.endpoint, f"Content-Length: {len(data)}\r\n"
+                     "Connection: close\r\n", data)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert reply.endswith(f"\r\n\r\nrejected: {message}\n".encode())
+    assert store.fetch_since(0) == []
 
 class TestFrames:
     def test_negative_length_rejected(self):

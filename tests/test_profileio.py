@@ -335,6 +335,8 @@ def assert_batch_reads_as_parse_profile(records: list[bytes]):
            if isinstance(want, ProfileFormatError)]
     if bad:
         want = wants[bad[0]]
+        # only a batch read names a record
+        assert want.record is None
         with pytest.raises(ProfileFormatError) as got:
             _read_processed(records)
         assert str(got.value) == str(want)
