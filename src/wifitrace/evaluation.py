@@ -19,6 +19,7 @@ so downstream plots regenerate bit-identically.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterable, Sequence
@@ -229,6 +230,20 @@ class RobustnessKnobs:
     device_pairs: tuple[tuple[float, float], ...] = (
         (0.0, 1.0), (-3.0, 0.9), (3.0, 0.8), (-6.0, 0.7),
     )
+
+    def __post_init__(self) -> None:
+        # a bad knob fails here, before any seed is simulated
+        for rate in self.filter_rates:
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"filter rate must be in [0, 1], got {rate}")
+        for std in self.noise_stds:
+            if not 0.0 <= std < math.inf:
+                raise ValueError(f"noise std must be finite and >= 0, got {std}")
+        for period in self.sampling_periods:
+            if not period > 0:
+                raise ValueError(f"sampling period must be positive, got {period}")
+        for bias, rate in self.device_pairs:
+            DeviceParams(bias, rate)  # a finite bias, a rate in (0, 1]
 
 
 def run_calibration_study(preset: str, proximity: float, seed: int,
@@ -454,8 +469,11 @@ def run_robustness_suite(
                                          seed=seed, device_bias=bias,
                                          device_detect_rate=rate))
 
+        # the same two walks at every sampling period
+        walks = (random_walk(layout.site_area, 3600, env.seed),
+                 random_walk(layout.site_area, 3600, env.seed, offset=0.25))
         for period in knobs.sampling_periods:
-            recall = _moving_recall(env, layout, period, alpha)
+            recall = _moving_recall(env, walks, period, alpha)
             sampling_rows.append(dict(seed=seed, sampling_period=period,
                                       alpha=alpha, recall=recall))
 
@@ -467,22 +485,20 @@ def run_robustness_suite(
     }
 
 
-def _moving_recall(env: SimEnvironment, layout: SiteLayout, period: int,
+def _moving_recall(env: SimEnvironment,
+                   walks: tuple[SimTrajectory, SimTrajectory], period: int,
                    alpha: float) -> float:
-    """Recall for two devices walking together across the whole site for an
-    hour, both sampling at the given interval; every user scan is a
+    """Recall for two devices walking together (the case's walk, then the
+    user's), both sampling at the given interval; every user scan is a
     ground-truth contact (the pair stays well inside the contact proximity)."""
-    area = layout.site_area
-    case_walk = simulate_profile(env, random_walk(area, 3600, env.seed),
-                                 period, stream=_CASE_STREAM + 500)
+    case_walk = simulate_profile(env, walks[0], period,
+                                 stream=_CASE_STREAM + 500)
     if len(case_walk.vectors) < 2:
         return 0.0
     processed = build_case_profile(case_walk, _NO_LIFESPAN,
                                    max_gap=max(600, period + 1))
-    user_walk = simulate_profile(
-        env, random_walk(area, 3600, env.seed, offset=0.25),
-        period, stream=_USER_STREAM + 500,
-    )
+    user_walk = simulate_profile(env, walks[1], period,
+                                 stream=_USER_STREAM + 500)
     scores, _ = score_scans(user_walk.vectors, processed.segments)
     return int(np.count_nonzero(scores >= alpha)) / len(user_walk.vectors)
 

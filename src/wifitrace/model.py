@@ -119,6 +119,15 @@ class SignalVector:
         object.__setattr__(self, "readings", MappingProxyType(clamped))
         object.__setattr__(self, "timestamp", int(self.timestamp))
 
+    @classmethod
+    def _trusted(cls, readings: dict[SignalId, int], timestamp: int) -> "SignalVector":
+        """Wrap, unchecked and uncopied, a dict the caller built and no longer
+        touches: int RSSIs already in [RSSI_FLOOR, RSSI_CEIL], an int
+        timestamp. For the simulator, which has rounded and clamped them."""
+        vec = object.__new__(cls)
+        vec.__dict__.update(readings=MappingProxyType(readings), timestamp=timestamp)
+        return vec
+
     @property
     def ids(self) -> frozenset[SignalId]:
         return frozenset(self.readings)

@@ -6,9 +6,13 @@ rssi = tx_power - 10 n log10(d) + N(0, sigma) + device_bias, clamped into
 and a per-AP Bernoulli(detect_rate) draw succeeds (modeling scan-ability
 differences between devices).
 
-Randomness is keyed by (environment seed, stream, scan index) through numpy
-SeedSequence entropy tuples, so any scan is reproducible in isolation and
-independent of evaluation order.
+Randomness is keyed by (environment seed, stream, scan index): scan i's
+generator is exactly ``default_rng((seed, stream, i))``, so any scan is
+reproducible in isolation and independent of evaluation order. Where the
+seed, the stream and every index of a block of scans each fit 32 bits, the
+block's generator states are computed at once (SeedSequence mixing and
+PCG64 seeding in numpy arithmetic) and set on one reused generator; the
+draws are the same either way.
 
 Three site presets mirror common deployments: a small office, an outdoor
 bus station with mostly-distant APs, and a store inside a dense mall. AP
@@ -69,6 +73,8 @@ class DeviceParams:
     detect_rate: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.bias):
+            raise ValueError("bias must be finite")
         if not (0.0 < self.detect_rate <= 1.0):
             raise ValueError("detect_rate must be in (0, 1]")
 
@@ -85,8 +91,8 @@ class SimEnvironment:
         object.__setattr__(self, "aps", tuple(self.aps))
         if not (1.5 <= self.path_loss_exponent <= 6.0):
             raise ValueError("path_loss_exponent must be in [1.5, 6]")
-        if self.shadowing_std < 0:
-            raise ValueError("shadowing_std must be >= 0")
+        if not (0 <= self.shadowing_std < math.inf):
+            raise ValueError("shadowing_std must be finite and >= 0")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         pos = np.array([ap.position for ap in self.aps], dtype=float)
@@ -152,6 +158,78 @@ def _rng(env: SimEnvironment, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng((env.seed, stream, index))
 
 
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+def _walk(value: int, mult: int, n: int) -> np.ndarray:
+    """value, value * mult, ... (n terms, mod 2**32) as a column."""
+    terms = [value]
+    for _ in range(n - 1):
+        terms.append(terms[-1] * mult & 0xFFFFFFFF)
+    return np.array(terms, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _walk(0x43B0D7E5, 0x931E8875, 17)  # 4 entropy + 12 mixing hashes
+_HASH_B = _walk(0x8B51F9DD, 0x58F38DED, 9)  # 8 state words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, k: int, n: int, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix for hash calls k .. k + n - 1, one per row."""
+    value = (value ^ consts[k:k + n]) * consts[k + 1:k + n + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _block_states(seed, stream, first: int, n: int) -> list[tuple[int, int]] | None:
+    """PCG64 (state, inc) of ``default_rng((seed, stream, i))`` for each i in
+    [first, first + n), or None unless seed, stream and every i are ints in
+    [0, 2**32), each then one SeedSequence entropy word."""
+    if not all(type(v) is int and 0 <= v for v in (seed, stream, first)) or \
+            max(seed, stream, first + n - 1) >= 2**32:
+        return None
+    pool = np.zeros((4, n), dtype=np.uint32)  # entropy (seed, stream, i), 0
+    pool[0], pool[1] = seed, stream
+    pool[2] = np.arange(first, first + n, dtype=np.uint32)
+    pool = _hashmix(pool, 0, 4, _HASH_A)
+    # every word into every other, in SeedSequence's order of hash calls
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(
+            pool[src], 4 + 3 * src, 3, _HASH_A)
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    # generate_state(4, uint64): 8 words, paired little-endian into
+    # (seed high, seed low, initseq high, initseq low)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0, 8, _HASH_B)
+    words = words.astype(np.uint64)
+    u64 = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*u64):
+        # pcg64_set_seed: inc = 2 * initseq + 1; state 0, step, add the
+        # seed, step
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _scan_rngs(env: SimEnvironment, stream: int, first: int, n: int):
+    """Scan i's generator, ``default_rng((env.seed, stream, first + i))``;
+    each is valid only until the next one is taken."""
+    states = _block_states(env.seed, stream, first, n)
+    if states is None:
+        for i in range(first, first + n):
+            yield _rng(env, stream, i)
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"state": 0, "inc": 1}
+    full = {"bit_generator": "PCG64", "state": state,
+            "has_uint32": 0, "uinteger": 0}
+    for state["state"], state["inc"] in states:
+        rng.bit_generator.state = full
+        yield rng
+
+
 def _scan_readings(
     env: SimEnvironment,
     positions: np.ndarray,
@@ -181,10 +259,11 @@ def _scan_readings(
     )
     noise = np.empty((len(positions), n_aps))
     uniform = np.empty_like(noise)
-    for i in range(len(positions)):
-        rng = _rng(env, stream, first_index + i)
-        noise[i] = rng.normal(0.0, env.shadowing_std or 0.0, n_aps)
-        uniform[i] = rng.random(n_aps)
+    for i, rng in enumerate(_scan_rngs(env, stream, first_index, len(positions))):
+        rng.standard_normal(out=noise[i])
+        rng.random(out=uniform[i])
+    # normal(0, std) draws exactly 0.0 + std * standard_normal
+    noise *= env.shadowing_std or 0.0
     rssi = mean[np.cumsum(moved) - 1] + noise + device.bias
     rssi = np.clip(np.rint(rssi), RSSI_FLOOR, RSSI_CEIL).astype(int)
     heard = (rssi >= env.detection_floor) & (uniform < device.detect_rate)
@@ -209,7 +288,7 @@ def sample_scan(
     """
     pos = np.asarray(position, dtype=float).reshape(1, 2)
     readings, = _scan_readings(env, pos, device, stream, index)
-    return SignalVector(readings, timestamp)
+    return SignalVector._trusted(readings, int(timestamp))
 
 
 def scan_times(t_start: int, t_end: int, sampling_period: int) -> list[int]:
@@ -239,10 +318,8 @@ def simulate_profile(
     for lo in range(0, len(times), step):
         readings += _scan_readings(env, positions[lo:lo + step],
                                    trajectory.device, stream, lo)
-    return SignalProfile(
-        [SignalVector(r, t) for r, t in zip(readings, times)],
-        device_tag=device_tag,
-    )
+    return SignalProfile(list(map(SignalVector._trusted, readings, times)),
+                         device_tag=device_tag)
 
 
 def make_paired_scenario(
@@ -290,8 +367,8 @@ def drop_ids(
     rng = np.random.default_rng((seed, 0xF117E2))
     removed = set(compress(ids, (rng.random(len(ids)) < rate).tolist()))
     return [
-        SignalVector({sid: r for sid, r in vec.readings.items()
-                      if sid not in removed}, vec.timestamp)
+        SignalVector._trusted({sid: r for sid, r in vec.readings.items()
+                               if sid not in removed}, vec.timestamp)
         for vec in vectors
     ]
 
@@ -304,8 +381,8 @@ def perturb_rssi_noise(
     One stream per profile, drawn over the readings scan by scan, each
     scan's readings in id order.
     """
-    if std < 0:
-        raise ValueError("std must be >= 0")
+    if not (0 <= std < math.inf):
+        raise ValueError("std must be finite and >= 0")
     order = [sorted(vec.readings) for vec in profile.vectors]
     total = sum(map(len, order))
     rssi = np.fromiter(
@@ -317,7 +394,7 @@ def perturb_rssi_noise(
     noisy = iter(np.clip(np.rint(rssi + rng.normal(0.0, std, total)),
                          RSSI_FLOOR, RSSI_CEIL).astype(int).tolist())
     # zip stops at the end of ids without taking a value from noisy
-    vectors = [SignalVector(dict(zip(ids, noisy)), vec.timestamp)
+    vectors = [SignalVector._trusted(dict(zip(ids, noisy)), vec.timestamp)
                for vec, ids in zip(profile.vectors, order)]
     return SignalProfile(vectors, device_tag=profile.device_tag)
 

@@ -247,11 +247,18 @@ def test_malformed_config_file_is_a_config_error(tmp_path, capsys, text):
     ("filter_rate = 0.5", "unknown [robustness] key 'filter_rate'"),
     ("filter_rates = 0.0 1.5", "rate must be in [0, 1]"),
     ("device_pairs = 0:1.0 -3:0.9:1", "bad value '-3:0.9:1'"),
+    ("noise_stds = 0 nan", "noise std must be finite and >= 0, got nan"),
+    ("noise_stds = inf", "noise std must be finite and >= 0, got inf"),
+    ("sampling_periods = 10 0", "sampling period must be positive, got 0"),
+    ("device_pairs = 0:1 nan:0.9", "bias must be finite"),
+    ("device_pairs = 0:1 3:0", "detect_rate must be in (0, 1]"),
 ])
 def test_robustness_rejects_bad_knobs(tmp_path, capsys, knob, message):
     cfg = write(tmp_path, "study.cfg", f"{STUDY_CFG}\n[robustness]\n{knob}\n")
     assert main(["robustness", cfg, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    # rejected with the config, before any seed is simulated
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "proximity-study",

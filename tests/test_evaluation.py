@@ -265,6 +265,23 @@ class TestRobustnessSuite:
         again = run_robustness_suite("office", seeds=(1,), knobs=knobs)
         assert again["sampling"] == tables["sampling"]
 
+    def test_sampling_walks_each_path_once_per_seed(self, monkeypatch):
+        from wifitrace import evaluation
+        from wifitrace.evaluation import (RobustnessKnobs, random_walk,
+                                          run_robustness_suite)
+        knobs = RobustnessKnobs(filter_rates=(), noise_stds=(),
+                                sampling_periods=(20, 40, 60), device_pairs=())
+        walks = []
+
+        def counting(area, duration, walk_seed, offset=0.0):
+            walks.append((walk_seed, offset))
+            return random_walk(area, duration, walk_seed, offset=offset)
+
+        monkeypatch.setattr(evaluation, "random_walk", counting)
+        tables = run_robustness_suite("office", seeds=(1, 2), knobs=knobs)
+        assert walks == [(1, 0.0), (1, 0.25), (2, 0.0), (2, 0.25)]
+        assert len(tables["sampling"]) == 6
+
     def test_filter_row_drops_one_site_wide_id_draw(self):
         from wifitrace.evaluation import (RobustnessKnobs,
                                           run_robustness_suite, sweep_scores)

@@ -1,16 +1,20 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from wifitrace.detection import DetectionConfig
 from wifitrace.evaluation import random_walk
-from wifitrace.model import RSSI_CEIL, RSSI_FLOOR
+from wifitrace.model import RSSI_CEIL, RSSI_FLOOR, SignalVector
 from wifitrace.similarity import signal_similarity
 from wifitrace.processing import build_processed_vector
 from wifitrace.config import ScenarioError, load_scenario
 from wifitrace.simulator import (
+    _block_states,
+    _scan_rngs,
     DeviceParams,
     Scenario,
     SimAp,
@@ -104,6 +108,14 @@ class TestSampleScan:
             DeviceParams(detect_rate=0.0)
         with pytest.raises(ValueError):
             SimTrajectory(((0, (0.0, 0.0)), (0, (1.0, 1.0))))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radio_values_rejected(self, value):
+        # a NaN bias or shadowing std would silently simulate empty scans
+        with pytest.raises(ValueError, match="bias must be finite"):
+            DeviceParams(bias=value)
+        with pytest.raises(ValueError, match="shadowing_std must be finite"):
+            SimEnvironment((), shadowing_std=value)
 
 
 class TestSimulateProfile:
@@ -203,6 +215,12 @@ class TestPerturbations:
         assert filtered.user_profile().vectors == tuple(
             drop_ids(scans, 0.3, seed=4))
         assert filtered.user_profile() != plain.user_profile()
+
+    @pytest.mark.parametrize("std", [math.nan, math.inf, -1.0])
+    def test_noise_std_must_be_finite_and_non_negative(self, std):
+        # NaN noise would cast to the int64 minimum, not an RSSI
+        with pytest.raises(ValueError, match="std must be finite and >= 0"):
+            perturb_rssi_noise(self.make_profile(), std)
 
     def test_noise_zero_identity(self):
         profile = self.make_profile()
@@ -451,3 +469,89 @@ alpha = 0.25
             "[user]\nwaypoints = 0,11,10 300,11,10\n")
         with pytest.raises(ScenarioError, match="ap_count"):
             load_scenario(cfg)
+
+
+def default_rng_states(seed, stream, first, n):
+    return [np.random.default_rng((seed, stream, i)).bit_generator.state
+            for i in range(first, first + n)]
+
+
+def pcg64(state, inc):
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+WORD = st.integers(0, 2**32 - 1)
+
+
+class TestBlockSeeding:
+    """A block of scans is seeded at once, state for state what
+    default_rng((seed, stream, index)) seeds one scan at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=WORD, stream=WORD, first=WORD, n=st.integers(0, 40))
+    @example(seed=0, stream=0, first=0, n=1)
+    @example(seed=2**32 - 1, stream=2**32 - 1, first=2**32 - 8, n=8)
+    @example(seed=1, stream=2500, first=0, n=40)
+    def test_block_equals_default_rng(self, seed, stream, first, n):
+        n = min(n, 2**32 - first)  # every index still one 32-bit word
+        expected = default_rng_states(seed, stream, first, n)
+        states = _block_states(seed, stream, first, n)
+        assert [pcg64(*s) for s in states] == expected
+        # set in turn on the one generator the simulator reuses
+        env = SimEnvironment((), seed=seed)
+        assert [rng.bit_generator.state
+                for rng in _scan_rngs(env, stream, first, n)] == expected
+
+    @pytest.mark.parametrize("seed, stream, first, n", [
+        (3, 4, 2**32 - 2, 3),  # the block reaches 2**32
+        (3, 4, 2**32, 1),
+        (2**32, 4, 0, 2),
+        (3, 2**32 + 5, 0, 2),
+        (2**63, 1, 7, 2),
+    ])
+    def test_wider_words_fall_back(self, seed, stream, first, n):
+        assert _block_states(seed, stream, first, n) is None
+        env = SimEnvironment((), seed=seed)
+        assert [rng.bit_generator.state
+                for rng in _scan_rngs(env, stream, first, n)] == \
+            default_rng_states(seed, stream, first, n)
+
+    def test_non_int_words_fall_back_to_numpy(self):
+        assert _block_states(np.uint32(3), 4, 0, 2) is None
+        assert _block_states(3, 4.0, 0, 2) is None
+        env = SimEnvironment((), seed=3)
+        # a negative stream still raises numpy's own error
+        with pytest.raises(ValueError):
+            next(_scan_rngs(env, -1, 0, 2))
+        with pytest.raises(TypeError):
+            next(_scan_rngs(env, 4.0, 0, 2))
+
+
+class TestTrustedVectors:
+    """The simulator builds its scans unchecked; each must be exactly what
+    the checked constructor would build from the same readings."""
+
+    @pytest.mark.parametrize("name", ["office", "mall"])
+    def test_simulated_and_perturbed_scans_are_canonical(self, name):
+        env, layout = make_site(name, seed=3)
+        walk = SimTrajectory(random_walk(layout.walk_area, 600, 5).waypoints,
+                             DeviceParams(bias=6.5, detect_rate=0.8))
+        profile = simulate_profile(env, walk, 5)
+        outputs = {
+            "simulate_profile": profile.vectors,
+            "sample_scan": [sample_scan(env, layout.center, timestamp=3)],
+            "drop_ids": drop_ids(profile.vectors, 0.4, seed=2),
+            "perturb_rssi_noise": perturb_rssi_noise(profile, 30.0, 2).vectors,
+        }
+        for name, vectors in outputs.items():
+            assert vectors, name
+            for vec in vectors:
+                assert vec == SignalVector(dict(vec.readings), vec.timestamp), name
+                assert type(vec.timestamp) is int
+                assert all(type(r) is int and RSSI_FLOOR <= r <= RSSI_CEIL
+                           for r in vec.readings.values()), name
+        # strong noise reaches both clamps
+        noisy = [r for vec in outputs["perturb_rssi_noise"]
+                 for r in vec.readings.values()]
+        assert RSSI_FLOOR in noisy and RSSI_CEIL in noisy
