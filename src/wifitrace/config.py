@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 
-from .detection import DetectionConfig
 from .evaluation import RobustnessKnobs, StudyParams
 from .simulator import (DeviceParams, Scenario, SimEnvironment, SimTrajectory,
                         generate_aps, make_site)
@@ -64,7 +63,6 @@ SCHEMAS = {
     "case": {**_TRAJECTORY, "lifespan": int, "label": str},
     "user": _TRAJECTORY,
     "perturb": {"filter_rate": float, "noise_std": float},
-    "detection": _fields(DetectionConfig),
     "study": _fields(StudyParams),
     "robustness": _fields(RobustnessKnobs),
 }
@@ -128,8 +126,8 @@ def _trajectory(sec: dict, name: str) -> SimTrajectory:
 
 def load_scenario(path) -> Scenario:
     """Load a scenario config (key=value sections, see README)."""
-    radio, case, user, perturb, detection = _sections(
-        path, "environment", "case", "user", "perturb", "detection")
+    radio, case, user, perturb = _sections(path, "environment", "case",
+                                           "user", "perturb")
     site = _site(radio)
     if "preset" in site:
         env, _ = make_site(site["preset"], **radio)
@@ -147,7 +145,6 @@ def load_scenario(path) -> Scenario:
              **perturb}
     return Scenario(
         env, _trajectory(case, "case"), _trajectory(user, "user"),
-        detection=DetectionConfig(**detection),
         **{key: value for key, value in given.items() if value is not None},
     )
 

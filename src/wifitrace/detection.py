@@ -3,7 +3,9 @@
 Per-timestamp matching: a user's scan at time t is checked against every
 published segment whose validity window contains t; the first segment whose
 similarity reaches the threshold flags the timestamp as a contact and is the
-one recorded. All scans are scored in one batch by similarity's kernel.
+one recorded. All scans are scored in one batch by similarity's kernel,
+which applies that first-match rule. The threshold and the window settings
+come from DetectionConfig, which ``wifitrace sync`` builds from its flags.
 
 Close-contact aggregation: a sliding time window of configurable length is
 passed over the flags; wherever the true flags inside some window placement
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 import urllib.parse
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,18 +137,6 @@ def _detect_columns(
     return flags
 
 
-def _merge_closed_intervals(
-    intervals: list[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def aggregate_episodes(
     flags: Sequence[ContactFlag], cfg: DetectionConfig
 ) -> ContactReport:
@@ -162,21 +153,26 @@ def aggregate_episodes(
         if cur.timestamp <= prev.timestamp:
             raise ValueError("flags must be ordered by timestamp")
     trues = [f for f in flags if f.in_contact]
+    times = [f.timestamp for f in trues]
     m = cfg.min_true_flags
     length = cfg.window_length
 
     # Each run of m consecutive true flags spanning <= window_length admits
     # the qualifying placements [t_last - L, t_first]; such windows cover the
-    # time interval [t_last - L, t_first + L].
-    covered: list[tuple[int, int]] = []
-    for j in range(len(trues) - m + 1):
-        first, last = trues[j].timestamp, trues[j + m - 1].timestamp
-        if last - first <= length:
-            covered.append((last - length, first + length))
+    # time interval [t_last - L, t_first + L]. Both ends ascend from run to
+    # run, so overlapping covers merge in the order they come.
+    spans: list[tuple[int, int]] = []
+    for first, last in zip(times, times[m - 1:]):
+        if last - first > length:
+            continue
+        if spans and last - length <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], first + length)
+        else:
+            spans.append((last - length, first + length))
 
     episodes: list[ContactEpisode] = []
-    for lo, hi in _merge_closed_intervals(covered):
-        members = [f for f in trues if lo <= f.timestamp <= hi]
+    for lo, hi in spans:
+        members = trues[bisect_left(times, lo):bisect_right(times, hi)]
         episodes.append(
             ContactEpisode(
                 start=members[0].timestamp,

@@ -96,7 +96,7 @@ def precision_recall_f1(ground_truth: set, detected: set) -> tuple[float, float,
 def record_score(vector: SignalVector, processed: ProcessedProfile) -> float:
     """Similarity of one scan to a published profile: the best score among
     segments whose validity window contains the scan time."""
-    return score_scans([vector], processed.segments)[0].item()
+    return score_scans([vector], processed.segments).item()
 
 
 def _prf_from_masks(truth: np.ndarray, detected: np.ndarray) -> tuple[float, float, float]:
@@ -173,7 +173,7 @@ class ProximityData:
     def scores(self) -> np.ndarray:
         """Per-scan similarity to the processed profile (label-free)."""
         return score_scans([vec for vec, _ in self.vectors],
-                           self.processed.segments)[0]
+                           self.processed.segments)
 
 
 def collect_proximity_data(env: SimEnvironment,
@@ -279,7 +279,7 @@ def run_inout_study(
     precision and recall of the "inside" class.
     """
     scans = list(inside_data) + list(outside_data)
-    scores, _ = score_scans(scans, area_profile.segments, time_gated=False)
+    scores = score_scans(scans, area_profile.segments, time_gated=False)
     truth = np.arange(len(scans)) < len(inside_data)
     precision, recall, _ = _prf_from_masks(truth, scores >= alpha)
     return precision, recall
@@ -457,7 +457,7 @@ def run_robustness_suite(
         )
         for rows, knob, values, perturb in perturbations:
             for value in values:
-                scores, _ = score_scans(perturb(value), data.processed.segments)
+                scores = score_scans(perturb(value), data.processed.segments)
                 (point,) = sweep_scores(scores, truth, [alpha])
                 rows.append(point_row(point, seed=seed, **{knob: value}))
 
@@ -499,7 +499,7 @@ def _moving_recall(env: SimEnvironment,
                                    max_gap=max(600, period + 1))
     user_walk = simulate_profile(env, walks[1], period,
                                  stream=_USER_STREAM + 500)
-    scores, _ = score_scans(user_walk.vectors, processed.segments)
+    scores = score_scans(user_walk.vectors, processed.segments)
     return int(np.count_nonzero(scores >= alpha)) / len(user_walk.vectors)
 
 

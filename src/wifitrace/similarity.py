@@ -11,8 +11,9 @@ are the scan-to-scan baselines used for comparison; AMD/AED fill ids missing
 on one side with the -100 dBm floor.
 
 signal_similarity() scores one pair and is the reference arithmetic;
-score_scans() scores many scans against many segments at once with numpy and
-gives bit-identical floats. Detection and evaluation both go through it.
+score_scans() gives many scans their best scores against many segments at
+once with numpy, in bit-identical floats. Its kernel, _score_columns(), also
+applies detection's first-match rule.
 """
 
 from __future__ import annotations
@@ -148,10 +149,10 @@ class _Columns:
 def score_scans(
     scans: Sequence[SignalVector],
     segments: Sequence[ProfileSegment],
-    alpha: float | None = None,
     time_gated: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score every scan against its candidate segments in one batched pass.
+) -> np.ndarray:
+    """Each scan's best score against its candidate segments, in one
+    batched pass; 0.0 for a scan with no candidate.
 
     A segment is a candidate for a scan when ``time_gated`` is off, or when
     its validity window contains the scan time; scans need not be ordered.
@@ -159,14 +160,9 @@ def score_scans(
     bit for bit: the shared-id count, the smaller id count and the summed
     out-of-range distance are exact integers, then O = count / smaller,
     D = total / count and O / (D + 1.0) are float64 divisions in that order.
-
-    Returns two arrays with one entry per scan, ``(score, segment)``. When
-    ``alpha`` is given and some candidate scores >= alpha, they hold the
-    first such candidate's score and index in input order. Otherwise the
-    segment is -1 and the score is the best candidate score, 0.0 with none.
     """
-    return _score_columns(scans, _Columns.from_segments(segments), alpha,
-                          time_gated)
+    return _score_columns(scans, _Columns.from_segments(segments),
+                          time_gated=time_gated)[0]
 
 
 def _score_columns(
@@ -175,8 +171,14 @@ def _score_columns(
     alpha: float | None = None,
     time_gated: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """score_scans over a batch already in columns; segment indices are
-    positions in the batch."""
+    """score_scans over a batch already in columns, with the first-match
+    rule; segment indices are positions in the batch.
+
+    Returns two arrays with one entry per scan, ``(score, segment)``. When
+    ``alpha`` is given and some candidate scores >= alpha, they hold the
+    first such candidate's score and index in input order. Otherwise the
+    segment is -1 and the score is the best candidate score, 0.0 with none.
+    """
     n, m = len(scans), len(cols.length)
     score = np.zeros(n)
     matched = np.full(n, -1, dtype=np.intp)

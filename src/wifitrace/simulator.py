@@ -24,14 +24,13 @@ per-scan AP counts land near 19 / 24 / 46 respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .detection import DetectionConfig
 from .model import (
     RSSI_CEIL,
     RSSI_FLOOR,
@@ -507,7 +506,6 @@ class Scenario:
     case_label: str = "case"
     filter_rate: float = 0.0
     noise_std: float = 0.0
-    detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     CASE_STREAM = 0
     USER_STREAM = 1

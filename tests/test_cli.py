@@ -285,10 +285,9 @@ def test_study_rejects_empty_lists(tmp_path, capsys, command, key):
     ("case", "lifespan_s"),
     ("user", "lifespan"),  # the lifespan belongs to the case
     ("perturb", "noise"),
-    ("detection", "alpah"),
 ])
 def test_scenario_rejects_unknown_keys(tmp_path, capsys, section, key):
-    text = SCENARIO_CFG + "\n[perturb]\n\n[detection]\n"
+    text = SCENARIO_CFG + "\n[perturb]\n"
     cfg = write(tmp_path, "scenario.cfg", text.replace(
         f"[{section}]\n", f"[{section}]\n{key} = 0.9\n"))
     assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -298,13 +297,24 @@ def test_scenario_rejects_unknown_keys(tmp_path, capsys, section, key):
 @pytest.mark.parametrize("command, text", [("simulate", SCENARIO_CFG),
                                            ("calibrate", STUDY_CFG)])
 def test_unknown_sections_are_rejected(tmp_path, capsys, command, text):
-    # a misspelt [detection] must not run with the default alpha
+    # a misspelt section must not run with its defaults
     cfg = write(tmp_path, "typo.cfg", text + "\n[detetcion]\nalpha = 0.9\n")
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
     assert "unknown section(s) ['detetcion']" in capsys.readouterr().err
     # [DEFAULT] is not a section: its keys show up in every section instead
     cfg = write(tmp_path, "default.cfg", "[DEFAULT]\nnote = x\n" + text)
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_scenario_rejects_a_detection_section(tmp_path, capsys):
+    # matching is configured where it runs: sync's flags, not a scenario
+    cfg = write(tmp_path, "scenario.cfg",
+                SCENARIO_CFG + "\n[detection]\nalpha = 0.9\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: unknown section(s) ['detection']")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["ap_count = 5", "area = 0,0,1,1",

@@ -21,7 +21,7 @@ def test_shipped_configs_load_through_their_reader(path):
 
 
 def test_default_section_keys_are_accepted_in_every_section(tmp_path):
-    # moving_pair.cfg sets all five scenario sections, so the note shows up
+    # moving_pair.cfg sets all four scenario sections, so the note shows up
     # in each of them; the study sections are covered in test_cli.py
     shipped = SCENARIOS / "moving_pair.cfg"
     noted = tmp_path / "noted.cfg"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wifitrace.detection import (
     ContactFlag,
@@ -188,6 +189,33 @@ class TestAggregateEpisodes:
         report = aggregate_episodes(flags, CFG)
         assert len(report.episodes) == 1
         assert (report.episodes[0].start, report.episodes[0].end) == (0, 500)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), window=st.integers(120, 900),
+           period=st.integers(1, 300), start=st.integers(-10**6, 10**6))
+    def test_irregular_times_match_exhaustive_window_placement(
+            self, data, window, period, start):
+        # at most 8 true flags needed, so 60 flags can make several episodes
+        min_exposure = data.draw(st.integers(1, min(window, 8 * period)))
+        cfg = DetectionConfig(window_length=window, min_exposure=min_exposure,
+                              sampling_period=period)
+        gaps = data.draw(st.lists(st.integers(1, 3 * window), max_size=60))
+        marks = data.draw(st.lists(st.sampled_from([None, "a", "b", "c"]),
+                                   min_size=len(gaps), max_size=len(gaps)))
+        times = [start + sum(gaps[:i]) for i in range(len(gaps))]
+        flags = [ContactFlag(t, label is not None, 1.0 if label else 0.0,
+                             0 if label else None, label)
+                 for t, label in zip(times, marks)]
+        report = aggregate_episodes(flags, cfg)
+        expected = episodes_brute(
+            [(f.timestamp, f.in_contact) for f in flags],
+            window, min_exposure, period)
+        got = [(e.start, e.end, round(e.contact_minutes * 60 / period))
+               for e in report.episodes]
+        assert got == expected
+        label_at = {f.timestamp: f.matched_case for f in flags}
+        assert [e.case_label for e in report.episodes] == [
+            label_at[e.start] for e in report.episodes]
 
     def test_case_attribution_follows_first_true_flag(self):
         flags = [ContactFlag(i * 60, True, 1.0, 0, "alpha" if i < 3 else "beta")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from wifitrace.detection import DetectionConfig
 from wifitrace.evaluation import random_walk
 from wifitrace.model import RSSI_CEIL, RSSI_FLOOR, SignalVector
 from wifitrace.similarity import signal_similarity
@@ -402,9 +401,6 @@ sampling_period = 60
 [perturb]
 filter_rate = 0.2
 noise_std = 1.0
-
-[detection]
-alpha = 0.25
 """
 
     def test_load_and_emit(self, tmp_path):
@@ -413,7 +409,6 @@ alpha = 0.25
         scenario = load_scenario(cfg)
         assert scenario.lifespan == 900
         assert scenario.case_label == "case-a"
-        assert scenario.detection.alpha == 0.25
         assert scenario.filter_rate == 0.2
         paths = emit_scenario(scenario, tmp_path / "out")
         for path in paths.values():
@@ -426,11 +421,6 @@ alpha = 0.25
         processed = read_profile(paths["processed"])
         assert isinstance(processed, ProcessedProfile)
         assert processed.case_label == "case-a"
-
-    def test_empty_detection_section_gives_the_defaults(self, tmp_path):
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text(self.CONFIG.replace("alpha = 0.25\n", ""))
-        assert load_scenario(cfg).detection == DetectionConfig()
 
     def test_missing_sections_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
