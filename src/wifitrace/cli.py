@@ -108,6 +108,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {args.port}")
     token = args.token or os.environ.get(TOKEN_ENV_VAR) or None
     store = ProfileStore(args.data_dir, retention_days=args.retention_days)
     server = ExchangeServer((args.host, args.port), store, upload_token=token)

@@ -131,6 +131,8 @@ class ProfileStore:
     LOG_NAME = "profiles.log"
 
     def __init__(self, data_dir, retention_days: float = DEFAULT_RETENTION_DAYS):
+        if not retention_days > 0:  # NaN too; inf keeps every record
+            raise ValueError(f"retention_days must be > 0, got {retention_days}")
         self._dir = Path(data_dir)
         changed = _make_dirs(self._dir)
         self._path = self._dir / self.LOG_NAME

@@ -207,6 +207,27 @@ def test_serve_retention_defaults_to_the_store_default():
     assert args.retention_days == DEFAULT_RETENTION_DAYS
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--port", "70000", "port must be in 0..65535"),
+    ("--port", "-1", "port must be in 0..65535"),
+    ("--retention-days", "0", "retention_days must be > 0"),
+    ("--retention-days", "-1", "retention_days must be > 0"),
+    ("--retention-days", "nan", "retention_days must be > 0"),
+])
+def test_serve_rejects_bad_settings_before_starting(tmp_path, capsys,
+                                                    monkeypatch, flag, value,
+                                                    message):
+    # a relay that started would serve until killed
+    monkeypatch.setattr(cli, "ExchangeServer",
+                        lambda *args, **kwargs: pytest.fail("relay started"))
+    data = tmp_path / "relay"
+    assert main(["serve", "--port", "0", "--data-dir", str(data),
+                 flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+    assert not data.exists()
+
+
 def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):
     cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
     _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))

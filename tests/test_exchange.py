@@ -230,6 +230,17 @@ class TestProfileStore:
         much_later = 1_000_000 + 29 * 86_400
         assert [r.record_id for r in store.fetch_since(0, now=much_later)] == [2]
 
+    @pytest.mark.parametrize("days", [0, -1, float("nan"), float("-inf")])
+    def test_retention_must_be_positive(self, tmp_path, days):
+        with pytest.raises(ValueError, match="retention_days must be > 0"):
+            ProfileStore(tmp_path / "s", retention_days=days)
+        assert not (tmp_path / "s").exists()
+
+    def test_infinite_retention_keeps_every_record(self, tmp_path):
+        store = ProfileStore(tmp_path / "s", retention_days=float("inf"))
+        store.publish(processed_bytes("old"), now=0)
+        assert len(store.fetch_since(0, now=10**12)) == 1
+
     def test_fetch_since_equals_a_full_scan(self, tmp_path, rng):
         # publish times out of order, as clocks and the ``now`` argument allow
         store = ProfileStore(tmp_path / "s", retention_days=1)
