@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation as ev
@@ -55,7 +56,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     preset, radio, study, _ = load_study(args.config)
-    k = args.k if args.k is not None else study.calibration_proximity
+    if args.k is not None:  # replace() checks --k like the config's value
+        study = replace(study, calibration_proximity=args.k)
+    k = study.calibration_proximity
     out = _out_dir(args)
     points = ev.run_calibration_study(preset, k, study.seeds[0], **radio)
     path = out / f"calibration_{preset}_k{k:g}.csv"

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .detection import DetectionConfig
 from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
 from .processing import build_area_profile, build_case_profile
 from .similarity import aed, amd, jaccard, score_scans
@@ -34,6 +35,7 @@ from .simulator import (
     SiteLayout,
     SimEnvironment,
     SimTrajectory,
+    _check_perturbation,
     drop_ids,
     make_site,
     perturb_rssi_noise,
@@ -218,8 +220,16 @@ class StudyParams:
     alpha: float = 0.2  # in/out classification threshold
 
     def __post_init__(self) -> None:
+        # a bad value fails here, before any seed is simulated
         if not (self.seeds and self.proximities):
             raise ValueError("[study] seeds and proximities must not be empty")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        for k in (*self.proximities, self.calibration_proximity, self.proximity):
+            if not 0.0 < k < math.inf:
+                raise ValueError(f"proximity must be finite and > 0, got {k}")
+        DetectionConfig(alpha=self.alpha)  # an alpha in (0, 1]
 
 
 @dataclass(frozen=True)
@@ -234,11 +244,9 @@ class RobustnessKnobs:
     def __post_init__(self) -> None:
         # a bad knob fails here, before any seed is simulated
         for rate in self.filter_rates:
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"filter rate must be in [0, 1], got {rate}")
+            _check_perturbation(filter_rate=rate)
         for std in self.noise_stds:
-            if not 0.0 <= std < math.inf:
-                raise ValueError(f"noise std must be finite and >= 0, got {std}")
+            _check_perturbation(noise_std=std)
         for period in self.sampling_periods:
             if not period > 0:
                 raise ValueError(f"sampling period must be positive, got {period}")

@@ -328,15 +328,20 @@ def serve_in_thread(
 
 # --- client -----------------------------------------------------------------
 
-def _request(
-    url: str, data: bytes | None = None, headers: dict | None = None,
-    timeout: float = 10.0, retries: int = 3, backoff: float = 0.2,
-) -> bytes:
+# every request's policy: the timeout of each socket operation, the attempts
+# in all, and the pause after a failed attempt, doubled after each one
+_TIMEOUT = 10.0
+_RETRIES = 3
+_BACKOFF = 0.2
+
+
+def _request(url: str, data: bytes | None = None,
+             headers: dict | None = None) -> bytes:
     last_error: Exception | None = None
-    for attempt in range(retries):
+    for attempt in range(_RETRIES):
         try:
             req = urllib.request.Request(url, data=data, headers=headers or {})
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
+            with urllib.request.urlopen(req, timeout=_TIMEOUT) as resp:
                 return resp.read()
         except urllib.error.HTTPError as exc:
             # a definitive server answer: do not retry
@@ -346,19 +351,19 @@ def _request(
         # HTTPException: a reply cut short or garbled on the way
         except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
             last_error = exc
-            if attempt + 1 < retries:
-                time.sleep(backoff * (2 ** attempt))
+            if attempt + 1 < _RETRIES:
+                time.sleep(_BACKOFF * (2 ** attempt))
     raise ExchangeError(f"cannot reach {url}: {last_error}") from None
 
 
 def publish(endpoint: str, profile_bytes: bytes,
-            upload_token: str | None = None, **request_kwargs) -> int:
+            upload_token: str | None = None) -> int:
     """Upload processed-profile bytes; returns the assigned record id."""
     headers = {"Content-Type": "application/octet-stream"}
     if upload_token:
         headers[TOKEN_HEADER] = upload_token
     body = _request(f"{endpoint}/v1/profiles", data=profile_bytes,
-                    headers=headers, **request_kwargs)
+                    headers=headers)
     # exactly the reply do_POST writes: a canonical decimal and a newline
     reply = re.fullmatch(rb"(0|[1-9][0-9]{0,18})\n", body)
     if reply is None:
@@ -366,11 +371,9 @@ def publish(endpoint: str, profile_bytes: bytes,
     return int(reply[1])
 
 
-def fetch_since(endpoint: str, last_record_id: int,
-                **request_kwargs) -> list[PublishedRecord]:
+def fetch_since(endpoint: str, last_record_id: int) -> list[PublishedRecord]:
     """Download all records newer than the cursor."""
-    body = _request(f"{endpoint}/v1/profiles?since={int(last_record_id)}",
-                    **request_kwargs)
+    body = _request(f"{endpoint}/v1/profiles?since={int(last_record_id)}")
     records, good = _read_frames(io.BytesIO(body))
     if good != len(body):
         raise ExchangeError("malformed frame in server response")
@@ -389,10 +392,13 @@ class SyncState:
 
     @property
     def last_record_id(self) -> int:
+        """The stored cursor, or 0 for a missing file or for anything but a
+        plain non-negative decimal, the rule the relay applies to since."""
         try:
-            return int(self._path.read_text().strip())
-        except (FileNotFoundError, ValueError):
+            text = self._path.read_text().strip()
+        except (FileNotFoundError, UnicodeDecodeError):
             return 0
+        return int(text) if text.isascii() and text.isdigit() else 0
 
     def advance(self, record_id: int) -> None:
         # the new cursor is on disk before it replaces the old one, so a
@@ -412,7 +418,6 @@ def client_sync(
     endpoint: str,
     user_profile: SignalProfile,
     cfg: DetectionConfig = DetectionConfig(),
-    **request_kwargs,
 ) -> ContactReport:
     """One sync round: fetch new profiles, match locally, advance the cursor.
 
@@ -420,7 +425,7 @@ def client_sync(
     the cursor. On network failure or a bad record, ExchangeError propagates
     and the cursor is untouched. No new records: empty report, no matching.
     """
-    records = fetch_since(endpoint, state.last_record_id, **request_kwargs)
+    records = fetch_since(endpoint, state.last_record_id)
     if not records:
         return ContactReport((), ())
     try:

@@ -15,10 +15,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-import operator
 import re
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -86,19 +84,6 @@ def clamp_rssi(raw: int) -> int:
     return min(RSSI_CEIL, max(RSSI_FLOOR, int(raw)))
 
 
-def _rssis_in_range(values) -> bool:
-    """True when every value is an exact int in [RSSI_FLOOR, RSSI_CEIL].
-
-    Only C-level primitives run per value, so checking an already canonical
-    mapping costs far less than rebuilding it.
-    """
-    return not values or (
-        {int}.issuperset(map(type, values))
-        and RSSI_FLOOR <= min(values)
-        and max(values) <= RSSI_CEIL
-    )
-
-
 @dataclass(frozen=True)
 class SignalVector:
     """One scan: AP ids with their RSSIs, at one timestamp.
@@ -111,12 +96,13 @@ class SignalVector:
     timestamp: int
 
     def __post_init__(self) -> None:
-        if _rssis_in_range(self.readings.values()):
-            # a dict copy keeps the stored key hashes
-            clamped = dict(self.readings)
-        else:
-            clamped = {sid: clamp_rssi(rssi) for sid, rssi in self.readings.items()}
-        object.__setattr__(self, "readings", MappingProxyType(clamped))
+        # a dict copy keeps the stored key hashes; only a reading that is not
+        # already an exact int in range is replaced
+        readings = dict(self.readings)
+        for sid, rssi in readings.items():
+            if type(rssi) is not int or not RSSI_FLOOR <= rssi <= RSSI_CEIL:
+                readings[sid] = clamp_rssi(rssi)
+        object.__setattr__(self, "readings", MappingProxyType(readings))
         object.__setattr__(self, "timestamp", int(self.timestamp))
 
     @classmethod
@@ -164,17 +150,14 @@ class ProcessedVector:
     ranges: Mapping[SignalId, tuple[int, int]]
 
     def __post_init__(self) -> None:
-        pairs = list(self.ranges.values())
-        if {tuple}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs)):
-            flat = list(chain.from_iterable(pairs))
-            if _rssis_in_range(flat) and not any(
-                map(operator.gt, flat[0::2], flat[1::2])
-            ):
-                # already canonical: a dict copy keeps the stored key hashes
-                object.__setattr__(self, "ranges", MappingProxyType(dict(self.ranges)))
-                return
-        canon: dict[SignalId, tuple[int, int]] = {}
-        for sid, (lo, hi) in self.ranges.items():
+        # a dict copy keeps the stored key hashes; only a pair that is not
+        # already an exact, ordered (int, int) tuple in range is replaced
+        ranges = dict(self.ranges)
+        for sid, pair in ranges.items():
+            lo, hi = pair
+            if (type(pair) is tuple and type(lo) is int and type(hi) is int
+                    and RSSI_FLOOR <= lo <= hi <= RSSI_CEIL):
+                continue
             lo, hi = int(lo), int(hi)
             if lo > hi:
                 raise ValueError(f"rssiMin {lo} > rssiMax {hi} for {sid!r}")
@@ -182,8 +165,8 @@ class ProcessedVector:
                 raise ValueError(f"rssiMin {lo} below floor {RSSI_FLOOR} for {sid!r}")
             if hi > RSSI_CEIL:
                 raise ValueError(f"rssiMax {hi} above {RSSI_CEIL} for {sid!r}")
-            canon[sid] = (lo, hi)
-        object.__setattr__(self, "ranges", MappingProxyType(canon))
+            ranges[sid] = (lo, hi)
+        object.__setattr__(self, "ranges", MappingProxyType(ranges))
 
     @property
     def ids(self) -> frozenset[SignalId]:

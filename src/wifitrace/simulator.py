@@ -352,6 +352,16 @@ def make_paired_scenario(
     return first, second, float(separation)
 
 
+def _check_perturbation(filter_rate: float = 0.0,
+                        noise_std: float = 0.0) -> None:
+    """The rule for every perturbation knob: a filter rate in [0, 1], a
+    noise std finite and >= 0."""
+    if not 0.0 <= filter_rate <= 1.0:
+        raise ValueError(f"filter rate must be in [0, 1], got {filter_rate}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
+
+
 def drop_ids(
     vectors: Sequence[SignalVector], rate: float, seed: int = 0
 ) -> list[SignalVector]:
@@ -360,8 +370,7 @@ def drop_ids(
     Each id is removed independently with probability ``rate`` (chosen once
     for the whole sequence, matching an AP disappearing from the site).
     """
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError("rate must be in [0, 1]")
+    _check_perturbation(filter_rate=rate)
     ids = sorted(set(chain.from_iterable(vec.readings for vec in vectors)))
     rng = np.random.default_rng((seed, 0xF117E2))
     removed = set(compress(ids, (rng.random(len(ids)) < rate).tolist()))
@@ -380,8 +389,7 @@ def perturb_rssi_noise(
     One stream per profile, drawn over the readings scan by scan, each
     scan's readings in id order.
     """
-    if not (0 <= std < math.inf):
-        raise ValueError("std must be finite and >= 0")
+    _check_perturbation(noise_std=std)
     order = [sorted(vec.readings) for vec in profile.vectors]
     total = sum(map(len, order))
     rssi = np.fromiter(
@@ -509,6 +517,10 @@ class Scenario:
 
     CASE_STREAM = 0
     USER_STREAM = 1
+
+    def __post_init__(self) -> None:
+        # [perturb] fails here, before any scan is simulated
+        _check_perturbation(self.filter_rate, self.noise_std)
 
     def case_profile(self) -> SignalProfile:
         return simulate_profile(self.env, self.case, self.case_period,

@@ -27,6 +27,7 @@ from wifitrace.evaluation import (
     run_robustness_suite,
     sweep_scores,
 )
+from wifitrace import exchange
 from wifitrace.exchange import (
     ExchangeError,
     ProfileStore,
@@ -244,7 +245,7 @@ def test_c08_baseline_dominance():
                         f"seed {seed} k={k}: {ours} vs {metric} {theirs}")
 
 
-def test_c09_exchange_round_trip(tmp_path):
+def test_c09_exchange_round_trip(tmp_path, monkeypatch):
     with criterion("exchange: byte-identical round trip, 100 concurrent "
                    "publishes totally ordered, failed sync leaves state "
                    "untouched"):
@@ -288,9 +289,10 @@ def test_c09_exchange_round_trip(tmp_path):
             state.advance(3)
             cursor_bytes = (tmp_path / "client" / "cursor").read_bytes()
             user = SignalProfile([SignalVector({ID_POOL[0]: -50}, 0)])
+            monkeypatch.setattr(exchange, "_RETRIES", 2)
+            monkeypatch.setattr(exchange, "_BACKOFF", 0.01)
             with pytest.raises(ExchangeError):
-                client_sync(state, "http://127.0.0.1:1", user,
-                            retries=2, backoff=0.01)
+                client_sync(state, "http://127.0.0.1:1", user)
             assert (tmp_path / "client" / "cursor").read_bytes() == cursor_bytes
         finally:
             server.shutdown()

@@ -301,6 +301,57 @@ def test_study_rejects_empty_lists(tmp_path, capsys, command, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("proximities = nan -1", "proximity must be finite and > 0, got nan"),
+    ("proximities = 1 -1", "proximity must be finite and > 0, got -1.0"),
+    ("calibration_proximity = inf", "proximity must be finite and > 0, got inf"),
+    ("proximity = 0", "proximity must be finite and > 0, got 0.0"),
+    ("alpha = 7", "alpha must be in (0, 1], got 7.0"),
+    ("alpha = nan", "alpha must be in (0, 1], got nan"),
+    ("seeds = 1 -1", "seed must be in [0, 2**64), got -1"),
+    ("seeds = 18446744073709551616",
+     "seed must be in [0, 2**64), got 18446744073709551616"),
+])
+@pytest.mark.parametrize("command", ["calibrate", "proximity-study",
+                                     "inout-study", "robustness"])
+def test_study_rejects_out_of_range_values(tmp_path, capsys, command,
+                                           setting, message):
+    key = setting.split(" = ")[0]
+    text = re.sub(rf"^{key} = .*\n", "", STUDY_CFG, flags=re.M)
+    cfg = write(tmp_path, "study.cfg",
+                text.replace("[study]\n", f"[study]\n{setting}\n"))
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    # rejected with the config, before any seed is simulated
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["nan", "inf", "0", "-2"])
+def test_calibrate_rejects_an_out_of_range_k(tmp_path, capsys, k):
+    cfg = write(tmp_path, "study.cfg", STUDY_CFG)
+    assert main(["calibrate", cfg, "--k", k,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "proximity must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("noise_std = -3", "noise std must be finite and >= 0, got -3.0"),
+    ("noise_std = nan", "noise std must be finite and >= 0, got nan"),
+    ("noise_std = inf", "noise std must be finite and >= 0, got inf"),
+    ("filter_rate = -0.5", "filter rate must be in [0, 1], got -0.5"),
+    ("filter_rate = 1.5", "filter rate must be in [0, 1], got 1.5"),
+])
+def test_scenario_rejects_out_of_range_perturb_values(tmp_path, capsys,
+                                                      setting, message):
+    cfg = write(tmp_path, "scenario.cfg",
+                f"{SCENARIO_CFG}\n[perturb]\n{setting}\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    # rejected with the config, before any scan is simulated
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key", [
     ("environment", "ap_cuont"),
     ("case", "lifespan_s"),

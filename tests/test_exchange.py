@@ -505,11 +505,14 @@ class TestFrames:
         assert ProfileStore(tmp_path / "s").fetch_since(0, now=0) == [good]
         assert log.read_bytes() == _frame(good)
 
-    def test_truncated_response_is_retried_then_an_exchange_error(self):
+    def test_truncated_response_is_retried_then_an_exchange_error(
+            self, monkeypatch):
+        monkeypatch.setattr(exchange, "_RETRIES", 2)
+        monkeypatch.setattr(exchange, "_BACKOFF", 0.01)
         with canned_relay(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
                           b"record id=1", connections=2) as (endpoint, seen):
             with pytest.raises(ExchangeError, match="IncompleteRead"):
-                fetch_since(endpoint, 0, retries=2, backoff=0.01)
+                fetch_since(endpoint, 0)
         assert len(seen) == 2
 
     @pytest.mark.parametrize("reply", [
@@ -566,6 +569,17 @@ class TestClientSync:
         client_sync(state, server.endpoint, self.user_profile())
         again = client_sync(state, server.endpoint, self.user_profile())
         assert again.flags == () and again.episodes == ()
+
+    # int() reads each of these, but none is a plain non-negative decimal
+    @pytest.mark.parametrize("text", ["-3\n", "+1\n", "1_0\n", "١\n"])
+    def test_cursor_that_is_not_a_plain_decimal_syncs_from_zero(
+            self, server, tmp_path, text):
+        publish(server.endpoint, processed_bytes())
+        state = SyncState(tmp_path / "client")
+        (tmp_path / "client" / "cursor").write_text(text, encoding="utf-8")
+        assert state.last_record_id == 0
+        report = client_sync(state, server.endpoint, self.user_profile())
+        assert len(report.episodes) == 1 and state.last_record_id == 1
 
     def test_cursor_is_fsynced_before_it_replaces_the_old_one(
             self, tmp_path, monkeypatch):
@@ -635,23 +649,26 @@ class TestClientSync:
         assert state.last_record_id == 0
         assert not (tmp_path / "client" / "cursor").exists()
 
-    def test_network_failure_leaves_state_unchanged(self, tmp_path):
+    def test_network_failure_leaves_state_unchanged(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(exchange, "_RETRIES", 2)
+        monkeypatch.setattr(exchange, "_BACKOFF", 0.01)
         state = SyncState(tmp_path / "client")
         state.advance(7)
         before = (tmp_path / "client" / "cursor").read_bytes()
         with pytest.raises(ExchangeError):
-            client_sync(state, "http://127.0.0.1:1", self.user_profile(),
-                        retries=2, backoff=0.01)
+            client_sync(state, "http://127.0.0.1:1", self.user_profile())
         assert (tmp_path / "client" / "cursor").read_bytes() == before
 
-    def test_sync_wire_capture_contains_only_the_cursor(self, tmp_path):
+    def test_sync_wire_capture_contains_only_the_cursor(self, tmp_path,
+                                                        monkeypatch):
         # a one-shot raw socket server records exactly what a sync sends
+        monkeypatch.setattr(exchange, "_RETRIES", 1)
         state = SyncState(tmp_path / "client")
         state.advance(3)
         with canned_relay(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n"
                           b"Connection: close\r\n\r\n") as (endpoint, captured):
-            report = client_sync(state, endpoint, self.user_profile(),
-                                 retries=1)
+            report = client_sync(state, endpoint, self.user_profile())
         wire = captured[0].decode("latin-1")
         request_line = wire.splitlines()[0]
         assert request_line == "GET /v1/profiles?since=3 HTTP/1.1"

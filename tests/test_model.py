@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wifitrace.model import (
@@ -150,6 +150,43 @@ class TestProcessedTypes:
         assert len(profile) == 2
 
 
+# a reading: an exact int in range or out of it, a numpy int, a float or a bool
+_RAW = st.one_of(
+    st.integers(RSSI_FLOOR, RSSI_CEIL),
+    st.integers(RSSI_FLOOR - 30, RSSI_CEIL + 10),
+    st.integers(RSSI_FLOOR - 30, RSSI_CEIL + 10).map(np.int16),
+    st.floats(RSSI_FLOOR - 30.0, RSSI_CEIL + 10.0),
+    st.booleans(),
+)
+_EXACT = st.tuples(st.integers(RSSI_FLOOR, RSSI_CEIL),
+                   st.integers(RSSI_FLOOR, RSSI_CEIL))
+# a pair: an exact canonical tuple, two raw values in order as a tuple, a
+# list or a numpy array, or two exact or raw values in any order
+_PAIR = st.one_of(
+    _EXACT.map(sorted).map(tuple),
+    st.tuples(_RAW, _RAW).map(lambda p: tuple(sorted(p, key=int))),
+    st.tuples(_RAW, _RAW).map(lambda p: sorted(p, key=int)),
+    st.tuples(_RAW, _RAW).map(lambda p: np.array(sorted(p, key=int))),
+    _EXACT,
+    st.tuples(_RAW, _RAW),
+)
+
+
+def reference_ranges(ranges):
+    """Each pair as (int(lo), int(hi)); the first bad one raises."""
+    out = {}
+    for sid, (lo, hi) in ranges.items():
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"rssiMin {lo} > rssiMax {hi} for {sid!r}")
+        if lo < RSSI_FLOOR:
+            raise ValueError(f"rssiMin {lo} below floor {RSSI_FLOOR} for {sid!r}")
+        if hi > RSSI_CEIL:
+            raise ValueError(f"rssiMax {hi} above {RSSI_CEIL} for {sid!r}")
+        out[sid] = (lo, hi)
+    return out
+
+
 class TestCanonicalConstruction:
     """Exact (int, int) ranges and in-range int readings are copied as they
     are; anything else is rebuilt with int() and clamping."""
@@ -198,6 +235,26 @@ class TestCanonicalConstruction:
         assert calls == []
         monkeypatch.undo()
         assert pv.ranges == ranges and vec.readings == readings
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.sampled_from(ID_POOL), _RAW, max_size=12),
+           st.dictionaries(st.sampled_from(ID_POOL), _PAIR, max_size=12))
+    def test_one_pass_equals_the_per_entry_reference(self, readings, ranges):
+        vec = SignalVector(readings, 0)
+        want = [(sid, clamp_rssi(rssi)) for sid, rssi in readings.items()]
+        assert list(vec.readings.items()) == want
+        assert all(type(rssi) is int for rssi in vec.readings.values())
+        try:
+            want_ranges = reference_ranges(ranges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ProcessedVector(ranges)
+            assert str(got.value) == str(exc)
+            return
+        pv = ProcessedVector(ranges)
+        assert list(pv.ranges.items()) == list(want_ranges.items())
+        assert all(type(pair) is tuple and {type(v) for v in pair} == {int}
+                   for pair in pv.ranges.values())
 
 
 class TestLifespanSchedule:
