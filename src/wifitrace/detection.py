@@ -22,8 +22,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .model import ProcessedProfile, SignalProfile, SignalVector
 from .similarity import _Columns, _score_columns
+from .simulator import _ScanBatch, _times
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,9 @@ class DetectionConfig:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         for name in ("window_length", "min_exposure", "sampling_period"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            # nan or inf would pass a plain > 0 and break min_true_flags
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.min_exposure > self.window_length:
             raise ValueError("min_exposure cannot exceed window_length")
 
@@ -126,7 +130,12 @@ def _detect_columns(
     each record's case label and segment count in input order."""
     owners = [(label, seg_idx) for label, n in zip(labels, counts)
               for seg_idx in range(n)]
-    scores, matched = _score_columns(vectors, cols, cfg.alpha)
+    # only a scan inside some window can score: convert just those
+    live = np.flatnonzero(cols.covers(_times(vec.timestamp for vec in vectors)))
+    scores, matched = np.zeros(len(vectors)), np.full(len(vectors), -1)
+    scores[live], matched[live] = _score_columns(
+        _ScanBatch.from_vectors([vectors[i] for i in live.tolist()]), cols,
+        cfg.alpha)
     flags: list[ContactFlag] = []
     for vec, score, g in zip(vectors, scores.tolist(), matched.tolist()):
         if g < 0:

@@ -10,7 +10,9 @@ a grid, and ``pick_intersection`` picks the point where precision meets
 recall (the minimizer of |precision - recall|, ties to the smaller
 threshold); ``calibrate`` is the two together, and the studies evaluate at
 that operating point. Every table of a seed reads that seed's drill (README,
-"Studies": which tables keep the seed's alpha, which recalibrate).
+"Studies": which tables keep the seed's alpha, which recalibrate). The
+robustness suite keeps the drill's user scans as one ``simulator._ScanBatch``
+instead, and perturbs and scores it without building a dict per scan.
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -20,8 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from itertools import groupby
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,16 +30,15 @@ import numpy as np
 from .detection import DetectionConfig
 from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
 from .processing import build_area_profile, build_case_profile
-from .similarity import aed, amd, jaccard, score_scans
+from .similarity import _Columns, _score_columns, aed, amd, jaccard, score_scans
 from .simulator import (
     DeviceParams,
     SiteLayout,
     SimEnvironment,
     SimTrajectory,
     _check_perturbation,
-    drop_ids,
+    _ScanBatch,
     make_site,
-    perturb_rssi_noise,
     simulate_profile,
     stationary,
 )
@@ -198,13 +198,20 @@ def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
     )
 
 
+def _user_batches(env: SimEnvironment, layout: SiteLayout,
+                  device: DeviceParams) -> list[_ScanBatch]:
+    """Each position's scans by a user device, one batch per position."""
+    return [_ScanBatch.simulate(
+        env, stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
+        _DRILL_PERIOD, stream=_USER_STREAM + i) for i in _POSITIONS]
+
+
 def _user_scans(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
                 ) -> tuple[tuple[SignalVector, float], ...]:
     """Each position's scans by a user device, with the distance in m."""
     return tuple(
-        (vec, float(i)) for i in _POSITIONS for vec in simulate_profile(
-            env, stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
-            _DRILL_PERIOD, stream=_USER_STREAM + i).vectors)
+        (vec, float(i)) for i, batch in zip(_POSITIONS, _user_batches(
+            env, layout, device)) for vec in batch.vectors())
 
 
 # --- studies ------------------------------------------------------------------
@@ -446,36 +453,39 @@ def run_robustness_suite(
     filter_rows, noise_rows, device_rows, sampling_rows = [], [], [], []
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
-        data = collect_proximity_data(env, layout)
-        truth = data.truth(proximity)
-        alpha = calibrate(data.scores(), truth).alpha
+        case = _Columns.from_segments(build_case_profile(
+            case_raw_vectors(env, layout), _NO_LIFESPAN).segments)
+        per_position = _user_batches(env, layout, DeviceParams())
+        sizes = [len(batch) for batch in per_position]
+        truth = np.repeat(_POSITIONS, sizes) <= proximity
+        users = _ScanBatch.concat(per_position)
+        alpha = calibrate(_score_columns(users, case)[0], truth).alpha
 
         # perturbed copies of the scans simulated above; nothing re-simulates
-        scans = [vec for vec, _ in data.vectors]
-        by_position = [(int(d), SignalProfile([vec for vec, _ in group]))
-                       for d, group in groupby(data.vectors, lambda vd: vd[1])]
+        ends = np.cumsum(sizes).tolist()
+        streams = [(slice(end - n, end), seed * 10000 + i)
+                   for i, n, end in zip(_POSITIONS, sizes, ends)]
         perturbations = (
             # one site-wide id draw per seed, shared by every position's scans
             (filter_rows, "filter_rate", knobs.filter_rates,
-             lambda rate: drop_ids(scans, rate, seed)),
+             lambda rate: users.drop_ids(rate, seed)),
             # one noise stream per position (positions are whole meters)
             (noise_rows, "noise_std", knobs.noise_stds,
-             lambda std: [vec for i, prof in by_position for vec in
-                          perturb_rssi_noise(prof, std, seed * 10000 + i).vectors]),
+             lambda std: users.perturb(std, streams)),
         )
         for rows, knob, values, perturb in perturbations:
             for value in values:
-                scores = score_scans(perturb(value), data.processed.segments)
+                scores, _ = _score_columns(perturb(value), case)
                 (point,) = sweep_scores(scores, truth, [alpha])
                 rows.append(point_row(point, seed=seed, **{knob: value}))
 
         # another phone model: its own user scans against the same case profile
         for bias, rate in knobs.device_pairs:
-            hetero = replace(data, vectors=_user_scans(env, layout,
-                                                       DeviceParams(bias, rate)))
-            device_rows.append(point_row(calibrate(hetero.scores(), truth),
-                                         seed=seed, device_bias=bias,
-                                         device_detect_rate=rate))
+            hetero = _ScanBatch.concat(
+                _user_batches(env, layout, DeviceParams(bias, rate)))
+            device_rows.append(point_row(
+                calibrate(_score_columns(hetero, case)[0], truth),
+                seed=seed, device_bias=bias, device_detect_rate=rate))
 
         # the same two walks at every sampling period
         walks = (random_walk(layout.site_area, 3600, env.seed),
@@ -505,10 +515,11 @@ def _moving_recall(env: SimEnvironment,
         return 0.0
     processed = build_case_profile(case_walk, _NO_LIFESPAN,
                                    max_gap=max(600, period + 1))
-    user_walk = simulate_profile(env, walks[1], period,
-                                 stream=_USER_STREAM + 500)
-    scores = score_scans(user_walk.vectors, processed.segments)
-    return int(np.count_nonzero(scores >= alpha)) / len(user_walk.vectors)
+    user_walk = _ScanBatch.simulate(env, walks[1], period,
+                                    stream=_USER_STREAM + 500)
+    scores, _ = _score_columns(user_walk,
+                               _Columns.from_segments(processed.segments))
+    return int(np.count_nonzero(scores >= alpha)) / len(user_walk)
 
 
 # --- output ----------------------------------------------------------------------

@@ -13,7 +13,11 @@ on one side with the -100 dBm floor.
 signal_similarity() scores one pair and is the reference arithmetic;
 score_scans() gives many scans their best scores against many segments at
 once with numpy, in bit-identical floats. Its kernel, _score_columns(), also
-applies detection's first-match rule.
+applies detection's first-match rule. The kernel takes its scans as one
+``simulator._ScanBatch`` (times and a dense scan x id RSSI block) and its
+segments as one ``_Columns``; it maps the batch's vocabulary to the segment
+columns once, one lookup per id. The studies hand it their simulated batches
+as they are; score_scans() and detection build a batch from dict scans.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalVector
+from .simulator import _UNHEARD, _ScanBatch, _times
 
-_UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 _CELLS = 1 << 16  # bound on the elements of score_scans()'s temporaries
 
 
@@ -67,15 +71,6 @@ def signal_similarity(a: SignalVector, p: ProcessedVector) -> float:
     return overlap_ratio(a, p) / (d + 1.0)
 
 
-def _times(values: list[int]) -> np.ndarray:
-    """Times as int64, or as Python ints when one does not fit int64 (a
-    profile file may carry any integer), so comparisons stay exact."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 class _Columns:
     """A batch of segments in columnar form. Ids are interned to dense
     column numbers for this batch only; segment g's entries (column, lo, hi)
@@ -101,7 +96,7 @@ class _Columns:
         self.ptr = np.cumsum(self.length) - self.length
         self.t_start = _times(t_start)
         self.t_end = _times(t_end)
-        self.width = len(self.index) + 1  # the last column: ids no segment has
+        self.width = len(self.index)
 
     @classmethod
     def from_segments(cls, segments: Sequence[ProfileSegment]) -> "_Columns":
@@ -112,21 +107,18 @@ class _Columns:
                    [seg.t_start for seg in segments],
                    [seg.t_end for seg in segments])
 
-    def rssi_block(
-        self, scans: Sequence[SignalVector]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (scan x column) RSSI matrix, _UNHEARD where a scan lacks
-        the id, and each scan's id count."""
-        readings = [vec.readings for vec in scans]
-        sizes = np.fromiter(map(len, readings), dtype=np.intp, count=len(readings))
-        other = self.width - 1
-        cols = list(map(self.index.get, chain.from_iterable(readings),
-                        repeat(other)))
-        rssi = np.fromiter(chain.from_iterable(r.values() for r in readings),
-                           dtype=np.int16, count=len(cols))
-        block = np.full((len(readings), self.width), _UNHEARD, dtype=np.int16)
-        block[np.repeat(np.arange(len(readings)), sizes), cols] = rssi
-        return block, sizes
+    def covers(self, times: np.ndarray) -> np.ndarray:
+        """Whether the window of some non-empty segment contains each time."""
+        live = np.flatnonzero(self.length > 0)
+        if not len(live):
+            return np.zeros(len(times), dtype=bool)
+        by_start = live[np.argsort(self.t_start[live], kind="stable")]
+        starts = self.t_start[by_start]
+        # the latest end among the segments that start at or before t
+        reach = np.maximum.accumulate(self.t_end[by_start])
+        last = np.searchsorted(starts.astype(times.dtype) if times.dtype == object
+                               else starts, times, side="right") - 1
+        return (last >= 0) & (reach[last] >= times)
 
     def shared_terms(self, block: np.ndarray, row: np.ndarray,
                      seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,18 +153,20 @@ def score_scans(
     out-of-range distance are exact integers, then O = count / smaller,
     D = total / count and O / (D + 1.0) are float64 divisions in that order.
     """
-    return _score_columns(scans, _Columns.from_segments(segments),
+    return _score_columns(_ScanBatch.from_vectors(scans),
+                          _Columns.from_segments(segments),
                           time_gated=time_gated)[0]
 
 
 def _score_columns(
-    scans: Sequence[SignalVector],
+    scans: _ScanBatch,
     cols: _Columns,
     alpha: float | None = None,
     time_gated: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """score_scans over a batch already in columns, with the first-match
-    rule; segment indices are positions in the batch.
+    """score_scans over a batch of scans and a batch of segments, both
+    already in columns, with the first-match rule; segment indices are
+    positions in ``cols``.
 
     Returns two arrays with one entry per scan, ``(score, segment)``. When
     ``alpha`` is given and some candidate scores >= alpha, they hold the
@@ -184,7 +178,12 @@ def _score_columns(
     matched = np.full(n, -1, dtype=np.intp)
     if not n or not m:
         return score, matched
-    times = _times([vec.timestamp for vec in scans])
+    # the batch's columns that some segment holds, and their segment columns
+    to_col = np.fromiter(map(cols.index.get, scans.ids, repeat(-1)),
+                         dtype=np.intp, count=len(scans.ids))
+    shared = np.flatnonzero(to_col >= 0)
+    to_col = to_col[shared]
+    sizes = np.count_nonzero(scans.rssi != _UNHEARD, axis=1)
     # an empty segment shares no id, and shared_terms needs entries per pair
     nonempty = cols.length > 0
     step = max(1, _CELLS // max(1, int(cols.length.max())))
@@ -192,13 +191,14 @@ def _score_columns(
     # chunks of scans keep the cover matrix and the RSSI block small
     rows = max(1, _CELLS // max(m, cols.width))
     for first in range(0, n, rows):
-        t = times[first:first + rows, None]
+        t = scans.times[first:first + rows, None]
         if time_gated:
             cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
         else:
             cover = np.broadcast_to(nonempty, (len(t), m))
         live = first + np.flatnonzero(cover.any(axis=1))
-        block, sizes = cols.rssi_block([scans[i] for i in live])
+        block = np.full((len(live), cols.width), _UNHEARD, dtype=np.int16)
+        block[:, to_col] = scans.rssi[live[:, None], shared]
 
         # candidate pairs, scan-major with segments in input order; at most
         # _CELLS (pair, segment id) entries at a time
@@ -213,9 +213,9 @@ def _score_columns(
         if not keep.any():
             continue
         row, seg, count, total = row[keep], seg[keep], count[keep], total[keep]
-        smaller = np.minimum(sizes[row], cols.length[seg])
-        pair_score = (count / smaller) / (total / count + 1.0)
         scan = live[row]
+        smaller = np.minimum(sizes[scan], cols.length[seg])
+        pair_score = (count / smaller) / (total / count + 1.0)
         heads = np.flatnonzero(np.r_[True, scan[1:] != scan[:-1]])
         score[scan[heads]] = np.maximum.reduceat(pair_score, heads)
         if alpha is not None:

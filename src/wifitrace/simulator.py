@@ -14,6 +14,15 @@ block's generator states are computed at once (SeedSequence mixing and
 PCG64 seeding in numpy arithmetic) and set on one reused generator; the
 draws are the same either way.
 
+Scans are simulated into a ``_ScanBatch``: int64 times, a sorted vocabulary
+of exactly the ids the scans hold, and a dense int16 (scan x id) RSSI block
+with ``_UNHEARD`` where a scan lacks the id. Filtering ids is a column mask
+and RSSI noise one masked array operation over the block, and the scoring
+kernel reads the block directly, so the studies keep their scans in this
+form. ``SignalVector`` dicts are built from a batch only where a public
+function returns them: ``simulate_profile`` and ``sample_scan`` list each
+scan's ids in AP order, ``perturb_rssi_noise`` in id order.
+
 Three site presets mirror common deployments: a small office, an outdoor
 bus station with mostly-distant APs, and a store inside a dense mall. AP
 layouts come from fixed per-site seeds, so a preset is the same physical
@@ -25,9 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +58,8 @@ _SITE_SEEDS = {"office": 132, "bus-station": 201, "mall": 319}
 
 # scans x APs per block of simulated scans: bounds the float temporaries
 _BLOCK = 1 << 16
+
+_UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,9 @@ class SimEnvironment:
             raise ValueError("shadowing_std must be finite and >= 0")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
+        ids = np.array([ap.sid for ap in self.aps], dtype=object)
+        if len(set(ids.tolist())) != len(ids):
+            raise ValueError("AP ids must be distinct")
         pos = np.array([ap.position for ap in self.aps], dtype=float)
         if pos.size and not np.all(np.isfinite(pos)):
             raise ValueError("AP positions must be finite")
@@ -102,9 +116,8 @@ class SimEnvironment:
         object.__setattr__(
             self, "_ap_tx", np.array([ap.tx_power for ap in self.aps], dtype=float)
         )
-        object.__setattr__(
-            self, "_ap_ids", np.array([ap.sid for ap in self.aps], dtype=object)
-        )
+        object.__setattr__(self, "_ap_ids", ids)
+        object.__setattr__(self, "_ap_by_id", np.argsort(ids))
 
 
 @dataclass(frozen=True)
@@ -229,14 +242,136 @@ def _scan_rngs(env: SimEnvironment, stream: int, first: int, n: int):
         yield rng
 
 
+def _times(values: Iterable[int]) -> np.ndarray:
+    """Times as int64, or as Python ints when one does not fit int64 (a
+    profile file may carry any integer), so comparisons stay exact."""
+    values = list(values)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class _ScanBatch:
+    """Scans in columns: ``times`` (one per scan, see _times), ``ids`` (the
+    sorted vocabulary: exactly the ids the scans hold) and ``rssi``, a dense
+    int16 (scan x id) block with _UNHEARD where a scan lacks the id.
+
+    ``order`` is the column order in which :meth:`vectors` lists each scan's
+    ids: AP order for a batch just simulated, id order (None) for any other.
+    """
+
+    __slots__ = ("times", "ids", "rssi", "order")
+
+    def __init__(self, times: np.ndarray, ids: list[SignalId],
+                 rssi: np.ndarray, order: np.ndarray | None = None):
+        self.times, self.ids, self.rssi, self.order = times, ids, rssi, order
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[SignalVector]) -> "_ScanBatch":
+        """The scans of ``vectors``, in their order."""
+        readings = [vec.readings for vec in vectors]
+        ids = sorted(set().union(*readings))
+        column = dict(zip(ids, count()))
+        cols = list(map(column.__getitem__, chain.from_iterable(readings)))
+        rssi = np.full((len(readings), len(ids)), _UNHEARD, dtype=np.int16)
+        rows = np.repeat(np.arange(len(readings)), list(map(len, readings)))
+        rssi[rows, cols] = np.fromiter(
+            chain.from_iterable(r.values() for r in readings), dtype=np.int16,
+            count=len(cols))
+        return cls(_times(vec.timestamp for vec in vectors), ids, rssi)
+
+    @classmethod
+    def simulate(cls, env: SimEnvironment, trajectory: SimTrajectory,
+                 sampling_period: int, stream: int) -> "_ScanBatch":
+        """The scans of ``simulate_profile`` with the same arguments."""
+        times = scan_times(trajectory.t_start, trajectory.t_end, sampling_period)
+        positions = trajectory._positions(times)
+        block = np.empty((len(times), len(env.aps)), dtype=np.int16)
+        step = max(1, _BLOCK // max(1, len(env.aps)))
+        for lo in range(0, len(times), step):
+            block[lo:lo + step] = _scan_readings(
+                env, positions[lo:lo + step], trajectory.device, stream, lo)
+        return cls._from_aps(env, times, block)
+
+    @classmethod
+    def _from_aps(cls, env: SimEnvironment, times: list[int],
+                  block: np.ndarray) -> "_ScanBatch":
+        """A batch over the APs that some row of a (scan x AP) block hears."""
+        aps = env._ap_by_id[(block != _UNHEARD).any(axis=0)[env._ap_by_id]]
+        return cls(_times(times), env._ap_ids[aps].tolist(), block[:, aps],
+                   np.argsort(aps))
+
+    @classmethod
+    def concat(cls, batches: Sequence["_ScanBatch"]) -> "_ScanBatch":
+        """The scans of every batch, in turn, over the union vocabulary."""
+        ids = sorted(set().union(*(batch.ids for batch in batches)))
+        column = dict(zip(ids, count()))
+        rssi = np.full((sum(map(len, batches)), len(ids)), _UNHEARD,
+                       dtype=np.int16)
+        row = 0
+        for batch in batches:
+            cols = list(map(column.__getitem__, batch.ids))
+            rssi[row:row + len(batch), cols] = batch.rssi
+            row += len(batch)
+        return cls(np.concatenate([batch.times for batch in batches]), ids, rssi)
+
+    def vectors(self) -> list[SignalVector]:
+        """Each scan as a SignalVector, its ids in ``order``."""
+        ids, rssi = np.array(self.ids, dtype=object), self.rssi
+        if self.order is not None:
+            ids, rssi = ids[self.order], rssi[:, self.order]
+        heard = rssi != _UNHEARD
+        # row-major: scan by scan, each scan's ids in column order
+        readings = zip(ids[np.nonzero(heard)[1]].tolist(), rssi[heard].tolist())
+        return [SignalVector._trusted(dict(islice(readings, n)), t)
+                for n, t in zip(heard.sum(axis=1).tolist(), self.times.tolist())]
+
+    def drop_ids(self, rate: float, seed: int) -> "_ScanBatch":
+        """The batch without a random fraction of its ids.
+
+        Each id is removed independently with probability ``rate``: one
+        uniform per vocabulary id, in id order.
+        """
+        _check_perturbation(filter_rate=rate)
+        rng = np.random.default_rng((seed, 0xF117E2))
+        kept = rng.random(len(self.ids)) >= rate
+        return _ScanBatch(self.times, list(compress(self.ids, kept.tolist())),
+                          self.rssi[:, kept])
+
+    def perturb(self, std: float,
+                streams: Iterable[tuple[slice, int]]) -> "_ScanBatch":
+        """A copy with Gaussian noise added to every reading, re-clamped
+        into [-100, 0].
+
+        Each ``(rows, seed)`` of ``streams`` draws one stream over the
+        readings of those rows: scan by scan, each scan's readings in id
+        order, which is the row-major order of the heard cells.
+        """
+        _check_perturbation(noise_std=std)
+        rssi = self.rssi.copy()
+        for rows, seed in streams:
+            part = rssi[rows]
+            heard = part != _UNHEARD
+            noise = np.random.default_rng((seed, 0x201E)).normal(
+                0.0, std, np.count_nonzero(heard))
+            part[heard] = np.clip(np.rint(part[heard] + noise),
+                                  RSSI_FLOOR, RSSI_CEIL)
+        return _ScanBatch(self.times, self.ids, rssi)
+
+
 def _scan_readings(
     env: SimEnvironment,
     positions: np.ndarray,
     device: DeviceParams,
     stream: int,
     first_index: int,
-) -> list[dict[SignalId, int]]:
-    """Readings of one scan per row of ``positions``, in AP order.
+) -> np.ndarray:
+    """One scan per row of ``positions`` as an int16 (scan x AP) block: the
+    RSSI where the AP is heard, _UNHEARD elsewhere.
 
     Scan i draws from its own generator (env.seed, stream, first_index + i):
     one normal over all APs, then one uniform over all APs. Path loss is
@@ -246,7 +381,7 @@ def _scan_readings(
         raise ValueError("scan position must be finite")
     n_aps = len(env.aps)
     if n_aps == 0:
-        return [{} for _ in positions]
+        return np.empty((len(positions), 0), dtype=np.int16)
     moved = np.ones(len(positions), dtype=bool)
     moved[1:] = np.any(positions[1:] != positions[:-1], axis=1)
     spots = positions[moved]
@@ -264,12 +399,9 @@ def _scan_readings(
     # normal(0, std) draws exactly 0.0 + std * standard_normal
     noise *= env.shadowing_std or 0.0
     rssi = mean[np.cumsum(moved) - 1] + noise + device.bias
-    rssi = np.clip(np.rint(rssi), RSSI_FLOOR, RSSI_CEIL).astype(int)
+    rssi = np.clip(np.rint(rssi), RSSI_FLOOR, RSSI_CEIL)
     heard = (rssi >= env.detection_floor) & (uniform < device.detect_rate)
-    # row-major: scan by scan, each scan's APs in AP order
-    readings = zip(env._ap_ids[np.nonzero(heard)[1]].tolist(),
-                   rssi[heard].tolist())
-    return [dict(islice(readings, n)) for n in heard.sum(axis=1).tolist()]
+    return np.where(heard, rssi, _UNHEARD).astype(np.int16)
 
 
 def sample_scan(
@@ -286,8 +418,9 @@ def sample_scan(
     index) always reproduces the same scan bit-for-bit.
     """
     pos = np.asarray(position, dtype=float).reshape(1, 2)
-    readings, = _scan_readings(env, pos, device, stream, index)
-    return SignalVector._trusted(readings, int(timestamp))
+    block = _scan_readings(env, pos, device, stream, index)
+    vec, = _ScanBatch._from_aps(env, [int(timestamp)], block).vectors()
+    return vec
 
 
 def scan_times(t_start: int, t_end: int, sampling_period: int) -> list[int]:
@@ -310,15 +443,8 @@ def simulate_profile(
     the last; a single-waypoint trajectory yields one scan. Scan i draws
     exactly what ``sample_scan(..., stream=stream, index=i)`` draws.
     """
-    times = scan_times(trajectory.t_start, trajectory.t_end, sampling_period)
-    positions = trajectory._positions(times)
-    step = max(1, _BLOCK // max(1, len(env.aps)))
-    readings = []
-    for lo in range(0, len(times), step):
-        readings += _scan_readings(env, positions[lo:lo + step],
-                                   trajectory.device, stream, lo)
-    return SignalProfile(list(map(SignalVector._trusted, readings, times)),
-                         device_tag=device_tag)
+    batch = _ScanBatch.simulate(env, trajectory, sampling_period, stream)
+    return SignalProfile(batch.vectors(), device_tag=device_tag)
 
 
 def make_paired_scenario(
@@ -368,15 +494,13 @@ def drop_ids(
     """Drop a random fraction of the scans' distinct ids from every scan.
 
     Each id is removed independently with probability ``rate`` (chosen once
-    for the whole sequence, matching an AP disappearing from the site).
+    for the whole sequence, matching an AP disappearing from the site), by
+    ``_ScanBatch.drop_ids``; each scan keeps its other ids in their order.
     """
-    _check_perturbation(filter_rate=rate)
-    ids = sorted(set(chain.from_iterable(vec.readings for vec in vectors)))
-    rng = np.random.default_rng((seed, 0xF117E2))
-    removed = set(compress(ids, (rng.random(len(ids)) < rate).tolist()))
+    kept = set(_ScanBatch.from_vectors(vectors).drop_ids(rate, seed).ids)
     return [
         SignalVector._trusted({sid: r for sid, r in vec.readings.items()
-                               if sid not in removed}, vec.timestamp)
+                               if sid in kept}, vec.timestamp)
         for vec in vectors
     ]
 
@@ -387,23 +511,11 @@ def perturb_rssi_noise(
     """Add Gaussian noise to every reading, re-clamped into [-100, 0].
 
     One stream per profile, drawn over the readings scan by scan, each
-    scan's readings in id order.
+    scan's readings in id order; each noisy scan lists its ids in id order.
     """
-    _check_perturbation(noise_std=std)
-    order = [sorted(vec.readings) for vec in profile.vectors]
-    total = sum(map(len, order))
-    rssi = np.fromiter(
-        chain.from_iterable(map(vec.readings.__getitem__, ids)
-                            for vec, ids in zip(profile.vectors, order)),
-        dtype=float, count=total,
-    )
-    rng = np.random.default_rng((seed, 0x201E))
-    noisy = iter(np.clip(np.rint(rssi + rng.normal(0.0, std, total)),
-                         RSSI_FLOOR, RSSI_CEIL).astype(int).tolist())
-    # zip stops at the end of ids without taking a value from noisy
-    vectors = [SignalVector._trusted(dict(zip(ids, noisy)), vec.timestamp)
-               for vec, ids in zip(profile.vectors, order)]
-    return SignalProfile(vectors, device_tag=profile.device_tag)
+    noisy = _ScanBatch.from_vectors(profile.vectors).perturb(
+        std, [(slice(None), seed)])
+    return SignalProfile(noisy.vectors(), device_tag=profile.device_tag)
 
 
 # --- site presets -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,15 @@ class TestDetectionConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DetectionConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["window_length", "min_exposure",
+                                      "sampling_period"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timing_rejected(self, name, value):
+        # inf sampling gave min_true_flags 0; nan exposure failed only
+        # later, inside aggregate_episodes
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            DetectionConfig(**{name: value})
 
 
 class TestDetectContacts:

@@ -27,6 +27,7 @@ from wifitrace.similarity import signal_similarity
 from wifitrace.simulator import make_site
 
 from conftest import ID_POOL, make_processed_profile, make_vector
+import oracles
 from oracles import prf_brute
 
 X, Y = ID_POOL[0], ID_POOL[1]
@@ -265,6 +266,40 @@ class TestRobustnessSuite:
         again = run_robustness_suite("office", seeds=(1,), knobs=knobs)
         assert again["sampling"] == tables["sampling"]
 
+    @pytest.mark.parametrize("period", [40, 80])
+    def test_sampling_row_equals_per_scan_reference(self, period):
+        from wifitrace.evaluation import (RobustnessKnobs, _CASE_STREAM,
+                                          _USER_STREAM, random_walk,
+                                          run_robustness_suite)
+        from wifitrace.model import LifespanSchedule, SignalProfile
+        from wifitrace.processing import build_case_profile
+        seed = 3
+        knobs = RobustnessKnobs(filter_rates=(), noise_stds=(),
+                                sampling_periods=(period,), device_pairs=())
+        (row,) = run_robustness_suite("office", seeds=(seed,),
+                                      knobs=knobs)["sampling"]
+        env, layout = make_site("office", seed=seed)
+        # the per-scan simulator, per-pair scoring and no batches
+        case_walk, user_walk = (
+            [SignalVector(readings, t) for t, readings in
+             oracles.simulate_profile_ref(
+                 env, random_walk(layout.site_area, 3600, seed, offset=offset),
+                 period, stream=stream)]
+            for offset, stream in ((0.0, _CASE_STREAM + 500),
+                                   (0.25, _USER_STREAM + 500)))
+        processed = build_case_profile(SignalProfile(case_walk),
+                                       LifespanSchedule(default=0),
+                                       max_gap=max(600, period + 1))
+        hits = 0
+        for vec in user_walk:
+            best = max((signal_similarity(vec, seg.vector)
+                        for seg in processed.segments
+                        if seg.covers(vec.timestamp)), default=0.0)
+            hits += best >= row["alpha"]
+        assert 0 < hits < len(user_walk)
+        assert row == dict(seed=seed, sampling_period=period,
+                           alpha=row["alpha"], recall=hits / len(user_walk))
+
     def test_sampling_walks_each_path_once_per_seed(self, monkeypatch):
         from wifitrace import evaluation
         from wifitrace.evaluation import (RobustnessKnobs, random_walk,
@@ -315,23 +350,26 @@ class TestRobustnessSuite:
         assert (row["precision"], row["recall"], row["f1"]) == expected
 
     def test_noise_row_perturbs_each_position_once(self, monkeypatch):
-        from wifitrace import evaluation
         from wifitrace.evaluation import (RobustnessKnobs, _CASE_STREAM,
                                           _USER_STREAM, run_robustness_suite,
                                           sweep_scores)
         from wifitrace.model import LifespanSchedule
         from wifitrace.processing import build_case_profile
-        from wifitrace.simulator import (DeviceParams, perturb_rssi_noise,
-                                         simulate_profile, stationary)
+        from wifitrace.simulator import (DeviceParams, _ScanBatch,
+                                         perturb_rssi_noise, simulate_profile,
+                                         stationary)
         seed, std, k = 1, 4.0, 2.0
         bias, rate = -3.0, 0.9
         simulated = []
+        simulate = _ScanBatch.simulate
 
-        def counting(*args, **kwargs):
-            simulated.append(kwargs["stream"])
-            return simulate_profile(*args, **kwargs)
+        def counting(env, trajectory, sampling_period, stream):
+            simulated.append(stream)
+            return simulate(env, trajectory, sampling_period, stream)
 
-        monkeypatch.setattr(evaluation, "simulate_profile", counting)
+        # every simulated stream, dict or batch, goes through the batch
+        # simulator
+        monkeypatch.setattr(_ScanBatch, "simulate", staticmethod(counting))
         tables = run_robustness_suite(
             "office", seeds=(seed,), proximity=k,
             knobs=RobustnessKnobs(filter_rates=(), noise_stds=(std,),

@@ -24,6 +24,7 @@ from wifitrace.model import (
     SignalVector,
 )
 from wifitrace.similarity import score_scans, signal_similarity
+from wifitrace.simulator import _ScanBatch, _times
 
 from conftest import ID_POOL
 
@@ -152,6 +153,43 @@ def test_score_scans_without_alpha_is_the_best_score(cells, scans, profile, gate
     scores = score_scans(scans, profile.segments, time_gated=gated)
     expected = [reference_best(vec, profile.segments, gated) for vec in scans]
     assert scores.tolist() == expected
+
+
+# scans may also hold ids that no segment holds
+wide_readings = st.dictionaries(st.sampled_from(ID_POOL[:14]), rssi,
+                                max_size=14)
+wide_scans = st.lists(st.builds(SignalVector, wide_readings, times),
+                      max_size=12)
+
+
+@settings(examples, max_examples=150)
+@given(scans=wide_scans, profile=profiles(), gated=st.booleans(),
+       rate=st.sampled_from([None, 0.0, 1.0]))
+def test_batch_scores_are_the_dict_scores(cells, scans, profile, gated, rate):
+    batch = _ScanBatch.from_vectors(scans)
+    assert batch.ids == sorted({sid for vec in scans for sid in vec.readings})
+    assert batch.vectors() == scans
+    if rate is not None:
+        # rate 0 keeps every id, rate 1 leaves every scan empty
+        batch = batch.drop_ids(rate, seed=5)
+        scans = [SignalVector({} if rate else vec.readings, vec.timestamp)
+                 for vec in scans]
+    got, matched = similarity._score_columns(
+        batch, similarity._Columns.from_segments(profile.segments),
+        time_gated=gated)
+    expected = [reference_best(vec, profile.segments, gated) for vec in scans]
+    assert got.tolist() == expected
+    assert (matched == -1).all()
+
+
+@settings(max_examples=150)
+@given(profile=profiles(),
+       ts=st.lists(st.one_of(times, st.integers(2**63 - 2, 2**63 + 2))))
+def test_covers_is_any_window_of_a_non_empty_segment(profile, ts):
+    cols = similarity._Columns.from_segments(profile.segments)
+    got = cols.covers(_times(ts))
+    assert got.tolist() == [any(seg.covers(t) for seg in profile.segments
+                                if len(seg.vector)) for t in ts]
 
 
 @pytest.mark.parametrize("big", [2**63, 2**70, -2**63 - 1])

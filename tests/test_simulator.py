@@ -116,6 +116,13 @@ class TestSampleScan:
         with pytest.raises(ValueError, match="shadowing_std must be finite"):
             SimEnvironment((), shadowing_std=value)
 
+    def test_duplicate_ap_ids_rejected(self):
+        # a scan batch has one column per id; two APs cannot share one
+        aps = (SimAp(ID_POOL[0], (0.0, 0.0), -40.0),
+               SimAp(ID_POOL[0], (5.0, 0.0), -40.0))
+        with pytest.raises(ValueError, match="AP ids must be distinct"):
+            SimEnvironment(aps)
+
 
 class TestSimulateProfile:
     def test_ten_minutes_at_five_seconds_is_120_scans(self):
