@@ -3,8 +3,11 @@
 Per-timestamp matching: a user's scan at time t is checked against every
 published segment whose validity window contains t; the first segment whose
 similarity reaches the threshold flags the timestamp as a contact and is the
-one recorded. All scans are scored in one batch by similarity's kernel,
-which applies that first-match rule. The threshold and the window settings
+one recorded. The user's scans are in time order, so the ones that some
+non-empty segment's window may contain form one slice, from the earliest
+window start to the latest window end. That slice is scored in one batch by
+similarity's kernel, which applies the first-match rule; every scan outside
+it gets a false flag with score 0. The threshold and the window settings
 come from DetectionConfig, which ``wifitrace sync`` builds from its flags.
 
 Close-contact aggregation: a sliding time window of configurable length is
@@ -26,7 +29,7 @@ import numpy as np
 
 from .model import ProcessedProfile, SignalProfile, SignalVector
 from .similarity import _Columns, _score_columns
-from .simulator import _ScanBatch, _times
+from .simulator import _ScanBatch
 
 
 @dataclass(frozen=True)
@@ -130,12 +133,16 @@ def _detect_columns(
     each record's case label and segment count in input order."""
     owners = [(label, seg_idx) for label, n in zip(labels, counts)
               for seg_idx in range(n)]
-    # only a scan inside some window can score: convert just those
-    live = np.flatnonzero(cols.covers(_times(vec.timestamp for vec in vectors)))
     scores, matched = np.zeros(len(vectors)), np.full(len(vectors), -1)
-    scores[live], matched[live] = _score_columns(
-        _ScanBatch.from_vectors([vectors[i] for i in live.tolist()]), cols,
-        cfg.alpha)
+    live = cols.length > 0
+    if live.any():
+        # the scans are in time order, so those inside some non-empty
+        # segment's window are within one slice: convert just that
+        times = [vec.timestamp for vec in vectors]
+        lo = bisect_left(times, min(cols.t_start[live].tolist()))
+        hi = bisect_right(times, max(cols.t_end[live].tolist()))
+        scores[lo:hi], matched[lo:hi] = _score_columns(
+            _ScanBatch.from_vectors(vectors[lo:hi]), cols, cfg.alpha)
     flags: list[ContactFlag] = []
     for vec, score, g in zip(vectors, scores.tolist(), matched.tolist()):
         if g < 0:

@@ -2,17 +2,19 @@
 
 The threshold studies run on one measurement drill per seed: a case device
 sits at a reference spot while user devices record at 1..10 m along a line.
-``ProximityData`` holds the drill as the case's processed profile plus the
-distance of every user scan; ``scores()`` scores the scans once, and
-``truth(k)`` marks the scans within contact proximity k as the positives.
+``ProximityData`` holds the drill as the case's processed profile, the user
+scans as one ``simulator._ScanBatch`` and the distance of every user scan;
+``scores()`` scores the batch once, and ``truth(k)`` marks the scans within
+contact proximity k as the positives.
 ``sweep_scores`` evaluates scores against a truth mask at every threshold of
 a grid, and ``pick_intersection`` picks the point where precision meets
 recall (the minimizer of |precision - recall|, ties to the smaller
 threshold); ``calibrate`` is the two together, and the studies evaluate at
 that operating point. Every table of a seed reads that seed's drill (README,
 "Studies": which tables keep the seed's alpha, which recalibrate). The
-robustness suite keeps the drill's user scans as one ``simulator._ScanBatch``
-instead, and perturbs and scores it without building a dict per scan.
+robustness suite perturbs the drill's batch and scores the copies, and its
+device table simulates one more batch per phone model; no table builds a
+dict per scan, except the baselines, whose metrics take dicts.
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -50,6 +52,7 @@ DEFAULT_ALPHA_GRID = tuple(i / 100 for i in range(1, 101))
 _POSITIONS = tuple(range(1, 11))
 _DRILL_DURATION = 600
 _DRILL_PERIOD = 5
+_DRILL_SCANS = len(range(0, _DRILL_DURATION, _DRILL_PERIOD))  # per position
 # the in/out drill: scan interval, dwell per test spot and area lifespan (s)
 _INOUT_PERIOD = 5
 _INOUT_DWELL = 60
@@ -159,23 +162,29 @@ def point_row(point: CalibrationPoint, threshold: str = "alpha",
 
 # --- dataset construction ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProximityData:
     """Raw material for threshold studies: the case's processed profile and
-    distance-annotated user scans (contact labels are applied per k)."""
+    the user scans as one batch, with each scan's distance in m (contact
+    labels are applied per k)."""
 
     processed: ProcessedProfile
-    vectors: tuple[tuple[SignalVector, float], ...]  # (scan, distance in m)
+    scans: _ScanBatch
+    distances: np.ndarray
+
+    @property
+    def vectors(self) -> tuple[tuple[SignalVector, float], ...]:
+        """Each user scan as a SignalVector, with its distance in m."""
+        return tuple(zip(self.scans.vectors(), self.distances.tolist()))
 
     def truth(self, proximity: float) -> np.ndarray:
         """Contact labels: the scans taken within ``proximity`` m."""
-        return np.array([dist <= proximity for _, dist in self.vectors],
-                        dtype=bool)
+        return self.distances <= proximity
 
     def scores(self) -> np.ndarray:
         """Per-scan similarity to the processed profile (label-free)."""
-        return score_scans([vec for vec, _ in self.vectors],
-                           self.processed.segments)
+        return _score_columns(
+            self.scans, _Columns.from_segments(self.processed.segments))[0]
 
 
 def collect_proximity_data(env: SimEnvironment,
@@ -187,7 +196,7 @@ def collect_proximity_data(env: SimEnvironment,
     """
     case_walk = case_raw_vectors(env, layout)
     return ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
-                         _user_scans(env, layout, DeviceParams()))
+                         *_user_drill(env, layout, DeviceParams()))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
@@ -198,20 +207,14 @@ def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
     )
 
 
-def _user_batches(env: SimEnvironment, layout: SiteLayout,
-                  device: DeviceParams) -> list[_ScanBatch]:
-    """Each position's scans by a user device, one batch per position."""
-    return [_ScanBatch.simulate(
-        env, stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
-        _DRILL_PERIOD, stream=_USER_STREAM + i) for i in _POSITIONS]
-
-
-def _user_scans(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
-                ) -> tuple[tuple[SignalVector, float], ...]:
-    """Each position's scans by a user device, with the distance in m."""
-    return tuple(
-        (vec, float(i)) for i, batch in zip(_POSITIONS, _user_batches(
-            env, layout, device)) for vec in batch.vectors())
+def _user_drill(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
+                ) -> tuple[_ScanBatch, np.ndarray]:
+    """Every position's scans by a user device as one batch, position by
+    position, and each scan's distance in m."""
+    walks = [(stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
+              _USER_STREAM + i) for i in _POSITIONS]
+    return (_ScanBatch.simulate(env, walks, _DRILL_PERIOD),
+            np.repeat(np.array(_POSITIONS, dtype=float), _DRILL_SCANS))
 
 
 # --- studies ------------------------------------------------------------------
@@ -387,8 +390,8 @@ def run_baseline_comparison(preset: str, proximities: Sequence[float],
         env, layout = make_site(preset, seed=seed, **site_kwargs)
         case_walk = case_raw_vectors(env, layout)
         data = ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
-                             _user_scans(env, layout, DeviceParams()))
-        vectors = [vec for vec, _ in data.vectors]
+                             *_user_drill(env, layout, DeviceParams()))
+        vectors = data.scans.vectors()
         per_metric = {"similarity": (data.scores(), DEFAULT_ALPHA_GRID, False)}
         for m in BASELINE_METRICS:
             scores = baseline_scores(m, vectors, case_walk)
@@ -453,25 +456,22 @@ def run_robustness_suite(
     filter_rows, noise_rows, device_rows, sampling_rows = [], [], [], []
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
-        case = _Columns.from_segments(build_case_profile(
-            case_raw_vectors(env, layout), _NO_LIFESPAN).segments)
-        per_position = _user_batches(env, layout, DeviceParams())
-        sizes = [len(batch) for batch in per_position]
-        truth = np.repeat(_POSITIONS, sizes) <= proximity
-        users = _ScanBatch.concat(per_position)
-        alpha = calibrate(_score_columns(users, case)[0], truth).alpha
+        data = collect_proximity_data(env, layout)
+        case = _Columns.from_segments(data.processed.segments)
+        truth = data.truth(proximity)
+        alpha = calibrate(data.scores(), truth).alpha
 
-        # perturbed copies of the scans simulated above; nothing re-simulates
-        ends = np.cumsum(sizes).tolist()
-        streams = [(slice(end - n, end), seed * 10000 + i)
-                   for i, n, end in zip(_POSITIONS, sizes, ends)]
+        # perturbed copies of the scans simulated above; nothing re-simulates.
+        # One noise stream per position (positions are whole meters), over
+        # row slices: perturb writes through views of its copy
+        streams = [(slice(j * _DRILL_SCANS, (j + 1) * _DRILL_SCANS),
+                    seed * 10000 + i) for j, i in enumerate(_POSITIONS)]
         perturbations = (
             # one site-wide id draw per seed, shared by every position's scans
             (filter_rows, "filter_rate", knobs.filter_rates,
-             lambda rate: users.drop_ids(rate, seed)),
-            # one noise stream per position (positions are whole meters)
+             lambda rate: data.scans.drop_ids(rate, seed)),
             (noise_rows, "noise_std", knobs.noise_stds,
-             lambda std: users.perturb(std, streams)),
+             lambda std: data.scans.perturb(std, streams)),
         )
         for rows, knob, values, perturb in perturbations:
             for value in values:
@@ -481,8 +481,7 @@ def run_robustness_suite(
 
         # another phone model: its own user scans against the same case profile
         for bias, rate in knobs.device_pairs:
-            hetero = _ScanBatch.concat(
-                _user_batches(env, layout, DeviceParams(bias, rate)))
+            hetero, _ = _user_drill(env, layout, DeviceParams(bias, rate))
             device_rows.append(point_row(
                 calibrate(_score_columns(hetero, case)[0], truth),
                 seed=seed, device_bias=bias, device_detect_rate=rate))
@@ -515,8 +514,8 @@ def _moving_recall(env: SimEnvironment,
         return 0.0
     processed = build_case_profile(case_walk, _NO_LIFESPAN,
                                    max_gap=max(600, period + 1))
-    user_walk = _ScanBatch.simulate(env, walks[1], period,
-                                    stream=_USER_STREAM + 500)
+    user_walk = _ScanBatch.simulate(env, [(walks[1], _USER_STREAM + 500)],
+                                    period)
     scores, _ = _score_columns(user_walk,
                                _Columns.from_segments(processed.segments))
     return int(np.count_nonzero(scores >= alpha)) / len(user_walk)

@@ -16,8 +16,9 @@ once with numpy, in bit-identical floats. Its kernel, _score_columns(), also
 applies detection's first-match rule. The kernel takes its scans as one
 ``simulator._ScanBatch`` (times and a dense scan x id RSSI block) and its
 segments as one ``_Columns``; it maps the batch's vocabulary to the segment
-columns once, one lookup per id. The studies hand it their simulated batches
-as they are; score_scans() and detection build a batch from dict scans.
+columns once, one lookup per id. Every study table hands it its drill's
+simulated batch as it is; score_scans() builds a batch from dict scans, and
+detection from the one time slice of dict scans that a window may contain.
 """
 
 from __future__ import annotations
@@ -106,19 +107,6 @@ class _Columns:
                    list(map(len, ranges)),
                    [seg.t_start for seg in segments],
                    [seg.t_end for seg in segments])
-
-    def covers(self, times: np.ndarray) -> np.ndarray:
-        """Whether the window of some non-empty segment contains each time."""
-        live = np.flatnonzero(self.length > 0)
-        if not len(live):
-            return np.zeros(len(times), dtype=bool)
-        by_start = live[np.argsort(self.t_start[live], kind="stable")]
-        starts = self.t_start[by_start]
-        # the latest end among the segments that start at or before t
-        reach = np.maximum.accumulate(self.t_end[by_start])
-        last = np.searchsorted(starts.astype(times.dtype) if times.dtype == object
-                               else starts, times, side="right") - 1
-        return (last >= 0) & (reach[last] >= times)
 
     def shared_terms(self, block: np.ndarray, row: np.ndarray,
                      seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,14 @@ draws are the same either way.
 
 Scans are simulated into a ``_ScanBatch``: int64 times, a sorted vocabulary
 of exactly the ids the scans hold, and a dense int16 (scan x id) RSSI block
-with ``_UNHEARD`` where a scan lacks the id. Filtering ids is a column mask
-and RSSI noise one masked array operation over the block, and the scoring
-kernel reads the block directly, so the studies keep their scans in this
-form. ``SignalVector`` dicts are built from a batch only where a public
-function returns them: ``simulate_profile`` and ``sample_scan`` list each
-scan's ids in AP order, ``perturb_rssi_noise`` in id order.
+with ``_UNHEARD`` where a scan lacks the id. One batch holds any number of
+walks, one after another, each with its own stream and scan indices from 0,
+so a study drill of several devices is simulated as one batch. Filtering
+ids is a column mask and RSSI noise one masked array operation over the
+block, and the scoring kernel reads the block directly, so the studies keep
+their scans in this form. ``SignalVector`` dicts are built from a batch only
+where a public name returns them: ``simulate_profile`` and ``sample_scan``
+list each scan's ids in AP order, ``perturb_rssi_noise`` in id order.
 
 Three site presets mirror common deployments: a small office, an outdoor
 bus station with mostly-distant APs, and a store inside a dense mall. AP
@@ -285,17 +287,22 @@ class _ScanBatch:
         return cls(_times(vec.timestamp for vec in vectors), ids, rssi)
 
     @classmethod
-    def simulate(cls, env: SimEnvironment, trajectory: SimTrajectory,
-                 sampling_period: int, stream: int) -> "_ScanBatch":
-        """The scans of ``simulate_profile`` with the same arguments."""
-        times = scan_times(trajectory.t_start, trajectory.t_end, sampling_period)
-        positions = trajectory._positions(times)
-        block = np.empty((len(times), len(env.aps)), dtype=np.int16)
+    def simulate(cls, env: SimEnvironment,
+                 walks: Sequence[tuple[SimTrajectory, int]],
+                 sampling_period: int) -> "_ScanBatch":
+        """The scans of ``simulate_profile(env, trajectory, sampling_period,
+        stream)`` for each ``(trajectory, stream)`` of ``walks``, in turn."""
+        times, blocks = [], []
         step = max(1, _BLOCK // max(1, len(env.aps)))
-        for lo in range(0, len(times), step):
-            block[lo:lo + step] = _scan_readings(
-                env, positions[lo:lo + step], trajectory.device, stream, lo)
-        return cls._from_aps(env, times, block)
+        for trajectory, stream in walks:
+            walk_times = scan_times(trajectory.t_start, trajectory.t_end,
+                                    sampling_period)
+            positions = trajectory._positions(walk_times)
+            times += walk_times
+            blocks += [_scan_readings(env, positions[lo:lo + step],
+                                      trajectory.device, stream, lo)
+                       for lo in range(0, len(walk_times), step)]
+        return cls._from_aps(env, times, np.concatenate(blocks))
 
     @classmethod
     def _from_aps(cls, env: SimEnvironment, times: list[int],
@@ -304,20 +311,6 @@ class _ScanBatch:
         aps = env._ap_by_id[(block != _UNHEARD).any(axis=0)[env._ap_by_id]]
         return cls(_times(times), env._ap_ids[aps].tolist(), block[:, aps],
                    np.argsort(aps))
-
-    @classmethod
-    def concat(cls, batches: Sequence["_ScanBatch"]) -> "_ScanBatch":
-        """The scans of every batch, in turn, over the union vocabulary."""
-        ids = sorted(set().union(*(batch.ids for batch in batches)))
-        column = dict(zip(ids, count()))
-        rssi = np.full((sum(map(len, batches)), len(ids)), _UNHEARD,
-                       dtype=np.int16)
-        row = 0
-        for batch in batches:
-            cols = list(map(column.__getitem__, batch.ids))
-            rssi[row:row + len(batch), cols] = batch.rssi
-            row += len(batch)
-        return cls(np.concatenate([batch.times for batch in batches]), ids, rssi)
 
     def vectors(self) -> list[SignalVector]:
         """Each scan as a SignalVector, its ids in ``order``."""
@@ -443,7 +436,7 @@ def simulate_profile(
     the last; a single-waypoint trajectory yields one scan. Scan i draws
     exactly what ``sample_scan(..., stream=stream, index=i)`` draws.
     """
-    batch = _ScanBatch.simulate(env, trajectory, sampling_period, stream)
+    batch = _ScanBatch.simulate(env, [(trajectory, stream)], sampling_period)
     return SignalProfile(batch.vectors(), device_tag=device_tag)
 
 
@@ -667,8 +660,6 @@ def emit_scenario(scenario: Scenario, out_dir) -> dict[str, str]:
     """Materialize a scenario: raw case/user profiles, the publishable
     processed case profile, and the ground-truth sidecar. Returns the
     written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     case_profile = scenario.case_profile()
     user_profile = scenario.user_profile()
     processed = build_case_profile(
@@ -676,6 +667,9 @@ def emit_scenario(scenario: Scenario, out_dir) -> dict[str, str]:
         LifespanSchedule(default=scenario.lifespan),
         case_label=scenario.case_label,
     )
+    # only a scenario that simulates leaves a directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "case": str(out / "case.signal"),
         "user": str(out / "user.signal"),

@@ -352,6 +352,20 @@ def test_scenario_rejects_out_of_range_perturb_values(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("sampling_period = 60\nlifespan", "sampling_period = 0\nlifespan",
+     "sampling_period must be positive"),
+    ("lifespan = 1800", "lifespan = -5", "lifespan"),
+    ("0,15,15 600,15,15", "0,15,15 600,nan,15", "finite"),
+])
+def test_simulate_that_fails_leaves_no_directory(tmp_path, capsys, old, new,
+                                                 message):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG.replace(old, new))
+    assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, key", [
     ("environment", "ap_cuont"),
     ("case", "lifespan_s"),

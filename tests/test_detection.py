@@ -140,6 +140,36 @@ class TestDetectContacts:
             assert before <= after
 
 
+class TestScoredSlice:
+    """Only the scans from the earliest start to the latest end of a
+    non-empty segment's window are scored; both ends are inclusive, as a
+    window's own ends are."""
+
+    CASE = ProcessedProfile([
+        ProfileSegment(ProcessedVector({X: (-50, -50)}), 100, 200),
+        ProfileSegment(ProcessedVector({X: (-50, -50)}), 300, 400),
+    ], case_label="c")
+    USER = SignalProfile([SignalVector({X: -50}, t)
+                          for t in (50, 100, 250, 400, 900)])
+
+    def test_scan_at_the_earliest_start_is_scored(self):
+        flags = detect_contacts(self.USER, [self.CASE], CFG)
+        assert flags[1] == ContactFlag(100, True, 1.0, 0, "c")
+
+    def test_scan_at_the_latest_end_is_scored(self):
+        flags = detect_contacts(self.USER, [self.CASE], CFG)
+        assert flags[3] == ContactFlag(400, True, 1.0, 1, "c")
+
+    def test_empty_segment_with_a_wider_window_changes_no_flag(self):
+        empty = ProcessedProfile(
+            [ProfileSegment(ProcessedVector({}), 0, 1000)], case_label="e")
+        flags = detect_contacts(self.USER, [empty, self.CASE], CFG)
+        assert flags == detect_contacts(self.USER, [self.CASE], CFG)
+        assert [(f.in_contact, f.best_score) for f in flags] == [
+            (False, 0.0), (True, 1.0), (False, 0.0), (True, 1.0),
+            (False, 0.0)]
+
+
 def flags_at_minute_spacing(pattern: str) -> list[ContactFlag]:
     return [ContactFlag(i * 60, c == "T", 1.0 if c == "T" else 0.0,
                         0 if c == "T" else None, "c" if c == "T" else None)

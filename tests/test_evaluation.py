@@ -24,7 +24,7 @@ from wifitrace.model import (
     SignalVector,
 )
 from wifitrace.similarity import signal_similarity
-from wifitrace.simulator import make_site
+from wifitrace.simulator import _ScanBatch, make_site
 
 from conftest import ID_POOL, make_processed_profile, make_vector
 import oracles
@@ -72,8 +72,9 @@ def drill(scans) -> ProximityData:
     """(scan, contact) pairs as a drill against one always-valid segment."""
     processed = ProcessedProfile(
         [ProfileSegment(ProcessedVector({X: (-50, -50)}), 0, 10_000)])
-    return ProximityData(processed, tuple(
-        (vec, CONTACT if contact else FAR) for vec, contact in scans))
+    vectors, contacts = zip(*scans)
+    return ProximityData(processed, _ScanBatch.from_vectors(vectors),
+                         np.where(contacts, CONTACT, FAR))
 
 
 def drill_from_scores(pairs) -> ProximityData:
@@ -363,9 +364,9 @@ class TestRobustnessSuite:
         simulated = []
         simulate = _ScanBatch.simulate
 
-        def counting(env, trajectory, sampling_period, stream):
-            simulated.append(stream)
-            return simulate(env, trajectory, sampling_period, stream)
+        def counting(env, walks, sampling_period):
+            simulated.extend(stream for _, stream in walks)
+            return simulate(env, walks, sampling_period)
 
         # every simulated stream, dict or batch, goes through the batch
         # simulator
@@ -386,12 +387,13 @@ class TestRobustnessSuite:
         case = simulate_profile(env, stationary(layout.line_position(0), 0, 600),
                                 5, stream=_CASE_STREAM)
         processed = build_case_profile(case, LifespanSchedule(default=0))
-        hetero = ProximityData(processed, tuple(
-            (vec, float(i)) for i in range(1, 11)
-            for vec in simulate_profile(
-                env, stationary(layout.line_position(i), 0, 600,
-                                DeviceParams(bias, rate)),
-                5, stream=_USER_STREAM + i).vectors))
+        walks = [simulate_profile(
+            env, stationary(layout.line_position(i), 0, 600,
+                            DeviceParams(bias, rate)),
+            5, stream=_USER_STREAM + i).vectors for i in range(1, 11)]
+        hetero = ProximityData(
+            processed, _ScanBatch.from_vectors(sum(walks, ())),
+            np.repeat(np.arange(1.0, 11.0), list(map(len, walks))))
         best = calibrate(hetero.scores(), hetero.truth(k))
         assert tables["devices"] == [dict(
             seed=seed, device_bias=bias, device_detect_rate=rate,

@@ -24,7 +24,7 @@ from wifitrace.model import (
     SignalVector,
 )
 from wifitrace.similarity import score_scans, signal_similarity
-from wifitrace.simulator import _ScanBatch, _times
+from wifitrace.simulator import _ScanBatch
 
 from conftest import ID_POOL
 
@@ -127,7 +127,8 @@ def test_record_score_and_dataset_scores_match(cells, scans, profile,
     expected = [reference_best(vec, profile.segments) for vec in scans]
     assert [record_score(vec, profile) for vec in scans] == expected
     distances = [float(i % 10 + 1) for i in range(len(scans))]
-    data = ProximityData(profile, tuple(zip(scans, distances)))
+    data = ProximityData(profile, _ScanBatch.from_vectors(scans),
+                         np.array(distances))
     got = data.scores()
     assert got.dtype == np.float64 and got.tolist() == expected
     truth = data.truth(proximity)
@@ -180,16 +181,6 @@ def test_batch_scores_are_the_dict_scores(cells, scans, profile, gated, rate):
     expected = [reference_best(vec, profile.segments, gated) for vec in scans]
     assert got.tolist() == expected
     assert (matched == -1).all()
-
-
-@settings(max_examples=150)
-@given(profile=profiles(),
-       ts=st.lists(st.one_of(times, st.integers(2**63 - 2, 2**63 + 2))))
-def test_covers_is_any_window_of_a_non_empty_segment(profile, ts):
-    cols = similarity._Columns.from_segments(profile.segments)
-    got = cols.covers(_times(ts))
-    assert got.tolist() == [any(seg.covers(t) for seg in profile.segments
-                                if len(seg.vector)) for t in ts]
 
 
 @pytest.mark.parametrize("big", [2**63, 2**70, -2**63 - 1])

@@ -14,6 +14,7 @@ from wifitrace.config import ScenarioError, load_scenario
 from wifitrace.simulator import (
     _block_states,
     _scan_rngs,
+    _ScanBatch,
     DeviceParams,
     Scenario,
     SimAp,
@@ -295,6 +296,24 @@ class TestMatchesReference:
         walk = SimTrajectory(((100, layout.center),), self.BIASED)
         assert_same_scans(simulate_profile(env, walk, 5).vectors,
                           oracles.simulate_profile_ref(env, walk, 5))
+
+    def test_one_batch_over_several_walks(self):
+        # each walk on its own stream with scan indices from 0, one after
+        # another; a stream beyond 32 bits takes the per-scan seeding path
+        env, layout = make_site("office", seed=6)
+        walks = [
+            (stationary(layout.line_position(2), 0, 300), 2002),
+            (SimTrajectory(((100, layout.center),), self.BIASED), 7),
+            (SimTrajectory(random_walk(layout.walk_area, 600, 3).waypoints,
+                           self.BIASED), 2**40),
+            (stationary(layout.line_position(9), 0, 300), 2009),
+        ]
+        expected = [scan for walk, stream in walks for scan in
+                    oracles.simulate_profile_ref(env, walk, 5, stream=stream)]
+        batch = _ScanBatch.simulate(env, walks, 5)
+        assert batch.ids == sorted({sid for _, scan in expected
+                                    for sid in scan})
+        assert_same_scans(batch.vectors(), expected)
 
     @pytest.mark.parametrize("x,bias,rssi", [
         (0.0, 0.5, -40), (0.0, 1.5, -38), (0.0, -2.5, -42), (0.0, 45.0, 0),
