@@ -151,12 +151,14 @@ def load_scenario(path) -> Scenario:
 
 def load_study(path) -> tuple[str, dict, StudyParams, RobustnessKnobs]:
     """Load a study config: the preset, its SimEnvironment overrides, and
-    the [study] and [robustness] sections."""
+    the [study] and [robustness] sections. The site is built once here, so a
+    bad [environment] value fails before a command writes anything."""
     radio, study, robustness = _sections(path, "environment", "study",
                                          "robustness")
     site = _site(radio)
     if not site.get("preset") or "seed" in radio:
         raise ScenarioError("study commands need [environment] preset = ..., "
                             "with no explicit site and seeds in [study]")
+    make_site(site["preset"], **radio)
     return (site["preset"], radio, StudyParams(**study),
             RobustnessKnobs(**robustness))

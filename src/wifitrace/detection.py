@@ -28,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ProcessedProfile, SignalProfile, SignalVector
-from .similarity import _Columns, _score_columns
-from .simulator import _ScanBatch
+from .similarity import _Columns, _ScanBatch, _score_columns
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The threshold studies run on one measurement drill per seed: a case device
 sits at a reference spot while user devices record at 1..10 m along a line.
-``ProximityData`` holds the drill as the case's processed profile, the user
-scans as one ``simulator._ScanBatch`` and the distance of every user scan;
-``scores()`` scores the batch once, and ``truth(k)`` marks the scans within
-contact proximity k as the positives.
+``ProximityData`` holds the drill as the case's segments in kernel columns
+(built from its scan batch), the user scans as one ``similarity._ScanBatch``
+and each user scan's distance; ``scores()`` scores the batch once, and
+``truth(k)`` marks the scans within contact proximity k as the positives.
 ``sweep_scores`` evaluates scores against a truth mask at every threshold of
 a grid, and ``pick_intersection`` picks the point where precision meets
 recall (the minimizer of |precision - recall|, ties to the smaller
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,15 +32,18 @@ import numpy as np
 
 from .detection import DetectionConfig
 from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
-from .processing import build_area_profile, build_case_profile
-from .similarity import _Columns, _score_columns, aed, amd, jaccard, score_scans
+from .processing import DEFAULT_MAX_GAP, _case_columns, build_area_profile
+from .similarity import (_Columns, _ScanBatch, _score_columns, aed, amd,
+                         jaccard, score_scans)
 from .simulator import (
     DeviceParams,
     SiteLayout,
     SimEnvironment,
     SimTrajectory,
     _check_perturbation,
-    _ScanBatch,
+    _drop_batch_ids,
+    _perturb_batch,
+    _simulate_batch,
     make_site,
     simulate_profile,
     stationary,
@@ -164,11 +168,11 @@ def point_row(point: CalibrationPoint, threshold: str = "alpha",
 
 @dataclass(frozen=True, eq=False)
 class ProximityData:
-    """Raw material for threshold studies: the case's processed profile and
-    the user scans as one batch, with each scan's distance in m (contact
-    labels are applied per k)."""
+    """Raw material for threshold studies: the case's processed segments in
+    columns and the user scans as one batch, with each scan's distance in m
+    (contact labels are applied per k)."""
 
-    processed: ProcessedProfile
+    case: _Columns
     scans: _ScanBatch
     distances: np.ndarray
 
@@ -182,29 +186,30 @@ class ProximityData:
         return self.distances <= proximity
 
     def scores(self) -> np.ndarray:
-        """Per-scan similarity to the processed profile (label-free)."""
-        return _score_columns(
-            self.scans, _Columns.from_segments(self.processed.segments))[0]
+        """Per-scan similarity to the case's segments (label-free)."""
+        return _score_columns(self.scans, self.case)[0]
 
 
 def collect_proximity_data(env: SimEnvironment,
                            layout: SiteLayout) -> ProximityData:
     """Stationary case at the reference spot, users at fixed distances.
 
-    Case and users record simultaneously over the drill; the case profile is
-    processed with zero lifespan.
+    Case and users record simultaneously over the drill; the case's scans
+    are processed with zero lifespan.
     """
-    case_walk = case_raw_vectors(env, layout)
-    return ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
-                         *_user_drill(env, layout, DeviceParams()))
+    case = _case_columns(_case_batch(env, layout), _NO_LIFESPAN, DEFAULT_MAX_GAP)
+    return ProximityData(_Columns(*case), *_user_drill(env, layout, DeviceParams()))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
     """The case's raw scan profile (baselines match raw scans, not ranges)."""
-    return simulate_profile(
-        env, stationary(layout.line_position(0), 0, _DRILL_DURATION),
-        _DRILL_PERIOD, stream=_CASE_STREAM,
-    )
+    return SignalProfile(_case_batch(env, layout).vectors())
+
+
+def _case_batch(env: SimEnvironment, layout: SiteLayout) -> _ScanBatch:
+    """The drill's case scans, at the reference spot."""
+    walk = stationary(layout.line_position(0), 0, _DRILL_DURATION)
+    return _simulate_batch(env, [(walk, _CASE_STREAM)], _DRILL_PERIOD)
 
 
 def _user_drill(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
@@ -213,7 +218,7 @@ def _user_drill(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
     position, and each scan's distance in m."""
     walks = [(stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
               _USER_STREAM + i) for i in _POSITIONS]
-    return (_ScanBatch.simulate(env, walks, _DRILL_PERIOD),
+    return (_simulate_batch(env, walks, _DRILL_PERIOD),
             np.repeat(np.array(_POSITIONS, dtype=float), _DRILL_SCANS))
 
 
@@ -363,8 +368,10 @@ def run_inout_suite(preset: str, seeds: Sequence[int],
 BASELINE_METRICS = ("jaccard", "amd", "aed")
 
 
-def _nearest_in_time(profile: SignalProfile, t: int) -> SignalVector:
-    return min(profile.vectors, key=lambda v: (abs(v.timestamp - t), v.timestamp))
+def _nearest_in_time(times: Sequence[int], t: int) -> int:
+    """Where in ascending ``times`` the time nearest t is; the earlier on a tie."""
+    i = bisect_left(times, t)
+    return i - (i == len(times) or (i > 0 and t - times[i - 1] <= times[i] - t))
 
 
 def baseline_scores(
@@ -372,9 +379,9 @@ def baseline_scores(
 ) -> np.ndarray:
     """Score scans against the case's nearest-in-time raw scan."""
     fn = {"jaccard": jaccard, "amd": amd, "aed": aed}[metric]
-    return np.array(
-        [fn(vec, _nearest_in_time(case_walk, vec.timestamp)) for vec in vectors]
-    )
+    times = [v.timestamp for v in case_walk.vectors]
+    return np.array([fn(vec, case_walk.vectors[_nearest_in_time(
+        times, vec.timestamp)]) for vec in vectors])
 
 
 def run_baseline_comparison(preset: str, proximities: Sequence[float],
@@ -388,9 +395,8 @@ def run_baseline_comparison(preset: str, proximities: Sequence[float],
     rows = []
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
+        data = collect_proximity_data(env, layout)
         case_walk = case_raw_vectors(env, layout)
-        data = ProximityData(build_case_profile(case_walk, _NO_LIFESPAN),
-                             *_user_drill(env, layout, DeviceParams()))
         vectors = data.scans.vectors()
         per_metric = {"similarity": (data.scores(), DEFAULT_ALPHA_GRID, False)}
         for m in BASELINE_METRICS:
@@ -457,7 +463,6 @@ def run_robustness_suite(
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
         data = collect_proximity_data(env, layout)
-        case = _Columns.from_segments(data.processed.segments)
         truth = data.truth(proximity)
         alpha = calibrate(data.scores(), truth).alpha
 
@@ -469,21 +474,21 @@ def run_robustness_suite(
         perturbations = (
             # one site-wide id draw per seed, shared by every position's scans
             (filter_rows, "filter_rate", knobs.filter_rates,
-             lambda rate: data.scans.drop_ids(rate, seed)),
+             lambda rate: _drop_batch_ids(data.scans, rate, seed)),
             (noise_rows, "noise_std", knobs.noise_stds,
-             lambda std: data.scans.perturb(std, streams)),
+             lambda std: _perturb_batch(data.scans, std, streams)),
         )
         for rows, knob, values, perturb in perturbations:
             for value in values:
-                scores, _ = _score_columns(perturb(value), case)
+                scores, _ = _score_columns(perturb(value), data.case)
                 (point,) = sweep_scores(scores, truth, [alpha])
                 rows.append(point_row(point, seed=seed, **{knob: value}))
 
-        # another phone model: its own user scans against the same case profile
+        # another phone model: its own user scans against the same case segments
         for bias, rate in knobs.device_pairs:
             hetero, _ = _user_drill(env, layout, DeviceParams(bias, rate))
             device_rows.append(point_row(
-                calibrate(_score_columns(hetero, case)[0], truth),
+                calibrate(_score_columns(hetero, data.case)[0], truth),
                 seed=seed, device_bias=bias, device_detect_rate=rate))
 
         # the same two walks at every sampling period
@@ -508,16 +513,13 @@ def _moving_recall(env: SimEnvironment,
     """Recall for two devices walking together (the case's walk, then the
     user's), both sampling at the given interval; every user scan is a
     ground-truth contact (the pair stays well inside the contact proximity)."""
-    case_walk = simulate_profile(env, walks[0], period,
-                                 stream=_CASE_STREAM + 500)
-    if len(case_walk.vectors) < 2:
+    case_walk = _simulate_batch(env, [(walks[0], _CASE_STREAM + 500)], period)
+    if len(case_walk) < 2:
         return 0.0
-    processed = build_case_profile(case_walk, _NO_LIFESPAN,
-                                   max_gap=max(600, period + 1))
-    user_walk = _ScanBatch.simulate(env, [(walks[1], _USER_STREAM + 500)],
-                                    period)
-    scores, _ = _score_columns(user_walk,
-                               _Columns.from_segments(processed.segments))
+    case = _Columns(*_case_columns(case_walk, _NO_LIFESPAN,
+                                   max(600, period + 1)))
+    user_walk = _simulate_batch(env, [(walks[1], _USER_STREAM + 500)], period)
+    scores, _ = _score_columns(user_walk, case)
     return int(np.count_nonzero(scores >= alpha)) / len(user_walk)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -214,6 +215,17 @@ class ProcessedProfile:
                     f"({prev.t_start} followed by {cur.t_start})"
                 )
         object.__setattr__(self, "segments", segments)
+
+    @classmethod
+    def _from_columns(cls, ids, pairs, lengths, t_start, t_end,
+                      case_label: str = "") -> "ProcessedProfile":
+        """The segments laid out as ``similarity._Columns``'s arguments:
+        segment g holds the next lengths[g] of the (id, pair) entries."""
+        entries = zip(ids, pairs)
+        return cls([ProfileSegment(ProcessedVector(dict(islice(entries, n))),
+                                   start, end)
+                    for n, start, end in zip(lengths, t_start, t_end)],
+                   case_label)
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -8,11 +8,16 @@ arbitrary times as-is. Two constructions close the gap:
   lifespan for that slot;
 * the infected-area path aggregates a whole survey walk into a single
   min/max range vector valid for the case's stay plus the lifespan.
+
+Its one range builder, ``_case_columns``, pairs all rows of a scan batch at
+once and returns the segments as the columns the kernel scores.
 """
 
 from __future__ import annotations
 
 import logging
+
+import numpy as np
 
 from .model import (
     RSSI_FLOOR,
@@ -24,6 +29,7 @@ from .model import (
     SignalProfile,
     SignalVector,
 )
+from .similarity import _UNHEARD, _ScanBatch
 
 logger = logging.getLogger(__name__)
 
@@ -67,33 +73,44 @@ def build_case_profile(
         InsufficientDataError: fewer than two scans.
         ValueError: per-segment lifespan list of the wrong length.
     """
-    n = len(walk.vectors)
+    return ProcessedProfile._from_columns(
+        *_case_columns(_ScanBatch.from_vectors(walk.vectors), lifespans,
+                       max_gap), case_label=case_label)
+
+
+def _case_columns(scans: _ScanBatch, lifespans: LifespanSchedule,
+                  max_gap: int) -> tuple[list, list, list, list, list]:
+    """build_case_profile's segments over a batch, as ``_Columns``'s
+    arguments. Per kept pair of rows, an id is held when either row heard
+    it; lo is the smaller reading where both heard it, else the floor, and
+    hi the larger heard reading."""
+    n = len(scans)
     if n < 2:
         raise InsufficientDataError(
-            f"need at least 2 scans to build a case profile, got {n}"
-        )
+            f"need at least 2 scans to build a case profile, got {n}")
     if lifespans.per_segment is not None and len(lifespans.per_segment) != n - 1:
         raise ValueError(
             f"per-segment lifespan list has {len(lifespans.per_segment)} entries, "
-            f"profile with {n} scans needs {n - 1}"
-        )
-    segments = []
-    for i in range(n - 1):
-        a, b = walk.vectors[i], walk.vectors[i + 1]
-        if b.timestamp - a.timestamp > max_gap:
-            logger.info(
-                "skipping scan pair %d: gap %ds exceeds max_gap %ds",
-                i, b.timestamp - a.timestamp, max_gap,
-            )
-            continue
-        segments.append(
-            ProfileSegment(
-                vector=build_processed_vector(a, b),
-                t_start=a.timestamp,
-                t_end=b.timestamp + lifespans.lifespan_for(i),
-            )
-        )
-    return ProcessedProfile(segments, case_label=case_label)
+            f"profile with {n} scans needs {n - 1}")
+    times = scans.times.tolist()  # Python ints: exact gaps at any size
+    kept = []
+    for i, (t0, t1) in enumerate(zip(times, times[1:])):
+        if t1 - t0 > max_gap:
+            logger.info("skipping scan pair %d: gap %ds exceeds max_gap %ds",
+                        i, t1 - t0, max_gap)
+        else:
+            kept.append(i)
+    rows = np.array(kept, dtype=np.intp)
+    # _UNHEARD tops every reading: a pair's min is heard if either is, max if both
+    low = np.minimum(scans.rssi[rows], scans.rssi[rows + 1])
+    high = np.maximum(scans.rssi[rows], scans.rssi[rows + 1])
+    held, both = low != _UNHEARD, high != _UNHEARD
+    lo = np.where(both, low, RSSI_FLOOR)[held]
+    hi = np.where(both, high, low)[held]
+    ids = np.array(scans.ids, dtype=object)[np.nonzero(held)[1]].tolist()
+    return (ids, list(zip(lo.tolist(), hi.tolist())),
+            held.sum(axis=1).tolist(), [times[i] for i in kept],
+            [times[i + 1] + lifespans.lifespan_for(i) for i in kept])
 
 
 def build_area_profile(

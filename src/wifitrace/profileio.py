@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import operator
 import urllib.parse
-from itertools import islice
 from typing import NoReturn, Sequence
 
 from .model import (
@@ -287,12 +286,9 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
                                  device_tag=label)
         except ValueError:
             _explain(kind, label, lines)
-    keys, pairs, lengths, t_start, t_end = columns = [], [], [], [], []
+    columns = ([], [], [], [], [])
     _read_columns(label, lines, ids, columns)
-    entries = zip(keys, pairs)
-    return ProcessedProfile([
-        ProfileSegment(ProcessedVector(dict(islice(entries, n))), start, end)
-        for n, start, end in zip(lengths, t_start, t_end)], case_label=label)
+    return ProcessedProfile._from_columns(*columns, case_label=label)
 
 
 def _read_columns(label: str, lines: list[str], ids: dict[str, SignalId],

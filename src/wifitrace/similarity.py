@@ -13,26 +13,27 @@ on one side with the -100 dBm floor.
 signal_similarity() scores one pair and is the reference arithmetic;
 score_scans() gives many scans their best scores against many segments at
 once with numpy, in bit-identical floats. Its kernel, _score_columns(), also
-applies detection's first-match rule. The kernel takes its scans as one
-``simulator._ScanBatch`` (times and a dense scan x id RSSI block) and its
+applies detection's first-match rule. It owns both of its input formats:
+scans as one ``_ScanBatch`` (times and a dense scan x id RSSI block) and
 segments as one ``_Columns``; it maps the batch's vocabulary to the segment
-columns once, one lookup per id. Every study table hands it its drill's
-simulated batch as it is; score_scans() builds a batch from dict scans, and
-detection from the one time slice of dict scans that a window may contain.
+columns once, one lookup per id. The studies hand it simulated batches and
+case segments built from one; score_scans() builds a batch from dict scans,
+and detection from the one time slice of dict scans a window may contain.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalVector
-from .simulator import _UNHEARD, _ScanBatch, _times
 
 _CELLS = 1 << 16  # bound on the elements of score_scans()'s temporaries
+
+_UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 
 
 def overlap_ratio(a: SignalVector, p: ProcessedVector) -> float:
@@ -72,6 +73,60 @@ def signal_similarity(a: SignalVector, p: ProcessedVector) -> float:
     return overlap_ratio(a, p) / (d + 1.0)
 
 
+def _times(values: Iterable[int]) -> np.ndarray:
+    """Times as int64, or as Python ints when one does not fit int64 (a
+    profile file may carry any integer), so comparisons stay exact."""
+    values = list(values)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class _ScanBatch:
+    """Scans in columns: ``times`` (one per scan, see _times), ``ids`` (the
+    sorted vocabulary: exactly the ids the scans hold) and ``rssi``, a dense
+    int16 (scan x id) block with _UNHEARD where a scan lacks the id.
+
+    ``order`` is the column order in which :meth:`vectors` lists each scan's
+    ids: AP order for a batch just simulated, id order (None) for any other.
+    """
+
+    __slots__ = ("times", "ids", "rssi", "order")
+
+    def __init__(self, times: np.ndarray, ids: list[bytes],
+                 rssi: np.ndarray, order: np.ndarray | None = None):
+        self.times, self.ids, self.rssi, self.order = times, ids, rssi, order
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[SignalVector]) -> "_ScanBatch":
+        """The scans of ``vectors``, in their order."""
+        readings = [vec.readings for vec in vectors]
+        ids = sorted(set().union(*readings))
+        column = dict(zip(ids, count()))
+        cols = list(map(column.__getitem__, chain.from_iterable(readings)))
+        rssi = np.full((len(readings), len(ids)), _UNHEARD, dtype=np.int16)
+        rows = np.repeat(np.arange(len(readings)), list(map(len, readings)))
+        rssi[rows, cols] = np.fromiter(
+            chain.from_iterable(r.values() for r in readings), dtype=np.int16,
+            count=len(cols))
+        return cls(_times(vec.timestamp for vec in vectors), ids, rssi)
+
+    def vectors(self) -> list[SignalVector]:
+        """Each scan as a SignalVector, its ids in ``order``."""
+        ids, rssi = np.array(self.ids, dtype=object), self.rssi
+        if self.order is not None:
+            ids, rssi = ids[self.order], rssi[:, self.order]
+        heard = rssi != _UNHEARD
+        # row-major: scan by scan, each scan's ids in column order
+        readings = zip(ids[np.nonzero(heard)[1]].tolist(), rssi[heard].tolist())
+        return [SignalVector._trusted(dict(islice(readings, n)), t)
+                for n, t in zip(heard.sum(axis=1).tolist(), self.times.tolist())]
+
+
 class _Columns:
     """A batch of segments in columnar form. Ids are interned to dense
     column numbers for this batch only; segment g's entries (column, lo, hi)
@@ -80,7 +135,8 @@ class _Columns:
 
     Built from each entry's id and (lo, hi) pair, and each segment's entry
     count and window: from record bytes with the arguments
-    ``profileio._read_processed`` returns, from segments by
+    ``profileio._read_processed`` returns, from a case's scan batch with
+    those ``processing._case_columns`` returns, from segments by
     :meth:`from_segments`.
     """
 

@@ -14,16 +14,16 @@ block's generator states are computed at once (SeedSequence mixing and
 PCG64 seeding in numpy arithmetic) and set on one reused generator; the
 draws are the same either way.
 
-Scans are simulated into a ``_ScanBatch``: int64 times, a sorted vocabulary
-of exactly the ids the scans hold, and a dense int16 (scan x id) RSSI block
-with ``_UNHEARD`` where a scan lacks the id. One batch holds any number of
-walks, one after another, each with its own stream and scan indices from 0,
-so a study drill of several devices is simulated as one batch. Filtering
-ids is a column mask and RSSI noise one masked array operation over the
-block, and the scoring kernel reads the block directly, so the studies keep
-their scans in this form. ``SignalVector`` dicts are built from a batch only
-where a public name returns them: ``simulate_profile`` and ``sample_scan``
-list each scan's ids in AP order, ``perturb_rssi_noise`` in id order.
+Scans are simulated into a ``similarity._ScanBatch``, the kernel's scan
+format: int64 times, a sorted vocabulary of exactly the ids the scans hold,
+and a dense int16 (scan x id) RSSI block with ``_UNHEARD`` where a scan
+lacks the id. ``_simulate_batch`` fills one with any number of walks, each
+with its own stream and scan indices from 0, so a study drill of several
+devices is one batch; ``_drop_batch_ids`` (a column mask) and
+``_perturb_batch`` (one masked operation over the block) perturb a batch.
+``SignalVector`` dicts are built from a batch only where a public name
+returns them: ``simulate_profile`` and ``sample_scan`` list each scan's ids
+in AP order, ``perturb_rssi_noise`` in id order.
 
 Three site presets mirror common deployments: a small office, an outdoor
 bus station with mostly-distant APs, and a store inside a dense mall. AP
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,6 +52,7 @@ from .model import (
 )
 from .processing import build_case_profile
 from .profileio import write_profile
+from .similarity import _UNHEARD, _ScanBatch, _times
 
 TRUTH_MAGIC = "vcontact-truth/1"
 
@@ -60,8 +61,6 @@ _SITE_SEEDS = {"office": 132, "bus-station": 201, "mall": 319}
 
 # scans x APs per block of simulated scans: bounds the float temporaries
 _BLOCK = 1 << 16
-
-_UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 
 
 @dataclass(frozen=True)
@@ -244,116 +243,58 @@ def _scan_rngs(env: SimEnvironment, stream: int, first: int, n: int):
         yield rng
 
 
-def _times(values: Iterable[int]) -> np.ndarray:
-    """Times as int64, or as Python ints when one does not fit int64 (a
-    profile file may carry any integer), so comparisons stay exact."""
-    values = list(values)
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+def _simulate_batch(env: SimEnvironment,
+                    walks: Sequence[tuple[SimTrajectory, int]],
+                    sampling_period: int) -> _ScanBatch:
+    """The scans of ``simulate_profile(env, trajectory, sampling_period,
+    stream)`` for each ``(trajectory, stream)`` of ``walks``, in turn."""
+    times, blocks = [], []
+    step = max(1, _BLOCK // max(1, len(env.aps)))
+    for trajectory, stream in walks:
+        walk_times = scan_times(trajectory.t_start, trajectory.t_end,
+                                sampling_period)
+        positions = trajectory._positions(walk_times)
+        times += walk_times
+        blocks += [_scan_readings(env, positions[lo:lo + step],
+                                  trajectory.device, stream, lo)
+                   for lo in range(0, len(walk_times), step)]
+    return _from_aps(env, times, np.concatenate(blocks))
 
 
-class _ScanBatch:
-    """Scans in columns: ``times`` (one per scan, see _times), ``ids`` (the
-    sorted vocabulary: exactly the ids the scans hold) and ``rssi``, a dense
-    int16 (scan x id) block with _UNHEARD where a scan lacks the id.
+def _from_aps(env: SimEnvironment, times: list[int],
+              block: np.ndarray) -> _ScanBatch:
+    """A batch over the APs that some row of a (scan x AP) block hears."""
+    aps = env._ap_by_id[(block != _UNHEARD).any(axis=0)[env._ap_by_id]]
+    return _ScanBatch(_times(times), env._ap_ids[aps].tolist(), block[:, aps],
+                      np.argsort(aps))
 
-    ``order`` is the column order in which :meth:`vectors` lists each scan's
-    ids: AP order for a batch just simulated, id order (None) for any other.
-    """
 
-    __slots__ = ("times", "ids", "rssi", "order")
+def _drop_batch_ids(batch: _ScanBatch, rate: float, seed: int) -> _ScanBatch:
+    """The batch without a random fraction of its ids: each goes with
+    probability ``rate``, by one uniform per vocabulary id in id order."""
+    _check_perturbation(filter_rate=rate)
+    rng = np.random.default_rng((seed, 0xF117E2))
+    kept = rng.random(len(batch.ids)) >= rate
+    return _ScanBatch(batch.times, list(compress(batch.ids, kept.tolist())),
+                      batch.rssi[:, kept])
 
-    def __init__(self, times: np.ndarray, ids: list[SignalId],
-                 rssi: np.ndarray, order: np.ndarray | None = None):
-        self.times, self.ids, self.rssi, self.order = times, ids, rssi, order
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[SignalVector]) -> "_ScanBatch":
-        """The scans of ``vectors``, in their order."""
-        readings = [vec.readings for vec in vectors]
-        ids = sorted(set().union(*readings))
-        column = dict(zip(ids, count()))
-        cols = list(map(column.__getitem__, chain.from_iterable(readings)))
-        rssi = np.full((len(readings), len(ids)), _UNHEARD, dtype=np.int16)
-        rows = np.repeat(np.arange(len(readings)), list(map(len, readings)))
-        rssi[rows, cols] = np.fromiter(
-            chain.from_iterable(r.values() for r in readings), dtype=np.int16,
-            count=len(cols))
-        return cls(_times(vec.timestamp for vec in vectors), ids, rssi)
-
-    @classmethod
-    def simulate(cls, env: SimEnvironment,
-                 walks: Sequence[tuple[SimTrajectory, int]],
-                 sampling_period: int) -> "_ScanBatch":
-        """The scans of ``simulate_profile(env, trajectory, sampling_period,
-        stream)`` for each ``(trajectory, stream)`` of ``walks``, in turn."""
-        times, blocks = [], []
-        step = max(1, _BLOCK // max(1, len(env.aps)))
-        for trajectory, stream in walks:
-            walk_times = scan_times(trajectory.t_start, trajectory.t_end,
-                                    sampling_period)
-            positions = trajectory._positions(walk_times)
-            times += walk_times
-            blocks += [_scan_readings(env, positions[lo:lo + step],
-                                      trajectory.device, stream, lo)
-                       for lo in range(0, len(walk_times), step)]
-        return cls._from_aps(env, times, np.concatenate(blocks))
-
-    @classmethod
-    def _from_aps(cls, env: SimEnvironment, times: list[int],
-                  block: np.ndarray) -> "_ScanBatch":
-        """A batch over the APs that some row of a (scan x AP) block hears."""
-        aps = env._ap_by_id[(block != _UNHEARD).any(axis=0)[env._ap_by_id]]
-        return cls(_times(times), env._ap_ids[aps].tolist(), block[:, aps],
-                   np.argsort(aps))
-
-    def vectors(self) -> list[SignalVector]:
-        """Each scan as a SignalVector, its ids in ``order``."""
-        ids, rssi = np.array(self.ids, dtype=object), self.rssi
-        if self.order is not None:
-            ids, rssi = ids[self.order], rssi[:, self.order]
-        heard = rssi != _UNHEARD
-        # row-major: scan by scan, each scan's ids in column order
-        readings = zip(ids[np.nonzero(heard)[1]].tolist(), rssi[heard].tolist())
-        return [SignalVector._trusted(dict(islice(readings, n)), t)
-                for n, t in zip(heard.sum(axis=1).tolist(), self.times.tolist())]
-
-    def drop_ids(self, rate: float, seed: int) -> "_ScanBatch":
-        """The batch without a random fraction of its ids.
-
-        Each id is removed independently with probability ``rate``: one
-        uniform per vocabulary id, in id order.
-        """
-        _check_perturbation(filter_rate=rate)
-        rng = np.random.default_rng((seed, 0xF117E2))
-        kept = rng.random(len(self.ids)) >= rate
-        return _ScanBatch(self.times, list(compress(self.ids, kept.tolist())),
-                          self.rssi[:, kept])
-
-    def perturb(self, std: float,
-                streams: Iterable[tuple[slice, int]]) -> "_ScanBatch":
-        """A copy with Gaussian noise added to every reading, re-clamped
-        into [-100, 0].
-
-        Each ``(rows, seed)`` of ``streams`` draws one stream over the
-        readings of those rows: scan by scan, each scan's readings in id
-        order, which is the row-major order of the heard cells.
-        """
-        _check_perturbation(noise_std=std)
-        rssi = self.rssi.copy()
-        for rows, seed in streams:
-            part = rssi[rows]
-            heard = part != _UNHEARD
-            noise = np.random.default_rng((seed, 0x201E)).normal(
-                0.0, std, np.count_nonzero(heard))
-            part[heard] = np.clip(np.rint(part[heard] + noise),
-                                  RSSI_FLOOR, RSSI_CEIL)
-        return _ScanBatch(self.times, self.ids, rssi)
+def _perturb_batch(batch: _ScanBatch, std: float,
+                   streams: Iterable[tuple[slice, int]]) -> _ScanBatch:
+    """A copy with Gaussian noise added to every reading, re-clamped into
+    [-100, 0]. Each ``(rows, seed)`` of ``streams`` draws one stream over
+    the readings of those rows: scan by scan, each scan's readings in id
+    order, which is the row-major order of the heard cells."""
+    _check_perturbation(noise_std=std)
+    rssi = batch.rssi.copy()
+    for rows, seed in streams:
+        part = rssi[rows]
+        heard = part != _UNHEARD
+        noise = np.random.default_rng((seed, 0x201E)).normal(
+            0.0, std, np.count_nonzero(heard))
+        part[heard] = np.clip(np.rint(part[heard] + noise),
+                              RSSI_FLOOR, RSSI_CEIL)
+    return _ScanBatch(batch.times, batch.ids, rssi)
 
 
 def _scan_readings(
@@ -412,7 +353,7 @@ def sample_scan(
     """
     pos = np.asarray(position, dtype=float).reshape(1, 2)
     block = _scan_readings(env, pos, device, stream, index)
-    vec, = _ScanBatch._from_aps(env, [int(timestamp)], block).vectors()
+    vec, = _from_aps(env, [int(timestamp)], block).vectors()
     return vec
 
 
@@ -436,7 +377,7 @@ def simulate_profile(
     the last; a single-waypoint trajectory yields one scan. Scan i draws
     exactly what ``sample_scan(..., stream=stream, index=i)`` draws.
     """
-    batch = _ScanBatch.simulate(env, [(trajectory, stream)], sampling_period)
+    batch = _simulate_batch(env, [(trajectory, stream)], sampling_period)
     return SignalProfile(batch.vectors(), device_tag=device_tag)
 
 
@@ -488,9 +429,9 @@ def drop_ids(
 
     Each id is removed independently with probability ``rate`` (chosen once
     for the whole sequence, matching an AP disappearing from the site), by
-    ``_ScanBatch.drop_ids``; each scan keeps its other ids in their order.
+    ``_drop_batch_ids``; each scan keeps its other ids in their order.
     """
-    kept = set(_ScanBatch.from_vectors(vectors).drop_ids(rate, seed).ids)
+    kept = set(_drop_batch_ids(_ScanBatch.from_vectors(vectors), rate, seed).ids)
     return [
         SignalVector._trusted({sid: r for sid, r in vec.readings.items()
                                if sid in kept}, vec.timestamp)
@@ -506,8 +447,8 @@ def perturb_rssi_noise(
     One stream per profile, drawn over the readings scan by scan, each
     scan's readings in id order; each noisy scan lists its ids in id order.
     """
-    noisy = _ScanBatch.from_vectors(profile.vectors).perturb(
-        std, [(slice(None), seed)])
+    noisy = _perturb_batch(_ScanBatch.from_vectors(profile.vectors), std,
+                           [(slice(None), seed)])
     return SignalProfile(noisy.vectors(), device_tag=profile.device_tag)
 
 

@@ -56,6 +56,15 @@ def make_processed_profile(rng: random.Random, n_segments: int = 3,
     return ProcessedProfile(segments, case_label=label)
 
 
+def assert_same_columns(got, want):
+    """Two similarity._Columns hold the same ids, numbering and arrays."""
+    assert got.index == want.index and got.width == want.width
+    for name in ("col", "lo", "hi", "length", "ptr", "t_start", "t_end"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -326,6 +326,25 @@ def test_study_rejects_out_of_range_values(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("environment, message", [
+    ("preset = nowhere", "unknown site preset 'nowhere'"),
+    ("preset = office\npath_loss_exponent = 9",
+     "path_loss_exponent must be in [1.5, 6]"),
+    ("preset = office\nshadowing_std = nan",
+     "shadowing_std must be finite and >= 0"),
+])
+@pytest.mark.parametrize("command", ["calibrate", "proximity-study",
+                                     "inout-study", "robustness"])
+def test_study_with_a_bad_environment_leaves_no_directory(
+        tmp_path, capsys, command, environment, message):
+    cfg = write(tmp_path, "study.cfg",
+                STUDY_CFG.replace("preset = office", environment))
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    # the site is built with the config, before --out is made
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("k", ["nan", "inf", "0", "-2"])
 def test_calibrate_rejects_an_out_of_range_k(tmp_path, capsys, k):
     cfg = write(tmp_path, "study.cfg", STUDY_CFG)

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wifitrace.evaluation import (
     CSV_COLUMNS,
@@ -23,10 +24,11 @@ from wifitrace.model import (
     ProfileSegment,
     SignalVector,
 )
-from wifitrace.similarity import signal_similarity
-from wifitrace.simulator import _ScanBatch, make_site
+from wifitrace.similarity import _Columns, _ScanBatch, signal_similarity
+from wifitrace.simulator import make_site
 
-from conftest import ID_POOL, make_processed_profile, make_vector
+from conftest import (ID_POOL, assert_same_columns, make_processed_profile,
+                      make_vector)
 import oracles
 from oracles import prf_brute
 
@@ -73,7 +75,8 @@ def drill(scans) -> ProximityData:
     processed = ProcessedProfile(
         [ProfileSegment(ProcessedVector({X: (-50, -50)}), 0, 10_000)])
     vectors, contacts = zip(*scans)
-    return ProximityData(processed, _ScanBatch.from_vectors(vectors),
+    return ProximityData(_Columns.from_segments(processed.segments),
+                         _ScanBatch.from_vectors(vectors),
                          np.where(contacts, CONTACT, FAR))
 
 
@@ -319,8 +322,10 @@ class TestRobustnessSuite:
         assert len(tables["sampling"]) == 6
 
     def test_filter_row_drops_one_site_wide_id_draw(self):
-        from wifitrace.evaluation import (RobustnessKnobs,
+        from wifitrace.evaluation import (RobustnessKnobs, case_raw_vectors,
                                           run_robustness_suite, sweep_scores)
+        from wifitrace.model import LifespanSchedule
+        from wifitrace.processing import build_case_profile
         seed, rate, k = 1, 0.5, 2.0
         tables = run_robustness_suite(
             "office", seeds=(seed,), proximity=k,
@@ -336,12 +341,14 @@ class TestRobustnessSuite:
         draws = np.random.default_rng((seed, 0xF117E2)).random(len(ids))
         removed = {sid for sid, u in zip(ids, draws) if u < rate}
         assert 0 < len(removed) < len(ids)
+        processed = build_case_profile(case_raw_vectors(env, layout),
+                                       LifespanSchedule(default=0))
         detected = set()
         for i, (vec, _) in enumerate(data.vectors):
             kept = SignalVector({sid: r for sid, r in vec.readings.items()
                                  if sid not in removed}, vec.timestamp)
             best = max((signal_similarity(kept, seg.vector)
-                        for seg in data.processed.segments
+                        for seg in processed.segments
                         if seg.covers(vec.timestamp)), default=0.0)
             if best >= alpha:
                 detected.add(i)
@@ -356,13 +363,13 @@ class TestRobustnessSuite:
                                           sweep_scores)
         from wifitrace.model import LifespanSchedule
         from wifitrace.processing import build_case_profile
-        from wifitrace.simulator import (DeviceParams, _ScanBatch,
-                                         perturb_rssi_noise, simulate_profile,
-                                         stationary)
+        from wifitrace import evaluation, simulator
+        from wifitrace.simulator import (DeviceParams, perturb_rssi_noise,
+                                         simulate_profile, stationary)
         seed, std, k = 1, 4.0, 2.0
         bias, rate = -3.0, 0.9
         simulated = []
-        simulate = _ScanBatch.simulate
+        simulate = simulator._simulate_batch
 
         def counting(env, walks, sampling_period):
             simulated.extend(stream for _, stream in walks)
@@ -370,7 +377,8 @@ class TestRobustnessSuite:
 
         # every simulated stream, dict or batch, goes through the batch
         # simulator
-        monkeypatch.setattr(_ScanBatch, "simulate", staticmethod(counting))
+        monkeypatch.setattr(simulator, "_simulate_batch", counting)
+        monkeypatch.setattr(evaluation, "_simulate_batch", counting)
         tables = run_robustness_suite(
             "office", seeds=(seed,), proximity=k,
             knobs=RobustnessKnobs(filter_rates=(), noise_stds=(std,),
@@ -392,7 +400,8 @@ class TestRobustnessSuite:
                             DeviceParams(bias, rate)),
             5, stream=_USER_STREAM + i).vectors for i in range(1, 11)]
         hetero = ProximityData(
-            processed, _ScanBatch.from_vectors(sum(walks, ())),
+            _Columns.from_segments(processed.segments),
+            _ScanBatch.from_vectors(sum(walks, ())),
             np.repeat(np.arange(1.0, 11.0), list(map(len, walks))))
         best = calibrate(hetero.scores(), hetero.truth(k))
         assert tables["devices"] == [dict(
@@ -415,7 +424,7 @@ class TestRobustnessSuite:
         detected = set()
         for i, vec in enumerate(noisy):
             best = max((signal_similarity(vec, seg.vector)
-                        for seg in data.processed.segments
+                        for seg in processed.segments
                         if seg.covers(vec.timestamp)), default=0.0)
             if best >= alpha:
                 detected.add(i)
@@ -449,10 +458,47 @@ class TestDatasetConstruction:
         distances = sorted({d for _, d in data.vectors})
         assert distances == [float(i) for i in range(1, 11)]
         assert len(data.vectors) == 10 * 120
-        assert len(data.processed) == 119
+        assert len(data.case.length) == 119
+
+    @pytest.mark.parametrize("preset, seed", [("office", 1), ("mall", 3)])
+    def test_case_columns_are_the_raw_walk_processed(self, preset, seed):
+        # the baselines' raw case walk is the walk whose segments are scored
+        from wifitrace.evaluation import _NO_LIFESPAN, case_raw_vectors
+        from wifitrace.processing import build_case_profile
+        env, layout = make_site(preset, seed=seed)
+        profile = build_case_profile(case_raw_vectors(env, layout),
+                                     _NO_LIFESPAN)
+        assert_same_columns(collect_proximity_data(env, layout).case,
+                            _Columns.from_segments(profile.segments))
 
     def test_every_scan_time_covered_by_profile(self):
         env, layout = make_site("office", seed=1)
         data = collect_proximity_data(env, layout)
+        case = data.case
         for vec, _ in data.vectors:
-            assert any(s.covers(vec.timestamp) for s in data.processed.segments)
+            t = vec.timestamp
+            assert ((case.t_start <= t) & (t <= case.t_end)).any()
+
+
+def linear_nearest(times, t):
+    return min(range(len(times)), key=lambda i: (abs(times[i] - t), times[i]))
+
+
+@pytest.mark.parametrize("t", [
+    -50, 0, 10, 20, 22,  # before the first scan, then on each scan
+    5, 15, 21,  # exactly midway: the earlier scan
+    4, 6, 16, 23, 10**6,  # nearer one side, after the last scan
+])
+def test_nearest_in_time_is_the_linear_min(t):
+    from wifitrace.evaluation import _nearest_in_time
+    times = [0, 10, 20, 22]
+    assert _nearest_in_time(times, t) == linear_nearest(times, t)
+    assert _nearest_in_time([7], t) == 0
+
+
+@given(times=st.lists(st.integers(-40, 40), min_size=1, unique=True),
+       t=st.integers(-50, 50))
+def test_nearest_in_time_matches_linear_min_on_any_walk(times, t):
+    from wifitrace.evaluation import _nearest_in_time
+    times.sort()
+    assert _nearest_in_time(times, t) == linear_nearest(times, t)

@@ -1,5 +1,7 @@
+from itertools import accumulate
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wifitrace.model import (
@@ -21,6 +23,31 @@ X, Y, Z = ID_POOL[0], ID_POOL[1], ID_POOL[2]
 
 ids = st.sampled_from(ID_POOL[:12])
 readings = st.dictionaries(ids, st.integers(-100, 0), max_size=10)
+
+MAX_GAP = 60
+# readings often at the floor, so an id one scan of a pair hears at -100
+# meets ids both scans hear and ids only the other scan hears
+floor_readings = st.dictionaries(
+    st.sampled_from(ID_POOL[:6]), st.one_of(st.just(-100), st.integers(-100, 0)),
+    max_size=6)
+
+
+@st.composite
+def case_walks(draw):
+    """A walk of 2 to 8 scans, maybe with times beyond int64, gaps at, just
+    above and under MAX_GAP, and one lifespan per pair or none."""
+    n = draw(st.integers(2, 8))
+    start = draw(st.one_of(st.integers(0, 1000),
+                           st.integers(2**63 - 300, 2**63 + 300),
+                           st.integers(-2**64, -2**63 - 300)))
+    gaps = draw(st.lists(st.one_of(st.sampled_from([MAX_GAP, MAX_GAP + 1]),
+                                   st.integers(1, 3 * MAX_GAP)),
+                         min_size=n - 1, max_size=n - 1))
+    walk = SignalProfile([SignalVector(draw(floor_readings), t)
+                          for t in accumulate([start, *gaps])])
+    lifespans = draw(st.none() | st.lists(st.integers(0, 2000),
+                                           min_size=n - 1, max_size=n - 1))
+    return walk, lifespans
 
 
 class TestBuildProcessedVector:
@@ -137,6 +164,33 @@ class TestBuildCaseProfile:
             for seg, (ranges, t0, t1) in zip(got.segments, expected):
                 assert dict(seg.vector.ranges) == ranges
                 assert (seg.t_start, seg.t_end) == (t0, t1)
+
+
+    @given(case_walks())
+    # a pair exactly MAX_GAP apart is kept, one id heard at -100 in one scan
+    @example((SignalProfile([SignalVector({X: -100, Y: -50}, 0),
+                             SignalVector({Y: -60, Z: -100}, MAX_GAP)]), None))
+    # every pair skipped
+    @example((SignalProfile([SignalVector({X: -40}, 0),
+                             SignalVector({X: -45}, MAX_GAP + 1),
+                             SignalVector({}, 2**64)]), [5, 7]))
+    @settings(max_examples=300)
+    def test_equals_the_brute_force_oracle(self, drawn):
+        walk, per_segment = drawn
+        scans = [(v.timestamp, dict(v.readings)) for v in walk.vectors]
+        default = 90
+        got = build_case_profile(
+            walk, LifespanSchedule(default, per_segment), max_gap=MAX_GAP)
+        expected = case_profile_brute(
+            scans, per_segment or [default] * (len(scans) - 1), MAX_GAP)
+        assert [(dict(seg.vector.ranges), seg.t_start, seg.t_end)
+                for seg in got.segments] == expected
+        # each segment is its pair's single-pair ranges
+        kept = [i for i in range(len(scans) - 1)
+                if scans[i + 1][0] - scans[i][0] <= MAX_GAP]
+        assert [seg.vector for seg in got.segments] == [
+            build_processed_vector(walk.vectors[i], walk.vectors[i + 1])
+            for i in kept]
 
 
 class TestBuildAreaProfile:

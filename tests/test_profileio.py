@@ -20,7 +20,8 @@ from wifitrace.profileio import (
 )
 from wifitrace.similarity import _Columns
 
-from conftest import ID_POOL, make_processed_profile, make_profile
+from conftest import (ID_POOL, assert_same_columns, make_processed_profile,
+                      make_profile)
 
 ids = st.sampled_from(ID_POOL)
 readings = st.dictionaries(ids, st.integers(-100, 0), max_size=10)
@@ -319,14 +320,6 @@ def _processed_or_error(data: bytes):
         return ProfileFormatError(
             "not a processed profile (scans stay on a device)")
     return profile
-
-
-def assert_same_columns(got: _Columns, want: _Columns):
-    assert got.index == want.index and got.width == want.width
-    for name in ("col", "lo", "hi", "length", "ptr", "t_start", "t_end"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert a.tolist() == b.tolist(), name
 
 
 def assert_batch_reads_as_parse_profile(records: list[bytes]):

@@ -23,8 +23,8 @@ from wifitrace.model import (
     SignalProfile,
     SignalVector,
 )
-from wifitrace.similarity import score_scans, signal_similarity
-from wifitrace.simulator import _ScanBatch
+from wifitrace.similarity import _ScanBatch, score_scans, signal_similarity
+from wifitrace.simulator import _drop_batch_ids
 
 from conftest import ID_POOL
 
@@ -127,8 +127,8 @@ def test_record_score_and_dataset_scores_match(cells, scans, profile,
     expected = [reference_best(vec, profile.segments) for vec in scans]
     assert [record_score(vec, profile) for vec in scans] == expected
     distances = [float(i % 10 + 1) for i in range(len(scans))]
-    data = ProximityData(profile, _ScanBatch.from_vectors(scans),
-                         np.array(distances))
+    data = ProximityData(similarity._Columns.from_segments(profile.segments),
+                         _ScanBatch.from_vectors(scans), np.array(distances))
     got = data.scores()
     assert got.dtype == np.float64 and got.tolist() == expected
     truth = data.truth(proximity)
@@ -172,7 +172,7 @@ def test_batch_scores_are_the_dict_scores(cells, scans, profile, gated, rate):
     assert batch.vectors() == scans
     if rate is not None:
         # rate 0 keeps every id, rate 1 leaves every scan empty
-        batch = batch.drop_ids(rate, seed=5)
+        batch = _drop_batch_ids(batch, rate, seed=5)
         scans = [SignalVector({} if rate else vec.readings, vec.timestamp)
                  for vec in scans]
     got, matched = similarity._score_columns(

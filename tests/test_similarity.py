@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wifitrace
 from wifitrace.model import ProcessedVector, SignalVector
 from wifitrace.similarity import (
     aed,
@@ -185,3 +189,15 @@ class TestDistanceBaselines:
         assert amd(a, b) == amd(b, a)
         assert aed(a, b) == aed(b, a)
         assert amd(a, b) == pytest.approx(float(amd_brute(ra, rb)))
+
+
+def test_device_path_does_not_load_the_simulator():
+    # the kernel owns its scan format, so exchange, detection and similarity
+    # run on a device without the simulator
+    src = os.path.dirname(os.path.dirname(wifitrace.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, wifitrace.exchange; "
+         "print(sorted(m for m in sys.modules if m.startswith('wifitrace')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True).stdout
+    assert "wifitrace.exchange" in out and "wifitrace.simulator" not in out

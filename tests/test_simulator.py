@@ -14,7 +14,7 @@ from wifitrace.config import ScenarioError, load_scenario
 from wifitrace.simulator import (
     _block_states,
     _scan_rngs,
-    _ScanBatch,
+    _simulate_batch,
     DeviceParams,
     Scenario,
     SimAp,
@@ -310,7 +310,7 @@ class TestMatchesReference:
         ]
         expected = [scan for walk, stream in walks for scan in
                     oracles.simulate_profile_ref(env, walk, 5, stream=stream)]
-        batch = _ScanBatch.simulate(env, walks, 5)
+        batch = _simulate_batch(env, walks, 5)
         assert batch.ids == sorted({sid for _, scan in expected
                                     for sid in scan})
         assert_same_scans(batch.vectors(), expected)
