@@ -122,6 +122,8 @@ def cmd_serve(args) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()
+    finally:
+        server.server_close()
     return 0
 
 

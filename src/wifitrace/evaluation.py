@@ -13,8 +13,9 @@ threshold); ``calibrate`` is the two together, and the studies evaluate at
 that operating point. Every table of a seed reads that seed's drill (README,
 "Studies": which tables keep the seed's alpha, which recalibrate). The
 robustness suite perturbs the drill's batch and scores the copies, and its
-device table simulates one more batch per phone model; no table builds a
-dict per scan, except the baselines, whose metrics take dicts.
+device table simulates one more batch per phone model. The in/out study
+scores a batch of test spots against area columns from a survey batch. No
+table builds a dict per scan, except the baselines, whose metrics take dicts.
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .detection import DetectionConfig
 from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
-from .processing import DEFAULT_MAX_GAP, _case_columns, build_area_profile
+from .processing import DEFAULT_MAX_GAP, _area_columns, _case_columns
 from .similarity import (_Columns, _ScanBatch, _score_columns, aed, amd,
                          jaccard, score_scans)
 from .simulator import (
@@ -45,7 +46,6 @@ from .simulator import (
     _perturb_batch,
     _simulate_batch,
     make_site,
-    simulate_profile,
     stationary,
 )
 
@@ -57,9 +57,11 @@ _POSITIONS = tuple(range(1, 11))
 _DRILL_DURATION = 600
 _DRILL_PERIOD = 5
 _DRILL_SCANS = len(range(0, _DRILL_DURATION, _DRILL_PERIOD))  # per position
-# the in/out drill: scan interval, dwell per test spot and area lifespan (s)
+# the in/out drill: scan interval, stay (survey), dwell per spot, lifespan (s)
 _INOUT_PERIOD = 5
+_INOUT_STAY = 240
 _INOUT_DWELL = 60
+_INOUT_SCANS = len(range(0, _INOUT_DWELL, _INOUT_PERIOD))  # per spot
 _INOUT_LIFESPAN = 1800
 # studies record case and users together, so no case segment need outlive
 # its own scans
@@ -301,22 +303,28 @@ def run_inout_study(
     gating (the question is where the scan was taken, not when). Returns
     precision and recall of the "inside" class.
     """
-    scans = list(inside_data) + list(outside_data)
-    scores = score_scans(scans, area_profile.segments, time_gated=False)
-    truth = np.arange(len(scans)) < len(inside_data)
+    return _inout_scores(_Columns.from_segments(area_profile.segments),
+                         _ScanBatch.from_vectors([*inside_data, *outside_data]),
+                         len(inside_data), alpha)
+
+
+def _inout_scores(area: _Columns, scans: _ScanBatch, n_inside: int,
+                  alpha: float) -> tuple[float, float]:
+    """run_inout_study over columns: the first ``n_inside`` scans are inside."""
+    scores, _ = _score_columns(scans, area, time_gated=False)
+    truth = np.arange(len(scans)) < n_inside
     precision, recall, _ = _prf_from_masks(truth, scores >= alpha)
     return precision, recall
 
 
-def build_inout_data(
-    preset: str, seed: int, **site_kwargs,
-) -> tuple[ProcessedProfile, list[SignalVector], list[SignalVector]]:
-    """Survey an area and collect labeled inside/outside test scans.
+def _inout_drill(env: SimEnvironment, layout: SiteLayout
+                 ) -> tuple[_ScanBatch, _ScanBatch, int]:
+    """Survey an area and collect labeled test scans: the survey walk, the
+    test scans (inside spots first) and how many of them are inside.
 
     The survey walks the walk-area perimeter; inside spots form a grid within
     it, outside spots sit several meters beyond its edges.
     """
-    env, layout = make_site(preset, seed=seed, **site_kwargs)
     (x0, y0), (x1, y1) = layout.walk_area
     inset = 1.0
     corners = [
@@ -324,14 +332,8 @@ def build_inout_data(
         (x1 - inset, y1 - inset), (x0 + inset, y1 - inset),
         (x0 + inset, y0 + inset),
     ]
-    leg = 60
-    survey_walk = simulate_profile(
-        env,
-        SimTrajectory(tuple((i * leg, c) for i, c in enumerate(corners))),
-        _INOUT_PERIOD, stream=_SURVEY_STREAM,
-    )
-    area = build_area_profile(survey_walk, 0, leg * (len(corners) - 1),
-                              _INOUT_LIFESPAN)
+    survey = SimTrajectory(tuple((i * _INOUT_STAY // 4, c)
+                                 for i, c in enumerate(corners)))
 
     xs = np.linspace(x0 + inset, x1 - inset, 3)
     ys = np.linspace(y0 + inset, y1 - inset, 3)
@@ -341,14 +343,13 @@ def build_inout_data(
     outside = [spot for margin in (5.0, 10.0) for spot in (
         (cx - w - margin, cy), (cx + w + margin, cy),
         (cx, cy - h - margin), (cx, cy + h + margin))]
-
-    def scans(spots, stream: int) -> list[SignalVector]:
-        return [vec for j, spot in enumerate(spots) for vec in simulate_profile(
-            env, stationary(spot, 0, _INOUT_DWELL), _INOUT_PERIOD,
-            stream=stream + j).vectors]
-
-    return (area, scans(inside, _INSIDE_STREAM),
-            scans(outside, _OUTSIDE_STREAM))
+    spots = [(stationary(spot, 0, _INOUT_DWELL), stream + j)
+             for group, stream in ((inside, _INSIDE_STREAM),
+                                   (outside, _OUTSIDE_STREAM))
+             for j, spot in enumerate(group)]
+    return (_simulate_batch(env, [(survey, _SURVEY_STREAM)], _INOUT_PERIOD),
+            _simulate_batch(env, spots, _INOUT_PERIOD),
+            len(inside) * _INOUT_SCANS)
 
 
 def run_inout_suite(preset: str, seeds: Sequence[int],
@@ -356,8 +357,10 @@ def run_inout_suite(preset: str, seeds: Sequence[int],
     """In/out detection rows: seed, alpha, precision, recall."""
     rows = []
     for seed in seeds:
-        area, inside, outside = build_inout_data(preset, seed, **site_kwargs)
-        precision, recall = run_inout_study(area, inside, outside, alpha)
+        survey, scans, n_inside = _inout_drill(
+            *make_site(preset, seed=seed, **site_kwargs))
+        area = _Columns(*_area_columns(survey, 0, _INOUT_STAY + _INOUT_LIFESPAN))
+        precision, recall = _inout_scores(area, scans, n_inside, alpha)
         rows.append(dict(seed=seed, alpha=alpha, precision=precision,
                          recall=recall))
     return rows

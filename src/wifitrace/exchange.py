@@ -344,8 +344,9 @@ def _request(url: str, data: bytes | None = None,
             with urllib.request.urlopen(req, timeout=_TIMEOUT) as resp:
                 return resp.read()
         except urllib.error.HTTPError as exc:
-            # a definitive server answer: do not retry
-            detail = exc.read(_MAX_DETAIL_CHARS)
+            # a definitive server answer: close it, and do not retry
+            with exc:
+                detail = exc.read(_MAX_DETAIL_CHARS)
             detail = detail.decode("utf-8", "replace").strip()
             raise ExchangeError(f"{exc.code}: {detail or exc.reason}") from None
         # HTTPException: a reply cut short or garbled on the way

@@ -9,8 +9,8 @@ arbitrary times as-is. Two constructions close the gap:
 * the infected-area path aggregates a whole survey walk into a single
   min/max range vector valid for the case's stay plus the lifespan.
 
-Its one range builder, ``_case_columns``, pairs all rows of a scan batch at
-once and returns the segments as the columns the kernel scores.
+Their range builders turn a scan batch into the columns the kernel scores:
+``_case_columns`` pairs all rows at once, ``_area_columns`` takes extremes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (
     LifespanSchedule,
     ProcessedProfile,
     ProcessedVector,
-    ProfileSegment,
     SignalProfile,
     SignalVector,
 )
@@ -137,14 +136,18 @@ def build_area_profile(
         raise ValueError(f"stay window [{stay_start}, {stay_end}] is empty")
     if lifespan < 0:
         raise ValueError("lifespan must be >= 0")
-    ranges: dict = {}
-    for vec in survey.vectors:
-        for sid, rssi in vec.readings.items():
-            lo, hi = ranges.get(sid, (rssi, rssi))
-            ranges[sid] = (min(lo, rssi), max(hi, rssi))
-    segment = ProfileSegment(
-        vector=ProcessedVector(ranges),
-        t_start=stay_start,
-        t_end=stay_end + lifespan,
-    )
-    return ProcessedProfile([segment], case_label=case_label)
+    return ProcessedProfile._from_columns(
+        *_area_columns(_ScanBatch.from_vectors(survey.vectors), stay_start,
+                       stay_end + lifespan), case_label=case_label)
+
+
+def _area_columns(scans: _ScanBatch, t_start: int,
+                  t_end: int) -> tuple[list, list, list, list, list]:
+    """build_area_profile's one segment over a batch, as ``_Columns``'s
+    arguments: every id of the vocabulary with the least and the greatest of
+    its readings."""
+    # _UNHEARD tops every reading, so a column's min is heard
+    lo = scans.rssi.min(axis=0)
+    hi = np.where(scans.rssi != _UNHEARD, scans.rssi, RSSI_FLOOR).max(axis=0)
+    return (scans.ids, list(zip(lo.tolist(), hi.tolist())),
+            [len(scans.ids)], [t_start], [t_end])

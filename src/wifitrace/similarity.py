@@ -14,11 +14,12 @@ signal_similarity() scores one pair and is the reference arithmetic;
 score_scans() gives many scans their best scores against many segments at
 once with numpy, in bit-identical floats. Its kernel, _score_columns(), also
 applies detection's first-match rule. It owns both of its input formats:
-scans as one ``_ScanBatch`` (times and a dense scan x id RSSI block) and
-segments as one ``_Columns``; it maps the batch's vocabulary to the segment
-columns once, one lookup per id. The studies hand it simulated batches and
-case segments built from one; score_scans() builds a batch from dict scans,
-and detection from the one time slice of dict scans a window may contain.
+scans as one ``_ScanBatch`` (times and a dense scan x id RSSI block), the
+package's one inner scan form, and segments as one ``_Columns``; it maps the
+batch's vocabulary to the segment columns once, one lookup per id. The
+studies hand it simulated batches and case and area segments built from one;
+score_scans() builds a batch from dict scans, and detection from the one
+time slice of dict scans a window may contain.
 """
 
 from __future__ import annotations
@@ -86,17 +87,12 @@ def _times(values: Iterable[int]) -> np.ndarray:
 class _ScanBatch:
     """Scans in columns: ``times`` (one per scan, see _times), ``ids`` (the
     sorted vocabulary: exactly the ids the scans hold) and ``rssi``, a dense
-    int16 (scan x id) block with _UNHEARD where a scan lacks the id.
+    int16 (scan x id) block with _UNHEARD where a scan lacks the id."""
 
-    ``order`` is the column order in which :meth:`vectors` lists each scan's
-    ids: AP order for a batch just simulated, id order (None) for any other.
-    """
+    __slots__ = ("times", "ids", "rssi")
 
-    __slots__ = ("times", "ids", "rssi", "order")
-
-    def __init__(self, times: np.ndarray, ids: list[bytes],
-                 rssi: np.ndarray, order: np.ndarray | None = None):
-        self.times, self.ids, self.rssi, self.order = times, ids, rssi, order
+    def __init__(self, times: np.ndarray, ids: list[bytes], rssi: np.ndarray):
+        self.times, self.ids, self.rssi = times, ids, rssi
 
     def __len__(self) -> int:
         return len(self.times)
@@ -116,13 +112,11 @@ class _ScanBatch:
         return cls(_times(vec.timestamp for vec in vectors), ids, rssi)
 
     def vectors(self) -> list[SignalVector]:
-        """Each scan as a SignalVector, its ids in ``order``."""
-        ids, rssi = np.array(self.ids, dtype=object), self.rssi
-        if self.order is not None:
-            ids, rssi = ids[self.order], rssi[:, self.order]
-        heard = rssi != _UNHEARD
+        """Each scan as a SignalVector, its ids in id order."""
+        heard = self.rssi != _UNHEARD
         # row-major: scan by scan, each scan's ids in column order
-        readings = zip(ids[np.nonzero(heard)[1]].tolist(), rssi[heard].tolist())
+        ids = np.array(self.ids, dtype=object)[np.nonzero(heard)[1]]
+        readings = zip(ids.tolist(), self.rssi[heard].tolist())
         return [SignalVector._trusted(dict(islice(readings, n)), t)
                 for n, t in zip(heard.sum(axis=1).tolist(), self.times.tolist())]
 
@@ -135,9 +129,9 @@ class _Columns:
 
     Built from each entry's id and (lo, hi) pair, and each segment's entry
     count and window: from record bytes with the arguments
-    ``profileio._read_processed`` returns, from a case's scan batch with
-    those ``processing._case_columns`` returns, from segments by
-    :meth:`from_segments`.
+    ``profileio._read_processed`` returns, from a scan batch with those
+    ``processing._case_columns`` or ``_area_columns`` returns, from segments
+    by :meth:`from_segments`.
     """
 
     def __init__(self, ids: Sequence[bytes], pairs: Iterable[tuple[int, int]],
@@ -185,21 +179,19 @@ class _Columns:
 def score_scans(
     scans: Sequence[SignalVector],
     segments: Sequence[ProfileSegment],
-    time_gated: bool = True,
 ) -> np.ndarray:
     """Each scan's best score against its candidate segments, in one
     batched pass; 0.0 for a scan with no candidate.
 
-    A segment is a candidate for a scan when ``time_gated`` is off, or when
-    its validity window contains the scan time; scans need not be ordered.
+    A segment is a candidate for a scan when its validity window contains
+    the scan time; scans need not be ordered.
     Each candidate pair scores ``signal_similarity(scan, segment.vector)``,
     bit for bit: the shared-id count, the smaller id count and the summed
     out-of-range distance are exact integers, then O = count / smaller,
     D = total / count and O / (D + 1.0) are float64 divisions in that order.
     """
     return _score_columns(_ScanBatch.from_vectors(scans),
-                          _Columns.from_segments(segments),
-                          time_gated=time_gated)[0]
+                          _Columns.from_segments(segments))[0]
 
 
 def _score_columns(
@@ -210,7 +202,8 @@ def _score_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """score_scans over a batch of scans and a batch of segments, both
     already in columns, with the first-match rule; segment indices are
-    positions in ``cols``.
+    positions in ``cols``. With ``time_gated`` off, every segment is a
+    candidate for every scan (the in/out study asks where, not when).
 
     Returns two arrays with one entry per scan, ``(score, segment)``. When
     ``alpha`` is given and some candidate scores >= alpha, they hold the

@@ -20,10 +20,10 @@ and a dense int16 (scan x id) RSSI block with ``_UNHEARD`` where a scan
 lacks the id. ``_simulate_batch`` fills one with any number of walks, each
 with its own stream and scan indices from 0, so a study drill of several
 devices is one batch; ``_drop_batch_ids`` (a column mask) and
-``_perturb_batch`` (one masked operation over the block) perturb a batch.
-``SignalVector`` dicts are built from a batch only where a public name
-returns them: ``simulate_profile`` and ``sample_scan`` list each scan's ids
-in AP order, ``perturb_rssi_noise`` in id order.
+``_perturb_batch`` (one masked operation over the block) are the one
+perturbation path, also under ``drop_ids``, ``perturb_rssi_noise`` and
+``Scenario.user_profile``. Dicts are built from a batch once, where a public
+name returns them, each scan's ids in id order; the draws stay in AP order.
 
 Three site presets mirror common deployments: a small office, an outdoor
 bus station with mostly-distant APs, and a store inside a dense mall. AP
@@ -265,8 +265,7 @@ def _from_aps(env: SimEnvironment, times: list[int],
               block: np.ndarray) -> _ScanBatch:
     """A batch over the APs that some row of a (scan x AP) block hears."""
     aps = env._ap_by_id[(block != _UNHEARD).any(axis=0)[env._ap_by_id]]
-    return _ScanBatch(_times(times), env._ap_ids[aps].tolist(), block[:, aps],
-                      np.argsort(aps))
+    return _ScanBatch(_times(times), env._ap_ids[aps].tolist(), block[:, aps])
 
 
 def _drop_batch_ids(batch: _ScanBatch, rate: float, seed: int) -> _ScanBatch:
@@ -429,14 +428,9 @@ def drop_ids(
 
     Each id is removed independently with probability ``rate`` (chosen once
     for the whole sequence, matching an AP disappearing from the site), by
-    ``_drop_batch_ids``; each scan keeps its other ids in their order.
+    ``_drop_batch_ids``; each scan lists its other ids in id order.
     """
-    kept = set(_drop_batch_ids(_ScanBatch.from_vectors(vectors), rate, seed).ids)
-    return [
-        SignalVector._trusted({sid: r for sid, r in vec.readings.items()
-                               if sid in kept}, vec.timestamp)
-        for vec in vectors
-    ]
+    return _drop_batch_ids(_ScanBatch.from_vectors(vectors), rate, seed).vectors()
 
 
 def perturb_rssi_noise(
@@ -573,15 +567,14 @@ class Scenario:
                                 stream=self.CASE_STREAM, device_tag=self.case_label)
 
     def user_profile(self) -> SignalProfile:
-        profile = simulate_profile(self.env, self.user, self.user_period,
-                                   stream=self.USER_STREAM)
+        scans = _simulate_batch(self.env, [(self.user, self.USER_STREAM)],
+                                self.user_period)
         if self.filter_rate > 0:
-            profile = SignalProfile(
-                drop_ids(profile.vectors, self.filter_rate, self.env.seed),
-                device_tag=profile.device_tag)
+            scans = _drop_batch_ids(scans, self.filter_rate, self.env.seed)
         if self.noise_std > 0:
-            profile = perturb_rssi_noise(profile, self.noise_std, self.env.seed)
-        return profile
+            scans = _perturb_batch(scans, self.noise_std,
+                                   [(slice(None), self.env.seed)])
+        return SignalProfile(scans.vectors())
 
 
 def write_ground_truth(path, scenario: Scenario, user_profile: SignalProfile) -> None:

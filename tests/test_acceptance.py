@@ -35,7 +35,6 @@ from wifitrace.exchange import (
     client_sync,
     fetch_since,
     publish,
-    serve_in_thread,
 )
 from wifitrace.model import (
     LifespanSchedule,
@@ -59,7 +58,8 @@ from wifitrace.similarity import (
 )
 from wifitrace.simulator import make_site, simulate_profile, stationary
 
-from conftest import ID_POOL, make_processed_profile, make_profile, make_vector
+from conftest import (ID_POOL, make_processed_profile, make_profile,
+                      make_vector, relay_in_thread)
 from oracles import (
     area_profile_brute,
     case_profile_brute,
@@ -250,8 +250,7 @@ def test_c09_exchange_round_trip(tmp_path, monkeypatch):
                    "publishes totally ordered, failed sync leaves state "
                    "untouched"):
         store = ProfileStore(tmp_path / "server")
-        server = serve_in_thread(store)
-        try:
+        with relay_in_thread(store) as server:
             walk = SignalProfile(
                 [SignalVector({ID_POOL[0]: -50 - i}, i * 60) for i in range(5)])
             data = serialize_profile(
@@ -294,8 +293,6 @@ def test_c09_exchange_round_trip(tmp_path, monkeypatch):
             with pytest.raises(ExchangeError):
                 client_sync(state, "http://127.0.0.1:1", user)
             assert (tmp_path / "client" / "cursor").read_bytes() == cursor_bytes
-        finally:
-            server.shutdown()
 
 
 def test_c10_lifespan_scenario():

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +10,12 @@ from wifitrace import cli
 from wifitrace import evaluation as ev
 from wifitrace.cli import main
 from wifitrace.detection import ContactReport, DetectionConfig
-from wifitrace.exchange import (DEFAULT_RETENTION_DAYS, ProfileStore,
-                                serve_in_thread)
+from wifitrace.exchange import DEFAULT_RETENTION_DAYS, ProfileStore
 from wifitrace.model import ProcessedProfile, SignalProfile
 from wifitrace.profileio import read_profile, write_profile
 from wifitrace.simulator import make_site
+
+from conftest import relay_in_thread
 
 STUDY_CFG = """
 [environment]
@@ -64,7 +66,7 @@ def test_simulate_emits_files(tmp_path, capsys):
     assert isinstance(user, SignalProfile) and len(user) == 10
     processed = read_profile(summary["processed"])
     assert isinstance(processed, ProcessedProfile)
-    truth = open(summary["truth"]).read().splitlines()
+    truth = Path(summary["truth"]).read_text().splitlines()
     assert truth[0] == "vcontact-truth/1" and len(truth) == 11
 
 
@@ -74,7 +76,7 @@ def test_calibrate_writes_curve_and_summary(tmp_path, capsys):
                             str(tmp_path / "out"))
     assert code == 0
     assert 0 < summary["intersection_alpha"] <= 1
-    lines = open(summary["csv"]).read().splitlines()
+    lines = Path(summary["csv"]).read_text().splitlines()
     assert lines[0] == "alpha,precision,recall,f1"
     assert len(lines) == 101
     # the study config's one seed and calibration proximity
@@ -128,7 +130,7 @@ def test_inout_study_runs(tmp_path, capsys):
     code, summary = run_cli(capsys, "inout-study", cfg, "--out",
                             str(tmp_path / "out"))
     assert code == 0
-    lines = open(summary["csv"]).read().splitlines()
+    lines = Path(summary["csv"]).read_text().splitlines()
     assert lines[0] == "seed,alpha,precision,recall"
     assert len(lines) == 2
 
@@ -140,8 +142,7 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
     assert code == 0
 
     store = ProfileStore(tmp_path / "server-data")
-    server = serve_in_thread(store)
-    try:
+    with relay_in_thread(store) as server:
         code, summary = run_cli(capsys, "publish", paths["processed"],
                                 "--endpoint", server.endpoint)
         assert code == 0 and summary["record_id"] == 1
@@ -155,18 +156,15 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
         assert summary["cursor"] == 1
         assert summary["episodes"] == 1  # user arrived within the lifespan
         assert report_path.read_text().startswith("vcontact-report/1")
-    finally:
-        server.shutdown()
 
 
 def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
     cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
     _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
-    server = serve_in_thread(ProfileStore(tmp_path / "server-data"))
     state = tmp_path / "state"
-    sync = ["sync", "--endpoint", server.endpoint, "--profile", paths["user"],
-            "--state", str(state), "--report"]
-    try:
+    with relay_in_thread(ProfileStore(tmp_path / "server-data")) as server:
+        sync = ["sync", "--endpoint", server.endpoint, "--profile",
+                paths["user"], "--state", str(state), "--report"]
         run_cli(capsys, "publish", paths["processed"],
                 "--endpoint", server.endpoint)
         for unwritable in (tmp_path / "missing" / "r.txt", tmp_path):
@@ -179,8 +177,6 @@ def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
         assert main([*dead, str(report)]) == 1
         assert report.read_text() == "an older, longer report\n" * 100
         code, summary = run_cli(capsys, *sync, str(report))
-    finally:
-        server.shutdown()
     assert code == 0 and summary["cursor"] == 1 and summary["episodes"] == 1
     text = report.read_text()
     assert text.startswith("vcontact-report/1\n") and "older" not in text
@@ -438,7 +434,7 @@ def test_robustness_knobs_ignore_default_section_keys(tmp_path, capsys):
     code, summary = run_cli(capsys, "robustness", cfg, "--out",
                             str(tmp_path / "out"))
     assert code == 0
-    rows = open(summary["filter"]).read().splitlines()
+    rows = Path(summary["filter"]).read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("1,0.5,")
 
 
@@ -453,13 +449,10 @@ def test_bad_relay_record_is_an_exchange_error(tmp_path, capsys):
     (relay_dir / ProfileStore.LOG_NAME).write_bytes(
         b"record id=1 at=%d len=%d\n%s\n" % (int(time.time()), len(payload),
                                              payload))
-    server = serve_in_thread(ProfileStore(relay_dir))
     state = tmp_path / "state"
-    try:
+    with relay_in_thread(ProfileStore(relay_dir)) as server:
         code = main(["sync", "--endpoint", server.endpoint,
                      "--profile", paths["user"], "--state", str(state)])
-    finally:
-        server.shutdown()
     assert code == 1
     assert "record 1: line 2: bad signal id 'zz'" in capsys.readouterr().err
     assert not (state / "cursor").exists()

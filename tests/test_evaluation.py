@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wifitrace import evaluation as ev
 from wifitrace.evaluation import (
     CSV_COLUMNS,
     CalibrationPoint,
@@ -15,6 +16,7 @@ from wifitrace.evaluation import (
     precision_recall_f1,
     record_score,
     run_inout_study,
+    run_inout_suite,
     sweep_scores,
     write_csv,
 )
@@ -22,10 +24,13 @@ from wifitrace.model import (
     ProcessedProfile,
     ProcessedVector,
     ProfileSegment,
+    SignalProfile,
     SignalVector,
 )
+from wifitrace.processing import build_area_profile
 from wifitrace.similarity import _Columns, _ScanBatch, signal_similarity
-from wifitrace.simulator import make_site
+from wifitrace.simulator import (PRESET_NAMES, SimTrajectory, make_site,
+                                 simulate_profile, stationary)
 
 from conftest import (ID_POOL, assert_same_columns, make_processed_profile,
                       make_vector)
@@ -161,6 +166,45 @@ class TestRecordScore:
                  if s.t_start <= vec.timestamp <= s.t_end),
                 default=0.0)
             assert record_score(vec, profile) == expected
+
+
+def inout_drill_ref(env, layout):
+    """The in/out drill one profile per walk: the survey's scans, then the
+    inside spots' and the outside spots' scans."""
+    (x0, y0), (x1, y1) = layout.walk_area
+    corners = [(x0 + 1, y0 + 1), (x1 - 1, y0 + 1), (x1 - 1, y1 - 1),
+               (x0 + 1, y1 - 1), (x0 + 1, y0 + 1)]
+    survey = simulate_profile(
+        env, SimTrajectory(tuple((60 * i, c) for i, c in enumerate(corners))),
+        5, stream=3000).vectors
+    inside = [(float(x), float(y)) for x in np.linspace(x0 + 1, x1 - 1, 3)
+              for y in np.linspace(y0 + 1, y1 - 1, 3)]
+    (cx, cy), w, h = layout.center, (x1 - x0) / 2, (y1 - y0) / 2
+    outside = [spot for m in (5.0, 10.0) for spot in (
+        (cx - w - m, cy), (cx + w + m, cy), (cx, cy - h - m), (cx, cy + h + m))]
+
+    def scans(spots, stream):
+        return [vec for j, spot in enumerate(spots) for vec in simulate_profile(
+            env, stationary(spot, 0, 60), 5, stream=stream + j).vectors]
+
+    return survey, scans(inside, 3100), scans(outside, 3200)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_inout_suite_is_the_study_over_the_drills_dicts(preset):
+    for seed in (1, 2):
+        env, layout = make_site(preset, seed=seed)
+        survey, scans, n_inside = ev._inout_drill(env, layout)
+        vectors = scans.vectors()
+        # the drill draws what one profile per walk draws
+        assert (survey.vectors(), vectors[:n_inside], vectors[n_inside:]) == \
+            tuple(map(list, inout_drill_ref(env, layout)))
+        area = build_area_profile(SignalProfile(survey.vectors()), 0,
+                                  ev._INOUT_STAY, ev._INOUT_LIFESPAN)
+        precision, recall = run_inout_study(area, vectors[:n_inside],
+                                            vectors[n_inside:], 0.2)
+        assert run_inout_suite(preset, [seed], alpha=0.2) == [dict(
+            seed=seed, alpha=0.2, precision=precision, recall=recall)]
 
 
 class TestInOutStudy:

@@ -28,7 +28,6 @@ from wifitrace.exchange import (
     client_sync,
     fetch_since,
     publish,
-    serve_in_thread,
 )
 from wifitrace.model import (
     ProcessedProfile,
@@ -40,7 +39,7 @@ from wifitrace.model import (
 from wifitrace.profileio import (ProfileFormatError, parse_profile,
                                  serialize_profile)
 
-from conftest import ID_POOL
+from conftest import ID_POOL, relay_in_thread
 
 X = ID_POOL[0]
 
@@ -96,9 +95,8 @@ def store(tmp_path):
 
 @pytest.fixture
 def server(store):
-    srv = serve_in_thread(store)
-    yield srv
-    srv.shutdown()
+    with relay_in_thread(store) as srv:
+        yield srv
 
 
 class TestProfileStore:
@@ -291,6 +289,23 @@ class TestWireProtocol:
         with pytest.raises(ExchangeError, match="400"):
             publish(server.endpoint, b"truncated garbage")
 
+    def test_rejected_publish_closes_its_reply(self, server, monkeypatch):
+        replies = []
+        urlopen = urllib.request.urlopen
+
+        def spy(*args, **kwargs):
+            try:
+                return urlopen(*args, **kwargs)
+            except urllib.error.HTTPError as exc:
+                replies.append(exc)
+                raise
+
+        monkeypatch.setattr(urllib.request, "urlopen", spy)
+        with pytest.raises(ExchangeError, match="400"):
+            publish(server.endpoint, b"truncated garbage")
+        (reply,) = replies
+        assert reply.fp.closed
+
     def test_unknown_endpoint_404(self, server):
         with pytest.raises(ExchangeError, match="404"):
             publish(server.endpoint + "/nope", processed_bytes())
@@ -298,12 +313,14 @@ class TestWireProtocol:
     def test_unknown_get_path_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"{server.endpoint}/v1/nope")
-        assert exc_info.value.code == 404
+        with exc_info.value as reply:
+            assert reply.code == 404
 
     def test_bad_since_parameter_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(f"{server.endpoint}/v1/profiles?since=abc")
-        assert exc_info.value.code == 400
+        with exc_info.value as reply:
+            assert reply.code == 400
 
     @pytest.mark.parametrize("query, status", [
         ("0", 200), ("7", 200), ("1_0", 400), ("+5", 400), ("%205", 400),
@@ -312,14 +329,15 @@ class TestWireProtocol:
     def test_since_is_one_plain_decimal(self, server, query, status):
         url = f"{server.endpoint}/v1/profiles?since={query}"
         try:
-            got = urllib.request.urlopen(url).status
+            with urllib.request.urlopen(url) as resp:
+                got = resp.status
         except urllib.error.HTTPError as exc:
-            got = exc.code
+            with exc:
+                got = exc.code
         assert got == status
 
     def test_upload_token_gate(self, store):
-        server = serve_in_thread(store, upload_token="sesame")
-        try:
+        with relay_in_thread(store, upload_token="sesame") as server:
             body = processed_bytes()
             statuses = []
             for token in ("", "X-Upload-Token: open\r\n",
@@ -337,8 +355,6 @@ class TestWireProtocol:
             assert rid == 1
             # fetching stays open
             assert len(fetch_since(server.endpoint, 0)) == 1
-        finally:
-            server.shutdown()
 
     @pytest.mark.parametrize("length, status", [
         ("-1", 400), ("abc", 400), ("+5", 400), ("5.0", 400), ("\u00b2", 400),
@@ -378,13 +394,10 @@ class TestWireProtocol:
         assert reply.endswith(b"unreadable request body\n")
 
     def test_refused_body_is_not_read_as_a_request(self, store):
-        server = serve_in_thread(store, upload_token="sesame")
-        try:
+        with relay_in_thread(store, upload_token="sesame") as server:
             smuggled = b"GET /v1/profiles?since=0 HTTP/1.1\r\nHost: r\r\n\r\n"
             reply = raw_post(server.endpoint,
                              f"Content-Length: {len(smuggled)}\r\n", smuggled)
-        finally:
-            server.shutdown()
         assert reply.startswith(b"HTTP/1.1 401 ")
         assert reply.count(b"HTTP/1.1 ") == 1
 
@@ -638,14 +651,11 @@ class TestClientSync:
         (relay_dir / ProfileStore.LOG_NAME).write_bytes(
             _frame(PublishedRecord(1, processed_bytes(), now))
             + _frame(PublishedRecord(2, raw, now)))
-        server = serve_in_thread(ProfileStore(relay_dir))
         state = SyncState(tmp_path / "client")
-        try:
+        with relay_in_thread(ProfileStore(relay_dir)) as server:
             with pytest.raises(ExchangeError,
                                match="record 2: not a processed profile"):
                 client_sync(state, server.endpoint, self.user_profile())
-        finally:
-            server.shutdown()
         assert state.last_record_id == 0
         assert not (tmp_path / "client" / "cursor").exists()
 
@@ -682,10 +692,9 @@ class TestClientSync:
 @pytest.fixture(scope="module")
 def relay():
     """One server for every example; each example gives it a fresh store."""
-    with tempfile.TemporaryDirectory() as root:
-        server = serve_in_thread(ProfileStore(Path(root)))
+    with tempfile.TemporaryDirectory() as root, \
+            relay_in_thread(ProfileStore(Path(root))) as server:
         yield server
-        server.shutdown()
 
 
 SHARED = ID_POOL[:5]  # every record and scan draws from a few shared ids

@@ -215,6 +215,19 @@ class TestBuildAreaProfile:
         profile = build_area_profile(SignalProfile(vectors), 0, 600, 0)
         assert profile.segments[0].vector.ranges[Y] == (-60, -60)
 
+    def test_survey_of_empty_scans_is_one_segment_without_ranges(self):
+        walk = SignalProfile([SignalVector({}, 0), SignalVector({}, 60)])
+        (seg,) = build_area_profile(walk, 0, 600, 30).segments
+        assert dict(seg.vector.ranges) == {}
+        assert (seg.t_start, seg.t_end) == (0, 630)
+
+    def test_id_heard_once_at_the_floor(self):
+        walk = SignalProfile([SignalVector({X: -100, Y: -50}, 0),
+                              SignalVector({Y: -40}, 60)])
+        profile = build_area_profile(walk, 0, 600, 0)
+        assert dict(profile.segments[0].vector.ranges) == {
+            X: (-100, -100), Y: (-50, -40)}
+
     def test_empty_survey_rejected(self):
         with pytest.raises(InsufficientDataError):
             build_area_profile(SignalProfile([]), 0, 600, 0)

@@ -149,10 +149,10 @@ def test_inout_study_matches_per_pair_loop(cells, inside, outside, area, alpha):
 
 
 @settings(examples, max_examples=100)
-@given(scans=unordered_scans, profile=profiles(), gated=st.booleans())
-def test_score_scans_without_alpha_is_the_best_score(cells, scans, profile, gated):
-    scores = score_scans(scans, profile.segments, time_gated=gated)
-    expected = [reference_best(vec, profile.segments, gated) for vec in scans]
+@given(scans=unordered_scans, profile=profiles())
+def test_score_scans_without_alpha_is_the_best_score(cells, scans, profile):
+    scores = score_scans(scans, profile.segments)
+    expected = [reference_best(vec, profile.segments) for vec in scans]
     assert scores.tolist() == expected
 
 

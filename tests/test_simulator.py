@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from wifitrace.evaluation import random_walk
-from wifitrace.model import RSSI_CEIL, RSSI_FLOOR, SignalVector
-from wifitrace.similarity import signal_similarity
+from wifitrace.model import RSSI_CEIL, RSSI_FLOOR, SignalProfile, SignalVector
+from wifitrace.profileio import parse_profile, serialize_profile
+from wifitrace.similarity import _ScanBatch, signal_similarity
 from wifitrace.processing import build_processed_vector
 from wifitrace.config import ScenarioError, load_scenario
 from wifitrace.simulator import (
@@ -255,11 +256,11 @@ class TestPerturbations:
 
 
 def assert_same_scans(vectors, expected):
-    """Equal readings, in the same dict order, as int values."""
+    """Equal readings, listed in id order, as int values."""
     assert [v.timestamp for v in vectors] == [t for t, _ in expected]
     for vec, (_, readings) in zip(vectors, expected):
         assert vec.readings == readings
-        assert list(vec.readings.items()) == list(readings.items())
+        assert list(vec.readings.items()) == sorted(readings.items())
         assert all(type(r) is int for r in vec.readings.values())
 
 
@@ -571,3 +572,48 @@ class TestTrustedVectors:
         noisy = [r for vec in outputs["perturb_rssi_noise"]
                  for r in vec.readings.values()]
         assert RSSI_FLOOR in noisy and RSSI_CEIL in noisy
+
+
+def descending(vectors):
+    """The same scans, each listing its ids in descending id order."""
+    return [SignalVector(dict(sorted(vec.readings.items(), reverse=True)),
+                         vec.timestamp) for vec in vectors]
+
+
+def built_scans(name):
+    """The scans one public path (or the batch) builds on an office walk."""
+    env, layout = make_site("office", seed=3)
+    walk = SimTrajectory(random_walk(layout.walk_area, 600, 5).waypoints,
+                         DeviceParams(bias=2.0, detect_rate=0.8))
+    scans = simulate_profile(env, walk, 5).vectors
+
+    def user(filter_rate=0.0, noise_std=0.0):
+        return Scenario(env, walk, walk, user_period=5, filter_rate=filter_rate,
+                        noise_std=noise_std).user_profile().vectors
+
+    return {
+        "simulate_profile": lambda: scans,
+        "sample_scan": lambda: [sample_scan(env, layout.center, index=i)
+                                for i in range(5)],
+        "drop_ids": lambda: drop_ids(descending(scans), 0.3, seed=2),
+        "perturb_rssi_noise": lambda: perturb_rssi_noise(
+            SignalProfile(descending(scans)), 3.0, seed=2).vectors,
+        "user_profile-filter": lambda: user(filter_rate=0.3),
+        "user_profile-noise": lambda: user(noise_std=3.0),
+        "user_profile-both": lambda: user(0.3, 3.0),
+        "parse_profile": lambda: parse_profile(
+            serialize_profile(SignalProfile(descending(scans)))).vectors,
+        "_ScanBatch.vectors": lambda: _ScanBatch.from_vectors(
+            descending(scans)).vectors(),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", [
+    "simulate_profile", "sample_scan", "drop_ids", "perturb_rssi_noise",
+    "user_profile-filter", "user_profile-noise", "user_profile-both",
+    "parse_profile", "_ScanBatch.vectors"])
+def test_every_scan_lists_its_ids_in_id_order(name):
+    vectors = built_scans(name)
+    assert any(len(vec) > 1 for vec in vectors)
+    for vec in vectors:
+        assert list(vec.readings) == sorted(vec.readings)
