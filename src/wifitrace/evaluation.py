@@ -14,8 +14,10 @@ that operating point. Every table of a seed reads that seed's drill (README,
 "Studies": which tables keep the seed's alpha, which recalibrate). The
 robustness suite perturbs the drill's batch and scores the copies, and its
 device table simulates one more batch per phone model. The in/out study
-scores a batch of test spots against area columns from a survey batch. No
-table builds a dict per scan, except the baselines, whose metrics take dicts.
+scores a batch of test spots against area columns from a survey batch,
+time-gated like every score: the area's window, from arrival to departure
+plus the lifespan, holds every test scan. No table builds a dict per scan,
+except the baselines, whose metrics take dicts.
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -34,8 +36,7 @@ import numpy as np
 from .detection import DetectionConfig
 from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
 from .processing import DEFAULT_MAX_GAP, _area_columns, _case_columns
-from .similarity import (_Columns, _ScanBatch, _score_columns, aed, amd,
-                         jaccard, score_scans)
+from .similarity import _Columns, _ScanBatch, _score_columns, aed, amd, jaccard
 from .simulator import (
     DeviceParams,
     SiteLayout,
@@ -107,7 +108,8 @@ def precision_recall_f1(ground_truth: set, detected: set) -> tuple[float, float,
 def record_score(vector: SignalVector, processed: ProcessedProfile) -> float:
     """Similarity of one scan to a published profile: the best score among
     segments whose validity window contains the scan time."""
-    return score_scans([vector], processed.segments).item()
+    return _score_columns(_ScanBatch.from_vectors([vector]),
+                          _Columns.from_segments(processed.segments))[0].item()
 
 
 def _prf_from_masks(truth: np.ndarray, detected: np.ndarray) -> tuple[float, float, float]:
@@ -291,27 +293,13 @@ def run_proximity_study(preset: str, proximities: Sequence[float],
     return rows
 
 
-def run_inout_study(
-    area_profile: ProcessedProfile,
-    inside_data: Sequence[SignalVector],
-    outside_data: Sequence[SignalVector],
-    alpha: float = StudyParams.alpha,
-) -> tuple[float, float]:
-    """Classify scans as inside/outside an infected area by similarity alone.
-
-    Scores compare each scan against the area's range vector(s) without time
-    gating (the question is where the scan was taken, not when). Returns
-    precision and recall of the "inside" class.
-    """
-    return _inout_scores(_Columns.from_segments(area_profile.segments),
-                         _ScanBatch.from_vectors([*inside_data, *outside_data]),
-                         len(inside_data), alpha)
-
-
 def _inout_scores(area: _Columns, scans: _ScanBatch, n_inside: int,
                   alpha: float) -> tuple[float, float]:
-    """run_inout_study over columns: the first ``n_inside`` scans are inside."""
-    scores, _ = _score_columns(scans, area, time_gated=False)
+    """Classify scans as inside/outside an infected area by their scores
+    against the area's segments: precision and recall of the "inside" class,
+    where the first ``n_inside`` scans are inside. Like every score, a scan
+    only meets the segments whose validity window contains its time."""
+    scores, _ = _score_columns(scans, area)
     truth = np.arange(len(scans)) < n_inside
     precision, recall, _ = _prf_from_masks(truth, scores >= alpha)
     return precision, recall

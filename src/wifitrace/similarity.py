@@ -11,15 +11,16 @@ are the scan-to-scan baselines used for comparison; AMD/AED fill ids missing
 on one side with the -100 dBm floor.
 
 signal_similarity() scores one pair and is the reference arithmetic;
-score_scans() gives many scans their best scores against many segments at
-once with numpy, in bit-identical floats. Its kernel, _score_columns(), also
-applies detection's first-match rule. It owns both of its input formats:
-scans as one ``_ScanBatch`` (times and a dense scan x id RSSI block), the
-package's one inner scan form, and segments as one ``_Columns``; it maps the
-batch's vocabulary to the segment columns once, one lookup per id. The
-studies hand it simulated batches and case and area segments built from one;
-score_scans() builds a batch from dict scans, and detection from the one
-time slice of dict scans a window may contain.
+_score_columns(), the one kernel, scores many scans against many segments at
+once with numpy, in bit-identical floats, each scan only against the
+segments whose validity window contains its time, and applies detection's
+first-match rule. It owns both of its input formats: scans as one
+``_ScanBatch`` (times and a dense scan x id RSSI block), the package's one
+inner scan form, and segments as one ``_Columns``; it maps the batch's
+vocabulary to the segment columns once, one lookup per id. The studies hand
+it simulated batches and case and area segments built from one; detection
+builds a batch from the one time slice of dict scans a window may contain,
+and ``evaluation.record_score`` from its one dict scan.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .model import RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalVector
 
-_CELLS = 1 << 16  # bound on the elements of score_scans()'s temporaries
+_CELLS = 1 << 16  # bound on the elements of _score_columns()'s temporaries
 
 _UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 
@@ -176,34 +177,20 @@ class _Columns:
                 np.add.reduceat(dist, starts, dtype=np.int64))
 
 
-def score_scans(
-    scans: Sequence[SignalVector],
-    segments: Sequence[ProfileSegment],
-) -> np.ndarray:
-    """Each scan's best score against its candidate segments, in one
-    batched pass; 0.0 for a scan with no candidate.
-
-    A segment is a candidate for a scan when its validity window contains
-    the scan time; scans need not be ordered.
-    Each candidate pair scores ``signal_similarity(scan, segment.vector)``,
-    bit for bit: the shared-id count, the smaller id count and the summed
-    out-of-range distance are exact integers, then O = count / smaller,
-    D = total / count and O / (D + 1.0) are float64 divisions in that order.
-    """
-    return _score_columns(_ScanBatch.from_vectors(scans),
-                          _Columns.from_segments(segments))[0]
-
-
 def _score_columns(
     scans: _ScanBatch,
     cols: _Columns,
     alpha: float | None = None,
-    time_gated: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """score_scans over a batch of scans and a batch of segments, both
-    already in columns, with the first-match rule; segment indices are
-    positions in ``cols``. With ``time_gated`` off, every segment is a
-    candidate for every scan (the in/out study asks where, not when).
+    """Score a batch of scans against a batch of segments, both already in
+    columns, with the first-match rule; segment indices are positions in
+    ``cols``. A segment is a candidate for a scan when its validity window
+    contains the scan time; scans need not be ordered.
+
+    Each candidate pair scores ``signal_similarity(scan, segment.vector)``,
+    bit for bit: the shared-id count, the smaller id count and the summed
+    out-of-range distance are exact integers, then O = count / smaller,
+    D = total / count and O / (D + 1.0) are float64 divisions in that order.
 
     Returns two arrays with one entry per scan, ``(score, segment)``. When
     ``alpha`` is given and some candidate scores >= alpha, they hold the
@@ -229,10 +216,7 @@ def _score_columns(
     rows = max(1, _CELLS // max(m, cols.width))
     for first in range(0, n, rows):
         t = scans.times[first:first + rows, None]
-        if time_gated:
-            cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
-        else:
-            cover = np.broadcast_to(nonempty, (len(t), m))
+        cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
         live = first + np.flatnonzero(cover.any(axis=1))
         block = np.full((len(live), cols.width), _UNHEARD, dtype=np.int16)
         block[:, to_col] = scans.rssi[live[:, None], shared]

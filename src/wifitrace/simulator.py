@@ -21,7 +21,7 @@ lacks the id. ``_simulate_batch`` fills one with any number of walks, each
 with its own stream and scan indices from 0, so a study drill of several
 devices is one batch; ``_drop_batch_ids`` (a column mask) and
 ``_perturb_batch`` (one masked operation over the block) are the one
-perturbation path, also under ``drop_ids``, ``perturb_rssi_noise`` and
+perturbation path, also under ``perturb_rssi_noise`` and
 ``Scenario.user_profile``. Dicts are built from a batch once, where a public
 name returns them, each scan's ids in id order; the draws stay in AP order.
 
@@ -419,18 +419,6 @@ def _check_perturbation(filter_rate: float = 0.0,
         raise ValueError(f"filter rate must be in [0, 1], got {filter_rate}")
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
-
-
-def drop_ids(
-    vectors: Sequence[SignalVector], rate: float, seed: int = 0
-) -> list[SignalVector]:
-    """Drop a random fraction of the scans' distinct ids from every scan.
-
-    Each id is removed independently with probability ``rate`` (chosen once
-    for the whole sequence, matching an AP disappearing from the site), by
-    ``_drop_batch_ids``; each scan lists its other ids in id order.
-    """
-    return _drop_batch_ids(_ScanBatch.from_vectors(vectors), rate, seed).vectors()
 
 
 def perturb_rssi_noise(

@@ -15,7 +15,6 @@ from wifitrace.evaluation import (
     pick_intersection,
     precision_recall_f1,
     record_score,
-    run_inout_study,
     run_inout_suite,
     sweep_scores,
     write_csv,
@@ -201,10 +200,30 @@ def test_inout_suite_is_the_study_over_the_drills_dicts(preset):
             tuple(map(list, inout_drill_ref(env, layout)))
         area = build_area_profile(SignalProfile(survey.vectors()), 0,
                                   ev._INOUT_STAY, ev._INOUT_LIFESPAN)
-        precision, recall = run_inout_study(area, vectors[:n_inside],
-                                            vectors[n_inside:], 0.2)
+        detected = {i for i, vec in enumerate(vectors) if max(
+            (signal_similarity(vec, seg.vector) for seg in area.segments
+             if seg.covers(vec.timestamp)), default=0.0) >= 0.2}
+        precision, recall, _ = precision_recall_f1(set(range(n_inside)),
+                                                   detected)
         assert run_inout_suite(preset, [seed], alpha=0.2) == [dict(
             seed=seed, alpha=0.2, precision=precision, recall=recall)]
+
+
+def inout_scores(area, inside, outside, alpha):
+    """The in/out core over an area profile and dict scans, inside first."""
+    return ev._inout_scores(_Columns.from_segments(area.segments),
+                            _ScanBatch.from_vectors([*inside, *outside]),
+                            len(inside), alpha)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_inout_drill_scans_lie_in_the_area_window(preset):
+    # so the time gate passes every test scan to the area's one segment
+    survey, scans, _ = ev._inout_drill(*make_site(preset, seed=1))
+    for batch in (survey, scans):
+        times = batch.times
+        assert len(times) and times.min() >= 0
+        assert times.max() <= ev._INOUT_STAY + ev._INOUT_LIFESPAN
 
 
 class TestInOutStudy:
@@ -214,7 +233,7 @@ class TestInOutStudy:
 
     def test_empty_outside_all_inside_detected(self):
         inside = [SignalVector({X: -50, Y: -60}, t) for t in range(5)]
-        assert run_inout_study(self.area(), inside, [], alpha=0.2) == (1.0, 1.0)
+        assert inout_scores(self.area(), inside, [], alpha=0.2) == (1.0, 1.0)
 
     def test_disjoint_ap_environment_no_false_positives(self, rng):
         inside = [SignalVector({X: -50, Y: -60}, t) for t in range(5)]
@@ -223,7 +242,7 @@ class TestInOutStudy:
             SignalVector({ID_POOL[10 + i]: -50}, t)
             for t in range(5) for i in (0, 1)
         ]
-        precision, recall = run_inout_study(self.area(), inside, outside, 0.2)
+        precision, recall = inout_scores(self.area(), inside, outside, 0.2)
         assert (precision, recall) == (1.0, 1.0)
 
     def test_matches_brute_force_classification(self, rng):
@@ -231,11 +250,11 @@ class TestInOutStudy:
         inside = [make_vector(rng, rng.randint(0, 5), t) for t in range(30)]
         outside = [make_vector(rng, rng.randint(0, 5), t) for t in range(30)]
         alpha = 0.3
-        precision, recall = run_inout_study(area, inside, outside, alpha)
+        precision, recall = inout_scores(area, inside, outside, alpha)
 
         def classified(vec):
-            return max((signal_similarity(vec, s.vector)
-                        for s in area.segments), default=0.0) >= alpha
+            return max((signal_similarity(vec, s.vector) for s in area.segments
+                        if s.covers(vec.timestamp)), default=0.0) >= alpha
 
         tp = sum(1 for v in inside if classified(v))
         fp = sum(1 for v in outside if classified(v))

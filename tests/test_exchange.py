@@ -228,6 +228,13 @@ class TestProfileStore:
         much_later = 1_000_000 + 29 * 86_400
         assert [r.record_id for r in store.fetch_since(0, now=much_later)] == [2]
 
+    def test_retention_horizon_is_inclusive(self, store):
+        now = 5_000_000
+        horizon = now - store.retention_days * 86_400
+        store.publish(processed_bytes("at"), now=horizon)
+        store.publish(processed_bytes("before"), now=horizon - 1)
+        assert [r.record_id for r in store.fetch_since(0, now=now)] == [1]
+
     @pytest.mark.parametrize("days", [0, -1, float("nan"), float("-inf")])
     def test_retention_must_be_positive(self, tmp_path, days):
         with pytest.raises(ValueError, match="retention_days must be > 0"):

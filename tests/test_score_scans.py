@@ -12,9 +12,9 @@ from wifitrace import similarity
 from wifitrace.detection import ContactFlag, DetectionConfig, detect_contacts
 from wifitrace.evaluation import (
     ProximityData,
+    _inout_scores,
     precision_recall_f1,
     record_score,
-    run_inout_study,
 )
 from wifitrace.model import (
     ProcessedProfile,
@@ -23,7 +23,7 @@ from wifitrace.model import (
     SignalProfile,
     SignalVector,
 )
-from wifitrace.similarity import _ScanBatch, score_scans, signal_similarity
+from wifitrace.similarity import _ScanBatch, signal_similarity
 from wifitrace.simulator import _drop_batch_ids
 
 from conftest import ID_POOL
@@ -93,9 +93,9 @@ def reference_detect(user, profiles, alpha):
     return flags
 
 
-def reference_best(vec, segments, time_gated=True):
+def reference_best(vec, segments):
     return max((signal_similarity(vec, seg.vector) for seg in segments
-                if not time_gated or seg.covers(vec.timestamp)), default=0.0)
+                if seg.covers(vec.timestamp)), default=0.0)
 
 
 @pytest.fixture(params=[similarity._CELLS, 3], ids=["cells-default", "cells-3"])
@@ -143,17 +143,11 @@ def test_inout_study_matches_per_pair_loop(cells, inside, outside, area, alpha):
     scans = inside + outside
     truth = set(range(len(inside)))
     detected = {i for i, vec in enumerate(scans)
-                if reference_best(vec, area.segments, time_gated=False) >= alpha}
+                if reference_best(vec, area.segments) >= alpha}
     expected = precision_recall_f1(truth, detected)[:2]
-    assert run_inout_study(area, inside, outside, alpha) == expected
-
-
-@settings(examples, max_examples=100)
-@given(scans=unordered_scans, profile=profiles())
-def test_score_scans_without_alpha_is_the_best_score(cells, scans, profile):
-    scores = score_scans(scans, profile.segments)
-    expected = [reference_best(vec, profile.segments) for vec in scans]
-    assert scores.tolist() == expected
+    assert _inout_scores(similarity._Columns.from_segments(area.segments),
+                         _ScanBatch.from_vectors(scans), len(inside),
+                         alpha) == expected
 
 
 # scans may also hold ids that no segment holds
@@ -164,9 +158,9 @@ wide_scans = st.lists(st.builds(SignalVector, wide_readings, times),
 
 
 @settings(examples, max_examples=150)
-@given(scans=wide_scans, profile=profiles(), gated=st.booleans(),
+@given(scans=wide_scans, profile=profiles(),
        rate=st.sampled_from([None, 0.0, 1.0]))
-def test_batch_scores_are_the_dict_scores(cells, scans, profile, gated, rate):
+def test_batch_scores_are_the_dict_scores(cells, scans, profile, rate):
     batch = _ScanBatch.from_vectors(scans)
     assert batch.ids == sorted({sid for vec in scans for sid in vec.readings})
     assert batch.vectors() == scans
@@ -176,9 +170,8 @@ def test_batch_scores_are_the_dict_scores(cells, scans, profile, gated, rate):
         scans = [SignalVector({} if rate else vec.readings, vec.timestamp)
                  for vec in scans]
     got, matched = similarity._score_columns(
-        batch, similarity._Columns.from_segments(profile.segments),
-        time_gated=gated)
-    expected = [reference_best(vec, profile.segments, gated) for vec in scans]
+        batch, similarity._Columns.from_segments(profile.segments))
+    expected = [reference_best(vec, profile.segments) for vec in scans]
     assert got.tolist() == expected
     assert (matched == -1).all()
 

@@ -14,6 +14,7 @@ from wifitrace.processing import build_processed_vector
 from wifitrace.config import ScenarioError, load_scenario
 from wifitrace.simulator import (
     _block_states,
+    _drop_batch_ids,
     _scan_rngs,
     _simulate_batch,
     DeviceParams,
@@ -21,7 +22,6 @@ from wifitrace.simulator import (
     SimAp,
     SimEnvironment,
     SimTrajectory,
-    drop_ids,
     emit_scenario,
     make_paired_scenario,
     make_site,
@@ -32,6 +32,11 @@ from wifitrace.simulator import (
 )
 
 from conftest import ID_POOL
+
+
+def dropped(scans, rate, seed):
+    """The scans through _drop_batch_ids, back as SignalVectors."""
+    return _drop_batch_ids(_ScanBatch.from_vectors(scans), rate, seed).vectors()
 
 
 def one_ap_env(tx=-40.0, n=2.0, std=0.0, floor=-100, seed=1):
@@ -191,11 +196,11 @@ class TestPerturbations:
 
     def test_filter_rate_zero_identity(self):
         scans = self.make_profile().vectors
-        assert drop_ids(scans, 0.0, seed=3) == list(scans)
+        assert dropped(scans, 0.0, seed=3) == list(scans)
 
     def test_filter_rate_one_empties_all(self):
         scans = self.make_profile().vectors
-        filtered = drop_ids(scans, 1.0, seed=3)
+        filtered = dropped(scans, 1.0, seed=3)
         assert all(len(v) == 0 for v in filtered)
         assert [v.timestamp for v in filtered] == [v.timestamp for v in scans]
 
@@ -203,7 +208,7 @@ class TestPerturbations:
         scans = self.make_profile().vectors
         survivors = []
         for seed in range(30):
-            filtered = drop_ids(scans, 0.5, seed=seed)
+            filtered = dropped(scans, 0.5, seed=seed)
             survivors.append(len({s for v in filtered for s in v.readings}))
         total = len({s for v in scans for s in v.readings})
         assert total == 25
@@ -211,8 +216,8 @@ class TestPerturbations:
 
     def test_filter_deterministic_per_seed(self):
         scans = self.make_profile().vectors
-        assert drop_ids(scans, 0.4, 9) == drop_ids(scans, 0.4, 9)
-        assert drop_ids(scans, 0.4, 9) != drop_ids(scans, 0.4, 10)
+        assert dropped(scans, 0.4, 9) == dropped(scans, 0.4, 9)
+        assert dropped(scans, 0.4, 9) != dropped(scans, 0.4, 10)
 
     def test_scenario_filter_drops_ids_from_the_user_scans(self):
         env = grid_env(std=2.0, seed=4)
@@ -221,7 +226,7 @@ class TestPerturbations:
         filtered = Scenario(env, walk, walk, user_period=5, filter_rate=0.3)
         scans = plain.user_profile().vectors
         assert filtered.user_profile().vectors == tuple(
-            drop_ids(scans, 0.3, seed=4))
+            dropped(scans, 0.3, seed=4))
         assert filtered.user_profile() != plain.user_profile()
 
     @pytest.mark.parametrize("std", [math.nan, math.inf, -1.0])
@@ -355,11 +360,11 @@ class TestMatchesReference:
             plain(profile.vectors), std, seed=11))
 
     @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
-    def test_drop_ids(self, rate):
+    def test_drop_batch_ids(self, rate):
         env, layout = make_site("mall", seed=3)
         walk = random_walk(layout.walk_area, 900, 4)
         scans = simulate_profile(env, walk, 5).vectors
-        assert_same_scans(drop_ids(scans, rate, seed=6),
+        assert_same_scans(dropped(scans, rate, seed=6),
                           oracles.drop_ids_ref(plain(scans), rate, seed=6))
 
     def test_non_finite_position_rejected(self):
@@ -558,7 +563,7 @@ class TestTrustedVectors:
         outputs = {
             "simulate_profile": profile.vectors,
             "sample_scan": [sample_scan(env, layout.center, timestamp=3)],
-            "drop_ids": drop_ids(profile.vectors, 0.4, seed=2),
+            "_drop_batch_ids": dropped(profile.vectors, 0.4, seed=2),
             "perturb_rssi_noise": perturb_rssi_noise(profile, 30.0, 2).vectors,
         }
         for name, vectors in outputs.items():
@@ -595,7 +600,7 @@ def built_scans(name):
         "simulate_profile": lambda: scans,
         "sample_scan": lambda: [sample_scan(env, layout.center, index=i)
                                 for i in range(5)],
-        "drop_ids": lambda: drop_ids(descending(scans), 0.3, seed=2),
+        "_drop_batch_ids": lambda: dropped(descending(scans), 0.3, seed=2),
         "perturb_rssi_noise": lambda: perturb_rssi_noise(
             SignalProfile(descending(scans)), 3.0, seed=2).vectors,
         "user_profile-filter": lambda: user(filter_rate=0.3),
@@ -609,7 +614,7 @@ def built_scans(name):
 
 
 @pytest.mark.parametrize("name", [
-    "simulate_profile", "sample_scan", "drop_ids", "perturb_rssi_noise",
+    "simulate_profile", "sample_scan", "_drop_batch_ids", "perturb_rssi_noise",
     "user_profile-filter", "user_profile-noise", "user_profile-both",
     "parse_profile", "_ScanBatch.vectors"])
 def test_every_scan_lists_its_ids_in_id_order(name):
