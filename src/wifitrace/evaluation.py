@@ -16,8 +16,7 @@ robustness suite perturbs the drill's batch and scores the copies, and its
 device table simulates one more batch per phone model. The in/out study
 scores a batch of test spots against area columns from a survey batch,
 time-gated like every score: the area's window, from arrival to departure
-plus the lifespan, holds every test scan. No table builds a dict per scan,
-except the baselines, whose metrics take dicts.
+plus the lifespan, holds every test scan. No table builds a dict per scan.
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -27,16 +26,17 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Sequence
 
 import numpy as np
 
 from .detection import DetectionConfig
-from .model import LifespanSchedule, ProcessedProfile, SignalProfile, SignalVector
+from .model import (RSSI_FLOOR, LifespanSchedule, ProcessedProfile,
+                    SignalProfile, SignalVector)
 from .processing import DEFAULT_MAX_GAP, _area_columns, _case_columns
-from .similarity import _Columns, _ScanBatch, _score_columns, aed, amd, jaccard
+from .similarity import _UNHEARD, _Columns, _ScanBatch, _score_columns
 from .simulator import (
     DeviceParams,
     SiteLayout,
@@ -206,7 +206,8 @@ def collect_proximity_data(env: SimEnvironment,
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
-    """The case's raw scan profile (baselines match raw scans, not ranges)."""
+    """The drill's raw case scans as dict scans, for readers outside the
+    package (the benchmark) and tests; the studies read ``_case_batch``."""
     return SignalProfile(_case_batch(env, layout).vectors())
 
 
@@ -356,23 +357,32 @@ def run_inout_suite(preset: str, seeds: Sequence[int],
 
 # --- baseline comparison -------------------------------------------------------
 
-BASELINE_METRICS = ("jaccard", "amd", "aed")
+def _baseline_scores(scans: _ScanBatch, case: _ScanBatch
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each scan's Jaccard, AMD and AED against the case scan nearest in
+    time, the earlier on a tie; raises ValueError for a pair of empty scans.
 
-
-def _nearest_in_time(times: Sequence[int], t: int) -> int:
-    """Where in ascending ``times`` the time nearest t is; the earlier on a tie."""
-    i = bisect_left(times, t)
-    return i - (i == len(times) or (i > 0 and t - times[i - 1] <= times[i] - t))
-
-
-def baseline_scores(
-    metric: str, vectors: Iterable[SignalVector], case_walk: SignalProfile
-) -> np.ndarray:
-    """Score scans against the case's nearest-in-time raw scan."""
-    fn = {"jaccard": jaccard, "amd": amd, "aed": aed}[metric]
-    times = [v.timestamp for v in case_walk.vectors]
-    return np.array([fn(vec, case_walk.vectors[_nearest_in_time(
-        times, vec.timestamp)]) for vec in vectors])
+    Bit for bit ``jaccard``, ``amd`` and ``aed``: the counts and the sums
+    over the -100-filled readings are exact integers, and each score is one
+    correctly rounded division (after one square root for AED).
+    """
+    # 2t against each sum of neighbouring case times: exact midpoints
+    near = np.searchsorted(case.times[:-1] + case.times[1:], 2 * scans.times)
+    ids = sorted(set(scans.ids).union(case.ids))
+    column = dict(zip(ids, count()))
+    heard, filled = [], []
+    for batch, rows in ((scans, slice(None)), (case, near)):
+        block = np.full((len(scans), len(ids)), _UNHEARD, dtype=np.int16)
+        block[:, list(map(column.__getitem__, batch.ids))] = batch.rssi[rows]
+        heard.append(block != _UNHEARD)
+        filled.append(np.where(heard[-1], block, RSSI_FLOOR).astype(np.int64))
+    union = np.count_nonzero(heard[0] | heard[1], axis=1)
+    if not union.all():
+        raise ValueError("both vectors are empty, distance undefined")
+    diff = filled[0] - filled[1]
+    return (np.count_nonzero(heard[0] & heard[1], axis=1) / union,
+            np.abs(diff).sum(axis=1) / union,
+            np.sqrt((diff * diff).sum(axis=1)) / union)
 
 
 def run_baseline_comparison(preset: str, proximities: Sequence[float],
@@ -387,13 +397,11 @@ def run_baseline_comparison(preset: str, proximities: Sequence[float],
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
         data = collect_proximity_data(env, layout)
-        case_walk = case_raw_vectors(env, layout)
-        vectors = data.scans.vectors()
         per_metric = {"similarity": (data.scores(), DEFAULT_ALPHA_GRID, False)}
-        for m in BASELINE_METRICS:
-            scores = baseline_scores(m, vectors, case_walk)
+        baselines = _baseline_scores(data.scans, _case_batch(env, layout))
+        for m, scores in zip(("jaccard", "amd", "aed"), baselines):
             grid = sorted(set(scores.tolist())) or [0.0]
-            per_metric[m] = (scores, grid, m in ("amd", "aed"))
+            per_metric[m] = (scores, grid, m != "jaccard")
         for k in proximities:
             truth = data.truth(k)
             rows += [point_row(calibrate(scores, truth, grid, below), "threshold",

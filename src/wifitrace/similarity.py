@@ -8,7 +8,8 @@ is fully covered.
 
 Jaccard, average Manhattan distance (AMD) and average Euclidean distance (AED)
 are the scan-to-scan baselines used for comparison; AMD/AED fill ids missing
-on one side with the -100 dBm floor.
+on one side with the -100 dBm floor and divide by the union's size. They
+score one pair, the reference for ``evaluation._baseline_scores``.
 
 signal_similarity() scores one pair and is the reference arithmetic;
 _score_columns(), the one kernel, scores many scans against many segments at
@@ -267,32 +268,14 @@ def _filled_diffs(a: SignalVector, b: SignalVector) -> list[int]:
     ]
 
 
-def _denominator(a: SignalVector, b: SignalVector, denominator: str) -> int:
-    if denominator == "union":
-        return len(a.ids | b.ids)
-    if denominator == "shared":
-        return len(a.ids & b.ids)
-    raise ValueError(f"denominator must be 'union' or 'shared', got {denominator!r}")
-
-
-def amd(a: SignalVector, b: SignalVector, denominator: str = "union") -> float:
-    """Average Manhattan distance with -100 fill for ids missing on one side.
-
-    With the default denominator every id in the union counts (after filling,
-    all of them overlap). ``denominator="shared"`` divides by the pre-fill
-    shared-id count instead, and returns inf when no ids are shared.
-    """
+def amd(a: SignalVector, b: SignalVector) -> float:
+    """Average Manhattan distance with -100 fill for ids missing on one side,
+    over every id in the union (after filling, all of them overlap)."""
     diffs = _filled_diffs(a, b)
-    n = _denominator(a, b, denominator)
-    if n == 0:
-        return math.inf
-    return sum(abs(d) for d in diffs) / n
+    return sum(abs(d) for d in diffs) / len(diffs)
 
 
-def aed(a: SignalVector, b: SignalVector, denominator: str = "union") -> float:
-    """Average Euclidean distance; same fill and denominator rules as amd()."""
+def aed(a: SignalVector, b: SignalVector) -> float:
+    """Average Euclidean distance; the same fill and union as amd()."""
     diffs = _filled_diffs(a, b)
-    n = _denominator(a, b, denominator)
-    if n == 0:
-        return math.inf
-    return math.sqrt(sum(d * d for d in diffs)) / n
+    return math.sqrt(sum(d * d for d in diffs)) / len(diffs)

@@ -2,7 +2,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wifitrace import evaluation as ev
 from wifitrace.evaluation import (
@@ -27,7 +27,8 @@ from wifitrace.model import (
     SignalVector,
 )
 from wifitrace.processing import build_area_profile
-from wifitrace.similarity import _Columns, _ScanBatch, signal_similarity
+from wifitrace.similarity import (_Columns, _ScanBatch, aed, amd, jaccard,
+                                  signal_similarity)
 from wifitrace.simulator import (PRESET_NAMES, SimTrajectory, make_site,
                                  simulate_profile, stationary)
 
@@ -547,21 +548,90 @@ def linear_nearest(times, t):
     return min(range(len(times)), key=lambda i: (abs(times[i] - t), times[i]))
 
 
+def paired_case_scans(case_times, user_times):
+    """Which case scan ``_baseline_scores`` pairs each user scan with, read
+    back from AMD: case scan i hears X at -i dBm, every user scan at 0."""
+    case = _ScanBatch.from_vectors(
+        [SignalVector({X: -i}, t) for i, t in enumerate(case_times)])
+    users = _ScanBatch.from_vectors([SignalVector({X: 0}, t) for t in user_times])
+    return ev._baseline_scores(users, case)[1].tolist()
+
+
 @pytest.mark.parametrize("t", [
     -50, 0, 10, 20, 22,  # before the first scan, then on each scan
     5, 15, 21,  # exactly midway: the earlier scan
     4, 6, 16, 23, 10**6,  # nearer one side, after the last scan
 ])
-def test_nearest_in_time_is_the_linear_min(t):
-    from wifitrace.evaluation import _nearest_in_time
+def test_baselines_pair_the_linear_nearest_case_scan(t):
     times = [0, 10, 20, 22]
-    assert _nearest_in_time(times, t) == linear_nearest(times, t)
-    assert _nearest_in_time([7], t) == 0
+    assert paired_case_scans(times, [t]) == [linear_nearest(times, t)]
+    assert paired_case_scans([7], [t]) == [0]
 
 
 @given(times=st.lists(st.integers(-40, 40), min_size=1, unique=True),
-       t=st.integers(-50, 50))
-def test_nearest_in_time_matches_linear_min_on_any_walk(times, t):
-    from wifitrace.evaluation import _nearest_in_time
+       ts=st.lists(st.integers(-50, 50), max_size=10))
+def test_baselines_pair_the_linear_nearest_on_any_walk(times, ts):
     times.sort()
-    assert _nearest_in_time(times, t) == linear_nearest(times, t)
+    assert paired_case_scans(times, ts) == [linear_nearest(times, t)
+                                            for t in ts]
+
+
+@st.composite
+def baseline_walks(draw):
+    """User scans and a case walk (one scan or more) over overlapping slices
+    of the id pool, so some ids are heard by one side only; scans may be
+    empty, and user times include the midpoints between case scans."""
+    times = sorted(draw(st.lists(st.integers(-40, 40), min_size=1,
+                                 max_size=8, unique=True)))
+    midway = [(a + b) // 2 for a, b in zip(times, times[1:]) if (a + b) % 2 == 0]
+    at = st.integers(-50, 50) | st.sampled_from(midway or times)
+    case_ids = st.dictionaries(st.sampled_from(ID_POOL[:10]),
+                               st.integers(-100, 0), max_size=6)
+    user_ids = st.dictionaries(st.sampled_from(ID_POOL[4:14]),
+                               st.integers(-100, 0), max_size=6)
+    case = [SignalVector(draw(case_ids), t) for t in times]
+    users = draw(st.lists(st.builds(SignalVector, user_ids, at), max_size=8))
+    return _ScanBatch.from_vectors(users), _ScanBatch.from_vectors(case)
+
+
+@given(baseline_walks())
+@settings(max_examples=300)
+def test_baseline_scores_are_the_scalar_metrics_bit_for_bit(walks):
+    users, case = walks
+    case_scans, times = case.vectors(), case.times.tolist()
+    pairs = [(u, case_scans[linear_nearest(times, u.timestamp)])
+             for u in users.vectors()]
+    if any(not (u.ids | c.ids) for u, c in pairs):
+        with pytest.raises(ValueError, match="both vectors are empty"):
+            ev._baseline_scores(users, case)
+        return
+    scores = ev._baseline_scores(users, case)
+    for metric, got in zip((jaccard, amd, aed), scores):
+        assert got.dtype == np.float64
+        assert got.tolist() == [metric(u, c) for u, c in pairs]
+    plain = [(dict(u.readings), dict(c.readings)) for u, c in pairs]
+    for oracle, got in ((oracles.jaccard_brute, scores[0]),
+                        (oracles.amd_brute, scores[1])):
+        assert got.tolist() == [float(oracle(a, b)) for a, b in plain]
+
+
+def test_baseline_scores_reject_a_pair_of_empty_scans():
+    case = _ScanBatch.from_vectors([SignalVector({X: -50}, 0),
+                                    SignalVector({}, 10)])
+    heard = _ScanBatch.from_vectors([SignalVector({}, 4)])
+    assert [s.tolist() for s in ev._baseline_scores(heard, case)] == \
+        [[0.0], [50.0], [50.0]]
+    with pytest.raises(ValueError, match="both vectors are empty"):
+        ev._baseline_scores(_ScanBatch.from_vectors([SignalVector({}, 6)]),
+                            case)
+
+
+def test_baselines_build_no_dict_scans(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the baselines built a dict scan")
+
+    monkeypatch.setattr(_ScanBatch, "vectors", refuse)
+    monkeypatch.setattr(SignalVector, "_trusted", refuse)
+    rows = ev.run_baseline_comparison("office", (2,), (1,))
+    assert [row["metric"] for row in rows] == ["similarity", "jaccard",
+                                               "amd", "aed"]

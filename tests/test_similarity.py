@@ -168,18 +168,6 @@ class TestDistanceBaselines:
         with pytest.raises(ValueError):
             aed(SignalVector({}, 0), SignalVector({}, 0))
 
-    def test_shared_denominator_variant(self):
-        a, b = SignalVector({X: -50, Y: -70}, 0), SignalVector({X: -60}, 0)
-        # diffs: x 10, y 30 (fill); shared count 1
-        assert amd(a, b, denominator="shared") == pytest.approx(40.0)
-        disjoint = SignalVector({Z: -40}, 0)
-        assert amd(a, disjoint, denominator="shared") == math.inf
-
-    def test_unknown_denominator(self):
-        a = SignalVector({X: -50}, 0)
-        with pytest.raises(ValueError, match="denominator"):
-            amd(a, a, denominator="max")
-
     @given(readings, readings)
     @settings(max_examples=150)
     def test_symmetric_and_matches_oracle(self, ra, rb):
