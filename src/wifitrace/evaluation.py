@@ -25,6 +25,7 @@ so downstream plots regenerate bit-identically.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import count
@@ -180,9 +181,10 @@ class ProximityData:
     scans: _ScanBatch
     distances: np.ndarray
 
-    @property
+    @functools.cached_property
     def vectors(self) -> tuple[tuple[SignalVector, float], ...]:
-        """Each user scan as a SignalVector, with its distance in m."""
+        """Each user scan as a SignalVector, with its distance in m; built
+        on the first read and kept."""
         return tuple(zip(self.scans.vectors(), self.distances.tolist()))
 
     def truth(self, proximity: float) -> np.ndarray:

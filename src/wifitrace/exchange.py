@@ -14,7 +14,10 @@ Wire protocol (curl-friendly, byte-exact):
 
 The server persists an append-only log of the same frames; recovery replays
 the log and drops a torn trailing frame. Publishing identical bytes twice
-returns the original record id.
+returns the original record id. In memory the server keeps only an index:
+each record's id, publish time, frame offset and lengths, and the digests
+of the payloads. ``fetch_since`` reads payloads back from the log, and a GET
+streams the picked frames from the log to the socket with ``sendfile``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from . import detection
 from .detection import ContactReport, DetectionConfig
@@ -64,15 +68,11 @@ class PublishedRecord:
     published_at: int
 
 
-def _frame_header(record: PublishedRecord) -> bytes:
+def _frame(record: PublishedRecord) -> bytes:
     return (
         f"record id={record.record_id} at={record.published_at} "
         f"len={len(record.profile_bytes)}\n"
-    ).encode("ascii")
-
-
-def _frame(record: PublishedRecord) -> bytes:
-    return _frame_header(record) + record.profile_bytes + b"\n"
+    ).encode("ascii") + record.profile_bytes + b"\n"
 
 
 # exactly the headers _frame writes: canonical decimals of at most 19 digits
@@ -84,22 +84,32 @@ _HEADER = re.compile(
 _MAX_HEADER_LINE = 79  # one byte past the longest header _HEADER matches
 
 
-def _read_frames(
-        stream: io.BufferedIOBase) -> tuple[list[PublishedRecord], int]:
-    """Parse frames from a seekable binary stream one at a time; returns the
-    records and the offset just past the last good frame."""
-    records: list[PublishedRecord] = []
+def _frames(
+        stream: io.BufferedIOBase) -> Iterator[tuple[int, int, PublishedRecord]]:
+    """Parse frames from a seekable binary stream one at a time; yields each
+    record with the offsets where its frame starts and ends, and stops at
+    the first frame that is not whole and well formed."""
     size = stream.seek(0, os.SEEK_END)
-    good = stream.seek(0)
+    start = stream.seek(0)
     while header := _HEADER.fullmatch(stream.readline(_MAX_HEADER_LINE)):
         rid, at, length = map(int, header.groups())
         if stream.tell() + length >= size:  # torn: the payload is not all there
-            break
+            return
         payload = stream.read(length)
         if stream.read(1) != b"\n":
-            break
-        records.append(PublishedRecord(rid, payload, at))
-        good = stream.tell()
+            return
+        end = stream.tell()
+        yield start, end, PublishedRecord(rid, payload, at)
+        start = end
+
+
+def _read_frames(
+        stream: io.BufferedIOBase) -> tuple[list[PublishedRecord], int]:
+    """The records of ``_frames`` and the offset just past the last good
+    frame."""
+    records, good = [], 0
+    for _, good, record in _frames(stream):
+        records.append(record)
     return records, good
 
 
@@ -121,8 +131,21 @@ def _make_dirs(path: Path) -> list[Path]:
     return [d.parent for d in created]
 
 
+class _Entry(NamedTuple):
+    """Where a record's frame lies in the log."""
+    record_id: int
+    published_at: int
+    offset: int
+    frame_len: int
+    payload_len: int
+
+
 class ProfileStore:
     """Append-only, durably logged store of published processed profiles.
+
+    Memory holds an index into the log, not the records: per record its id,
+    publish time, frame offset and lengths, and a map from payload digest
+    to id. Payloads are read back from the log when fetched.
 
     Thread safe: publishes serialize through a lock (record ids form a total
     order consistent with acknowledgment order); reads take a snapshot.
@@ -135,34 +158,39 @@ class ProfileStore:
             raise ValueError(f"retention_days must be > 0, got {retention_days}")
         self._dir = Path(data_dir)
         changed = _make_dirs(self._dir)
-        self._path = self._dir / self.LOG_NAME
+        self.log_path = self._dir / self.LOG_NAME
         self._lock = threading.Lock()
-        self._records: list[PublishedRecord] = []
+        self._index: list[_Entry] = []
         self._by_digest: dict[bytes, int] = {}
         self.retention_days = retention_days
-        if not self._path.exists():
+        if not self.log_path.exists():
             # the log's entry and that of every directory made for it are on
             # disk before any publish is acknowledged, so a power loss cannot
             # take an acked record
-            self._path.touch()
+            self.log_path.touch()
             for directory in (self._dir, *changed):
                 _fsync_dir(directory)
         self._replay()
 
     def _replay(self) -> None:
-        with open(self._path, "r+b") as fh:
-            records, good = _read_frames(fh)
+        # each payload is hashed and dropped as the log is read, so memory
+        # holds the index, never the log
+        index, by_digest, good = [], {}, 0
+        with open(self.log_path, "r+b") as fh:
+            for start, good, record in _frames(fh):
+                payload = record.profile_bytes
+                by_digest[hashlib.sha256(payload).digest()] = record.record_id
+                index.append(_Entry(record.record_id, record.published_at,
+                                    start, good - start, len(payload)))
             if fh.seek(0, os.SEEK_END) > good:
                 # torn tail from a crash mid-append: drop it
                 fh.truncate(good)
-        self._records = records
-        self._by_digest = {
-            hashlib.sha256(r.profile_bytes).digest(): r.record_id for r in records
-        }
+        self._index = index
+        self._by_digest = by_digest
 
     @property
     def last_record_id(self) -> int:
-        return self._records[-1].record_id if self._records else 0
+        return self._index[-1].record_id if self._index else 0
 
     def publish(self, profile_bytes: bytes, now: int | None = None) -> int:
         """Validate, durably append, and return the record id.
@@ -190,30 +218,60 @@ class ProfileStore:
                 profile_bytes=profile_bytes,
                 published_at=int(time.time()) if now is None else int(now),
             )
-            with open(self._path, "ab") as fh:
-                fh.write(_frame(record))
+            frame = _frame(record)
+            with open(self.log_path, "ab") as fh:
+                offset = fh.tell()  # append mode opens at the end
+                fh.write(frame)
                 fh.flush()
                 os.fsync(fh.fileno())
-            self._records.append(record)
+            self._index.append(_Entry(record.record_id, record.published_at,
+                                      offset, len(frame), len(profile_bytes)))
             self._by_digest[digest] = record.record_id
             return record.record_id
 
-    def fetch_since(
-        self, last_record_id: int, now: int | None = None
-    ) -> list[PublishedRecord]:
-        """All unexpired records newer than the cursor, ascending by id."""
+    def _pick(self, last_record_id: int, now: int | None) -> list[_Entry]:
+        """The unexpired entries newer than the cursor, ascending by id."""
         if last_record_id < 0:
             raise ValueError("lastRecordId must be >= 0")
         now = int(time.time()) if now is None else int(now)
         horizon = now - self.retention_days * 86400
         with self._lock:
             start = bisect.bisect_right(
-                self._records, last_record_id,
+                self._index, last_record_id,
                 key=operator.attrgetter("record_id"),
             )
-            tail = self._records[start:]
+            tail = self._index[start:]
         # publish times need not ascend (clocks, the ``now`` argument)
-        return [r for r in tail if r.published_at >= horizon]
+        return [e for e in tail if e.published_at >= horizon]
+
+    def fetch_since(
+        self, last_record_id: int, now: int | None = None
+    ) -> list[PublishedRecord]:
+        """All unexpired records newer than the cursor, ascending by id."""
+        records = []
+        with open(self.log_path, "rb") as log:
+            for e in self._pick(last_record_id, now):
+                # the payload ends one byte before its frame does
+                log.seek(e.offset + e.frame_len - 1 - e.payload_len)
+                payload = log.read(e.payload_len)
+                if len(payload) < e.payload_len:
+                    raise OSError(f"{self.log_path} is cut short in "
+                                  f"record {e.record_id}")
+                records.append(
+                    PublishedRecord(e.record_id, payload, e.published_at))
+        return records
+
+    def frame_runs(self, last_record_id: int) -> list[tuple[int, int]]:
+        """The log's byte ranges, as (offset, length), that hold the frames
+        of ``fetch_since``'s records in order: one range per run of frames
+        adjacent in the log."""
+        runs: list[tuple[int, int]] = []
+        for e in self._pick(last_record_id, None):
+            if runs and sum(runs[-1]) == e.offset:
+                runs[-1] = (runs[-1][0], runs[-1][1] + e.frame_len)
+            else:
+                runs.append((e.offset, e.frame_len))
+        return runs
 
 
 class _ExchangeHandler(BaseHTTPRequestHandler):
@@ -285,13 +343,22 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
             since = int(text)
         except ValueError:
             return self._reply(400, b"since must be a non-negative integer\n")
-        # one frame in memory at a time: the response can be the whole log
-        records = self.server.store.fetch_since(since)
-        length = sum(len(_frame_header(r)) + len(r.profile_bytes) + 1
-                     for r in records)
-        self._send_head(200, length, "application/octet-stream")
-        for record in records:
-            self.wfile.write(_frame(record))
+        # a log frame is byte for byte a wire frame, so the response is
+        # streamed from the log with one sendfile per run of adjacent frames
+        # and no payload passes through the relay's memory; the index gives
+        # the length
+        store = self.server.store
+        with open(store.log_path, "rb") as log:
+            runs = store.frame_runs(since)
+            self._send_head(200, sum(n for _, n in runs),
+                            "application/octet-stream")
+            for offset, count in runs:
+                if self.connection.sendfile(log, offset, count) < count:
+                    # the log shrank under the relay: hang up, so that a
+                    # client keeping the connection open sees the reply end
+                    # short instead of waiting for the missing bytes
+                    self.close_connection = True
+                    return
 
 
 class ExchangeServer(ThreadingHTTPServer):

@@ -524,6 +524,12 @@ class TestDatasetConstruction:
         assert len(data.vectors) == 10 * 120
         assert len(data.case.length) == 119
 
+    def test_vectors_are_built_once(self):
+        data = collect_proximity_data(*make_site("office", seed=1))
+        assert data.vectors is data.vectors
+        assert data.vectors == tuple(
+            zip(data.scans.vectors(), data.distances.tolist()))
+
     @pytest.mark.parametrize("preset, seed", [("office", 1), ("mall", 3)])
     def test_case_columns_are_the_raw_walk_processed(self, preset, seed):
         # the baselines' raw case walk is the walk whose segments are scored

@@ -1,4 +1,5 @@
 import contextlib
+import http.client
 import io
 import os
 import socket
@@ -6,6 +7,7 @@ import stat
 import tempfile
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -49,6 +51,27 @@ def processed_bytes(label="c", lo=-70, hi=-50, t_end=1860) -> bytes:
         [ProfileSegment(ProcessedVector({X: (lo, hi)}), 0, t_end)],
         case_label=label)
     return serialize_profile(profile)
+
+
+def large_processed_bytes(label: str) -> bytes:
+    """A processed profile of about 100 KB: 160 segments of 8 ids."""
+    segments = [ProfileSegment(ProcessedVector(
+        {sid: (-90 + j % 40, -40) for sid in ID_POOL[j % 56:j % 56 + 8]}),
+        60 * j, 60 * j + 60) for j in range(160)]
+    return serialize_profile(ProcessedProfile(segments, case_label=label))
+
+
+def wire_frame(record_id: int, at: int, body: bytes) -> bytes:
+    """A frame as the wire protocol defines it."""
+    return b"record id=%d at=%d len=%d\n%s\n" % (record_id, at, len(body),
+                                                  body)
+
+
+def get_profiles(endpoint: str, since: int) -> tuple[str, bytes]:
+    """The Content-Length header and the body of a GET."""
+    with urllib.request.urlopen(
+            f"{endpoint}/v1/profiles?since={since}") as resp:
+        return resp.headers["Content-Length"], resp.read()
 
 
 def raw_post(endpoint: str, head: str, body: bytes = b"") -> bytes:
@@ -261,6 +284,32 @@ class TestProfileStore:
                         and r.published_at >= now - 86_400]
             assert store.fetch_since(cursor, now=now) == expected
 
+    def test_memory_holds_an_index_not_the_records(self, tmp_path):
+        store = ProfileStore(tmp_path / "s")
+        store.publish(large_processed_bytes("warm-up"))
+        published = 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(40):
+                body = large_processed_bytes(f"case-{i}")
+                published += len(body)
+                store.publish(body)
+            del body
+            grown = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            replayed = ProfileStore(tmp_path / "s")
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert replayed.last_record_id == 41
+        assert published > 40 * 90_000
+        assert grown < published / 20
+        assert kept < published / 20
+        # the replay holds a frame or two at a time, never the log
+        assert peak < 4 * published / 40
+
     def test_concurrent_publishes_totally_ordered(self, store):
         ids = []
         lock = threading.Lock()
@@ -455,13 +504,72 @@ class TestWireProtocol:
         assert [r.record_id for r in records] == [1, 2]
 
     def test_fetch_body_is_the_concatenated_frames(self, server, store):
-        for label in ("a", "bb", ""):
-            publish(server.endpoint, processed_bytes(label))
+        now = int(time.time())
+        bodies = [processed_bytes(label) for label in ("a", "bb", "")]
+        frames = [wire_frame(store.publish(body, now=now), now, body)
+                  for body in bodies]
         for since in (0, 2, 3):
-            raw = urllib.request.urlopen(
-                f"{server.endpoint}/v1/profiles?since={since}").read()
-            assert raw == b"".join(_frame(r) for r in store.fetch_since(since))
+            want = b"".join(frames[since:])
+            assert get_profiles(server.endpoint, since) == (str(len(want)),
+                                                             want)
 
+    def test_fetch_body_skips_an_expired_frame_between_live_ones(
+            self, server, store):
+        now = int(time.time())
+        expired = now - (store.retention_days + 1) * 86_400
+        bodies = [processed_bytes(label) for label in "abc"]
+        for body, at in zip(bodies, (now, expired, now)):
+            store.publish(body, now=at)
+        assert len(store.frame_runs(0)) == 2
+        want = wire_frame(1, now, bodies[0]) + wire_frame(3, now, bodies[2])
+        assert get_profiles(server.endpoint, 0) == (str(len(want)), want)
+        want = wire_frame(3, now, bodies[2])
+        assert get_profiles(server.endpoint, 1) == (str(len(want)), want)
+
+    def test_fetch_past_the_last_id_is_an_empty_body(self, server, store):
+        store.publish(processed_bytes())
+        assert get_profiles(server.endpoint, 2) == ("0", b"")
+        assert get_profiles(server.endpoint, 10**18) == ("0", b"")
+
+    def test_fetch_body_after_a_torn_tail_was_cut_off(self, tmp_path):
+        now = int(time.time())
+        a, b, c = (processed_bytes(label) for label in "abc")
+        first = ProfileStore(tmp_path / "s")
+        first.publish(a, now=now)
+        first.publish(b, now=now)
+        log = first.log_path
+        log.write_bytes(log.read_bytes()[:-9])  # crash mid-append
+        store = ProfileStore(tmp_path / "s")
+        with relay_in_thread(store) as server:
+            assert store.publish(c, now=now) == 2
+            want = wire_frame(1, now, a) + wire_frame(2, now, c)
+            assert get_profiles(server.endpoint, 0) == (str(len(want)), want)
+        assert log.read_bytes() == want
+
+    def test_a_log_cut_short_under_the_relay_ends_the_connection(
+            self, server, store, monkeypatch):
+        for label in "ab":
+            store.publish(processed_bytes(label))
+        whole = store.log_path.read_bytes()
+        os.truncate(store.log_path, len(whole) - 9)
+        # HTTP/1.1 without "Connection: close": the relay must hang up, or
+        # the client waits for the missing bytes until its timeout
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=5)
+        try:
+            conn.request("GET", "/v1/profiles?since=0")
+            resp = conn.getresponse()
+            assert resp.getheader("Content-Length") == str(len(whole))
+            with pytest.raises(http.client.IncompleteRead) as cut:
+                resp.read()
+        finally:
+            conn.close()
+        assert cut.value.partial == whole[:-9]
+        monkeypatch.setattr(exchange, "_BACKOFF", 0.01)
+        with pytest.raises(ExchangeError, match="IncompleteRead"):
+            fetch_since(server.endpoint, 0)
+        with pytest.raises(OSError, match="cut short in record 2"):
+            store.fetch_since(0)
 
 
 # the relay's check and its 400 reply name a fault exactly as parse_profile
