@@ -4,8 +4,8 @@ Per-timestamp matching: a user's scan at time t is checked against every
 published segment whose validity window contains t; the first segment whose
 similarity reaches the threshold flags the timestamp as a contact and is the
 one recorded. The user's scans are in time order, so the ones that some
-non-empty segment's window may contain form one slice, from the earliest
-window start to the latest window end. That slice is scored in one batch by
+segment's window may contain form one slice, from the earliest window start
+to the latest window end. That slice is scored in one batch by
 similarity's kernel, which applies the first-match rule; every scan outside
 it gets a false flag with score 0. The threshold and the window settings
 come from DetectionConfig, which ``wifitrace sync`` builds from its flags.
@@ -133,13 +133,12 @@ def _detect_columns(
     owners = [(label, seg_idx) for label, n in zip(labels, counts)
               for seg_idx in range(n)]
     scores, matched = np.zeros(len(vectors)), np.full(len(vectors), -1)
-    live = cols.length > 0
-    if live.any():
-        # the scans are in time order, so those inside some non-empty
-        # segment's window are within one slice: convert just that
+    if len(cols.length):
+        # the scans are in time order, so those inside some segment's window
+        # are within one slice: convert just that
         times = [vec.timestamp for vec in vectors]
-        lo = bisect_left(times, min(cols.t_start[live].tolist()))
-        hi = bisect_right(times, max(cols.t_end[live].tolist()))
+        lo = bisect_left(times, min(cols.t_start.tolist()))
+        hi = bisect_right(times, max(cols.t_end.tolist()))
         scores[lo:hi], matched[lo:hi] = _score_columns(
             _ScanBatch.from_vectors(vectors[lo:hi]), cols, cfg.alpha)
     flags: list[ContactFlag] = []

@@ -219,11 +219,19 @@ class ProfileStore:
                 published_at=int(time.time()) if now is None else int(now),
             )
             frame = _frame(record)
-            with open(self.log_path, "ab") as fh:
+            # unbuffered: no bytes of a failed append are left to flush later
+            with open(self.log_path, "ab", buffering=0) as fh:
                 offset = fh.tell()  # append mode opens at the end
-                fh.write(frame)
-                fh.flush()
-                os.fsync(fh.fileno())
+                try:
+                    view = memoryview(frame)
+                    while view:  # a raw write may be short
+                        view = view[fh.write(view):]
+                    os.fsync(fh.fileno())
+                except BaseException:
+                    # the frame was never acknowledged: a replay must not
+                    # find it, nor a retry append after it
+                    fh.truncate(offset)
+                    raise
             self._index.append(_Entry(record.record_id, record.published_at,
                                       offset, len(frame), len(profile_bytes)))
             self._by_digest[digest] = record.record_id

@@ -17,11 +17,12 @@ once with numpy, in bit-identical floats, each scan only against the
 segments whose validity window contains its time, and applies detection's
 first-match rule. It owns both of its input formats: scans as one
 ``_ScanBatch`` (times and a dense scan x id RSSI block), the package's one
-inner scan form, and segments as one ``_Columns``; it maps the batch's
-vocabulary to the segment columns once, one lookup per id. The studies hand
-it simulated batches and case and area segments built from one; detection
-builds a batch from the one time slice of dict scans a window may contain,
-and ``evaluation.record_score`` from its one dict scan.
+inner scan form, and segments as one ``_Columns``; it maps the segment ids
+to the batch's columns once, one lookup per id, and reads each pair from the
+batch's own block. The studies hand it simulated batches and case and area
+segments built from one; detection builds a batch from the one time slice
+of dict scans a window may contain, and ``evaluation.record_score`` from
+its one dict scan.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .model import RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalVector
 
-_CELLS = 1 << 16  # bound on the elements of _score_columns()'s temporaries
+_CELLS = 1 << 16  # bound on the cells of each _score_columns() temporary
 
 _UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 
@@ -149,7 +150,6 @@ class _Columns:
         self.ptr = np.cumsum(self.length) - self.length
         self.t_start = _times(t_start)
         self.t_end = _times(t_end)
-        self.width = len(self.index)
 
     @classmethod
     def from_segments(cls, segments: Sequence[ProfileSegment]) -> "_Columns":
@@ -160,17 +160,18 @@ class _Columns:
                    [seg.t_start for seg in segments],
                    [seg.t_end for seg in segments])
 
-    def shared_terms(self, block: np.ndarray, row: np.ndarray,
-                     seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def shared_terms(self, block: np.ndarray, row: np.ndarray, seg: np.ndarray,
+                     entry_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shared-id count and summed out-of-range distance of each pair
-        (block[row[i]], segment seg[i]); every segment must be non-empty."""
+        (block[row[i]], segment seg[i]), where a segment's entry e reads
+        column entry_col[e] of block; every segment must be non-empty."""
         lens = self.length[seg]
         ends = np.cumsum(lens)
         starts = ends - lens
         entry = (np.arange(int(ends[-1]))
                  - np.repeat(starts - self.ptr[seg], lens))
-        rssi = block.ravel().take(np.repeat(row * self.width, lens)
-                                  + self.col.take(entry))
+        rssi = block.ravel().take(np.repeat(row * block.shape[1], lens)
+                                  + entry_col.take(entry))
         heard = rssi != _UNHEARD
         dist = np.maximum(np.maximum(self.lo.take(entry) - rssi,
                                      rssi - self.hi.take(entry)), 0) * heard
@@ -203,40 +204,39 @@ def _score_columns(
     matched = np.full(n, -1, dtype=np.intp)
     if not n or not m:
         return score, matched
-    # the batch's columns that some segment holds, and their segment columns
-    to_col = np.fromiter(map(cols.index.get, scans.ids, repeat(-1)),
-                         dtype=np.intp, count=len(scans.ids))
-    shared = np.flatnonzero(to_col >= 0)
-    to_col = to_col[shared]
-    sizes = np.count_nonzero(scans.rssi != _UNHEARD, axis=1)
+    # each segment entry's batch column; ids no scan holds read an extra one
+    width = len(scans.ids)
+    batch_col = dict(zip(scans.ids, range(width)))
+    entry_col = np.fromiter(map(batch_col.get, cols.index, repeat(width)),
+                            dtype=np.intp, count=len(cols.index)).take(cols.col)
     # an empty segment shares no id, and shared_terms needs entries per pair
     nonempty = cols.length > 0
     step = max(1, _CELLS // max(1, int(cols.length.max())))
 
     # chunks of scans keep the cover matrix and the RSSI block small
-    rows = max(1, _CELLS // max(m, cols.width))
+    rows = max(1, _CELLS // max(m, width + 1))
     for first in range(0, n, rows):
         t = scans.times[first:first + rows, None]
         cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
-        live = first + np.flatnonzero(cover.any(axis=1))
-        block = np.full((len(live), cols.width), _UNHEARD, dtype=np.int16)
-        block[:, to_col] = scans.rssi[live[:, None], shared]
+        block = np.full((len(t), width + 1), _UNHEARD, dtype=np.int16)
+        block[:, :width] = scans.rssi[first:first + rows]
 
         # candidate pairs, scan-major with segments in input order; at most
         # _CELLS (pair, segment id) entries at a time
-        row, seg = np.nonzero(cover[live - first])
+        row, seg = np.nonzero(cover)
         count = np.empty(len(row), dtype=np.int64)
         total = np.empty(len(row), dtype=np.int64)
         for a in range(0, len(row), step):
             count[a:a + step], total[a:a + step] = cols.shared_terms(
-                block, row[a:a + step], seg[a:a + step])
+                block, row[a:a + step], seg[a:a + step], entry_col)
 
         keep = count > 0  # a pair without shared ids scores 0
         if not keep.any():
             continue
         row, seg, count, total = row[keep], seg[keep], count[keep], total[keep]
-        scan = live[row]
-        smaller = np.minimum(sizes[scan], cols.length[seg])
+        scan = first + row
+        sizes = np.count_nonzero(block != _UNHEARD, axis=1)
+        smaller = np.minimum(sizes[row], cols.length[seg])
         pair_score = (count / smaller) / (total / count + 1.0)
         heads = np.flatnonzero(np.r_[True, scan[1:] != scan[:-1]])
         score[scan[heads]] = np.maximum.reduceat(pair_score, heads)

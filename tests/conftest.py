@@ -72,7 +72,7 @@ def relay_in_thread(store, **kwargs):
 
 def assert_same_columns(got, want):
     """Two similarity._Columns hold the same ids, numbering and arrays."""
-    assert got.index == want.index and got.width == want.width
+    assert got.index == want.index
     for name in ("col", "lo", "hi", "length", "ptr", "t_start", "t_end"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name

@@ -179,6 +179,28 @@ class TestProfileStore:
         ProfileStore(tmp_path / "store")
         assert events == ["dir", "dir", "file", "published"]
 
+    def test_failed_append_leaves_no_frame_in_the_log(
+            self, tmp_path, monkeypatch):
+        real_fsync = exchange.os.fsync
+        failures = [OSError("fsync failed")]
+
+        def fsync(fd):
+            if failures:
+                raise failures.pop()
+            real_fsync(fd)
+
+        store = ProfileStore(tmp_path / "store")
+        monkeypatch.setattr(exchange.os, "fsync", fsync)
+        data = processed_bytes()
+        with pytest.raises(OSError, match="fsync failed"):
+            store.publish(data)
+        assert store.log_path.stat().st_size == 0
+        assert store.publish(data) == 1
+        assert [r.record_id for r in store.fetch_since(0)] == [1]
+        reopened = ProfileStore(tmp_path / "store")
+        assert [(r.record_id, r.profile_bytes)
+                for r in reopened.fetch_since(0)] == [(1, data)]
+
     def test_every_directory_the_store_creates_is_fsynced(
             self, tmp_path, monkeypatch):
         synced = []

@@ -365,5 +365,5 @@ def test_batch_read_of_many_records_is_parse_profile(records):
 
 def test_batch_read_of_nothing_is_empty():
     labels, counts, columns = _read_processed([])
-    assert labels == counts == [] and _Columns(*columns).width == 0
+    assert labels == counts == [] and _Columns(*columns).index == {}
     assert_same_columns(_Columns(*columns), _Columns.from_segments([]))

@@ -4,6 +4,10 @@ Every comparison is exact: the kernel must give the same floats as the
 scalar reference, not merely close ones.
 """
 
+import hashlib
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,13 +24,14 @@ from wifitrace.model import (
     ProcessedProfile,
     ProcessedVector,
     ProfileSegment,
+    SignalId,
     SignalProfile,
     SignalVector,
 )
-from wifitrace.similarity import _ScanBatch, signal_similarity
+from wifitrace.similarity import _Columns, _ScanBatch, signal_similarity
 from wifitrace.simulator import _drop_batch_ids
 
-from conftest import ID_POOL
+from conftest import ID_POOL, make_processed, make_vector
 
 POOL = ID_POOL[:10]  # small, so scans and segments share ids often
 
@@ -206,3 +211,24 @@ def test_tie_with_alpha_keeps_float_rounding():
     (flag,) = detect_contacts(SignalProfile([scan]), [profile],
                               DetectionConfig(alpha=0.4))
     assert flag == ContactFlag(30, False, tie)
+
+
+def test_kernel_temporaries_do_not_grow_with_the_batch():
+    """500 scans x 400 segments of 20 ids, every window covering every scan:
+    200 000 candidate pairs, 4 million (pair, segment id) entries. Scored in
+    one piece they take about 100 MB; in chunks of _CELLS cells the peak
+    stays a few MB."""
+    rng = random.Random(5)
+    pool = [SignalId(hashlib.sha256(bytes([i, 1])).digest()) for i in range(100)]
+    scans = _ScanBatch.from_vectors([make_vector(rng, 100, t, pool)
+                                     for t in range(500)])
+    cols = _Columns.from_segments([
+        ProfileSegment(make_processed(rng, 20, pool), 0, 499)
+        for _ in range(400)])
+    tracemalloc.start()
+    try:
+        similarity._score_columns(scans, cols, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
