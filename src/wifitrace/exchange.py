@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple
 from . import detection
 from .detection import ContactReport, DetectionConfig
 from .model import SignalProfile
-from .profileio import ProfileFormatError, _read_processed
+from .profileio import ProfileFormatError, _check_processed, _read_processed
 from .similarity import _Columns
 
 DEFAULT_RETENTION_DAYS = 28
@@ -207,7 +207,7 @@ class ProfileStore:
             existing = self._by_digest.get(digest)
         if existing is not None:
             return existing
-        _read_processed([profile_bytes])
+        _check_processed([profile_bytes])
         with self._lock:
             # the same bytes may have been appended while this one parsed
             existing = self._by_digest.get(digest)

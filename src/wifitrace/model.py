@@ -14,6 +14,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -21,10 +22,19 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 RSSI_FLOOR = -100  # weak-signal floor in dBm; one-sided ranges open here
 RSSI_CEIL = 0
 
 _MAC_RE = re.compile(r"^[0-9A-F]{2}(?::[0-9A-F]{2}){5}$")
+
+
+@functools.cache
+def _range_pair(lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi) as the one tuple that every profile built from columns
+    shares; the RSSI range bounds the cache to a few thousand tuples."""
+    return lo, hi
 
 
 class InsufficientDataError(ValueError):
@@ -217,11 +227,17 @@ class ProcessedProfile:
         object.__setattr__(self, "segments", segments)
 
     @classmethod
-    def _from_columns(cls, ids, pairs, lengths, t_start, t_end,
+    def _from_columns(cls, ids, col, lo, hi, lengths, t_start, t_end,
                       case_label: str = "") -> "ProcessedProfile":
         """The segments laid out as ``similarity._Columns``'s arguments:
-        segment g holds the next lengths[g] of the (id, pair) entries."""
-        entries = zip(ids, pairs)
+        segment g holds the next lengths[g] entries, entry e the id
+        ids[col[e]] with the range (lo[e], hi[e]). Equal ids share one id,
+        and equal ranges one tuple across every profile built here."""
+        _, first, pair = np.unique(lo.astype(np.int64) * 65536 + hi,
+                                   return_index=True, return_inverse=True)
+        pairs = list(map(_range_pair, lo[first].tolist(), hi[first].tolist()))
+        entries = zip(map(ids.__getitem__, col.tolist()),
+                      map(pairs.__getitem__, pair.ravel().tolist()))
         return cls([ProfileSegment(ProcessedVector(dict(islice(entries, n))),
                                    start, end)
                     for n, start, end in zip(lengths, t_start, t_end)],

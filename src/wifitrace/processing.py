@@ -16,6 +16,7 @@ Their range builders turn a scan batch into the columns the kernel scores:
 from __future__ import annotations
 
 import logging
+from itertools import compress
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def build_case_profile(
 
 
 def _case_columns(scans: _ScanBatch, lifespans: LifespanSchedule,
-                  max_gap: int) -> tuple[list, list, list, list, list]:
+                  max_gap: int) -> tuple:
     """build_case_profile's segments over a batch, as ``_Columns``'s
     arguments. Per kept pair of rows, an id is held when either row heard
     it; lo is the smaller reading where both heard it, else the floor, and
@@ -104,11 +105,13 @@ def _case_columns(scans: _ScanBatch, lifespans: LifespanSchedule,
     low = np.minimum(scans.rssi[rows], scans.rssi[rows + 1])
     high = np.maximum(scans.rssi[rows], scans.rssi[rows + 1])
     held, both = low != _UNHEARD, high != _UNHEARD
-    lo = np.where(both, low, RSSI_FLOOR)[held]
-    hi = np.where(both, high, low)[held]
-    ids = np.array(scans.ids, dtype=object)[np.nonzero(held)[1]].tolist()
-    return (ids, list(zip(lo.tolist(), hi.tolist())),
-            held.sum(axis=1).tolist(), [times[i] for i in kept],
+    # the vocabulary's ids that some segment holds, renumbered in order
+    used = held.any(axis=0)
+    col = (np.cumsum(used, dtype=np.intp) - 1)[np.nonzero(held)[1]]
+    return (list(compress(scans.ids, used)), col,
+            np.where(both, low, RSSI_FLOOR)[held],
+            np.where(both, high, low)[held], held.sum(axis=1).tolist(),
+            [times[i] for i in kept],
             [times[i + 1] + lifespans.lifespan_for(i) for i in kept])
 
 
@@ -142,12 +145,12 @@ def build_area_profile(
 
 
 def _area_columns(scans: _ScanBatch, t_start: int,
-                  t_end: int) -> tuple[list, list, list, list, list]:
+                  t_end: int) -> tuple:
     """build_area_profile's one segment over a batch, as ``_Columns``'s
     arguments: every id of the vocabulary with the least and the greatest of
     its readings."""
     # _UNHEARD tops every reading, so a column's min is heard
     lo = scans.rssi.min(axis=0)
     hi = np.where(scans.rssi != _UNHEARD, scans.rssi, RSSI_FLOOR).max(axis=0)
-    return (scans.ids, list(zip(lo.tolist(), hi.tolist())),
+    return (scans.ids, np.arange(len(scans.ids), dtype=np.intp), lo, hi,
             [len(scans.ids)], [t_start], [t_end])

@@ -19,19 +19,38 @@ the last, no blank lines, and a label escaped exactly as ``quote(label,
 safe='')`` escapes it. The one exception: signal readings outside [-100, 0]
 are clamped, as at scan ingest.
 
-Each record line is checked in bulk. Processed lines have one reader, which
-appends them to columns: ``parse_profile`` builds its segments from them,
-and the relay's publish check and the device's sync round read fetched
-records with it through ``_read_processed``. A profile of either kind that
-a bulk pass rejects goes to one explainer, which walks its lines token by
-token to name the first bad field, then checks its order of times.
+Each record line is checked in bulk. Signal lines are split with C-level
+string splits and joins. Processed lines have one reader, which works on
+the bytes of a run of records with numpy, in the manner of Langdale &
+Lemire's "Parsing Gigabytes of JSON per Second" (VLDB J. 28, 2019): it
+indexes the structural bytes first, then validates over that index.
+
+- One ``flatnonzero`` over the bytes at most 32 finds every field: a line's
+  first field is its window, each further one an entry.
+- Each entry is gathered as two fixed-width rows, its 64 hex digits and its
+  ``:<lo>..<hi>``. The range token is looked up whole in a table of every
+  canonical token, which checks its integers, the floor, the ceiling and
+  lo <= hi. The ids are interned through one ``np.unique``; each distinct
+  id is checked as lowercase hex, and the order within a line on the ranks.
+- Each line's window goes through one canonical-decimal regex and ``int``,
+  so windows past int64 read exactly.
+
+``parse_profile`` builds its segments from the reader's columns, the relay's
+publish check runs its checks alone (``_check_processed``), and the
+device's sync round reads fetched records into columns with it
+(``_read_processed``). A profile of either kind that a bulk pass rejects
+goes to one explainer, which walks its lines token by token to name the
+first bad field, then checks its order of times.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 import urllib.parse
 from typing import NoReturn, Sequence
+
+import numpy as np
 
 from .model import (
     RSSI_CEIL,
@@ -43,10 +62,13 @@ from .model import (
     SignalProfile,
     SignalVector,
 )
+from .similarity import _times
 
 MAGIC = "vcontact/1"
 KIND_SIGNAL = "signal"
 KIND_PROCESSED = "processed"
+# the start of every processed header: the reader checks the rest
+_PROCESSED_HEADER = f"{MAGIC} {KIND_PROCESSED}".encode()
 
 
 class ProfileFormatError(ValueError):
@@ -95,17 +117,103 @@ def serialize_profile(profile: SignalProfile | ProcessedProfile) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# Each record line is checked in bulk (C-level splits, joins, lookups and
-# comparisons), so no Python code runs per token; only a line that fails is
-# walked token by token, to name the bad field.
+# Signal record lines are checked in bulk with C-level splits, joins and
+# comparisons, processed record lines with numpy over their bytes (see
+# _check_run), so no Python code runs per token, and for a processed line
+# none per entry; only a record that fails is walked token by token, to
+# name the bad field.
 
-# every canonical "lo..hi" range token, mapped to one shared (lo, hi) tuple:
-# a lookup checks the integer form, the floor, the ceiling and lo <= hi
-_RANGES = {
-    f"{lo}..{hi}": (lo, hi)
-    for lo in range(RSSI_FLOOR, RSSI_CEIL + 1)
-    for hi in range(lo, RSSI_CEIL + 1)
-}
+_ID_DIGITS = 64  # hex digits of a signal id
+_TOKEN = 16  # bytes read of each entry's ":<lo>..<hi>", which takes 5 to 11
+_RUN_BYTES = 1 << 20  # records are checked in runs of about this many bytes
+_PAD = bytes(_ID_DIGITS + _TOKEN)  # what an entry's rows may read past it
+_WINDOW = re.compile(rb"t=(0|-?[1-9][0-9]*)\.\.(0|-?[1-9][0-9]*)")
+# odd, so that a range token's second word moves its key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# the first w of _TOKEN bytes, for w from 0 to _TOKEN, as words
+_KEEP = ((np.arange(_TOKEN) < np.arange(_TOKEN + 1)[:, None]).astype(np.uint8)
+         * np.uint8(255)).view(np.uint64)
+
+
+def _rows(text: bytes, width: int) -> np.ndarray:
+    """Every ``width`` bytes of ``text`` from each offset, as a read-only
+    view: row i is text[i:i + width]."""
+    return np.ndarray((len(text) - width + 1, width), dtype=np.uint8,
+                      buffer=text, strides=(1, 1))
+
+
+def _token_keys(words: np.ndarray) -> np.ndarray:
+    """A hash of each row of an (n x 2) array of a range token's words."""
+    return words[:, 0] + words[:, 1] * _MIX
+
+
+def _range_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every canonical ":<lo>..<hi>" with RSSI_FLOOR <= lo <= hi <= RSSI_CEIL,
+    as the two words of its _TOKEN bytes, zero-padded, sorted by key; with
+    the keys, lo and hi. So one lookup of a token checks its integer form,
+    the floor, the ceiling and lo <= hi."""
+    pairs = np.array([(a, b) for a in range(RSSI_FLOOR, RSSI_CEIL + 1)
+                      for b in range(a, RSSI_CEIL + 1)], dtype=np.int16)
+    tokens = np.array([f":{a}..{b}".encode() for a, b in pairs.tolist()],
+                      dtype="S%d" % _TOKEN)
+    words = tokens.view(np.uint64).reshape(len(tokens), 2)
+    keys = _token_keys(words)
+    order = np.argsort(keys)
+    lo, hi = pairs[order].T.copy()
+    return keys[order], words[order], lo, hi
+
+
+_RANGE_KEYS, _RANGE_WORDS, _RANGE_LO, _RANGE_HI = _range_table()
+
+
+def _range_slots(tokens: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each row's slot in the range table, or -1: the row's first ``width``
+    bytes, zero-padded, must equal the slot's token. No byte of a field is
+    zero, so a token equals a table token only at that token's width.
+    A batch holds few distinct tokens: each is searched for once, by its
+    key, and then compared word for word. np.unique and a search over the
+    tokens as S16 take about three times as long."""
+    words = tokens.view(np.uint64) & _KEEP[
+        np.minimum(np.maximum(width, 0), _TOKEN)]
+    keys, which = np.unique(_token_keys(words), return_inverse=True)
+    slot = np.minimum(np.searchsorted(_RANGE_KEYS, keys),
+                      len(_RANGE_KEYS) - 1)[which.ravel()]
+    same = _RANGE_WORDS[slot] == words
+    return np.where(same[:, 0] & same[:, 1], slot, -1)
+
+
+def _is_hex(ids: np.ndarray) -> np.ndarray:
+    """Per row of an (n x 64) byte array: all lowercase hex."""
+    return (((ids >= 48) & (ids <= 57)) | ((ids >= 97) & (ids <= 102))).all(1)
+
+
+def _intern(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a contiguous (n x 64) byte array, in order, as
+    S64, and each row's rank among them. One np.unique over each row's
+    first 8 bytes as a big-endian integer, then a check that each row
+    equals one member of its rank. Only when two rows share those bytes
+    but differ (by chance, about once in 30 000 runs of 500 distinct ids;
+    a crafted record can at will) are the rows sorted whole as S64, which
+    takes about eight times as long."""
+    leads, rank = np.unique(ids[:, :8].view(">u8").ravel(),
+                            return_inverse=True)
+    rank = rank.ravel()
+    member = np.empty(len(leads), dtype=np.intp)
+    member[rank] = np.arange(len(rank))
+    words = ids.view(np.uint64)
+    if (words[member[rank]] == words).all():
+        return ids[member].view("S%d" % _ID_DIGITS).ravel(), rank
+    distinct, rank = np.unique(ids.view("S%d" % _ID_DIGITS).ravel(),
+                               return_inverse=True)
+    return distinct, rank.ravel()
+
+
+def _digests(hexes: np.ndarray) -> list[bytes]:
+    """The 32 bytes each S64 hex id spells."""
+    digits = hexes.view(np.uint8).reshape(len(hexes), _ID_DIGITS)
+    value = (digits & 15) + 9 * (digits >> 6)
+    raw = (value[:, 0::2] << 4 | value[:, 1::2]).tobytes()
+    return [raw[i:i + 32] for i in range(0, len(raw), 32)]
 
 
 def _canonical_ints(texts: list[str]) -> list[int]:
@@ -277,78 +385,190 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
         ProfileFormatError: malformed or non-canonical bytes, or violated
             invariants, with a diagnostic naming the offending line and field.
     """
-    kind, label, lines = _split(data)
+    if data.startswith(_PROCESSED_HEADER):
+        try:
+            labels, _, columns = _read_processed([data])
+        except ProfileFormatError as exc:
+            exc.record = None  # one profile is no batch
+            raise
+        raw, *columns = columns
+        return ProcessedProfile._from_columns(list(map(SignalId, raw)),
+                                              *columns, case_label=labels[0])
+    kind, label, lines = _split(data)  # a signal profile, or the error
     # per call, never shared: the relay parses untrusted bodies
     ids: dict[str, SignalId] = {}
-    if kind == KIND_SIGNAL:
-        try:
-            return SignalProfile([_signal_record(line, ids) for line in lines],
-                                 device_tag=label)
-        except ValueError:
-            _explain(kind, label, lines)
-    columns = ([], [], [], [], [])
-    _read_columns(label, lines, ids, columns)
-    return ProcessedProfile._from_columns(*columns, case_label=label)
-
-
-def _read_columns(label: str, lines: list[str], ids: dict[str, SignalId],
-                  columns: Sequence[list]) -> None:
-    """The one reader of processed record lines: appends them to ``columns``
-    (ids, (lo, hi) pairs, segment lengths, starts, ends) through ``_fields``
-    and the range table, then checks the windows as integers."""
-    keys, pairs, lengths, t_start, t_end = columns
-    starts, ends = [], []
     try:
-        for line in lines:
-            window, sids, tokens = _fields(line, ids)
-            keys += sids
-            pairs += map(_RANGES.__getitem__, tokens)
-            lengths.append(len(sids))
-            start, _, end = window.partition("..")
-            starts.append(start)
-            ends.append(end)
-        starts, ends = _canonical_ints(starts), _canonical_ints(ends)
-        if (any(map(operator.ge, starts, ends))
-                or any(map(operator.gt, starts, starts[1:]))):
-            raise ValueError(label)
-    except (KeyError, ValueError):
-        _explain(KIND_PROCESSED, label, lines)
-    t_start += starts
-    t_end += ends
+        return SignalProfile([_signal_record(line, ids) for line in lines],
+                             device_tag=label)
+    except ValueError:
+        _explain(kind, label, lines)
+
+
+def _reject(data: bytes) -> NoReturn:
+    """Raise the error that names the fault of a record the bulk checks
+    rejected: parse_profile's, or "not a processed profile"."""
+    kind, label, lines = _split(data)
+    if kind != KIND_PROCESSED:
+        parse_profile(data)  # names the fault of a bad signal body
+        raise ProfileFormatError(
+            "not a processed profile (scans stay on a device)")
+    _explain(kind, label, lines)
+
+
+def _runs(records: Sequence[bytes]):
+    """The records in runs of about _RUN_BYTES, at least one record each,
+    with the position of each run's first; no records are one empty run."""
+    first = size = 0
+    for position, data in enumerate(records):
+        size += len(data)
+        if size >= _RUN_BYTES:
+            yield records[first:position + 1], first
+            first, size = position + 1, 0
+    if first < len(records) or not records:
+        yield records[first:], first
+
+
+def _check_run(records: Sequence[bytes], first: int) -> tuple:
+    """Check a run of processed records in bulk, over their bytes.
+
+    Returns each record's label and segment count; the run's distinct ids
+    in order, as S64 hex; each entry's id as its rank among them, its lo and
+    its hi; and each segment's entry count, start and end. ``first`` is the
+    position of the run's first record in the whole batch.
+
+    Raises:
+        ProfileFormatError: for the first record that fails any check, from
+            _reject, with ``record`` set to its position in the batch.
+    """
+    labels, bodies = [], []
+    for data in records:
+        end = data.find(b"\n")
+        if end < 0 or not data.endswith(b"\n"):
+            break
+        try:
+            kind, label = _parse_header(data[:end].decode("utf-8"))
+        except (UnicodeDecodeError, ProfileFormatError):
+            break
+        if kind != KIND_PROCESSED:
+            break
+        labels.append(label)
+        bodies.append(memoryview(data)[end + 1:])
+    text = b"".join([*bodies, _PAD])
+    data = np.frombuffer(text, dtype=np.uint8)
+    bounds = np.cumsum([len(body) for body in bodies], dtype=np.intp)
+
+    # every field ends at a space or a newline; a line's first field is its
+    # window, each further one an entry
+    sep = np.flatnonzero(data[:len(text) - len(_PAD)] <= 32)
+    delim = data[sep]
+    newline = delim == 10
+    begin = np.empty_like(sep)
+    begin[:1] = 0
+    begin[1:] = sep[:-1] + 1
+    head = np.empty(len(sep), dtype=bool)
+    head[:1] = True
+    head[1:] = newline[:-1]
+    bad = [sep[(delim != 32) & ~newline]]  # offsets of the failed checks
+
+    # each entry as two rows: its 64 hex digits, then ':' and its range,
+    # which a shorter or a longer entry cuts or overruns
+    at = begin[~head]
+    ids = _rows(text, _ID_DIGITS)[at]
+    slot = _range_slots(_rows(text, _TOKEN)[at + _ID_DIGITS],
+                        sep[~head] - at - _ID_DIGITS)
+    distinct, rank = _intern(ids)
+    good = _is_hex(distinct.view(np.uint8).reshape(-1, _ID_DIGITS))[rank]
+    bad.append(at[~good | (slot < 0)])
+    # ids ascend strictly within a line: an entry ending at a space has the
+    # next entry on its line
+    bad.append(at[1:][~newline[~head][:-1] & (rank[1:] <= rank[:-1])])
+
+    # each line's window, exactly as int() reads it
+    lines = np.flatnonzero(head)
+    starts, ends = [], []
+    for offset, stop in zip(begin[lines].tolist(), sep[lines].tolist()):
+        window = _WINDOW.fullmatch(text, offset, stop)
+        try:
+            start, end = int(window[1]), int(window[2])
+        except (TypeError, ValueError):  # no match, or past int()'s digits
+            bad.append([offset])
+            start, end = 0, 1
+        starts.append(start)
+        ends.append(end)
+    # a window ends after it starts; within a record, starts do not fall
+    t_start, t_end = _times(starts), _times(ends)
+    record = np.searchsorted(bounds, sep[newline], side="right")
+    bad.append(begin[lines][t_start >= t_end])
+    bad.append(begin[lines][1:][(record[1:] == record[:-1])
+                                & (t_start[1:] < t_start[:-1])])
+
+    bad = np.concatenate(bad)
+    if len(bad) or len(bodies) < len(records):
+        # the first record that holds a failed check, else the one whose
+        # header or final newline stopped the run
+        position = len(bodies)
+        if len(bad):
+            position = int(np.searchsorted(bounds, bad.min(), side="right"))
+        try:
+            _reject(records[position])
+        except ProfileFormatError as exc:
+            exc.record = first + position
+            raise
+    counts = np.bincount(record, minlength=len(bodies)).tolist()
+    # a line's last field ends at its newline
+    return (labels, counts, distinct, rank, _RANGE_LO[slot], _RANGE_HI[slot],
+            np.flatnonzero(newline) - lines, starts, ends)
+
+
+def _check_processed(records: Sequence[bytes]) -> None:
+    """Check processed-profile records as _read_processed does, without
+    building their columns: the relay's publish check.
+
+    Raises:
+        ProfileFormatError: as _read_processed raises it.
+    """
+    for run, first in _runs(records):
+        _check_run(run, first)
 
 
 def _read_processed(
     records: Sequence[bytes],
 ) -> tuple[list[str], list[int], tuple]:
-    """Read processed-profile records straight into the layout of one batch
-    of columns. Returns each record's label and segment count, and the
-    arguments of the batch's ``_Columns``, which a caller that only
-    validates never builds.
+    """Read processed-profile records straight into one batch of columns.
+    Returns each record's label and segment count, and the arguments of the
+    batch's ``_Columns``, its ids as raw bytes.
 
     Raises:
         ProfileFormatError: for the first bad record, as ``parse_profile``
             raises it (or "not a processed profile"), with ``record`` set
             to its position.
     """
-    # per call, never shared: the relay parses untrusted bodies
-    ids: dict[str, SignalId] = {}
-    columns = ([], [], [], [], [])
-    labels: list[str] = []
-    counts: list[int] = []
-    for position, data in enumerate(records):
-        try:
-            kind, label, lines = _split(data)
-            if kind != KIND_PROCESSED:
-                parse_profile(data)  # names the fault of a bad signal body
-                raise ProfileFormatError(
-                    "not a processed profile (scans stay on a device)")
-            _read_columns(label, lines, ids, columns)
-        except ProfileFormatError as exc:
-            exc.record = position
-            raise
-        labels.append(label)
-        counts.append(len(lines))
-    return labels, counts, columns
+    labels, counts, lengths, starts, ends = [], [], [], [], []
+    distinct, rank, lo, hi = [], [], [], []
+    for run, first in _runs(records):
+        (run_labels, run_counts, run_distinct, run_rank, run_lo, run_hi,
+         run_lengths, run_starts, run_ends) = _check_run(run, first)
+        labels += run_labels
+        counts += run_counts
+        lengths += run_lengths.tolist()
+        starts += run_starts
+        ends += run_ends
+        distinct.append(run_distinct)
+        rank.append(run_rank)
+        lo.append(run_lo)
+        hi.append(run_hi)
+    # each run's distinct ids, numbered among all runs'; filled in place, so
+    # that only one run's entries are ever gathered twice
+    vocabulary, where = np.unique(np.concatenate(distinct),
+                                  return_inverse=True)
+    where = np.split(where.ravel(), np.cumsum(list(map(len, distinct)))[:-1])
+    col = np.empty(sum(map(len, rank)), dtype=np.intp)
+    end = 0
+    for w, r in zip(where, rank):
+        col[end:end + len(r)] = w[r]
+        end += len(r)
+    return labels, counts, (_digests(vocabulary), col, np.concatenate(lo),
+                            np.concatenate(hi), lengths, starts, ends)
 
 
 def write_profile(path, profile: SignalProfile | ProcessedProfile) -> None:

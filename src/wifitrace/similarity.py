@@ -126,26 +126,23 @@ class _ScanBatch:
 
 class _Columns:
     """A batch of segments in columnar form. Ids are interned to dense
-    column numbers for this batch only; segment g's entries (column, lo, hi)
-    sit at [ptr[g], ptr[g] + length[g]). Ranges fit int16, since they are
-    validated into [-100, 0].
+    column numbers for this batch only, in id order; segment g's entries
+    (column, lo, hi) sit at [ptr[g], ptr[g] + length[g]). Ranges fit int16,
+    since they are validated into [-100, 0].
 
-    Built from each entry's id and (lo, hi) pair, and each segment's entry
-    count and window: from record bytes with the arguments
+    Built from the batch's ids in order (exactly those its entries hold),
+    each entry's column, lo and hi as arrays, and each segment's entry count
+    and window: from record bytes with the arguments
     ``profileio._read_processed`` returns, from a scan batch with those
     ``processing._case_columns`` or ``_area_columns`` returns, from segments
     by :meth:`from_segments`.
     """
 
-    def __init__(self, ids: Sequence[bytes], pairs: Iterable[tuple[int, int]],
-                 lengths: Sequence[int], t_start: list[int], t_end: list[int]):
-        # numbered in first-seen order
-        self.index: dict[bytes, int] = dict(zip(dict.fromkeys(ids), count()))
-        self.col = np.fromiter(map(self.index.__getitem__, ids),
-                               dtype=np.intp, count=len(ids))
-        lo_hi = np.fromiter(chain.from_iterable(pairs), dtype=np.int16,
-                            count=2 * len(ids))
-        self.lo, self.hi = lo_hi[0::2], lo_hi[1::2]
+    def __init__(self, ids: Sequence[bytes], col: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, lengths: Sequence[int], t_start: list[int],
+                 t_end: list[int]):
+        self.index: dict[bytes, int] = dict(zip(ids, count()))
+        self.col, self.lo, self.hi = col, lo, hi
         self.length = np.array(lengths, dtype=np.intp)
         self.ptr = np.cumsum(self.length) - self.length
         self.t_start = _times(t_start)
@@ -154,9 +151,15 @@ class _Columns:
     @classmethod
     def from_segments(cls, segments: Sequence[ProfileSegment]) -> "_Columns":
         ranges = [seg.vector.ranges for seg in segments]
-        return cls(list(chain.from_iterable(ranges)),
-                   chain.from_iterable(r.values() for r in ranges),
-                   list(map(len, ranges)),
+        ids = sorted(set().union(*ranges))
+        column = dict(zip(ids, count()))
+        entries = list(chain.from_iterable(ranges))
+        lo_hi = np.fromiter(
+            chain.from_iterable(chain.from_iterable(r.values() for r in ranges)),
+            dtype=np.int16, count=2 * len(entries))
+        return cls(ids, np.fromiter(map(column.__getitem__, entries),
+                                    dtype=np.intp, count=len(entries)),
+                   lo_hi[0::2], lo_hi[1::2], list(map(len, ranges)),
                    [seg.t_start for seg in segments],
                    [seg.t_end for seg in segments])
 

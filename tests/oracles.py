@@ -6,8 +6,10 @@ internals: the implementations under test must agree with these, not the
 other way around.
 """
 
+import re
 from fractions import Fraction
 from math import ceil
+from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -52,6 +54,64 @@ def area_profile_brute(scans: list[tuple[int, dict]], stay_start: int,
             else:
                 ranges[key] = (rssi, rssi)
     return ranges, stay_start, stay_end + lifespan
+
+
+# --- processed-profile records ------------------------------------------------
+
+_INT = r"(0|-?[1-9][0-9]*)"
+_HEADER = re.compile(r"vcontact/1 processed(?: label=(.*))?")
+_LINE = re.compile(rf"t={_INT}\.\.{_INT}((?: [0-9a-f]{{64}}:{_INT}\.\.{_INT})*)")
+_ENTRY = re.compile(rf" ([0-9a-f]{{64}}):{_INT}\.\.{_INT}")
+
+
+def read_processed_brute(records: list[bytes]):
+    """Processed-profile records read line by line from the format grammar.
+
+    Returns (labels, segment counts, segments), each segment as
+    (t_start, t_end, [(id_hex, lo, hi), ...]); or, when some record is not
+    exactly what the serializer writes, the position of the first such.
+
+    A record is ASCII: a header ``vcontact/1 processed``, optionally with
+    `` label=<q>`` where q is non-empty and ``quote(unquote(q), safe='')``
+    gives q back; then one line per segment, every line ending in a newline.
+    A line is ``t=<start>..<end>`` and zero or more ``<64 hex>:<lo>..<hi>``,
+    one space before each, every number as ``str(int)`` writes it. Within a
+    line the ids ascend strictly and -100 <= lo <= hi <= 0; every start is
+    below its end; a record's starts never fall.
+    """
+    labels, counts, segments = [], [], []
+    for position, data in enumerate(records):
+        try:
+            lines = data.decode("ascii").split("\n")
+            header = _HEADER.fullmatch(lines[0])
+            quoted = header[1]
+            if quoted is not None and (
+                    not quoted or quote(unquote(quoted), safe="") != quoted):
+                return position
+            if lines[-1] != "":
+                return position
+            record = []
+            for line in lines[1:-1]:
+                match = _LINE.fullmatch(line)
+                start, end = int(match[1]), int(match[2])
+                entries = [(h, int(lo), int(hi))
+                           for h, lo, hi in _ENTRY.findall(match[3])]
+                ids = [h for h, _, _ in entries]
+                if (start >= end or ids != sorted(set(ids))
+                        or any(not -100 <= lo <= hi <= 0
+                               for _, lo, hi in entries)):
+                    return position
+                if record and start < record[-1][0]:
+                    return position
+                record.append((start, end, entries))
+        except (UnicodeDecodeError, TypeError, ValueError):
+            # not ASCII, a line the grammar does not match, or a number
+            # longer than int() reads
+            return position
+        labels.append(unquote(quoted) if quoted is not None else "")
+        counts.append(len(record))
+        segments += record
+    return labels, counts, segments
 
 
 # --- similarity ----------------------------------------------------------------

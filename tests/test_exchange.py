@@ -135,10 +135,10 @@ class TestProfileStore:
         data = processed_bytes()
         assert store.publish(data) == 1
         calls = []
-        real_read = exchange._read_processed
-        monkeypatch.setattr(exchange, "_read_processed",
+        real_check = exchange._check_processed
+        monkeypatch.setattr(exchange, "_check_processed",
                             lambda bodies: calls.append(bodies)
-                            or real_read(bodies))
+                            or real_check(bodies))
         assert store.publish(data) == 1
         assert calls == []
         # bodies that never parsed are not in the digest index

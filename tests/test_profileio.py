@@ -1,5 +1,10 @@
+import hashlib
+import random
 import re
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +14,11 @@ from wifitrace.model import (
     clamp_rssi,
     ProcessedVector,
     ProfileSegment,
+    SignalId,
     SignalProfile,
     SignalVector,
 )
+from wifitrace import profileio
 from wifitrace.profileio import (
     ProfileFormatError,
     _read_processed,
@@ -20,8 +27,9 @@ from wifitrace.profileio import (
 )
 from wifitrace.similarity import _Columns
 
-from conftest import (ID_POOL, assert_same_columns, make_processed_profile,
-                      make_profile)
+import oracles
+from conftest import (ID_POOL, assert_same_columns, make_processed,
+                      make_processed_profile, make_profile)
 
 ids = st.sampled_from(ID_POOL)
 readings = st.dictionaries(ids, st.integers(-100, 0), max_size=10)
@@ -266,6 +274,15 @@ def test_parsed_ranges_are_exact_int_pairs():
     assert sorted(segment.vector.ranges.values()) == [(-100, 0), (-7, -7)]
 
 
+def test_equal_ranges_share_one_tuple_across_profiles():
+    """A device holds every parsed record: an entry costs no tuple of its
+    own."""
+    data = f"vcontact/1 processed\nt=1..2 {A}:-7..-7 {B}:-100..0\n".encode()
+    first, second = (parse_profile(data).segments[0].vector.ranges
+                     for _ in range(2))
+    assert all(first[sid] is second[sid] for sid in first)
+
+
 def test_ids_are_interned_per_call():
     data = f"vcontact/1 signal\nt=1 {A}:-50\nt=2 {A}:-60\n".encode()
     first, second = (next(iter(v.readings)) for v in parse_profile(data).vectors)
@@ -367,3 +384,111 @@ def test_batch_read_of_nothing_is_empty():
     labels, counts, columns = _read_processed([])
     assert labels == counts == [] and _Columns(*columns).index == {}
     assert_same_columns(_Columns(*columns), _Columns.from_segments([]))
+
+
+# the batch reader accepts exactly what the format grammar accepts, record by
+# record, and reads the columns the grammar gives; every record its own run
+# as well, so that the runs' ids are numbered together
+
+def assert_reads_as_oracle(records: list[bytes], run_bytes: int = 1 << 20):
+    want = oracles.read_processed_brute(records)
+    with mock.patch.object(profileio, "_RUN_BYTES", run_bytes):
+        if isinstance(want, int):
+            with pytest.raises(ProfileFormatError) as got:
+                _read_processed(records)
+            assert got.value.record == want
+            return
+        labels, counts, columns = _read_processed(records)
+    assert (labels, counts) == want[:2]
+    cols = _Columns(*columns)
+    segments = want[2]
+    entries = [entry for _, _, seg in segments for entry in seg]
+    ids = sorted({bytes.fromhex(h) for h, _, _ in entries})
+    assert cols.index == dict(zip(ids, range(len(ids))))
+    assert all(type(sid) is bytes for sid in cols.index)
+    assert (cols.col.dtype, cols.lo.dtype, cols.hi.dtype) == (
+        np.intp, np.int16, np.int16)
+    assert [(ids[c].hex(), lo, hi) for c, lo, hi in zip(
+        cols.col.tolist(), cols.lo.tolist(), cols.hi.tolist())] == entries
+    assert cols.length.tolist() == [len(seg) for _, _, seg in segments]
+    assert cols.t_start.tolist() == [start for start, _, _ in segments]
+    assert cols.t_end.tolist() == [end for _, end, _ in segments]
+
+
+@given(st.lists(st.one_of(processed_profiles(starts).map(serialize_profile),
+                          edited(processed_profiles(starts)),
+                          edited(signal_profiles())),
+                min_size=1, max_size=4),
+       st.sampled_from([1, 1 << 20]))
+@settings(max_examples=300)
+def test_batch_read_is_the_grammar(records, run_bytes):
+    assert_reads_as_oracle(records, run_bytes)
+
+
+def _record(*lines: str, label: str = "") -> bytes:
+    return serialize_profile(ProcessedProfile([], label)) + "".join(
+        line + "\n" for line in lines).encode()
+
+
+HEX = [hashlib.sha256(bytes([i])).hexdigest() for i in range(4)]
+PREFIX = "0123456789abcdef"  # ids that share their first 16 digits
+TWINS = sorted(PREFIX + h[16:] for h in HEX[:2])
+
+
+@pytest.mark.parametrize("records", [
+    [_record("t=1..2")],  # a segment with no entries
+    [_record(f"t=1..2 {HEX[0].upper()}:-5..0")],  # uppercase hex
+    [_record(f"t=1..2 {HEX[0]}:-5..0", "t=3..4")],
+    [_record(label="case a"), _record(f"t=1..2 {HEX[0]}:-5..0")],  # headers
+    [_record(f"t=1..2 {TWINS[0]}:-5..0 {TWINS[1]}:-6..0")],
+    [_record(f"t=1..2 {TWINS[1]}:-5..0", f"t=1..3 {TWINS[0]}:-5..0")],
+    [_record(f"t=1..2 {TWINS[0]}:-5..0"), _record(f"t=1..2 {TWINS[1]}:-1..0")],
+    [_record(f"t=1..2 {TWINS[1]}:-5..0 {TWINS[0]}:-6..0")],  # out of order
+    # raw bytes that end in 00
+    [_record("t=1..2 {}00:-5..0 {}00:-7..-1".format(*sorted(
+        h[:-2] for h in HEX[:2])))],
+    [_record(f"t=1..2 {HEX[0]}:-5..0 {HEX[0]}:-6..0")],  # a duplicate id
+    # range tokens of every width, 4 to 10
+    [_record(" ".join(["t=1..2"] + [f"{h}:{r}" for h, r in zip(
+        sorted(hashlib.sha256(bytes([i, 9])).hexdigest() for i in range(7)),
+        ["0..0", "-1..0", "-1..-1", "-10..-1", "-10..-10", "-100..-10",
+         "-100..-100"])]))],
+    [_record(f"t=1..2 {HEX[0]}:-100..-101")],  # an 11-byte token
+    [_record(f"t=1..2 {HEX[0]}:-5..0"), _record(f"t=1..2 {HEX[1]}:-5..0"),
+     _record(f"t=1..2 {HEX[2]}:-5..1")],  # a bad record in last position
+    [_record(f"t=1..2 {HEX[0]}:-5..0"), _record(f"t=2..1 {HEX[1]}:-5..0")],
+    [_record("t=1..2", "t=0..3")],  # starts fall within a record
+    [_record("t=1..2"), _record("t=0..3")],  # not across records
+    [_record(f"t=1..{'9' * 5000}")],  # past int()'s digits
+    [_record(f"t=1..2 {HEX[0]}:-5..0"), b"vcontact/1 processed\n\n"],
+])
+@pytest.mark.parametrize("run_bytes", [1, 1 << 20])
+def test_batch_read_edge_cases_are_the_grammar(records, run_bytes):
+    assert_reads_as_oracle(records, run_bytes)
+
+
+def test_range_table_holds_every_range_once():
+    pairs = list(zip(profileio._RANGE_LO.tolist(), profileio._RANGE_HI.tolist()))
+    assert sorted(pairs) == [(lo, hi) for lo in range(-100, 1)
+                             for hi in range(lo, 1)]
+    assert len(set(profileio._RANGE_KEYS.tolist())) == len(pairs)
+
+
+def test_read_temporaries_do_not_grow_with_the_batch():
+    """About 5 MB of records, 67 000 entries, read in runs of about 1 MB:
+    the peak stays near one run's temporaries. Gathered in one piece they
+    take about 17 MB; one intp index per hex digit would take 34 MB."""
+    rng = random.Random(3)
+    pool = [SignalId(hashlib.sha256(bytes([i, 7])).digest()) for i in range(200)]
+    segments = [ProfileSegment(make_processed(rng, 35, pool), 60 * g, 3000 + g)
+                for g in range(20)]
+    one = serialize_profile(ProcessedProfile(segments, "case"))
+    records = [one] * (5_000_000 // len(one))
+    tracemalloc.start()
+    try:
+        labels, counts, columns = _read_processed(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns[1]) == 35 * 20 * len(records)
+    assert peak < 8 << 20
