@@ -3,8 +3,8 @@
 ``simulate`` reads a scenario config and the study subcommands a study
 config, both through ``wifitrace.config``, which rejects unknown keys. Study
 subcommands write fixed-schema CSV files and print one JSON summary line.
-Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem or a
-file that cannot be read or written.
+Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem, a
+scan profile that does not parse, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .exchange import (
     publish,
 )
 from .model import SignalProfile
-from .profileio import read_profile
+from .profileio import ProfileFormatError, read_profile
 from .simulator import emit_scenario
 
 CONFIG_ERROR = 2
@@ -136,7 +136,11 @@ def cmd_publish(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    profile = read_profile(args.profile)
+    try:
+        profile = read_profile(args.profile)
+    except ProfileFormatError as exc:
+        print(f"profile error: {args.profile}: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     if not isinstance(profile, SignalProfile):
         raise ValueError(f"{args.profile} is not a raw signal profile")
     cfg = DetectionConfig(alpha=args.alpha, window_length=args.window,
@@ -224,8 +228,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # ValueError also covers ScenarioError and ProfileFormatError; OSError a
-    # file or directory that cannot be read or written
+    # ValueError also covers ScenarioError; OSError a file or directory that
+    # cannot be read or written
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -120,7 +120,8 @@ class SignalVector:
     def _trusted(cls, readings: dict[SignalId, int], timestamp: int) -> "SignalVector":
         """Wrap, unchecked and uncopied, a dict the caller built and no longer
         touches: int RSSIs already in [RSSI_FLOOR, RSSI_CEIL], an int
-        timestamp. For similarity._ScanBatch.vectors, whose block is clamped."""
+        timestamp. For similarity._ScanBatch.vectors, whose block is clamped,
+        and profileio.parse_profile, whose reader clamps."""
         vec = object.__new__(cls)
         vec.__dict__.update(readings=MappingProxyType(readings), timestamp=timestamp)
         return vec

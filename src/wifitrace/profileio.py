@@ -19,35 +19,40 @@ the last, no blank lines, and a label escaped exactly as ``quote(label,
 safe='')`` escapes it. The one exception: signal readings outside [-100, 0]
 are clamped, as at scan ingest.
 
-Each record line is checked in bulk. Signal lines are split with C-level
-string splits and joins. Processed lines have one reader, which works on
-the bytes of a run of records with numpy, in the manner of Langdale &
-Lemire's "Parsing Gigabytes of JSON per Second" (VLDB J. 28, 2019): it
-indexes the structural bytes first, then validates over that index.
+Record lines of either kind have one reader, which works on their bytes
+with numpy, in the manner of Langdale & Lemire's "Parsing Gigabytes of JSON
+per Second" (VLDB J. 28, 2019): it indexes the structural bytes first, then
+validates over that index. The record kind picks the value tokens, the
+window pattern and the rule for times.
 
 - One ``flatnonzero`` over the bytes at most 32 finds every field: a line's
-  first field is its window, each further one an entry.
+  first field is its window (a scan's time), each further one an entry.
 - Each entry is gathered as two fixed-width rows, its 64 hex digits and its
-  ``:<lo>..<hi>``. The range token is looked up whole in a table of every
-  canonical token, which checks its integers, the floor, the ceiling and
-  lo <= hi. The ids are interned through one ``np.unique``; each distinct
-  id is checked as lowercase hex, and the order within a line on the ranks.
+  value token, ``:<lo>..<hi>`` or ``:<rssi>``. The token is looked up whole
+  in a table of every canonical token within [-100, 0], which checks its
+  integers and its bounds; a canonical reading outside them misses the
+  table and is clamped. The ids are interned through one ``np.unique``;
+  each distinct id is checked as lowercase hex, and the order within a
+  line on the ranks.
 - Each line's window goes through one canonical-decimal regex and ``int``,
-  so windows past int64 read exactly.
+  so times past int64 read exactly.
 
-``parse_profile`` builds its segments from the reader's columns, the relay's
-publish check runs its checks alone (``_check_processed``), and the
-device's sync round reads fetched records into columns with it
-(``_read_processed``). A profile of either kind that a bulk pass rejects
-goes to one explainer, which walks its lines token by token to name the
-first bad field, then checks its order of times.
+Processed records are read in runs of whole records, a signal profile in
+runs of whole lines, which bounds the temporaries of a long profile; its
+times are checked once, across the runs. ``parse_profile`` builds its
+segments and its scans from the reader's columns, the relay's publish
+check runs the checks alone (``_check_processed``, and ``_read_signal`` to
+name the fault of a signal body), and the device's sync round reads fetched
+records into columns with it (``_read_processed``). A profile of either
+kind that the reader rejects goes to one explainer, which walks its lines
+token by token to name the first bad field, then checks its order of times.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 import urllib.parse
+from itertools import chain, islice
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -61,6 +66,7 @@ from .model import (
     SignalId,
     SignalProfile,
     SignalVector,
+    clamp_rssi,
 )
 from .similarity import _times
 
@@ -117,18 +123,19 @@ def serialize_profile(profile: SignalProfile | ProcessedProfile) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# Signal record lines are checked in bulk with C-level splits, joins and
-# comparisons, processed record lines with numpy over their bytes (see
-# _check_run), so no Python code runs per token, and for a processed line
-# none per entry; only a record that fails is walked token by token, to
-# name the bad field.
+# Record lines of either kind are checked in bulk with numpy over their
+# bytes (see _check_run), so no Python code runs per entry; only a profile
+# that fails is walked token by token, to name the bad field.
 
 _ID_DIGITS = 64  # hex digits of a signal id
-_TOKEN = 16  # bytes read of each entry's ":<lo>..<hi>", which takes 5 to 11
-_RUN_BYTES = 1 << 20  # records are checked in runs of about this many bytes
+_TOKEN = 16  # bytes read of each entry's value token, which takes 2 to 11
+_RUN_BYTES = 1 << 20  # lines are checked in runs of about this many bytes
 _PAD = bytes(_ID_DIGITS + _TOKEN)  # what an entry's rows may read past it
-_WINDOW = re.compile(rb"t=(0|-?[1-9][0-9]*)\.\.(0|-?[1-9][0-9]*)")
-# odd, so that a range token's second word moves its key
+_INT = rb"(0|-?[1-9][0-9]*)"  # an integer as str(int) writes it
+_WINDOW = re.compile(rb"t=%s\.\.%s" % (_INT, _INT))
+_EPOCH = re.compile(rb"t=" + _INT)
+_READING = re.compile(rb":" + _INT)
+# odd, so that a value token's second word moves its key
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # the first w of _TOKEN bytes, for w from 0 to _TOKEN, as words
 _KEEP = ((np.arange(_TOKEN) < np.arange(_TOKEN + 1)[:, None]).astype(np.uint8)
@@ -143,18 +150,17 @@ def _rows(text: bytes, width: int) -> np.ndarray:
 
 
 def _token_keys(words: np.ndarray) -> np.ndarray:
-    """A hash of each row of an (n x 2) array of a range token's words."""
+    """A hash of each row of an (n x 2) array of a value token's words."""
     return words[:, 0] + words[:, 1] * _MIX
 
 
-def _range_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every canonical ":<lo>..<hi>" with RSSI_FLOOR <= lo <= hi <= RSSI_CEIL,
-    as the two words of its _TOKEN bytes, zero-padded, sorted by key; with
-    the keys, lo and hi. So one lookup of a token checks its integer form,
-    the floor, the ceiling and lo <= hi."""
-    pairs = np.array([(a, b) for a in range(RSSI_FLOOR, RSSI_CEIL + 1)
-                      for b in range(a, RSSI_CEIL + 1)], dtype=np.int16)
-    tokens = np.array([f":{a}..{b}".encode() for a, b in pairs.tolist()],
+def _token_table(form: str, pairs: list[tuple[int, int]]) -> tuple:
+    """The canonical value token ``form.format(lo, hi)`` of each of
+    ``pairs``, as the two words of its _TOKEN bytes, zero-padded, sorted by
+    key; with the keys, lo and hi. So one lookup of a token checks its
+    integer form and its bounds."""
+    pairs = np.array(pairs, dtype=np.int16)
+    tokens = np.array([form.format(a, b).encode() for a, b in pairs.tolist()],
                       dtype="S%d" % _TOKEN)
     words = tokens.view(np.uint64).reshape(len(tokens), 2)
     keys = _token_keys(words)
@@ -163,22 +169,28 @@ def _range_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return keys[order], words[order], lo, hi
 
 
-_RANGE_KEYS, _RANGE_WORDS, _RANGE_LO, _RANGE_HI = _range_table()
+_LEVELS = range(RSSI_FLOOR, RSSI_CEIL + 1)
+# every ":<lo>..<hi>" with RSSI_FLOOR <= lo <= hi <= RSSI_CEIL, and every
+# ":<rssi>" within those bounds, its lo and hi both the reading
+_RANGES = _token_table(":{}..{}",
+                       [(a, b) for a in _LEVELS for b in _LEVELS if a <= b])
+_READINGS = _token_table(":{}", [(a, a) for a in _LEVELS])
 
 
-def _range_slots(tokens: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Each row's slot in the range table, or -1: the row's first ``width``
+def _slots(table: tuple, tokens: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each row's slot in a token table, or -1: the row's first ``width``
     bytes, zero-padded, must equal the slot's token. No byte of a field is
     zero, so a token equals a table token only at that token's width.
     A batch holds few distinct tokens: each is searched for once, by its
     key, and then compared word for word. np.unique and a search over the
     tokens as S16 take about three times as long."""
+    table_keys, table_words = table[:2]
     words = tokens.view(np.uint64) & _KEEP[
         np.minimum(np.maximum(width, 0), _TOKEN)]
     keys, which = np.unique(_token_keys(words), return_inverse=True)
-    slot = np.minimum(np.searchsorted(_RANGE_KEYS, keys),
-                      len(_RANGE_KEYS) - 1)[which.ravel()]
-    same = _RANGE_WORDS[slot] == words
+    slot = np.minimum(np.searchsorted(table_keys, keys),
+                      len(table_keys) - 1)[which.ravel()]
+    same = table_words[slot] == words
     return np.where(same[:, 0] & same[:, 1], slot, -1)
 
 
@@ -216,66 +228,24 @@ def _digests(hexes: np.ndarray) -> list[bytes]:
     return [raw[i:i + 32] for i in range(0, len(raw), 32)]
 
 
-def _canonical_ints(texts: list[str]) -> list[int]:
-    values = list(map(int, texts))
-    if list(map(str, values)) != texts:
-        raise ValueError(texts)
-    return values
-
-
-def _canonical_int(text: str) -> int:
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(text)
-    return value
-
-
-def _signal_id(text: str) -> SignalId:
-    sid = SignalId.from_hex(text)
-    if sid.hex != text:
-        raise ValueError(text)
-    return sid
-
-
-def _fields(
-    line: str, ids: dict[str, SignalId]
-) -> tuple[str, list[SignalId], list[str]]:
-    """Split a record laid out as ``t=<x> <id>:<v> ...`` with ids ascending.
-
-    Returns the text after ``t=``, the ids interned through ``ids`` and the
-    value tokens. Raises ValueError on any other layout or a bad id.
-    """
-    fields = line.replace(":", " ").split(" ")
-    hexes, values = fields[1::2], fields[2::2]
-    if (
-        fields[0][:2] != "t="
-        or " ".join([fields[0], *map(":".join, zip(hexes, values))]) != line
-        or any(map(operator.ge, hexes, hexes[1:]))
-    ):
-        raise ValueError(line)
-    for text in set(hexes).difference(ids):
-        ids[text] = _signal_id(text)
-    return fields[0][2:], list(map(ids.__getitem__, hexes)), values
-
-
-def _signal_record(line: str, ids: dict[str, SignalId]) -> SignalVector:
-    when, sids, tokens = _fields(line, ids)
-    return SignalVector(dict(zip(sids, _canonical_ints(tokens))),
-                        _canonical_int(when))
-
-
 def _parse_id(token: str, line_no: int) -> SignalId:
     try:
-        return _signal_id(token)
+        sid = SignalId.from_hex(token)
+        if sid.hex == token:
+            return sid
     except ValueError:
-        raise ProfileFormatError(f"bad signal id {token!r}", line_no) from None
+        pass
+    raise ProfileFormatError(f"bad signal id {token!r}", line_no)
 
 
 def _parse_int(token: str, what: str, line_no: int) -> int:
     try:
-        return _canonical_int(token)
+        value = int(token)
+        if str(value) == token:
+            return value
     except ValueError:
-        raise ProfileFormatError(f"bad {what} {token!r}", line_no) from None
+        pass
+    raise ProfileFormatError(f"bad {what} {token!r}", line_no)
 
 
 def _split_range(token: str, what: str, line_no: int) -> tuple[int, int]:
@@ -329,12 +299,23 @@ def _walk(line: str, line_no: int, processed: bool):
         raise ProfileFormatError(str(exc), line_no) from None
 
 
-def _explain(kind: str, label: str, lines: list[str]) -> NoReturn:
-    """Raise a ProfileFormatError naming the fault of a profile a bulk pass
-    rejected: its first bad line, else its broken order of times."""
+def _explain(data: bytes) -> NoReturn:
+    """Raise a ProfileFormatError naming the fault of profile bytes a bulk
+    pass rejected: their encoding, header or final newline, else their first
+    bad line, else their broken order of times."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"not UTF-8: {exc}") from None
+    if not text:
+        raise ProfileFormatError("empty input, missing header", 1)
+    lines = text.split("\n")
+    kind, label = _parse_header(lines[0])
+    if lines[-1]:
+        raise ProfileFormatError("missing final newline", len(lines))
     processed = kind == KIND_PROCESSED
     records = [_walk(line, line_no, processed)
-               for line_no, line in enumerate(lines, 2)]
+               for line_no, line in enumerate(lines[1:-1], 2)]
     try:
         (ProcessedProfile if processed else SignalProfile)(records, label)
     except ValueError as exc:
@@ -360,19 +341,18 @@ def _parse_header(line: str) -> tuple[str, str]:
     raise ProfileFormatError(f"unexpected header fields {head[2:]!r}", 1)
 
 
-def _split(data: bytes) -> tuple[str, str, list[str]]:
-    """The kind, the label and the record lines of profile bytes."""
+def _head(data: bytes, kind: str) -> tuple[str, int] | None:
+    """The label of profile bytes of ``kind`` whose header reads and which
+    end in a newline, and the offset of their first record line; else
+    None."""
+    end = data.find(b"\n")
+    if end < 0 or not data.endswith(b"\n"):
+        return None
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProfileFormatError(f"not UTF-8: {exc}") from None
-    if not text:
-        raise ProfileFormatError("empty input, missing header", 1)
-    lines = text.split("\n")
-    kind, label = _parse_header(lines[0])
-    if lines[-1]:
-        raise ProfileFormatError("missing final newline", len(lines))
-    return kind, label, lines[1:-1]
+        found, label = _parse_header(data[:end].decode("utf-8"))
+    except (UnicodeDecodeError, ProfileFormatError):
+        return None
+    return (label, end + 1) if found == kind else None
 
 
 def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
@@ -394,25 +374,22 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
         raw, *columns = columns
         return ProcessedProfile._from_columns(list(map(SignalId, raw)),
                                               *columns, case_label=labels[0])
-    kind, label, lines = _split(data)  # a signal profile, or the error
-    # per call, never shared: the relay parses untrusted bodies
-    ids: dict[str, SignalId] = {}
-    try:
-        return SignalProfile([_signal_record(line, ids) for line in lines],
-                             device_tag=label)
-    except ValueError:
-        _explain(kind, label, lines)
+    # a signal profile, or the error
+    label, (ids, col, rssi, lengths, times) = _read_signal(data)
+    ids = list(map(SignalId, ids))
+    readings = zip(map(ids.__getitem__, col.tolist()), rssi.tolist())
+    return SignalProfile([SignalVector._trusted(dict(islice(readings, n)), t)
+                          for n, t in zip(lengths, times)], device_tag=label)
 
 
 def _reject(data: bytes) -> NoReturn:
-    """Raise the error that names the fault of a record the bulk checks
-    rejected: parse_profile's, or "not a processed profile"."""
-    kind, label, lines = _split(data)
-    if kind != KIND_PROCESSED:
-        parse_profile(data)  # names the fault of a bad signal body
+    """Raise the error that names the fault of a record the processed
+    reader rejected: parse_profile's, or "not a processed profile"."""
+    if not data.startswith(_PROCESSED_HEADER):
+        _read_signal(data)  # names the fault of a bad signal body
         raise ProfileFormatError(
             "not a processed profile (scans stay on a device)")
-    _explain(kind, label, lines)
+    _explain(data)
 
 
 def _runs(records: Sequence[bytes]):
@@ -428,31 +405,17 @@ def _runs(records: Sequence[bytes]):
         yield records[first:], first
 
 
-def _check_run(records: Sequence[bytes], first: int) -> tuple:
-    """Check a run of processed records in bulk, over their bytes.
+def _check_run(bodies: Sequence, processed: bool) -> tuple:
+    """Check a run of record lines in bulk, over their bytes: the lines of
+    processed records, one body each, or one run of a signal profile's.
 
-    Returns each record's label and segment count; the run's distinct ids
-    in order, as S64 hex; each entry's id as its rank among them, its lo and
-    its hi; and each segment's entry count, start and end. ``first`` is the
-    position of the run's first record in the whole batch.
-
-    Raises:
-        ProfileFormatError: for the first record that fails any check, from
-            _reject, with ``record`` set to its position in the batch.
+    Returns how many bodies, from the first, pass every check; each body's
+    line count; and the run's columns: its distinct ids in order, as S64
+    hex; each entry's id as its rank among them, its lo and its hi (a
+    reading is both, clamped); and each line's entry count, start and end
+    (a scan's time is both). A scan's times are checked by _read_signal,
+    across its runs.
     """
-    labels, bodies = [], []
-    for data in records:
-        end = data.find(b"\n")
-        if end < 0 or not data.endswith(b"\n"):
-            break
-        try:
-            kind, label = _parse_header(data[:end].decode("utf-8"))
-        except (UnicodeDecodeError, ProfileFormatError):
-            break
-        if kind != KIND_PROCESSED:
-            break
-        labels.append(label)
-        bodies.append(memoryview(data)[end + 1:])
     text = b"".join([*bodies, _PAD])
     data = np.frombuffer(text, dtype=np.uint8)
     bounds = np.cumsum([len(body) for body in bodies], dtype=np.intp)
@@ -470,54 +433,108 @@ def _check_run(records: Sequence[bytes], first: int) -> tuple:
     head[1:] = newline[:-1]
     bad = [sep[(delim != 32) & ~newline]]  # offsets of the failed checks
 
-    # each entry as two rows: its 64 hex digits, then ':' and its range,
+    # each entry as two rows: its 64 hex digits, then ':' and its value,
     # which a shorter or a longer entry cuts or overruns
-    at = begin[~head]
+    at, stop = begin[~head], sep[~head]
     ids = _rows(text, _ID_DIGITS)[at]
-    slot = _range_slots(_rows(text, _TOKEN)[at + _ID_DIGITS],
-                        sep[~head] - at - _ID_DIGITS)
+    table = _RANGES if processed else _READINGS
+    slot = _slots(table, _rows(text, _TOKEN)[at + _ID_DIGITS],
+                  stop - at - _ID_DIGITS)
+    lo, hi = table[2][slot], table[3][slot]
+    miss = slot < 0
+    if not processed:
+        # a canonical reading outside the table's bounds is clamped
+        for e in np.flatnonzero(miss).tolist():
+            reading = _READING.fullmatch(text, int(at[e]) + _ID_DIGITS,
+                                         int(stop[e]))
+            try:
+                lo[e] = hi[e] = clamp_rssi(int(reading[1]))
+            except (TypeError, ValueError):  # no match, or past int()'s digits
+                continue
+            miss[e] = False
     distinct, rank = _intern(ids)
     good = _is_hex(distinct.view(np.uint8).reshape(-1, _ID_DIGITS))[rank]
-    bad.append(at[~good | (slot < 0)])
+    bad.append(at[~good | miss])
     # ids ascend strictly within a line: an entry ending at a space has the
     # next entry on its line
     bad.append(at[1:][~newline[~head][:-1] & (rank[1:] <= rank[:-1])])
 
-    # each line's window, exactly as int() reads it
+    # each line's window, or its scan's time, exactly as int() reads it
     lines = np.flatnonzero(head)
+    pattern = _WINDOW if processed else _EPOCH
     starts, ends = [], []
-    for offset, stop in zip(begin[lines].tolist(), sep[lines].tolist()):
-        window = _WINDOW.fullmatch(text, offset, stop)
-        try:
-            start, end = int(window[1]), int(window[2])
+    for offset, close in zip(begin[lines].tolist(), sep[lines].tolist()):
+        window = pattern.fullmatch(text, offset, close)
+        try:  # a scan's one time is its start and its end
+            start, end = int(window[1]), int(window[window.lastindex])
         except (TypeError, ValueError):  # no match, or past int()'s digits
             bad.append([offset])
             start, end = 0, 1
         starts.append(start)
         ends.append(end)
-    # a window ends after it starts; within a record, starts do not fall
-    t_start, t_end = _times(starts), _times(ends)
     record = np.searchsorted(bounds, sep[newline], side="right")
-    bad.append(begin[lines][t_start >= t_end])
-    bad.append(begin[lines][1:][(record[1:] == record[:-1])
-                                & (t_start[1:] < t_start[:-1])])
+    if processed:
+        # a window ends after it starts; within a record, starts do not fall
+        t_start, t_end = _times(starts), _times(ends)
+        bad.append(begin[lines][t_start >= t_end])
+        bad.append(begin[lines][1:][(record[1:] == record[:-1])
+                                    & (t_start[1:] < t_start[:-1])])
 
     bad = np.concatenate(bad)
-    if len(bad) or len(bodies) < len(records):
-        # the first record that holds a failed check, else the one whose
-        # header or final newline stopped the run
-        position = len(bodies)
-        if len(bad):
-            position = int(np.searchsorted(bounds, bad.min(), side="right"))
-        try:
-            _reject(records[position])
-        except ProfileFormatError as exc:
-            exc.record = first + position
-            raise
+    clean = len(bodies)
+    if len(bad):
+        clean = int(np.searchsorted(bounds, bad.min(), side="right"))
     counts = np.bincount(record, minlength=len(bodies)).tolist()
     # a line's last field ends at its newline
-    return (labels, counts, distinct, rank, _RANGE_LO[slot], _RANGE_HI[slot],
-            np.flatnonzero(newline) - lines, starts, ends)
+    return clean, counts, (distinct, rank, lo, hi,
+                           np.flatnonzero(newline) - lines, starts, ends)
+
+
+def _gather(runs: list[tuple]) -> tuple:
+    """The columns of checked runs (see _check_run) as one batch's, the
+    arguments of its ``_Columns`` with its ids as raw bytes."""
+    distinct, rank, lo, hi, lengths, starts, ends = zip(*runs)
+    # each run's distinct ids, numbered among all runs'; filled in place, so
+    # that only one run's entries are ever gathered twice
+    vocabulary, where = np.unique(np.concatenate(distinct),
+                                  return_inverse=True)
+    where = np.split(where.ravel(), np.cumsum(list(map(len, distinct)))[:-1])
+    col = np.empty(sum(map(len, rank)), dtype=np.intp)
+    end = 0
+    for w, r in zip(where, rank):
+        col[end:end + len(r)] = w[r]
+        end += len(r)
+    return (_digests(vocabulary), col, np.concatenate(lo), np.concatenate(hi),
+            np.concatenate(lengths).tolist(), list(chain(*starts)),
+            list(chain(*ends)))
+
+
+def _processed_runs(records: Sequence[bytes]):
+    """Each run of processed records checked in bulk: its records' labels
+    and segment counts, and its columns (see _check_run).
+
+    Raises:
+        ProfileFormatError: for the first record that fails any check, from
+            _reject, with ``record`` set to its position in the batch.
+    """
+    for run, first in _runs(records):
+        labels, bodies = [], []
+        for data in run:
+            head = _head(data, KIND_PROCESSED)
+            if head is None:
+                break
+            labels.append(head[0])
+            bodies.append(memoryview(data)[head[1]:])
+        clean, counts, columns = _check_run(bodies, processed=True)
+        # the first record that holds a failed check, else the one whose
+        # header or final newline stopped the run
+        if clean < len(run):
+            try:
+                _reject(run[clean])
+            except ProfileFormatError as exc:
+                exc.record = first + clean
+                raise
+        yield labels, counts, columns
 
 
 def _check_processed(records: Sequence[bytes]) -> None:
@@ -527,8 +544,8 @@ def _check_processed(records: Sequence[bytes]) -> None:
     Raises:
         ProfileFormatError: as _read_processed raises it.
     """
-    for run, first in _runs(records):
-        _check_run(run, first)
+    for _ in _processed_runs(records):
+        pass
 
 
 def _read_processed(
@@ -543,32 +560,47 @@ def _read_processed(
             raises it (or "not a processed profile"), with ``record`` set
             to its position.
     """
-    labels, counts, lengths, starts, ends = [], [], [], [], []
-    distinct, rank, lo, hi = [], [], [], []
-    for run, first in _runs(records):
-        (run_labels, run_counts, run_distinct, run_rank, run_lo, run_hi,
-         run_lengths, run_starts, run_ends) = _check_run(run, first)
+    labels, counts, runs = [], [], []
+    for run_labels, run_counts, columns in _processed_runs(records):
         labels += run_labels
         counts += run_counts
-        lengths += run_lengths.tolist()
-        starts += run_starts
-        ends += run_ends
-        distinct.append(run_distinct)
-        rank.append(run_rank)
-        lo.append(run_lo)
-        hi.append(run_hi)
-    # each run's distinct ids, numbered among all runs'; filled in place, so
-    # that only one run's entries are ever gathered twice
-    vocabulary, where = np.unique(np.concatenate(distinct),
-                                  return_inverse=True)
-    where = np.split(where.ravel(), np.cumsum(list(map(len, distinct)))[:-1])
-    col = np.empty(sum(map(len, rank)), dtype=np.intp)
-    end = 0
-    for w, r in zip(where, rank):
-        col[end:end + len(r)] = w[r]
-        end += len(r)
-    return labels, counts, (_digests(vocabulary), col, np.concatenate(lo),
-                            np.concatenate(hi), lengths, starts, ends)
+        runs.append(columns)
+    return labels, counts, _gather(runs)
+
+
+def _line_runs(data: bytes, start: int):
+    """The lines of ``data`` from ``start``, which ends in a newline, in
+    runs of whole lines of about _RUN_BYTES; no lines are one empty run."""
+    view = memoryview(data)
+    while True:
+        stop = data.find(b"\n", min(start + _RUN_BYTES, len(data)) - 1) + 1
+        yield view[start:stop]
+        if stop == len(data):
+            return
+        start = stop
+
+
+def _read_signal(data: bytes) -> tuple[str, tuple]:
+    """Read a signal profile into columns: its label, and its distinct ids
+    in order, as raw bytes; each reading's id as an index into them and its
+    RSSI, clamped; and each scan's reading count and time. Its lines are
+    checked in runs of about _RUN_BYTES, which bounds the temporaries of a
+    long profile, and its times once, across them.
+
+    Raises:
+        ProfileFormatError: as parse_profile raises it.
+    """
+    head = _head(data, KIND_SIGNAL)
+    if head is not None:
+        runs = [_check_run([lines], processed=False)
+                for lines in _line_runs(data, head[1])]
+        if all(clean for clean, _, _ in runs):
+            ids, col, rssi, _, lengths, times, _ = _gather(
+                [columns for _, _, columns in runs])
+            rising = _times(times)
+            if not (rising[1:] <= rising[:-1]).any():
+                return head[0], (ids, col, rssi, lengths, times)
+    _explain(data)
 
 
 def write_profile(path, profile: SignalProfile | ProcessedProfile) -> None:

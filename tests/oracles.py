@@ -114,6 +114,81 @@ def read_processed_brute(records: list[bytes]):
     return labels, counts, segments
 
 
+_SIGNAL_HEADER = re.compile(r"vcontact/1 signal(?: label=(.*))?")
+_SCAN = re.compile(rf"t={_INT}((?: [0-9a-f]{{64}}:{_INT})*)")
+_READING = re.compile(rf" ([0-9a-f]{{64}}):{_INT}")
+
+
+def read_signal_brute(data: bytes):
+    """A signal profile read line by line from the format grammar.
+
+    Returns (label, scans), each scan as (time, [(id_hex, rssi), ...]) with
+    every reading clamped into [-100, 0]; or None when the bytes are not
+    exactly what the serializer writes, up to that clamping.
+
+    A profile is ASCII: a header ``vcontact/1 signal``, optionally with
+    `` label=<q>`` as for processed records; then one line per scan, every
+    line ending in a newline. A line is ``t=<time>`` and zero or more
+    ``<64 hex>:<rssi>``, one space before each, every number as ``str(int)``
+    writes it. Within a line the ids ascend strictly; the times rise
+    strictly from line to line.
+    """
+    try:
+        lines = data.decode("ascii").split("\n")
+        quoted = _SIGNAL_HEADER.fullmatch(lines[0])[1]
+        if quoted is not None and (
+                not quoted or quote(unquote(quoted), safe="") != quoted):
+            return None
+        if lines[-1] != "":
+            return None
+        scans = []
+        for line in lines[1:-1]:
+            match = _SCAN.fullmatch(line)
+            time = int(match[1])
+            readings = [(h, min(0, max(FLOOR, int(rssi))))
+                        for h, rssi in _READING.findall(match[2])]
+            ids = [h for h, _ in readings]
+            if ids != sorted(set(ids)) or (scans and time <= scans[-1][0]):
+                return None
+            scans.append((time, readings))
+    except (UnicodeDecodeError, TypeError, ValueError):
+        # not ASCII, a line the grammar does not match, or a number longer
+        # than int() reads
+        return None
+    return (unquote(quoted) if quoted is not None else ""), scans
+
+
+def first_bad_signal_line(data: bytes):
+    """The number of the first scan line of a signal profile that breaks
+    the line grammar, or holds ids out of order or a number longer than
+    int() reads; None when the header or the final newline is at fault
+    first, or no one line is."""
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    header = _SIGNAL_HEADER.fullmatch(lines[0])
+    quoted = header[1] if header else None
+    if (not header or lines[-1] != "" or quoted is not None and (
+            not quoted or quote(unquote(quoted), safe="") != quoted)):
+        return None
+    for line_no, line in enumerate(lines[1:-1], 2):
+        match = _SCAN.fullmatch(line)
+        try:
+            if match is None:
+                raise ValueError(line)
+            int(match[1])
+            readings = _READING.findall(match[2])
+            for _, rssi in readings:
+                int(rssi)
+        except ValueError:
+            return line_no
+        ids = [h for h, _ in readings]
+        if ids != sorted(set(ids)):
+            return line_no
+    return None
+
+
 # --- similarity ----------------------------------------------------------------
 
 def similarity_fraction(a: dict, p: dict) -> Fraction:

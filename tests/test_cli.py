@@ -233,6 +233,25 @@ def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_profile_is_a_profile_error(tmp_path, capsys):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    lines = Path(paths["user"]).read_bytes().split(b"\n")
+    lines[3] = re.sub(rb":-?[0-9]+", b":-05", lines[3], count=1)
+    bad = tmp_path / "bad.signal"
+    bad.write_bytes(b"\n".join(lines))
+    report = tmp_path / "report.txt"
+    report.write_text("an older report\n")
+    state = tmp_path / "state"
+    code = main(["sync", "--endpoint", "http://127.0.0.1:1", "--profile",
+                 str(bad), "--state", str(state), "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"profile error: {bad}: line 4: bad rssi '-05'"]
+    assert not (state / "cursor").exists()
+    assert report.read_text() == "an older report\n"
+
+
 def test_unreadable_input_file_is_exit_2(tmp_path, capsys):
     dead = ["--endpoint", "http://127.0.0.1:1"]
     assert main(["publish", str(tmp_path), *dead]) == 2

@@ -35,6 +35,7 @@ from wifitrace.model import (
     ProcessedProfile,
     ProcessedVector,
     ProfileSegment,
+    SignalId,
     SignalProfile,
     SignalVector,
 )
@@ -628,6 +629,27 @@ def test_every_reader_names_a_fault_alike(server, store, data, message):
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert reply.endswith(f"\r\n\r\nrejected: {message}\n".encode())
     assert store.fetch_since(0) == []
+
+
+def test_a_signal_body_of_distinct_ids_costs_the_relay_its_size(store):
+    """A signal body is rejected after the reader's checks alone: with a new
+    id on each scan, what the check holds grows with the body, not with
+    scans x ids. About 0.45 MB of scans peak at about 2.7 MB; a dense
+    (scan x id) block of them would take 72 MB."""
+    data = serialize_profile(SignalProfile([
+        SignalVector({SignalId(n.to_bytes(32, "big")): -50}, n)
+        for n in range(6000)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProfileFormatError,
+                           match="not a processed profile"):
+            store.publish(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 400_000 < len(data) < 600_000
+    assert peak < 9 * len(data)
+
 
 class TestFrames:
     def test_negative_length_rejected(self):

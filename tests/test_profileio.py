@@ -468,10 +468,20 @@ def test_batch_read_edge_cases_are_the_grammar(records, run_bytes):
 
 
 def test_range_table_holds_every_range_once():
-    pairs = list(zip(profileio._RANGE_LO.tolist(), profileio._RANGE_HI.tolist()))
+    pairs = list(zip(profileio._RANGES[2].tolist(), profileio._RANGES[3].tolist()))
     assert sorted(pairs) == [(lo, hi) for lo in range(-100, 1)
                              for hi in range(lo, 1)]
-    assert len(set(profileio._RANGE_KEYS.tolist())) == len(pairs)
+    assert len(set(profileio._RANGES[0].tolist())) == len(pairs)
+
+
+def test_readings_table_holds_every_reading_once():
+    keys, words, lo, hi = profileio._READINGS
+    assert lo.tolist() == hi.tolist()
+    assert sorted(lo.tolist()) == list(range(-100, 1))
+    assert len(set(keys.tolist())) == len(lo)
+    # each slot's token spells its reading
+    tokens = words.view("S16").ravel().tolist()
+    assert tokens == [b":%d" % v for v in lo.tolist()]
 
 
 def test_read_temporaries_do_not_grow_with_the_batch():
@@ -492,3 +502,108 @@ def test_read_temporaries_do_not_grow_with_the_batch():
         tracemalloc.stop()
     assert len(columns[1]) == 35 * 20 * len(records)
     assert peak < 8 << 20
+
+
+# a signal profile is read by the same byte reader, in runs of lines: it
+# accepts exactly what the format grammar accepts, reads the scans the
+# grammar gives, and names the fault of the rest as the explainer does
+
+def assert_signal_reads_as_oracle(data: bytes, run_bytes: int = 1 << 20):
+    want = oracles.read_signal_brute(data)
+    with mock.patch.object(profileio, "_RUN_BYTES", run_bytes):
+        if want is None:
+            with pytest.raises(ProfileFormatError) as explained:
+                profileio._explain(data)
+            with pytest.raises(ProfileFormatError) as got:
+                parse_profile(data)
+            assert str(got.value) == str(explained.value)
+            assert got.value.line_no == explained.value.line_no
+            # the walker names a fault the reader found, and on the line
+            # the grammar first rejects, where one line holds it
+            assert str(got.value) != "malformed profile"
+            bad_line = oracles.first_bad_signal_line(data)
+            if bad_line is not None:
+                assert got.value.line_no == bad_line
+            return
+        profile = parse_profile(data)
+    assert isinstance(profile, SignalProfile)
+    assert profile.device_tag == want[0]
+    assert [(v.timestamp, [(sid.hex, rssi) for sid, rssi in v.readings.items()])
+            for v in profile.vectors] == want[1]
+    assert all(type(sid) is SignalId and type(rssi) is int
+               and type(v.timestamp) is int
+               for v in profile.vectors for sid, rssi in v.readings.items())
+
+
+@given(edited(signal_profiles()), st.sampled_from([1, 1 << 20]))
+@settings(max_examples=400)
+def test_signal_read_is_the_grammar(data, run_bytes):
+    assert_signal_reads_as_oracle(data, run_bytes)
+
+
+def _scans(*lines: str) -> bytes:
+    return b"vcontact/1 signal\n" + "".join(
+        line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("data", [
+    # readings of every width, 2 to 5 bytes, and one of 22 bytes, clamped
+    _scans(" ".join(["t=1"] + [f"{h}:{r}" for h, r in zip(
+        sorted(hashlib.sha256(bytes([i, 9])).hexdigest() for i in range(5)),
+        ["0", "-1", "-10", "-100", "-1" + "0" * 20])])),
+    # canonical readings outside [-100, 0], clamped
+    _scans(f"t=1 {HEX[0]}:5", f"t=2 {HEX[0]}:-101"),
+    _scans(f"t=1 {HEX[0]}:{'9' * 20}"),
+    _scans(f"t=1 {HEX[0]}:-{'9' * 5000}"),  # past int()'s digits
+    # non-canonical readings
+    _scans(f"t=1 {HEX[0]}:-0"),
+    _scans(f"t=1 {HEX[0]}:+5"),
+    _scans(f"t=1 {HEX[0]}:05"),
+    _scans(f"t=1 {HEX[0]}:-5..0"),
+    # equal and falling times: within a run, or across runs of one line
+    _scans(f"t=1 {HEX[0]}:-5", f"t=1 {HEX[0]}:-6"),
+    _scans(f"t=2 {HEX[0]}:-5", f"t=1 {HEX[0]}:-6"),
+    _scans("t=1", "t=3", "t=2"),
+    # a scan with no readings, and a header-only profile
+    _scans("t=1", f"t=2 {HEX[0]}:-5"),
+    _scans(),
+    b"vcontact/1 signal label=room%201\n",
+    # times past int64
+    _scans(f"t={2**63 - 1}", f"t={2**63} {HEX[0]}:-5", f"t={2**64}"),
+    _scans(f"t={-2**63 - 1}", f"t={-2**63}"),
+    _scans(f"t={2**63}", f"t={2**63}"),
+    _scans(f"t={'9' * 5000}"),
+    # ids that share their first 16 digits, in order and out of it
+    _scans(f"t=1 {TWINS[0]}:-5 {TWINS[1]}:-6", f"t=2 {TWINS[1]}:-7"),
+    _scans(f"t=1 {TWINS[1]}:-5 {TWINS[0]}:-6"),
+    _scans(f"t=1 {HEX[0]}:-5 {HEX[0]}:-6"),  # a duplicate id
+    # CRLF, and a missing final newline in the last run
+    _scans(f"t=1 {HEX[0]}:-5").replace(b"\n", b"\r\n"),
+    _scans("t=1", f"t=2 {HEX[0]}:-5")[:-1],
+    _scans("t=1", "t=2") + b"\n",  # a blank last line
+])
+@pytest.mark.parametrize("run_bytes", [1, 1 << 20])
+def test_signal_read_edge_cases_are_the_grammar(data, run_bytes):
+    assert_signal_reads_as_oracle(data, run_bytes)
+
+
+def test_signal_read_temporaries_do_not_grow_with_the_profile():
+    """About 5 MB of scans, 70 000 readings, read in runs of about 1 MB of
+    lines: the peak, about 4.5 MB, is one run's temporaries plus the
+    columns. Read as one run, the profile peaks at about 17.5 MB."""
+    rng = random.Random(5)
+    pool = [SignalId(hashlib.sha256(bytes([i, 5])).digest()) for i in range(200)]
+    vectors = [SignalVector({sid: rng.randint(-100, 0)
+                             for sid in rng.sample(pool, 35)}, 60 * n)
+               for n in range(2000)]
+    data = serialize_profile(SignalProfile(vectors))
+    tracemalloc.start()
+    try:
+        _, (ids, col, rssi, lengths, times) = profileio._read_signal(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 4_500_000 and len(times) == 2000
+    assert len(col) == len(rssi) == sum(lengths) == 70_000
+    assert peak < 7 << 20
+
