@@ -62,4 +62,5 @@ with tempfile.TemporaryDirectory() as workdir:
     print(f"\nfetch_since(0): {len(records)} record(s), "
           f"byte-identical: {records[0].profile_bytes == blob}")
     server.shutdown()
+    server.server_close()
 print("\nThe user's scans never left the device; only the cursor did.")

@@ -4,7 +4,9 @@
 config, both through ``wifitrace.config``, which rejects unknown keys. Study
 subcommands write fixed-schema CSV files and print one JSON summary line.
 Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem, a
-scan profile that does not parse, or a file that cannot be read or written.
+file that cannot be read or written, or a scan profile that does not parse
+or is not a raw signal profile; ``sync`` reports the last two as ``profile
+error: <path>: ...`` and leaves its cursor and report untouched.
 """
 
 from __future__ import annotations
@@ -138,11 +140,11 @@ def cmd_publish(args) -> int:
 def cmd_sync(args) -> int:
     try:
         profile = read_profile(args.profile)
+        if not isinstance(profile, SignalProfile):
+            raise ProfileFormatError("not a raw signal profile")
     except ProfileFormatError as exc:
         print(f"profile error: {args.profile}: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    if not isinstance(profile, SignalProfile):
-        raise ValueError(f"{args.profile} is not a raw signal profile")
     cfg = DetectionConfig(alpha=args.alpha, window_length=args.window,
                           min_exposure=args.min_exposure,
                           sampling_period=args.period)

@@ -204,7 +204,7 @@ def collect_proximity_data(env: SimEnvironment,
     are processed with zero lifespan.
     """
     case = _case_columns(_case_batch(env, layout), _NO_LIFESPAN, DEFAULT_MAX_GAP)
-    return ProximityData(_Columns(*case), *_user_drill(env, layout, DeviceParams()))
+    return ProximityData(case, *_user_drill(env, layout, DeviceParams()))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
@@ -350,7 +350,7 @@ def run_inout_suite(preset: str, seeds: Sequence[int],
     for seed in seeds:
         survey, scans, n_inside = _inout_drill(
             *make_site(preset, seed=seed, **site_kwargs))
-        area = _Columns(*_area_columns(survey, 0, _INOUT_STAY + _INOUT_LIFESPAN))
+        area = _area_columns(survey, 0, _INOUT_STAY + _INOUT_LIFESPAN)
         precision, recall = _inout_scores(area, scans, n_inside, alpha)
         rows.append(dict(seed=seed, alpha=alpha, precision=precision,
                          recall=recall))
@@ -517,8 +517,7 @@ def _moving_recall(env: SimEnvironment,
     case_walk = _simulate_batch(env, [(walks[0], _CASE_STREAM + 500)], period)
     if len(case_walk) < 2:
         return 0.0
-    case = _Columns(*_case_columns(case_walk, _NO_LIFESPAN,
-                                   max(600, period + 1)))
+    case = _case_columns(case_walk, _NO_LIFESPAN, max(600, period + 1))
     user_walk = _simulate_batch(env, [(walks[1], _USER_STREAM + 500)], period)
     scores, _ = _score_columns(user_walk, case)
     return int(np.count_nonzero(scores >= alpha)) / len(user_walk)

@@ -45,7 +45,6 @@ from . import detection
 from .detection import ContactReport, DetectionConfig
 from .model import SignalProfile
 from .profileio import ProfileFormatError, _check_processed, _read_processed
-from .similarity import _Columns
 
 DEFAULT_RETENTION_DAYS = 28
 # far above the largest processed profile a day of scans makes (~130 KB)
@@ -505,13 +504,13 @@ def client_sync(
     if not records:
         return ContactReport((), ())
     try:
-        labels, counts, columns = _read_processed(
+        labels, counts, cols = _read_processed(
             [record.profile_bytes for record in records])
     except ProfileFormatError as exc:
         raise ExchangeError(
             f"record {records[exc.record].record_id}: {exc}") from None
     flags = detection._detect_columns(
-        user_profile.vectors, _Columns(*columns), labels, counts, cfg)
+        user_profile.vectors, cols, labels, counts, cfg)
     # through the module, so that a wrapper set on aggregate_episodes sees it
     report = detection.aggregate_episodes(flags, cfg)
     state.advance(max(r.record_id for r in records))

@@ -9,8 +9,9 @@ arbitrary times as-is. Two constructions close the gap:
 * the infected-area path aggregates a whole survey walk into a single
   min/max range vector valid for the case's stay plus the lifespan.
 
-Their range builders turn a scan batch into the columns the kernel scores:
-``_case_columns`` pairs all rows at once, ``_area_columns`` takes extremes.
+Their range builders turn a scan batch into the ``_Columns`` the kernel
+scores: ``_case_columns`` pairs all rows at once, ``_area_columns`` takes
+extremes. The public builders take their segments through ``segments()``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     SignalProfile,
     SignalVector,
 )
-from .similarity import _UNHEARD, _ScanBatch
+from .similarity import _UNHEARD, _Columns, _ScanBatch
 
 logger = logging.getLogger(__name__)
 
@@ -73,17 +74,16 @@ def build_case_profile(
         InsufficientDataError: fewer than two scans.
         ValueError: per-segment lifespan list of the wrong length.
     """
-    return ProcessedProfile._from_columns(
-        *_case_columns(_ScanBatch.from_vectors(walk.vectors), lifespans,
-                       max_gap), case_label=case_label)
+    cols = _case_columns(_ScanBatch.from_vectors(walk.vectors), lifespans,
+                         max_gap)
+    return ProcessedProfile(cols.segments(), case_label)
 
 
 def _case_columns(scans: _ScanBatch, lifespans: LifespanSchedule,
-                  max_gap: int) -> tuple:
-    """build_case_profile's segments over a batch, as ``_Columns``'s
-    arguments. Per kept pair of rows, an id is held when either row heard
-    it; lo is the smaller reading where both heard it, else the floor, and
-    hi the larger heard reading."""
+                  max_gap: int) -> _Columns:
+    """build_case_profile's segments over a batch. Per kept pair of rows,
+    an id is held when either row heard it; lo is the smaller reading where
+    both heard it, else the floor, and hi the larger heard reading."""
     n = len(scans)
     if n < 2:
         raise InsufficientDataError(
@@ -108,11 +108,11 @@ def _case_columns(scans: _ScanBatch, lifespans: LifespanSchedule,
     # the vocabulary's ids that some segment holds, renumbered in order
     used = held.any(axis=0)
     col = (np.cumsum(used, dtype=np.intp) - 1)[np.nonzero(held)[1]]
-    return (list(compress(scans.ids, used)), col,
-            np.where(both, low, RSSI_FLOOR)[held],
-            np.where(both, high, low)[held], held.sum(axis=1).tolist(),
-            [times[i] for i in kept],
-            [times[i + 1] + lifespans.lifespan_for(i) for i in kept])
+    return _Columns(list(compress(scans.ids, used)), col,
+                    np.where(both, low, RSSI_FLOOR)[held],
+                    np.where(both, high, low)[held], held.sum(axis=1),
+                    [times[i] for i in kept],
+                    [times[i + 1] + lifespans.lifespan_for(i) for i in kept])
 
 
 def build_area_profile(
@@ -139,18 +139,16 @@ def build_area_profile(
         raise ValueError(f"stay window [{stay_start}, {stay_end}] is empty")
     if lifespan < 0:
         raise ValueError("lifespan must be >= 0")
-    return ProcessedProfile._from_columns(
-        *_area_columns(_ScanBatch.from_vectors(survey.vectors), stay_start,
-                       stay_end + lifespan), case_label=case_label)
+    cols = _area_columns(_ScanBatch.from_vectors(survey.vectors), stay_start,
+                         stay_end + lifespan)
+    return ProcessedProfile(cols.segments(), case_label)
 
 
-def _area_columns(scans: _ScanBatch, t_start: int,
-                  t_end: int) -> tuple:
-    """build_area_profile's one segment over a batch, as ``_Columns``'s
-    arguments: every id of the vocabulary with the least and the greatest of
-    its readings."""
+def _area_columns(scans: _ScanBatch, t_start: int, t_end: int) -> _Columns:
+    """build_area_profile's one segment over a batch: every id of the
+    vocabulary with the least and the greatest of its readings."""
     # _UNHEARD tops every reading, so a column's min is heard
     lo = scans.rssi.min(axis=0)
     hi = np.where(scans.rssi != _UNHEARD, scans.rssi, RSSI_FLOOR).max(axis=0)
-    return (scans.ids, np.arange(len(scans.ids), dtype=np.intp), lo, hi,
-            [len(scans.ids)], [t_start], [t_end])
+    return _Columns(scans.ids, np.arange(len(scans.ids), dtype=np.intp), lo,
+                    hi, [len(scans.ids)], [t_start], [t_end])

@@ -39,11 +39,12 @@ window pattern and the rule for times.
 
 Processed records are read in runs of whole records, a signal profile in
 runs of whole lines, which bounds the temporaries of a long profile; its
-times are checked once, across the runs. ``parse_profile`` builds its
-segments and its scans from the reader's columns, the relay's publish
-check runs the checks alone (``_check_processed``, and ``_read_signal`` to
-name the fault of a signal body), and the device's sync round reads fetched
-records into columns with it (``_read_processed``). A profile of either
+times are checked once, across the runs. ``_read_processed`` returns
+records' segments as one ``similarity._Columns``, which the device's sync
+round scores and ``parse_profile`` turns into segments (``segments()``);
+``parse_profile`` builds its scans from the signal reader's columns, and
+the relay's publish check runs the checks alone (``_check_processed``, and
+``_read_signal`` to name the fault of a signal body). A profile of either
 kind that the reader rejects goes to one explainer, which walks its lines
 token by token to name the first bad field, then checks its order of times.
 """
@@ -68,7 +69,7 @@ from .model import (
     SignalVector,
     clamp_rssi,
 )
-from .similarity import _times
+from .similarity import _Columns, _times
 
 MAGIC = "vcontact/1"
 KIND_SIGNAL = "signal"
@@ -367,13 +368,11 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
     """
     if data.startswith(_PROCESSED_HEADER):
         try:
-            labels, _, columns = _read_processed([data])
+            labels, _, cols = _read_processed([data])
         except ProfileFormatError as exc:
             exc.record = None  # one profile is no batch
             raise
-        raw, *columns = columns
-        return ProcessedProfile._from_columns(list(map(SignalId, raw)),
-                                              *columns, case_label=labels[0])
+        return ProcessedProfile(cols.segments(), labels[0])
     # a signal profile, or the error
     label, (ids, col, rssi, lengths, times) = _read_signal(data)
     ids = list(map(SignalId, ids))
@@ -485,8 +484,9 @@ def _check_run(bodies: Sequence, processed: bool) -> tuple:
     if len(bad):
         clean = int(np.searchsorted(bounds, bad.min(), side="right"))
     counts = np.bincount(record, minlength=len(bodies)).tolist()
-    # a line's last field ends at its newline
-    return clean, counts, (distinct, rank, lo, hi,
+    # a batch holds every run's ranks until _gather: as int32, since a run
+    # holds far fewer ids; a line's last field ends at its newline
+    return clean, counts, (distinct, rank.astype(np.int32), lo, hi,
                            np.flatnonzero(newline) - lines, starts, ends)
 
 
@@ -494,17 +494,20 @@ def _gather(runs: list[tuple]) -> tuple:
     """The columns of checked runs (see _check_run) as one batch's, the
     arguments of its ``_Columns`` with its ids as raw bytes."""
     distinct, rank, lo, hi, lengths, starts, ends = zip(*runs)
-    # each run's distinct ids, numbered among all runs'; filled in place, so
-    # that only one run's entries are ever gathered twice
+    # each run's distinct ids, numbered among all runs'; the batch's entries
+    # are filled in place, so that only one run's are ever held twice
     vocabulary, where = np.unique(np.concatenate(distinct),
                                   return_inverse=True)
     where = np.split(where.ravel(), np.cumsum(list(map(len, distinct)))[:-1])
-    col = np.empty(sum(map(len, rank)), dtype=np.intp)
+    size = sum(map(len, rank))
+    col = np.empty(size, dtype=np.intp)
+    low, high = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int16)
     end = 0
-    for w, r in zip(where, rank):
-        col[end:end + len(r)] = w[r]
-        end += len(r)
-    return (_digests(vocabulary), col, np.concatenate(lo), np.concatenate(hi),
+    for w, r, a, b in zip(where, rank, lo, hi):
+        part = slice(end, end + len(r))
+        col[part], low[part], high[part] = w[r], a, b
+        end = part.stop
+    return (_digests(vocabulary), col, low, high,
             np.concatenate(lengths).tolist(), list(chain(*starts)),
             list(chain(*ends)))
 
@@ -550,10 +553,10 @@ def _check_processed(records: Sequence[bytes]) -> None:
 
 def _read_processed(
     records: Sequence[bytes],
-) -> tuple[list[str], list[int], tuple]:
+) -> tuple[list[str], list[int], _Columns]:
     """Read processed-profile records straight into one batch of columns.
-    Returns each record's label and segment count, and the arguments of the
-    batch's ``_Columns``, its ids as raw bytes.
+    Returns each record's label and segment count, and the batch's
+    ``_Columns``, its ids as raw bytes.
 
     Raises:
         ProfileFormatError: for the first bad record, as ``parse_profile``
@@ -565,7 +568,8 @@ def _read_processed(
         labels += run_labels
         counts += run_counts
         runs.append(columns)
-    return labels, counts, _gather(runs)
+    ids, col, lo, hi, lengths, starts, ends = _gather(runs)
+    return labels, counts, _Columns(ids, col, lo, hi, lengths, starts, ends)
 
 
 def _line_runs(data: bytes, start: int):

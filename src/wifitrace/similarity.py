@@ -17,7 +17,9 @@ once with numpy, in bit-identical floats, each scan only against the
 segments whose validity window contains its time, and applies detection's
 first-match rule. It owns both of its input formats: scans as one
 ``_ScanBatch`` (times and a dense scan x id RSSI block), the package's one
-inner scan form, and segments as one ``_Columns``; it maps the segment ids
+inner scan form, and segments as one ``_Columns``, the one segment form
+that modules pass each other. Both convert both ways (``from_vectors`` and
+``vectors()``, ``from_segments`` and ``segments()``). It maps the segment ids
 to the batch's columns once, one lookup per id, and reads each pair from the
 batch's own block. The studies hand it simulated batches and case and area
 segments built from one; detection builds a batch from the one time slice
@@ -27,13 +29,15 @@ its one dict scan.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain, count, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalVector
+from .model import (RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalId,
+                    SignalVector)
 
 _CELLS = 1 << 16  # bound on the cells of each _score_columns() temporary
 
@@ -124,6 +128,13 @@ class _ScanBatch:
                 for n, t in zip(heard.sum(axis=1).tolist(), self.times.tolist())]
 
 
+@functools.cache
+def _range_pair(lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi) as the one tuple that every segment built from columns
+    shares; the RSSI range bounds the cache to a few thousand tuples."""
+    return lo, hi
+
+
 class _Columns:
     """A batch of segments in columnar form. Ids are interned to dense
     column numbers for this batch only, in id order; segment g's entries
@@ -132,10 +143,9 @@ class _Columns:
 
     Built from the batch's ids in order (exactly those its entries hold),
     each entry's column, lo and hi as arrays, and each segment's entry count
-    and window: from record bytes with the arguments
-    ``profileio._read_processed`` returns, from a scan batch with those
-    ``processing._case_columns`` or ``_area_columns`` returns, from segments
-    by :meth:`from_segments`.
+    and window: by ``profileio._read_processed`` from record bytes, by
+    ``processing._case_columns`` and ``_area_columns`` from a scan batch,
+    and by :meth:`from_segments`, whose inverse is :meth:`segments`.
     """
 
     def __init__(self, ids: Sequence[bytes], col: np.ndarray, lo: np.ndarray,
@@ -162,6 +172,22 @@ class _Columns:
                    lo_hi[0::2], lo_hi[1::2], list(map(len, ranges)),
                    [seg.t_start for seg in segments],
                    [seg.t_end for seg in segments])
+
+    def segments(self) -> list[ProfileSegment]:
+        """The segments, in order. Equal ids share one SignalId, and equal
+        ranges one tuple across every segment built here."""
+        ids = list(map(SignalId, self.index))
+        _, first, pair = np.unique(self.lo.astype(np.int64) * 65536 + self.hi,
+                                   return_index=True, return_inverse=True)
+        pairs = list(map(_range_pair, self.lo[first].tolist(),
+                         self.hi[first].tolist()))
+        entries = zip(map(ids.__getitem__, self.col.tolist()),
+                      map(pairs.__getitem__, pair.ravel().tolist()))
+        return [ProfileSegment(ProcessedVector(dict(islice(entries, n))),
+                               start, end)
+                for n, start, end in zip(self.length.tolist(),
+                                         self.t_start.tolist(),
+                                         self.t_end.tolist())]
 
     def shared_terms(self, block: np.ndarray, row: np.ndarray, seg: np.ndarray,
                      entry_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

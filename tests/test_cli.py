@@ -227,10 +227,17 @@ def test_serve_rejects_bad_settings_before_starting(tmp_path, capsys,
 def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):
     cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
     _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    report = tmp_path / "report.txt"
+    report.write_text("an older report\n")
+    state = tmp_path / "state"
     code = main(["sync", "--endpoint", "http://127.0.0.1:1",
                  "--profile", paths["processed"],
-                 "--state", str(tmp_path / "state")])
+                 "--state", str(state), "--report", str(report)])
     assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"profile error: {paths['processed']}: not a raw signal profile"]
+    assert not (state / "cursor").exists()
+    assert report.read_text() == "an older report\n"
 
 
 def test_malformed_profile_is_a_profile_error(tmp_path, capsys):

@@ -356,7 +356,7 @@ def assert_batch_reads_as_parse_profile(records: list[bytes]):
     assert labels == [p.case_label for p in wants]
     assert counts == [len(p.segments) for p in wants]
     assert_same_columns(
-        _Columns(*columns),
+        columns,
         _Columns.from_segments([s for p in wants for s in p.segments]))
 
 
@@ -382,8 +382,8 @@ def test_batch_read_of_many_records_is_parse_profile(records):
 
 def test_batch_read_of_nothing_is_empty():
     labels, counts, columns = _read_processed([])
-    assert labels == counts == [] and _Columns(*columns).index == {}
-    assert_same_columns(_Columns(*columns), _Columns.from_segments([]))
+    assert labels == counts == [] and columns.index == {}
+    assert_same_columns(columns, _Columns.from_segments([]))
 
 
 # the batch reader accepts exactly what the format grammar accepts, record by
@@ -400,7 +400,7 @@ def assert_reads_as_oracle(records: list[bytes], run_bytes: int = 1 << 20):
             return
         labels, counts, columns = _read_processed(records)
     assert (labels, counts) == want[:2]
-    cols = _Columns(*columns)
+    cols = columns
     segments = want[2]
     entries = [entry for _, _, seg in segments for entry in seg]
     ids = sorted({bytes.fromhex(h) for h, _, _ in entries})
@@ -500,8 +500,32 @@ def test_read_temporaries_do_not_grow_with_the_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(columns[1]) == 35 * 20 * len(records)
+    assert len(columns.col) == 35 * 20 * len(records)
     assert peak < 8 << 20
+
+
+def test_a_batch_read_in_many_runs_holds_each_entry_once_more():
+    """About 10 MB of records, 134 000 entries, in about 40 runs: the batch
+    holds its entries (an intp column and two int16 bounds, 12 bytes) and,
+    until they are gathered, each run's (an int32 rank and the bounds, 8
+    bytes). Measured at 25.0 bytes an entry with the rest of the read; 28.0
+    when each run held intp ranks and the bounds were concatenated."""
+    rng = random.Random(3)
+    pool = [SignalId(hashlib.sha256(bytes([i, 7])).digest()) for i in range(40)]
+    segments = [ProfileSegment(make_processed(rng, 35, pool), 60 * g, 3000 + g)
+                for g in range(20)]
+    one = serialize_profile(ProcessedProfile(segments, "case"))
+    records = [one] * (10_000_000 // len(one))
+    with mock.patch.object(profileio, "_RUN_BYTES", 1 << 18):
+        tracemalloc.start()
+        try:
+            _, _, columns = _read_processed(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    entries = 35 * 20 * len(records)
+    assert len(columns.col) == entries
+    assert peak < 26.5 * entries
 
 
 # a signal profile is read by the same byte reader, in runs of lines: it
