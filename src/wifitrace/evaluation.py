@@ -203,8 +203,14 @@ def collect_proximity_data(env: SimEnvironment,
     Case and users record simultaneously over the drill; the case's scans
     are processed with zero lifespan.
     """
-    case = _case_columns(_case_batch(env, layout), _NO_LIFESPAN, DEFAULT_MAX_GAP)
-    return ProximityData(case, *_user_drill(env, layout, DeviceParams()))
+    return _proximity_data(env, layout, _case_batch(env, layout))
+
+
+def _proximity_data(env: SimEnvironment, layout: SiteLayout,
+                    case: _ScanBatch) -> ProximityData:
+    """The drill's data, from the case's raw scans ``_case_batch`` made."""
+    columns = _case_columns(case, _NO_LIFESPAN, DEFAULT_MAX_GAP)
+    return ProximityData(columns, *_user_drill(env, layout, DeviceParams()))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
@@ -398,9 +404,10 @@ def run_baseline_comparison(preset: str, proximities: Sequence[float],
     rows = []
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
-        data = collect_proximity_data(env, layout)
+        case = _case_batch(env, layout)
+        data = _proximity_data(env, layout, case)
         per_metric = {"similarity": (data.scores(), DEFAULT_ALPHA_GRID, False)}
-        baselines = _baseline_scores(data.scans, _case_batch(env, layout))
+        baselines = _baseline_scores(data.scans, case)
         for m, scores in zip(("jaccard", "amd", "aed"), baselines):
             grid = sorted(set(scores.tolist())) or [0.0]
             per_metric[m] = (scores, grid, m != "jaccard")

@@ -45,8 +45,10 @@ round scores and ``parse_profile`` turns into segments (``segments()``);
 ``parse_profile`` builds its scans from the signal reader's columns, and
 the relay's publish check runs the checks alone (``_check_processed``, and
 ``_read_signal`` to name the fault of a signal body). A profile of either
-kind that the reader rejects goes to one explainer, which walks its lines
-token by token to name the first bad field, then checks its order of times.
+kind that the reader rejects goes to one explainer with the line the bulk
+pass flagged: the first with a bad field, else the first whose time falls.
+The explainer walks that line and the one before it token by token, so a
+long body costs about as much to reject as to accept.
 """
 
 from __future__ import annotations
@@ -300,10 +302,12 @@ def _walk(line: str, line_no: int, processed: bool):
         raise ProfileFormatError(str(exc), line_no) from None
 
 
-def _explain(data: bytes) -> NoReturn:
+def _explain(data: bytes, line_no: int | None = None) -> NoReturn:
     """Raise a ProfileFormatError naming the fault of profile bytes a bulk
-    pass rejected: their encoding, header or final newline, else their first
-    bad line, else their broken order of times."""
+    pass rejected: their encoding, header or final newline, else the fault
+    of the line ``line_no`` that pass flagged, its first bad field or its
+    time that falls below the line before's. With no line, every line is
+    walked: the first bad one, else the broken order of times."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -315,8 +319,9 @@ def _explain(data: bytes) -> NoReturn:
     if lines[-1]:
         raise ProfileFormatError("missing final newline", len(lines))
     processed = kind == KIND_PROCESSED
-    records = [_walk(line, line_no, processed)
-               for line_no, line in enumerate(lines[1:-1], 2)]
+    first, stop = ((2, len(lines)) if line_no is None
+                   else (max(line_no - 1, 2), line_no + 1))
+    records = [_walk(lines[n - 1], n, processed) for n in range(first, stop)]
     try:
         (ProcessedProfile if processed else SignalProfile)(records, label)
     except ValueError as exc:
@@ -381,14 +386,15 @@ def parse_profile(data: bytes) -> SignalProfile | ProcessedProfile:
                           for n, t in zip(lengths, times)], device_tag=label)
 
 
-def _reject(data: bytes) -> NoReturn:
+def _reject(data: bytes, line_no: int | None) -> NoReturn:
     """Raise the error that names the fault of a record the processed
-    reader rejected: parse_profile's, or "not a processed profile"."""
+    reader rejected, at the line it flagged: parse_profile's, or "not a
+    processed profile"."""
     if not data.startswith(_PROCESSED_HEADER):
         _read_signal(data)  # names the fault of a bad signal body
         raise ProfileFormatError(
             "not a processed profile (scans stay on a device)")
-    _explain(data)
+    _explain(data, line_no)
 
 
 def _runs(records: Sequence[bytes]):
@@ -408,12 +414,13 @@ def _check_run(bodies: Sequence, processed: bool) -> tuple:
     """Check a run of record lines in bulk, over their bytes: the lines of
     processed records, one body each, or one run of a signal profile's.
 
-    Returns how many bodies, from the first, pass every check; each body's
-    line count; and the run's columns: its distinct ids in order, as S64
-    hex; each entry's id as its rank among them, its lo and its hi (a
-    reading is both, clamped); and each line's entry count, start and end
-    (a scan's time is both). A scan's times are checked by _read_signal,
-    across its runs.
+    Returns how many bodies, from the first, pass every check; the line
+    of the next body to name (see _fault), or None when all pass;
+    each body's line count; and the run's columns: its distinct ids in
+    order, as S64 hex; each entry's id as its rank among them, its lo and
+    its hi (a reading is both, clamped); and each line's entry count, start
+    and end (a scan's time is both). A scan's times are checked by
+    _read_signal, across its runs.
     """
     text = b"".join([*bodies, _PAD])
     data = np.frombuffer(text, dtype=np.uint8)
@@ -430,7 +437,10 @@ def _check_run(bodies: Sequence, processed: bool) -> tuple:
     head = np.empty(len(sep), dtype=bool)
     head[:1] = True
     head[1:] = newline[:-1]
-    bad = [sep[(delim != 32) & ~newline]]  # offsets of the failed checks
+    # offsets of the failed checks of a line's own fields, then of the
+    # starts that fall
+    bad = [sep[(delim != 32) & ~newline]]
+    falls = sep[:0]
 
     # each entry as two rows: its 64 hex digits, then ':' and its value,
     # which a shorter or a longer entry cuts or overruns
@@ -476,18 +486,37 @@ def _check_run(bodies: Sequence, processed: bool) -> tuple:
         # a window ends after it starts; within a record, starts do not fall
         t_start, t_end = _times(starts), _times(ends)
         bad.append(begin[lines][t_start >= t_end])
-        bad.append(begin[lines][1:][(record[1:] == record[:-1])
-                                    & (t_start[1:] < t_start[:-1])])
+        falls = begin[lines][1:][(record[1:] == record[:-1])
+                                 & (t_start[1:] < t_start[:-1])]
 
     bad = np.concatenate(bad)
-    clean = len(bodies)
-    if len(bad):
-        clean = int(np.searchsorted(bounds, bad.min(), side="right"))
+    clean, fault = len(bodies), None
+    if len(bad) or len(falls):
+        clean, fault = _fault(bad, falls, bounds, sep[newline])
     counts = np.bincount(record, minlength=len(bodies)).tolist()
     # a batch holds every run's ranks until _gather: as int32, since a run
     # holds far fewer ids; a line's last field ends at its newline
-    return clean, counts, (distinct, rank.astype(np.int32), lo, hi,
-                           np.flatnonzero(newline) - lines, starts, ends)
+    return clean, fault, counts, (distinct, rank.astype(np.int32), lo, hi,
+                                  np.flatnonzero(newline) - lines, starts,
+                                  ends)
+
+
+def _fault(bad: np.ndarray, falls: np.ndarray, bounds: np.ndarray,
+           newlines: np.ndarray) -> tuple[int, int]:
+    """The first body that holds a failed check, at offsets ``bad`` (of a
+    line's own fields) or ``falls`` (of a start that falls), and the line of
+    it to name, as the explainer walks a record: its first line with a bad
+    field, else its first start that falls. Lines count from 2, as in a
+    profile, whose header is line 1."""
+    body = int(np.searchsorted(bounds, np.concatenate([bad, falls]).min(),
+                               side="right"))
+    begin = bounds[body - 1] if body else 0
+    for offsets in (bad, falls):
+        mine = offsets[(offsets >= begin) & (offsets < bounds[body])]
+        if len(mine):
+            # a line's offsets end at its newline
+            return body, int(np.searchsorted(newlines, mine.min())
+                             - np.searchsorted(newlines, begin)) + 2
 
 
 def _gather(runs: list[tuple]) -> tuple:
@@ -528,12 +557,12 @@ def _processed_runs(records: Sequence[bytes]):
                 break
             labels.append(head[0])
             bodies.append(memoryview(data)[head[1]:])
-        clean, counts, columns = _check_run(bodies, processed=True)
-        # the first record that holds a failed check, else the one whose
-        # header or final newline stopped the run
+        clean, fault, counts, columns = _check_run(bodies, processed=True)
+        # the first record that holds a failed check, at its line to name,
+        # else the one whose header or final newline stopped the run
         if clean < len(run):
             try:
-                _reject(run[clean])
+                _reject(run[clean], fault)
             except ProfileFormatError as exc:
                 exc.record = first + clean
                 raise
@@ -595,16 +624,21 @@ def _read_signal(data: bytes) -> tuple[str, tuple]:
         ProfileFormatError: as parse_profile raises it.
     """
     head = _head(data, KIND_SIGNAL)
-    if head is not None:
-        runs = [_check_run([lines], processed=False)
-                for lines in _line_runs(data, head[1])]
-        if all(clean for clean, _, _ in runs):
-            ids, col, rssi, _, lengths, times, _ = _gather(
-                [columns for _, _, columns in runs])
-            rising = _times(times)
-            if not (rising[1:] <= rising[:-1]).any():
-                return head[0], (ids, col, rssi, lengths, times)
-    _explain(data)
+    if head is None:
+        _explain(data)
+    runs, scans = [], 0  # the scans before each run
+    for lines in _line_runs(data, head[1]):
+        clean, fault, counts, columns = _check_run([lines], processed=False)
+        if not clean:
+            _explain(data, scans + fault)
+        runs.append(columns)
+        scans += counts[0]
+    ids, col, rssi, _, lengths, times, _ = _gather(runs)
+    rising = _times(times)
+    falls = np.flatnonzero(rising[1:] <= rising[:-1])
+    if len(falls):  # scan i + 1, on line i + 3, is not after scan i
+        _explain(data, int(falls[0]) + 3)
+    return head[0], (ids, col, rssi, lengths, times)
 
 
 def write_profile(path, profile: SignalProfile | ProcessedProfile) -> None:

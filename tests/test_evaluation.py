@@ -641,3 +641,16 @@ def test_baselines_build_no_dict_scans(monkeypatch):
     rows = ev.run_baseline_comparison("office", (2,), (1,))
     assert [row["metric"] for row in rows] == ["similarity", "jaccard",
                                                "amd", "aed"]
+
+
+def test_baselines_simulate_the_case_once_per_seed(monkeypatch):
+    simulated = []
+
+    def simulate(env, walks, period):
+        simulated.extend(stream for _, stream in walks)
+        return simulate_batch(env, walks, period)
+
+    simulate_batch = ev._simulate_batch
+    monkeypatch.setattr(ev, "_simulate_batch", simulate)
+    ev.run_baseline_comparison("office", (2, 3), (1, 2))
+    assert simulated.count(ev._CASE_STREAM) == 2

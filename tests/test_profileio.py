@@ -631,3 +631,37 @@ def test_signal_read_temporaries_do_not_grow_with_the_profile():
     assert len(col) == len(rssi) == sum(lengths) == 70_000
     assert peak < 7 << 20
 
+
+
+# a rejected body is explained at the line the bulk pass flagged: only that
+# line and the one before it are walked, however long the body
+
+_LONG = 5000
+_SEGMENTS = [f"t={10 * i}..{10 * i + 600} {HEX[i % 4]}:-{i % 90 + 5}..0"
+             for i in range(_LONG)]
+_READINGS = [f"t={60 * i} {HEX[i % 4]}:-{i % 90 + 5}" for i in range(_LONG)]
+
+
+@pytest.mark.parametrize("data, message", [
+    (_record(*_SEGMENTS[:-1], _SEGMENTS[-1][:-1] + "X"),
+     f"line {_LONG + 1}: bad rssi range 'X'"),
+    (_record(*_SEGMENTS, f"t=5..7 {HEX[0]}:-5..0"),
+     f"segments must be ordered by tStart ({10 * (_LONG - 1)} followed by 5)"),
+    # a bad field is named before a start that falls earlier
+    (_record(*_SEGMENTS[:2], f"t=5..7 {HEX[0]}:-5..0", *_SEGMENTS[3:-1],
+             _SEGMENTS[-1][:-1] + "X"),
+     f"line {_LONG + 1}: bad rssi range 'X'"),
+    (_scans(*_READINGS[:-1], _READINGS[-1] + "X"),
+     f"line {_LONG + 1}: bad rssi '-{(_LONG - 1) % 90 + 5}X'"),
+], ids=["processed-last-byte", "processed-last-start-falls",
+        "processed-fall-then-last-byte", "signal-last-byte"])
+def test_a_late_fault_is_explained_from_its_own_line(data, message):
+    with pytest.raises(ProfileFormatError) as walked:
+        profileio._explain(data)  # every line
+    assert str(walked.value) == message
+    with mock.patch.object(profileio, "_walk", wraps=profileio._walk) as walk:
+        with pytest.raises(ProfileFormatError) as got:
+            profileio._check_processed([data])
+    assert walk.call_count <= 2
+    assert str(got.value) == message
+    assert (got.value.line_no, got.value.record) == (walked.value.line_no, 0)
