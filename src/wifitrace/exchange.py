@@ -13,22 +13,22 @@ Wire protocol (curl-friendly, byte-exact):
          "record id=<n> at=<epoch> len=<k>\\n" + k payload bytes + "\\n"
 
 The server persists an append-only log of the same frames; recovery replays
-the log and drops a torn trailing frame. Publishing identical bytes twice
-returns the original record id. In memory the server keeps only an index:
-each record's id, publish time, frame offset and lengths, and the digests
-of the payloads. ``fetch_since`` reads payloads back from the log, and a GET
-streams the picked frames from the log to the socket with ``sendfile``.
+the log and drops a torn trailing frame. Record ids are 1, 2, 3, ... in log
+order, so a record's id is its position: replay refuses a log whose ids
+skip or repeat. Publishing identical bytes twice returns the original record
+id. In memory the server keeps only an index: each record's publish time,
+frame offset and frame length, and the digests of the payloads.
+``fetch_since`` reads the picked frames back from the log, and a GET streams
+them from the log to the socket with ``sendfile``.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import hmac
 import http.client
 import io
 import itertools
-import operator
 import os
 import re
 import threading
@@ -131,20 +131,19 @@ def _make_dirs(path: Path) -> list[Path]:
 
 
 class _Entry(NamedTuple):
-    """Where a record's frame lies in the log."""
-    record_id: int
+    """Where a record's frame lies in the log; its id is its position in
+    the index, plus one."""
     published_at: int
     offset: int
     frame_len: int
-    payload_len: int
 
 
 class ProfileStore:
     """Append-only, durably logged store of published processed profiles.
 
-    Memory holds an index into the log, not the records: per record its id,
-    publish time, frame offset and lengths, and a map from payload digest
-    to id. Payloads are read back from the log when fetched.
+    Memory holds an index into the log, not the records: per record its
+    publish time, frame offset and frame length, and a map from payload
+    digest to id. Frames are read back from the log when fetched.
 
     Thread safe: publishes serialize through a lock (record ids form a total
     order consistent with acknowledgment order); reads take a snapshot.
@@ -177,10 +176,15 @@ class ProfileStore:
         index, by_digest, good = [], {}, 0
         with open(self.log_path, "r+b") as fh:
             for start, good, record in _frames(fh):
+                if record.record_id != len(index) + 1:
+                    # the index finds a record by its id: refuse the log,
+                    # and leave it as it is
+                    raise OSError(
+                        f"{self.log_path}: the frame at offset {start} has "
+                        f"id {record.record_id}, want {len(index) + 1}")
                 payload = record.profile_bytes
                 by_digest[hashlib.sha256(payload).digest()] = record.record_id
-                index.append(_Entry(record.record_id, record.published_at,
-                                    start, good - start, len(payload)))
+                index.append(_Entry(record.published_at, start, good - start))
             if fh.seek(0, os.SEEK_END) > good:
                 # torn tail from a crash mid-append: drop it
                 fh.truncate(good)
@@ -189,7 +193,7 @@ class ProfileStore:
 
     @property
     def last_record_id(self) -> int:
-        return self._index[-1].record_id if self._index else 0
+        return len(self._index)
 
     def publish(self, profile_bytes: bytes, now: int | None = None) -> int:
         """Validate, durably append, and return the record id.
@@ -231,25 +235,24 @@ class ProfileStore:
                     # find it, nor a retry append after it
                     fh.truncate(offset)
                     raise
-            self._index.append(_Entry(record.record_id, record.published_at,
-                                      offset, len(frame), len(profile_bytes)))
+            self._index.append(_Entry(record.published_at, offset, len(frame)))
             self._by_digest[digest] = record.record_id
             return record.record_id
 
-    def _pick(self, last_record_id: int, now: int | None) -> list[_Entry]:
-        """The unexpired entries newer than the cursor, ascending by id."""
+    def _pick(self, last_record_id: int,
+              now: int | None) -> list[tuple[int, _Entry]]:
+        """The unexpired entries newer than the cursor with their ids,
+        ascending by id."""
         if last_record_id < 0:
             raise ValueError("lastRecordId must be >= 0")
         now = int(time.time()) if now is None else int(now)
         horizon = now - self.retention_days * 86400
         with self._lock:
-            start = bisect.bisect_right(
-                self._index, last_record_id,
-                key=operator.attrgetter("record_id"),
-            )
-            tail = self._index[start:]
+            tail = self._index[last_record_id:]
         # publish times need not ascend (clocks, the ``now`` argument)
-        return [e for e in tail if e.published_at >= horizon]
+        return [(record_id, e)
+                for record_id, e in enumerate(tail, last_record_id + 1)
+                if e.published_at >= horizon]
 
     def fetch_since(
         self, last_record_id: int, now: int | None = None
@@ -257,15 +260,13 @@ class ProfileStore:
         """All unexpired records newer than the cursor, ascending by id."""
         records = []
         with open(self.log_path, "rb") as log:
-            for e in self._pick(last_record_id, now):
-                # the payload ends one byte before its frame does
-                log.seek(e.offset + e.frame_len - 1 - e.payload_len)
-                payload = log.read(e.payload_len)
-                if len(payload) < e.payload_len:
+            for record_id, e in self._pick(last_record_id, now):
+                log.seek(e.offset)
+                read, good = _read_frames(io.BytesIO(log.read(e.frame_len)))
+                if good < e.frame_len:
                     raise OSError(f"{self.log_path} is cut short in "
-                                  f"record {e.record_id}")
-                records.append(
-                    PublishedRecord(e.record_id, payload, e.published_at))
+                                  f"record {record_id}")
+                records += read
         return records
 
     def frame_runs(self, last_record_id: int) -> list[tuple[int, int]]:
@@ -273,7 +274,7 @@ class ProfileStore:
         of ``fetch_since``'s records in order: one range per run of frames
         adjacent in the log."""
         runs: list[tuple[int, int]] = []
-        for e in self._pick(last_record_id, None):
+        for _, e in self._pick(last_record_id, None):
             if runs and sum(runs[-1]) == e.offset:
                 runs[-1] = (runs[-1][0], runs[-1][1] + e.frame_len)
             else:
@@ -452,6 +453,14 @@ def fetch_since(endpoint: str, last_record_id: int) -> list[PublishedRecord]:
     records, good = _read_frames(io.BytesIO(body))
     if good != len(body):
         raise ExchangeError("malformed frame in server response")
+    # the cursor advances to the last id, so each must be past the one before
+    previous = int(last_record_id)
+    for record in records:
+        if record.record_id <= previous:
+            raise ExchangeError(
+                f"record id {record.record_id} after {previous} in server "
+                f"response (ids must ascend past the cursor)")
+        previous = record.record_id
     return records
 
 
@@ -513,5 +522,5 @@ def client_sync(
         user_profile.vectors, cols, labels, counts, cfg)
     # through the module, so that a wrapper set on aggregate_episodes sees it
     report = detection.aggregate_episodes(flags, cfg)
-    state.advance(max(r.record_id for r in records))
+    state.advance(records[-1].record_id)
     return report

@@ -10,7 +10,7 @@ from wifitrace import cli
 from wifitrace import evaluation as ev
 from wifitrace.cli import main
 from wifitrace.detection import ContactReport, DetectionConfig
-from wifitrace.exchange import DEFAULT_RETENTION_DAYS, ProfileStore
+from wifitrace.exchange import DEFAULT_RETENTION_DAYS, ProfileStore, SyncState
 from wifitrace.model import ProcessedProfile, SignalProfile
 from wifitrace.profileio import read_profile, write_profile
 from wifitrace.simulator import make_site
@@ -55,6 +55,18 @@ def run_cli(capsys, *argv) -> tuple[int, dict]:
     out = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(out[-1]) if out else {}
     return code, summary
+
+
+@pytest.fixture(params=["fresh", "advanced"])
+def state(tmp_path, request) -> Path:
+    """A device's state directory, fresh or with its cursor already moved."""
+    if request.param == "advanced":
+        SyncState(tmp_path / "state").advance(1)
+    return tmp_path / "state"
+
+
+def files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.glob("*")}
 
 
 def test_simulate_emits_files(tmp_path, capsys):
@@ -156,6 +168,15 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
         assert summary["cursor"] == 1
         assert summary["episodes"] == 1  # user arrived within the lifespan
         assert report_path.read_text().startswith("vcontact-report/1")
+    # a relay restarted over the same data knows the record only from its
+    # log, and a fresh device gets the same report from it
+    with relay_in_thread(ProfileStore(tmp_path / "server-data")) as server:
+        again = tmp_path / "again.txt"
+        code, _ = run_cli(
+            capsys, "sync", "--endpoint", server.endpoint, "--profile",
+            paths["user"], "--state", str(tmp_path / "fresh"),
+            "--report", str(again))
+    assert code == 0 and again.read_bytes() == report_path.read_bytes()
 
 
 def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
@@ -224,23 +245,23 @@ def test_serve_rejects_bad_settings_before_starting(tmp_path, capsys,
     assert not data.exists()
 
 
-def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys):
+def test_sync_rejects_processed_profile_as_user_data(tmp_path, capsys, state):
     cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
     _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
     report = tmp_path / "report.txt"
     report.write_text("an older report\n")
-    state = tmp_path / "state"
+    before = files(state)
     code = main(["sync", "--endpoint", "http://127.0.0.1:1",
                  "--profile", paths["processed"],
                  "--state", str(state), "--report", str(report)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"profile error: {paths['processed']}: not a raw signal profile"]
-    assert not (state / "cursor").exists()
+    assert files(state) == before
     assert report.read_text() == "an older report\n"
 
 
-def test_malformed_profile_is_a_profile_error(tmp_path, capsys):
+def test_malformed_profile_is_a_profile_error(tmp_path, capsys, state):
     cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
     _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
     lines = Path(paths["user"]).read_bytes().split(b"\n")
@@ -249,13 +270,13 @@ def test_malformed_profile_is_a_profile_error(tmp_path, capsys):
     bad.write_bytes(b"\n".join(lines))
     report = tmp_path / "report.txt"
     report.write_text("an older report\n")
-    state = tmp_path / "state"
+    before = files(state)
     code = main(["sync", "--endpoint", "http://127.0.0.1:1", "--profile",
                  str(bad), "--state", str(state), "--report", str(report)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"profile error: {bad}: line 4: bad rssi '-05'"]
-    assert not (state / "cursor").exists()
+    assert files(state) == before
     assert report.read_text() == "an older report\n"
 
 

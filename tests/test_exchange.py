@@ -266,6 +266,21 @@ class TestProfileStore:
             assert ProfileStore(tmp_path / "s").fetch_since(0) == [first], cut
             assert log.read_bytes() == _frame(first), cut
 
+    # a record's id is its position in the log, which the index relies on
+    @pytest.mark.parametrize("ids, bad", [((1, 3), 1), ((2, 1), 0)])
+    def test_replay_refuses_ids_that_skip(self, tmp_path, ids, bad):
+        frames = [_frame(PublishedRecord(rid, processed_bytes(str(rid)), 0))
+                  for rid in ids]
+        (tmp_path / "s").mkdir()
+        log = tmp_path / "s" / ProfileStore.LOG_NAME
+        log.write_bytes(b"".join(frames))
+        offset = len(b"".join(frames[:bad]))
+        with pytest.raises(OSError, match=(
+                f"{ProfileStore.LOG_NAME}: the frame at offset {offset} has "
+                f"id {ids[bad]}, want {bad + 1}$")):
+            ProfileStore(tmp_path / "s")
+        assert log.read_bytes() == b"".join(frames)
+
     def test_retention_window(self, store):
         store.publish(processed_bytes("old"), now=1_000_000)
         store.publish(processed_bytes("new"), now=3_000_000)
@@ -817,6 +832,22 @@ class TestClientSync:
                 client_sync(state, server.endpoint, self.user_profile())
         assert state.last_record_id == 0
         assert not (tmp_path / "client" / "cursor").exists()
+
+    # the device's cursor moves to the last id of a reply, so a reply whose
+    # ids do not ascend past the cursor is refused before anything is matched
+    @pytest.mark.parametrize("cursor, ids", [(0, (2, 1)), (3, (3,)),
+                                             (3, (2,)), (3, (4, 4))])
+    def test_client_refuses_ids_that_do_not_ascend(self, monkeypatch,
+                                                   tmp_path, cursor, ids):
+        body = b"".join(_frame(PublishedRecord(rid, processed_bytes(), 0))
+                        for rid in ids)
+        monkeypatch.setattr(exchange, "_request", lambda url, **kw: body)
+        state = SyncState(tmp_path / "client")
+        state.advance(cursor)
+        before = (tmp_path / "client" / "cursor").read_bytes()
+        with pytest.raises(ExchangeError, match="ids must ascend"):
+            client_sync(state, "http://relay.invalid", self.user_profile())
+        assert (tmp_path / "client" / "cursor").read_bytes() == before
 
     def test_network_failure_leaves_state_unchanged(self, tmp_path,
                                                     monkeypatch):

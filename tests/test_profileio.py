@@ -665,3 +665,28 @@ def test_a_late_fault_is_explained_from_its_own_line(data, message):
     assert walk.call_count <= 2
     assert str(got.value) == message
     assert (got.value.line_no, got.value.record) == (walked.value.line_no, 0)
+
+
+def test_a_late_fault_costs_the_explainer_no_copy_of_the_body():
+    """About 4.4 MB of scans: rejected at its last byte, the body peaks as
+    the same body does intact (about 4.4 MB, the bulk pass). Decoded and
+    split whole to walk two lines, it peaked at about 9.5 MB."""
+    hexes = sorted(sid.hex for sid in ID_POOL)
+    intact = _scans(*(f"t={60 * i} " + " ".join(
+        f"{h}:-{(i + j) % 90 + 5}" for j, h in enumerate(hexes))
+        for i in range(1000)))
+    peaks, messages = [], []
+    for data in (intact, intact[:-2] + b"X\n"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProfileFormatError) as got:
+                profileio._check_processed([data])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        messages.append(str(got.value))
+    assert len(intact) > 4_000_000
+    # the last reading, -77, with its last digit bad
+    assert messages == ["not a processed profile (scans stay on a device)",
+                        "line 1001: bad rssi '-7X'"]
+    assert peaks[1] < 1.5 * peaks[0]
