@@ -19,16 +19,19 @@ from wifitrace import (
     rssi_difference,
 )
 from wifitrace.evaluation import record_score
-from wifitrace.simulator import make_paired_scenario, make_site
+from wifitrace.simulator import make_site, simulate_profile, stationary
 
 env, layout = make_site("office", seed=42)
 
 print(f"{'sep':>4} {'similarity':>11} {'overlap':>8} {'rssi-diff':>10}"
       f" {'jaccard':>8} {'amd':>7} {'aed':>6}")
 for separation in (0, 1, 2, 3, 5, 8):
-    case, user, dist = make_paired_scenario(
-        env, separation, duration=600, sampling_period=5,
-        anchor=layout.line_position(0), direction=layout.line_direction)
+    # the case at the line's anchor, the user ``separation`` m along it,
+    # each on its own noise stream
+    case, user = (
+        simulate_profile(env, stationary(layout.line_position(k), 0, 600), 5,
+                         stream=stream)
+        for stream, k in enumerate((0, separation)))
     processed = build_case_profile(case, LifespanSchedule(default=0))
 
     sims, overlaps, diffs, jacs, amds, aeds = [], [], [], [], [], []
@@ -42,7 +45,7 @@ for separation in (0, 1, 2, 3, 5, 8):
         amds.append(amd(vec, case_vec))
         aeds.append(aed(vec, case_vec))
 
-    print(f"{dist:>3.0f}m"
+    print(f"{separation:>3}m"
           f" {statistics.mean(sims):>11.3f}"
           f" {statistics.mean(overlaps):>8.3f}"
           f" {statistics.mean(diffs):>10.2f}"

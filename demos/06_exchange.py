@@ -28,9 +28,8 @@ from wifitrace.simulator import make_site, simulate_profile, stationary
 env, layout = make_site("office", seed=21)
 venue = layout.center
 
-with tempfile.TemporaryDirectory() as workdir:
-    store = ProfileStore(Path(workdir) / "server-data")
-    server = serve_in_thread(store)
+with (tempfile.TemporaryDirectory() as workdir,
+      serve_in_thread(ProfileStore(Path(workdir) / "server-data")) as server):
     # the port is ephemeral, so the demo's output names none
     print("relay listening on a local port")
 
@@ -61,6 +60,4 @@ with tempfile.TemporaryDirectory() as workdir:
     records = fetch_since(server.endpoint, 0)
     print(f"\nfetch_since(0): {len(records)} record(s), "
           f"byte-identical: {records[0].profile_bytes == blob}")
-    server.shutdown()
-    server.server_close()
 print("\nThe user's scans never left the device; only the cursor did.")

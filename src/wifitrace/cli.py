@@ -34,7 +34,7 @@ from .exchange import (
 )
 from .model import SignalProfile
 from .profileio import ProfileFormatError, read_profile
-from .simulator import emit_scenario
+from .simulator import emit_scenario, make_site
 
 CONFIG_ERROR = 2
 
@@ -62,7 +62,9 @@ def cmd_calibrate(args) -> int:
         study = replace(study, calibration_proximity=args.k)
     k = study.calibration_proximity
     out = _out_dir(args)
-    points = ev.run_calibration_study(preset, k, study.seeds[0], **radio)
+    data = ev.collect_proximity_data(
+        *make_site(preset, seed=study.seeds[0], **radio))
+    points = ev.sweep_scores(data.scores(), data.truth(k))
     path = out / f"calibration_{preset}_k{k:g}.csv"
     ev.write_csv(path, [ev.point_row(p) for p in points],
                  ev.CSV_COLUMNS["calibration"])

@@ -282,13 +282,6 @@ class RobustnessKnobs:
             DeviceParams(bias, rate)  # a finite bias, a rate in (0, 1]
 
 
-def run_calibration_study(preset: str, proximity: float, seed: int,
-                          **site_kwargs) -> list[CalibrationPoint]:
-    """Threshold sweep at one contact proximity on one preset site."""
-    data = collect_proximity_data(*make_site(preset, seed=seed, **site_kwargs))
-    return sweep_scores(data.scores(), data.truth(proximity))
-
-
 def run_proximity_study(preset: str, proximities: Sequence[float],
                         seeds: Sequence[int], **site_kwargs) -> list[dict]:
     """Detection quality versus contact proximity, threshold calibrated per
@@ -433,8 +426,16 @@ def random_walk(
     devices can walk together without overlapping exactly.
     """
     (x0, y0), (x1, y1) = area
-    rng = np.random.default_rng((walk_seed, 0xA1C))
     margin = 1.0
+    # targets are drawn inside the margins, and again while under 2 m away.
+    # The fewest are that far from the centre of that box; if its diagonal
+    # is a 4 m square's or more, a fifth of the box still is
+    diagonal = math.hypot(x1 - x0 - 2 * margin, y1 - y0 - 2 * margin)
+    if diagonal < math.hypot(4.0, 4.0):
+        raise ValueError(
+            f"area {area} is too small to walk: inside its {margin:g} m "
+            f"margins, a diagonal of {diagonal:.2f} m is under a 4 m square's")
+    rng = np.random.default_rng((walk_seed, 0xA1C))
     pos = np.array([(x0 + x1) / 2, (y0 + y1) / 2])
     t = 0.0
     waypoints = [(0, (pos[0] + offset, pos[1] + offset))]

@@ -24,6 +24,7 @@ them from the log to the socket with ``sendfile``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
 import http.client
@@ -289,9 +290,10 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def _reply(self, status: int, body: bytes,
-               content_type: str = "text/plain") -> None:
-        self._send_head(status, len(body), content_type)
+    def _reply(self, status: int, body: bytes, close: bool = False) -> None:
+        """Reply in plain text; ``close`` when the request body is left
+        unread, which must not be taken for the next request."""
+        self._send_head(status, len(body), "text/plain", close)
         self.wfile.write(body)
 
     def _send_head(self, status: int, length: int, content_type: str,
@@ -304,32 +306,34 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
 
-    def _refuse(self, status: int, body: bytes) -> None:
-        """Reply without reading the request body, then close: the unread
-        body must not be taken for the next request."""
-        self._send_head(status, len(body), "text/plain", close=True)
-        self.wfile.write(body)
-
     def do_POST(self):
         if urllib.parse.urlparse(self.path).path != "/v1/profiles":
-            return self._refuse(404, b"unknown endpoint\n")
+            return self._reply(404, b"unknown endpoint\n", close=True)
         token = self.server.upload_token
         if token and not hmac.compare_digest(
                 self.headers.get(TOKEN_HEADER, "").encode(), token.encode()):
-            return self._refuse(401, b"bad or missing upload token\n")
+            return self._reply(401, b"bad or missing upload token\n", close=True)
         if "Transfer-Encoding" in self.headers:
-            return self._refuse(411, b"send the body with a Content-Length\n")
+            return self._reply(411, b"send the body with a Content-Length\n",
+                               close=True)
         text = self.headers.get("Content-Length", "0")
         if not (text.isascii() and text.isdigit()):
-            return self._refuse(400, b"Content-Length must be a decimal\n")
-        length = int(text)
-        if length > _MAX_BODY_BYTES:
-            return self._refuse(
-                413, f"body over {_MAX_BODY_BYTES} bytes\n".encode("ascii"))
+            return self._reply(400, b"Content-Length must be a decimal\n",
+                               close=True)
+        # digits counted first: int() refuses a string of over 4300 of them
+        digits = text.lstrip("0") or "0"
+        if (len(digits) > len(str(_MAX_BODY_BYTES))
+                or int(digits) > _MAX_BODY_BYTES):
+            return self._reply(
+                413, f"body over {_MAX_BODY_BYTES} bytes\n".encode("ascii"),
+                close=True)
+        length = int(digits)
         try:
             body = self.rfile.read(length)
-        except OSError:
-            return self._refuse(400, b"unreadable request body\n")
+        except OSError:  # the client stalled past the timeout
+            body = b""
+        if len(body) < length:  # ... or hung up mid-body
+            return self._reply(400, b"unreadable request body\n", close=True)
         try:
             record_id = self.server.store.publish(body)
         except ProfileFormatError as exc:
@@ -390,15 +394,20 @@ class ExchangeServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
 
+@contextlib.contextmanager
 def serve_in_thread(
     store: ProfileStore, host: str = "127.0.0.1", port: int = 0,
     upload_token: str | None = None,
-) -> ExchangeServer:
-    """Start a server on a background thread (port 0 picks a free port)."""
+) -> Iterator[ExchangeServer]:
+    """A server on a background thread (port 0 picks a free port), shut down
+    and its socket closed on exit."""
     server = ExchangeServer((host, port), store, upload_token)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 # --- client -----------------------------------------------------------------

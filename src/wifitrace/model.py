@@ -18,6 +18,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -223,6 +225,15 @@ class ProcessedProfile:
         return len(self.segments)
 
 
+def _whole_seconds(lifespan) -> int:
+    """A lifespan as an int: a whole number of seconds, 0 or more."""
+    if not (isinstance(lifespan, numbers.Real) and 0 <= lifespan < math.inf
+            and lifespan == int(lifespan)):
+        raise ValueError("a lifespan must be a whole number of seconds >= 0, "
+                         f"got {lifespan!r}")
+    return int(lifespan)
+
+
 @dataclass(frozen=True)
 class LifespanSchedule:
     """Virus lifespan per processed segment, in seconds.
@@ -235,13 +246,10 @@ class LifespanSchedule:
     per_segment: Sequence[int] | None = None
 
     def __post_init__(self) -> None:
-        if self.default < 0:
-            raise ValueError("default lifespan must be >= 0")
+        object.__setattr__(self, "default", _whole_seconds(self.default))
         if self.per_segment is not None:
-            per = tuple(int(t) for t in self.per_segment)
-            if any(t < 0 for t in per):
-                raise ValueError("lifespans must be >= 0")
-            object.__setattr__(self, "per_segment", per)
+            object.__setattr__(self, "per_segment",
+                               tuple(map(_whole_seconds, self.per_segment)))
 
     def lifespan_for(self, segment_index: int) -> int:
         if self.per_segment is None:

@@ -380,37 +380,6 @@ def simulate_profile(
     return SignalProfile(batch.vectors(), device_tag=device_tag)
 
 
-def make_paired_scenario(
-    env: SimEnvironment,
-    separation: float,
-    duration: int,
-    sampling_period: int,
-    seeds: tuple[int, int] = (0, 1),
-    anchor: tuple[float, float] = (0.0, 0.0),
-    direction: tuple[float, float] = (0.0, 1.0),
-) -> tuple[SignalProfile, SignalProfile, float]:
-    """Two co-timed stationary devices a fixed distance apart.
-
-    The first profile sits at the anchor, the second ``separation`` meters
-    along ``direction``; noise draws are independent (distinct streams).
-    Returns both profiles and the ground-truth distance.
-    """
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
-    norm = math.hypot(*direction)
-    if norm == 0:
-        raise ValueError("direction must be non-zero")
-    other = (
-        anchor[0] + direction[0] / norm * separation,
-        anchor[1] + direction[1] / norm * separation,
-    )
-    first = simulate_profile(env, stationary(anchor, 0, duration),
-                             sampling_period, stream=seeds[0])
-    second = simulate_profile(env, stationary(other, 0, duration),
-                              sampling_period, stream=seeds[1])
-    return first, second, float(separation)
-
-
 def _check_perturbation(filter_rate: float = 0.0,
                         noise_std: float = 0.0) -> None:
     """The rule for every perturbation knob: a filter rate in [0, 1], a
@@ -547,7 +516,9 @@ class Scenario:
     USER_STREAM = 1
 
     def __post_init__(self) -> None:
-        # [perturb] fails here, before any scan is simulated
+        # [case] lifespan and [perturb] fail here, before any scan is
+        # simulated
+        LifespanSchedule(self.lifespan)
         _check_perturbation(self.filter_rate, self.noise_std)
 
     def case_profile(self) -> SignalProfile:

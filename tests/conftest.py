@@ -1,10 +1,8 @@
-import contextlib
 import hashlib
 import random
 
 import pytest
 
-from wifitrace.exchange import serve_in_thread
 from wifitrace.model import (
     ProcessedProfile,
     ProcessedVector,
@@ -56,18 +54,6 @@ def make_processed_profile(rng: random.Random, n_segments: int = 3,
                                        t, t + length))
         t += rng.randint(5, 300)
     return ProcessedProfile(segments, case_label=label)
-
-
-@contextlib.contextmanager
-def relay_in_thread(store, **kwargs):
-    """A relay from serve_in_thread, shut down and its socket closed on
-    exit."""
-    server = serve_in_thread(store, **kwargs)
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def assert_same_columns(got, want):

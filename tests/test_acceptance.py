@@ -35,6 +35,7 @@ from wifitrace.exchange import (
     client_sync,
     fetch_since,
     publish,
+    serve_in_thread,
 )
 from wifitrace.model import (
     LifespanSchedule,
@@ -58,8 +59,7 @@ from wifitrace.similarity import (
 )
 from wifitrace.simulator import make_site, simulate_profile, stationary
 
-from conftest import (ID_POOL, make_processed_profile, make_profile,
-                      make_vector, relay_in_thread)
+from conftest import ID_POOL, make_processed_profile, make_profile, make_vector
 from oracles import (
     area_profile_brute,
     case_profile_brute,
@@ -250,7 +250,7 @@ def test_c09_exchange_round_trip(tmp_path, monkeypatch):
                    "publishes totally ordered, failed sync leaves state "
                    "untouched"):
         store = ProfileStore(tmp_path / "server")
-        with relay_in_thread(store) as server:
+        with serve_in_thread(store) as server:
             walk = SignalProfile(
                 [SignalVector({ID_POOL[0]: -50 - i}, i * 60) for i in range(5)])
             data = serialize_profile(

@@ -10,12 +10,12 @@ from wifitrace import cli
 from wifitrace import evaluation as ev
 from wifitrace.cli import main
 from wifitrace.detection import ContactReport, DetectionConfig
-from wifitrace.exchange import DEFAULT_RETENTION_DAYS, ProfileStore, SyncState
+from wifitrace.exchange import (DEFAULT_RETENTION_DAYS, ProfileStore, SyncState,
+                                serve_in_thread)
 from wifitrace.model import ProcessedProfile, SignalProfile
 from wifitrace.profileio import read_profile, write_profile
 from wifitrace.simulator import make_site
 
-from conftest import relay_in_thread
 
 STUDY_CFG = """
 [environment]
@@ -154,7 +154,7 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
     assert code == 0
 
     store = ProfileStore(tmp_path / "server-data")
-    with relay_in_thread(store) as server:
+    with serve_in_thread(store) as server:
         code, summary = run_cli(capsys, "publish", paths["processed"],
                                 "--endpoint", server.endpoint)
         assert code == 0 and summary["record_id"] == 1
@@ -170,7 +170,7 @@ def test_publish_and_sync_round_trip(tmp_path, capsys):
         assert report_path.read_text().startswith("vcontact-report/1")
     # a relay restarted over the same data knows the record only from its
     # log, and a fresh device gets the same report from it
-    with relay_in_thread(ProfileStore(tmp_path / "server-data")) as server:
+    with serve_in_thread(ProfileStore(tmp_path / "server-data")) as server:
         again = tmp_path / "again.txt"
         code, _ = run_cli(
             capsys, "sync", "--endpoint", server.endpoint, "--profile",
@@ -183,7 +183,7 @@ def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
     cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
     _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
     state = tmp_path / "state"
-    with relay_in_thread(ProfileStore(tmp_path / "server-data")) as server:
+    with serve_in_thread(ProfileStore(tmp_path / "server-data")) as server:
         sync = ["sync", "--endpoint", server.endpoint, "--profile",
                 paths["user"], "--state", str(state), "--report"]
         run_cli(capsys, "publish", paths["processed"],
@@ -497,7 +497,7 @@ def test_bad_relay_record_is_an_exchange_error(tmp_path, capsys):
         b"record id=1 at=%d len=%d\n%s\n" % (int(time.time()), len(payload),
                                              payload))
     state = tmp_path / "state"
-    with relay_in_thread(ProfileStore(relay_dir)) as server:
+    with serve_in_thread(ProfileStore(relay_dir)) as server:
         code = main(["sync", "--endpoint", server.endpoint,
                      "--profile", paths["user"], "--state", str(state)])
     assert code == 1

@@ -294,6 +294,14 @@ class TestSweepDegenerateInputs:
                 assert (p.precision, p.recall, p.f1) == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("area", [((0, 0), (3, 3)), ((0, 0), (5.9, 5.9)),
+                                  ((0, 0), (2, 7.6))])
+def test_random_walk_refuses_an_area_too_small_to_walk(area):
+    # a walk redraws targets under 2 m away, which such an area may not hold
+    with pytest.raises(ValueError, match="too small to walk"):
+        ev.random_walk(area, 60, 1)
+
+
 class TestRobustnessSuite:
     def test_identity_perturbations_equal_baseline(self):
         from wifitrace.evaluation import (RobustnessKnobs,

@@ -30,6 +30,7 @@ from wifitrace.exchange import (
     client_sync,
     fetch_since,
     publish,
+    serve_in_thread,
 )
 from wifitrace.model import (
     ProcessedProfile,
@@ -42,7 +43,7 @@ from wifitrace.model import (
 from wifitrace.profileio import (ProfileFormatError, parse_profile,
                                  serialize_profile)
 
-from conftest import ID_POOL, relay_in_thread
+from conftest import ID_POOL
 
 X = ID_POOL[0]
 
@@ -75,14 +76,18 @@ def get_profiles(endpoint: str, since: int) -> tuple[str, bytes]:
         return resp.headers["Content-Length"], resp.read()
 
 
-def raw_post(endpoint: str, head: str, body: bytes = b"") -> bytes:
-    """POST over a socket that stays open for writing; everything the relay
-    sends until it closes the connection. A relay that waits for more of the
-    body instead fails the read's timeout."""
+def raw_post(endpoint: str, head: str, body: bytes = b"",
+             hang_up: bool = False) -> bytes:
+    """POST over a socket that stays open for writing, unless ``hang_up``
+    closes its sending side after the body; everything the relay sends
+    until it closes the connection. A relay that waits for more of the body
+    instead fails the read's timeout."""
     host, port = endpoint.removeprefix("http://").split(":")
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(f"POST /v1/profiles HTTP/1.1\r\nHost: relay\r\n"
                      f"{head}\r\n".encode("latin-1") + body)
+        if hang_up:
+            sock.shutdown(socket.SHUT_WR)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -119,8 +124,16 @@ def store(tmp_path):
 
 @pytest.fixture
 def server(store):
-    with relay_in_thread(store) as srv:
+    with serve_in_thread(store) as srv:
         yield srv
+
+
+def test_serve_in_thread_shuts_the_relay_down_on_exit(store):
+    with serve_in_thread(store) as server:
+        assert fetch_since(server.endpoint, 0) == []
+        host, port = server.server_address[:2]
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, port), timeout=5).close()
 
 
 class TestProfileStore:
@@ -431,7 +444,7 @@ class TestWireProtocol:
         assert got == status
 
     def test_upload_token_gate(self, store):
-        with relay_in_thread(store, upload_token="sesame") as server:
+        with serve_in_thread(store, upload_token="sesame") as server:
             body = processed_bytes()
             statuses = []
             for token in ("", "X-Upload-Token: open\r\n",
@@ -453,6 +466,8 @@ class TestWireProtocol:
     @pytest.mark.parametrize("length, status", [
         ("-1", 400), ("abc", 400), ("+5", 400), ("5.0", 400), ("\u00b2", 400),
         (str(_MAX_BODY_BYTES + 1), 413),
+        # past int()'s 4300 digits: a 413 too, not a dead handler thread
+        pytest.param("9" * 5000, 413, id="5000-digits"),
     ])
     def test_bad_content_length_refused_without_reading(self, server, length,
                                                         status):
@@ -487,8 +502,24 @@ class TestWireProtocol:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert reply.endswith(b"unreadable request body\n")
 
+    def test_body_cut_short_is_refused_and_not_published(self, server,
+                                                         store):
+        # declares two segment lines and sends one, a whole profile by
+        # itself, then hangs up
+        body = serialize_profile(ProcessedProfile(
+            [ProfileSegment(ProcessedVector({X: (-70, -50)}), t, t + 600)
+             for t in (0, 900)], case_label="c"))
+        cut = body[:body.rindex(b"\n", 0, -1) + 1]
+        assert len(parse_profile(cut).segments) == 1
+        reply = raw_post(server.endpoint, f"Content-Length: {len(body)}\r\n",
+                         cut, hang_up=True)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert store.last_record_id == 0
+        assert store.log_path.read_bytes() == b""
+
     def test_refused_body_is_not_read_as_a_request(self, store):
-        with relay_in_thread(store, upload_token="sesame") as server:
+        with serve_in_thread(store, upload_token="sesame") as server:
             smuggled = b"GET /v1/profiles?since=0 HTTP/1.1\r\nHost: r\r\n\r\n"
             reply = raw_post(server.endpoint,
                              f"Content-Length: {len(smuggled)}\r\n", smuggled)
@@ -578,7 +609,7 @@ class TestWireProtocol:
         log = first.log_path
         log.write_bytes(log.read_bytes()[:-9])  # crash mid-append
         store = ProfileStore(tmp_path / "s")
-        with relay_in_thread(store) as server:
+        with serve_in_thread(store) as server:
             assert store.publish(c, now=now) == 2
             want = wire_frame(1, now, a) + wire_frame(2, now, c)
             assert get_profiles(server.endpoint, 0) == (str(len(want)), want)
@@ -826,7 +857,7 @@ class TestClientSync:
             _frame(PublishedRecord(1, processed_bytes(), now))
             + _frame(PublishedRecord(2, raw, now)))
         state = SyncState(tmp_path / "client")
-        with relay_in_thread(ProfileStore(relay_dir)) as server:
+        with serve_in_thread(ProfileStore(relay_dir)) as server:
             with pytest.raises(ExchangeError,
                                match="record 2: not a processed profile"):
                 client_sync(state, server.endpoint, self.user_profile())
@@ -883,7 +914,7 @@ class TestClientSync:
 def relay():
     """One server for every example; each example gives it a fresh store."""
     with tempfile.TemporaryDirectory() as root, \
-            relay_in_thread(ProfileStore(Path(root))) as server:
+            serve_in_thread(ProfileStore(Path(root))) as server:
         yield server
 
 

@@ -264,6 +264,19 @@ class TestLifespanSchedule:
         with pytest.raises(ValueError):
             LifespanSchedule(per_segment=[600, -5])
 
+    @pytest.mark.parametrize("value", [1.5, float("inf"), float("nan")])
+    def test_anything_but_whole_seconds_rejected(self, value):
+        # one rule for the default and each per-segment entry, at
+        # construction, not when a profile is built
+        for kwargs in ({"default": value}, {"per_segment": [600, value]}):
+            with pytest.raises(ValueError, match=f"got {value}"):
+                LifespanSchedule(**kwargs)
+
+    def test_whole_seconds_kept_as_ints(self):
+        sched = LifespanSchedule(default=1800.0, per_segment=[np.int64(5), 7.0])
+        assert (sched.default, sched.per_segment) == (1800, (5, 7))
+        assert {type(t) for t in (sched.default, *sched.per_segment)} == {int}
+
     def test_per_segment_lookup(self):
         sched = LifespanSchedule(default=1800, per_segment=[10, 20, 30])
         assert [sched.lifespan_for(i) for i in range(3)] == [10, 20, 30]

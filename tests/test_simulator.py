@@ -23,7 +23,6 @@ from wifitrace.simulator import (
     SimEnvironment,
     SimTrajectory,
     emit_scenario,
-    make_paired_scenario,
     make_site,
     perturb_rssi_noise,
     sample_scan,
@@ -160,22 +159,26 @@ class TestSimulateProfile:
         assert profile.vectors[1].readings[ID_POOL[0]] == expected
 
 
+def stationary_pair(env, separation, duration):
+    """Two co-timed stationary devices ``separation`` m apart, each on its
+    own noise stream, as demo 02 places them."""
+    return [simulate_profile(env, stationary((6.0, 6.0 + k), 0, duration), 5,
+                             stream=stream)
+            for stream, k in enumerate((0.0, separation))]
+
+
 class TestPairedScenario:
     def test_zero_separation_zero_noise_identical_scans(self):
-        env = grid_env()
-        a, b, dist = make_paired_scenario(env, 0.0, 60, 5,
-                                          anchor=(6.0, 6.0))
-        assert dist == 0.0
+        a, b = stationary_pair(grid_env(), 0.0, 60)
         for va, vb in zip(a.vectors, b.vectors):
             assert dict(va.readings) == dict(vb.readings)
 
     def test_mean_similarity_decreases_with_separation(self):
         env = grid_env()
-        base, _, _ = make_paired_scenario(env, 0.0, 120, 5, anchor=(6.0, 6.0))
+        base, _ = stationary_pair(env, 0.0, 120)
         means = []
         for sep in (0.0, 2.0, 5.0, 9.0):
-            _, other, _ = make_paired_scenario(env, sep, 120, 5,
-                                               anchor=(6.0, 6.0))
+            _, other = stationary_pair(env, sep, 120)
             scores = [
                 signal_similarity(vb, build_processed_vector(va, va))
                 for va, vb in zip(base.vectors, other.vectors)
@@ -183,10 +186,6 @@ class TestPairedScenario:
             means.append(statistics.mean(scores))
         assert means == sorted(means, reverse=True)
         assert means[0] == 1.0
-
-    def test_negative_separation_rejected(self):
-        with pytest.raises(ValueError):
-            make_paired_scenario(grid_env(), -1.0, 60, 5)
 
 
 class TestPerturbations:
@@ -412,6 +411,13 @@ class TestSitePresets:
             for i in range(11):
                 x, y = layout.line_position(i)
                 assert x0 <= x <= x1 and y0 <= y <= y1
+
+
+@pytest.mark.parametrize("lifespan", [-5, 1.5, float("nan")])
+def test_scenario_rejects_a_bad_lifespan_before_simulating(lifespan):
+    walk = stationary((6.0, 6.0), 0, 60)
+    with pytest.raises(ValueError, match="lifespan"):
+        Scenario(grid_env(), walk, walk, lifespan=lifespan)
 
 
 class TestScenarioConfig:

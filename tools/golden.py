@@ -33,12 +33,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden.json"
 SCENARIOS = ROOT / "demos" / "scenarios"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(ROOT / "src"))
 
-from conftest import relay_in_thread  # noqa: E402
 from wifitrace import evaluation  # noqa: E402
 from wifitrace.cli import main as cli  # noqa: E402
-from wifitrace.exchange import ProfileStore  # noqa: E402
+from wifitrace.exchange import ProfileStore, serve_in_thread  # noqa: E402
 
 STUDY_COMMANDS = ("calibrate", "proximity-study", "inout-study", "robustness")
 SCENARIO_NAMES = ("lifespan_visit", "moving_pair")
@@ -77,7 +76,7 @@ def outputs(work: Path) -> dict[str, bytes]:
     rows = evaluation.run_baseline_comparison("office", (2, 3), (1, 2))
     text["baselines.jsonl"] = "".join(json.dumps(r) + "\n" for r in rows)
     (work / "exchange").mkdir()
-    with relay_in_thread(ProfileStore(work / "relay")) as server:
+    with serve_in_thread(ProfileStore(work / "relay")) as server:
         text["exchange.jsonl"] = _cli(
             "publish", str(work / "lifespan_visit" / "case.processed"),
             "--endpoint", server.endpoint) + _cli(
