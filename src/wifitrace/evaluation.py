@@ -10,7 +10,11 @@ and each user scan's distance; ``scores()`` scores the batch once, and
 a grid, and ``pick_intersection`` picks the point where precision meets
 recall (the minimizer of |precision - recall|, ties to the smaller
 threshold); ``calibrate`` is the two together, and the studies evaluate at
-that operating point. Every table of a seed reads that seed's drill (README,
+that operating point. Every row's precision, recall and F1 come from
+``sweep_scores``, and only its ``_prf`` does their arithmetic. The filter,
+noise and sampling rows sweep a one-point grid, the seed's alpha, and the
+in/out rows one at the configured alpha; a sampling row's truth marks every
+user scan. Every table of a seed reads that seed's drill (README,
 "Studies": which tables keep the seed's alpha, which recalibrate). The
 robustness suite perturbs the drill's batch and scores the copies, and its
 device table simulates one more batch per phone model. The in/out study
@@ -100,22 +104,11 @@ def _prf(overlap: int, n_det: int, n_true: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def precision_recall_f1(ground_truth: set, detected: set) -> tuple[float, float, float]:
-    """Set-overlap precision, recall and F1 (empty-set conventions: ``_prf``)."""
-    ground_truth, detected = set(ground_truth), set(detected)
-    return _prf(len(ground_truth & detected), len(detected), len(ground_truth))
-
-
 def record_score(vector: SignalVector, processed: ProcessedProfile) -> float:
     """Similarity of one scan to a published profile: the best score among
     segments whose validity window contains the scan time."""
     return _score_columns(_ScanBatch.from_vectors([vector]),
                           _Columns.from_segments(processed.segments))[0].item()
-
-
-def _prf_from_masks(truth: np.ndarray, detected: np.ndarray) -> tuple[float, float, float]:
-    return _prf(int(np.count_nonzero(truth & detected)),
-                int(np.count_nonzero(detected)), int(np.count_nonzero(truth)))
 
 
 def sweep_scores(
@@ -129,11 +122,13 @@ def sweep_scores(
     detect_below=False detects score >= threshold (similarities);
     detect_below=True detects score <= threshold (distances).
     """
+    n_true = int(np.count_nonzero(truth))
     points = []
     for theta in grid:
         detected = scores <= theta if detect_below else scores >= theta
-        p, r, f1 = _prf_from_masks(truth, detected)
-        points.append(CalibrationPoint(float(theta), p, r, f1))
+        points.append(CalibrationPoint(float(theta), *_prf(
+            int(np.count_nonzero(truth & detected)),
+            int(np.count_nonzero(detected)), n_true)))
     return points
 
 
@@ -295,18 +290,6 @@ def run_proximity_study(preset: str, proximities: Sequence[float],
     return rows
 
 
-def _inout_scores(area: _Columns, scans: _ScanBatch, n_inside: int,
-                  alpha: float) -> tuple[float, float]:
-    """Classify scans as inside/outside an infected area by their scores
-    against the area's segments: precision and recall of the "inside" class,
-    where the first ``n_inside`` scans are inside. Like every score, a scan
-    only meets the segments whose validity window contains its time."""
-    scores, _ = _score_columns(scans, area)
-    truth = np.arange(len(scans)) < n_inside
-    precision, recall, _ = _prf_from_masks(truth, scores >= alpha)
-    return precision, recall
-
-
 def _inout_drill(env: SimEnvironment, layout: SiteLayout
                  ) -> tuple[_ScanBatch, _ScanBatch, int]:
     """Survey an area and collect labeled test scans: the survey walk, the
@@ -344,15 +327,19 @@ def _inout_drill(env: SimEnvironment, layout: SiteLayout
 
 def run_inout_suite(preset: str, seeds: Sequence[int],
                     alpha: float = StudyParams.alpha, **site_kwargs) -> list[dict]:
-    """In/out detection rows: seed, alpha, precision, recall."""
+    """In/out detection rows: seed, alpha, precision, recall. A test scan
+    scoring ``alpha`` or more is detected inside; the inside spots' scans
+    are the positives."""
     rows = []
     for seed in seeds:
         survey, scans, n_inside = _inout_drill(
             *make_site(preset, seed=seed, **site_kwargs))
         area = _area_columns(survey, 0, _INOUT_STAY + _INOUT_LIFESPAN)
-        precision, recall = _inout_scores(area, scans, n_inside, alpha)
-        rows.append(dict(seed=seed, alpha=alpha, precision=precision,
-                         recall=recall))
+        scores, _ = _score_columns(scans, area)
+        (point,) = sweep_scores(scores, np.arange(len(scans)) < n_inside,
+                                [alpha])
+        rows.append(dict(seed=seed, alpha=alpha, precision=point.precision,
+                         recall=point.recall))
     return rows
 
 
@@ -528,7 +515,8 @@ def _moving_recall(env: SimEnvironment,
     case = _case_columns(case_walk, _NO_LIFESPAN, max(600, period + 1))
     user_walk = _simulate_batch(env, [(walks[1], _USER_STREAM + 500)], period)
     scores, _ = _score_columns(user_walk, case)
-    return int(np.count_nonzero(scores >= alpha)) / len(user_walk)
+    (point,) = sweep_scores(scores, np.ones(len(scores), dtype=bool), [alpha])
+    return point.recall
 
 
 # --- output ----------------------------------------------------------------------

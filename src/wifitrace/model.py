@@ -225,13 +225,15 @@ class ProcessedProfile:
         return len(self.segments)
 
 
-def _whole_seconds(lifespan) -> int:
-    """A lifespan as an int: a whole number of seconds, 0 or more."""
-    if not (isinstance(lifespan, numbers.Real) and 0 <= lifespan < math.inf
-            and lifespan == int(lifespan)):
-        raise ValueError("a lifespan must be a whole number of seconds >= 0, "
-                         f"got {lifespan!r}")
-    return int(lifespan)
+def _whole_seconds(value, name: str = "a lifespan", signed: bool = False
+                   ) -> int:
+    """``value`` as an int: a whole number of seconds, 0 or more unless
+    ``signed``. Anything else raises a ValueError that names ``name``."""
+    if not (isinstance(value, numbers.Real) and abs(value) < math.inf
+            and value == int(value) and (signed or value >= 0)):
+        raise ValueError(f"{name} must be a whole number of seconds"
+                         f"{'' if signed else ' >= 0'}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

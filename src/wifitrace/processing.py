@@ -29,6 +29,7 @@ from .model import (
     ProcessedVector,
     SignalProfile,
     SignalVector,
+    _whole_seconds,
 )
 from .similarity import _UNHEARD, _Columns, _ScanBatch
 
@@ -72,10 +73,11 @@ def build_case_profile(
 
     Raises:
         InsufficientDataError: fewer than two scans.
-        ValueError: per-segment lifespan list of the wrong length.
+        ValueError: per-segment lifespan list of the wrong length, or a
+            max_gap that is not a whole number of seconds >= 0.
     """
     cols = _case_columns(_ScanBatch.from_vectors(walk.vectors), lifespans,
-                         max_gap)
+                         _whole_seconds(max_gap, "max_gap"))
     return ProcessedProfile(cols.segments(), case_label)
 
 
@@ -131,14 +133,17 @@ def build_area_profile(
 
     Raises:
         InsufficientDataError: empty survey walk.
-        ValueError: stay_start not before stay_end, or negative lifespan.
+        ValueError: a stay time that is not a whole number of seconds,
+            stay_start not before stay_end, or a lifespan that is not a
+            whole number of seconds >= 0.
     """
     if len(survey.vectors) == 0:
         raise InsufficientDataError("survey profile has no scans")
+    stay_start = _whole_seconds(stay_start, "stay_start", signed=True)
+    stay_end = _whole_seconds(stay_end, "stay_end", signed=True)
+    lifespan = _whole_seconds(lifespan, "lifespan")
     if stay_start >= stay_end:
         raise ValueError(f"stay window [{stay_start}, {stay_end}] is empty")
-    if lifespan < 0:
-        raise ValueError("lifespan must be >= 0")
     cols = _area_columns(_ScanBatch.from_vectors(survey.vectors), stay_start,
                          stay_end + lifespan)
     return ProcessedProfile(cols.segments(), case_label)

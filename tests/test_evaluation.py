@@ -13,7 +13,6 @@ from wifitrace.evaluation import (
     calibrate,
     collect_proximity_data,
     pick_intersection,
-    precision_recall_f1,
     record_score,
     run_inout_suite,
     sweep_scores,
@@ -27,8 +26,8 @@ from wifitrace.model import (
     SignalVector,
 )
 from wifitrace.processing import build_area_profile
-from wifitrace.similarity import (_Columns, _ScanBatch, aed, amd, jaccard,
-                                  signal_similarity)
+from wifitrace.similarity import (_Columns, _ScanBatch, _score_columns, aed,
+                                  amd, jaccard, signal_similarity)
 from wifitrace.simulator import (PRESET_NAMES, SimTrajectory, make_site,
                                  simulate_profile, stationary)
 
@@ -40,34 +39,65 @@ from oracles import prf_brute
 X, Y = ID_POOL[0], ID_POOL[1]
 
 
+def prf(truth: set, detected: set) -> tuple[float, float, float]:
+    """``_prf`` over the counts of two index sets, checked bit for bit
+    against the set oracle."""
+    got = ev._prf(len(truth & detected), len(detected), len(truth))
+    assert got == prf_brute(truth, detected)
+    return got
+
+
 class TestPrecisionRecallF1:
     def test_perfect_detection(self):
-        assert precision_recall_f1({1, 2}, {1, 2}) == (1.0, 1.0, 1.0)
+        assert prf({1, 2}, {1, 2}) == (1.0, 1.0, 1.0)
 
     def test_disjoint_sets(self):
-        assert precision_recall_f1({1, 2}, {3, 4}) == (0.0, 0.0, 0.0)
+        assert prf({1, 2}, {3, 4}) == (0.0, 0.0, 0.0)
 
     def test_partial_overlap(self):
         truth = set(range(10))
         detected = set(range(4, 12))  # |Db| = 8, overlap 6
-        p, r, f1 = precision_recall_f1(truth, detected)
+        p, r, f1 = prf(truth, detected)
         assert (p, r) == (0.75, 0.6)
         assert f1 == pytest.approx(2 / 3)
 
     def test_empty_detected_conventions(self):
-        assert precision_recall_f1(set(), set()) == (1.0, 1.0, 1.0)
-        assert precision_recall_f1({1}, set())[:2] == (0.0, 0.0)
+        assert prf(set(), set()) == (1.0, 1.0, 1.0)
+        assert prf({1}, set())[:2] == (0.0, 0.0)
 
     def test_empty_truth_recall_one(self):
-        p, r, f1 = precision_recall_f1(set(), {1})
+        p, r, f1 = prf(set(), {1})
         assert r == 1.0 and p == 0.0 and f1 == 0.0
 
     def test_matches_oracle_on_random_sets(self, rng):
         for _ in range(200):
             truth = {i for i in range(20) if rng.random() < 0.4}
             detected = {i for i in range(20) if rng.random() < 0.4}
-            assert precision_recall_f1(truth, detected) == pytest.approx(
-                prf_brute(truth, detected))
+            prf(truth, detected)
+
+
+# scores with many ties, and thresholds that often equal a drawn score
+levels = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+sweep_scores_in = st.lists(levels | st.floats(-1, 2), max_size=30)
+
+
+@settings(max_examples=300)
+@given(scores=sweep_scores_in, data=st.data(), below=st.booleans())
+def test_sweep_scores_is_the_set_oracle_at_every_threshold(scores, data,
+                                                            below):
+    truth = data.draw(st.lists(st.booleans(), min_size=len(scores),
+                               max_size=len(scores)))
+    thresholds = levels | st.floats(-1, 2)
+    if scores:
+        thresholds |= st.sampled_from(scores)
+    grid = data.draw(st.lists(thresholds, min_size=1, max_size=8))
+    points = sweep_scores(np.array(scores, dtype=float), np.array(truth, bool),
+                          grid, detect_below=below)
+    true = {i for i, t in enumerate(truth) if t}
+    assert [(p.alpha, p.precision, p.recall, p.f1) for p in points] == [
+        (theta, *prf_brute(true, {i for i, s in enumerate(scores)
+                                  if (s <= theta if below else s >= theta)}))
+        for theta in grid]
 
 
 # drills built by hand put contacts at 1 m and everything else at 2 m, and
@@ -204,17 +234,19 @@ def test_inout_suite_is_the_study_over_the_drills_dicts(preset):
         detected = {i for i, vec in enumerate(vectors) if max(
             (signal_similarity(vec, seg.vector) for seg in area.segments
              if seg.covers(vec.timestamp)), default=0.0) >= 0.2}
-        precision, recall, _ = precision_recall_f1(set(range(n_inside)),
-                                                   detected)
+        precision, recall, _ = prf_brute(set(range(n_inside)), detected)
         assert run_inout_suite(preset, [seed], alpha=0.2) == [dict(
             seed=seed, alpha=0.2, precision=precision, recall=recall)]
 
 
 def inout_scores(area, inside, outside, alpha):
-    """The in/out core over an area profile and dict scans, inside first."""
-    return ev._inout_scores(_Columns.from_segments(area.segments),
-                            _ScanBatch.from_vectors([*inside, *outside]),
-                            len(inside), alpha)
+    """``run_inout_suite``'s scoring and evaluation over an area profile and
+    dict scans, inside first: precision and recall."""
+    scores, _ = _score_columns(_ScanBatch.from_vectors([*inside, *outside]),
+                               _Columns.from_segments(area.segments))
+    (point,) = sweep_scores(scores, np.arange(len(scores)) < len(inside),
+                            [alpha])
+    return point.precision, point.recall
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
@@ -314,11 +346,10 @@ class TestRobustnessSuite:
         env, layout = make_site("office", seed=1)
         data = collect_proximity_data(env, layout)
         truth = data.truth(2)
-        from wifitrace.evaluation import (pick_intersection, sweep_scores,
-                                          _prf_from_masks)
         alpha = pick_intersection(
             sweep_scores(data.scores(), truth, DEFAULT_ALPHA_GRID)).alpha
-        p, r, f1 = _prf_from_masks(truth, data.scores() >= alpha)
+        p, r, f1 = prf_brute(set(np.flatnonzero(truth).tolist()),
+                             set(np.flatnonzero(data.scores() >= alpha).tolist()))
         zero_filter = next(row for row in tables["filter"]
                            if row["filter_rate"] == 0.0)
         zero_noise = next(row for row in tables["noise"]
@@ -424,7 +455,7 @@ class TestRobustnessSuite:
                         if seg.covers(vec.timestamp)), default=0.0)
             if best >= alpha:
                 detected.add(i)
-        expected = precision_recall_f1(set(np.flatnonzero(truth)), detected)
+        expected = prf_brute(set(np.flatnonzero(truth).tolist()), detected)
         (row,) = tables["filter"]
         assert row["alpha"] == alpha
         assert (row["precision"], row["recall"], row["f1"]) == expected
@@ -500,7 +531,7 @@ class TestRobustnessSuite:
                         if seg.covers(vec.timestamp)), default=0.0)
             if best >= alpha:
                 detected.add(i)
-        expected = precision_recall_f1(set(np.flatnonzero(truth)), detected)
+        expected = prf_brute(set(np.flatnonzero(truth).tolist()), detected)
         (row,) = tables["noise"]
         assert row["alpha"] == alpha
         assert (row["precision"], row["recall"], row["f1"]) == expected

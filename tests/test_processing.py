@@ -1,3 +1,4 @@
+import re
 from itertools import accumulate
 
 import pytest
@@ -143,6 +144,22 @@ class TestBuildCaseProfile:
         with pytest.raises(ValueError, match="entries"):
             build_case_profile(walk, LifespanSchedule(per_segment=[1, 2]))
 
+    @pytest.mark.parametrize("max_gap", [float("nan"), float("inf"), -1, 1.5])
+    def test_max_gap_must_be_whole_seconds(self, max_gap):
+        # a pair 9 940 s apart, which no whole max_gap under 9 940 keeps
+        walk = SignalProfile([SignalVector({X: -50}, 0),
+                              SignalVector({X: -51}, 9_940)])
+        with pytest.raises(ValueError, match="^max_gap must be a whole number "
+                           rf"of seconds >= 0, got {re.escape(repr(max_gap))}$"):
+            build_case_profile(walk, LifespanSchedule(), max_gap=max_gap)
+
+    def test_whole_float_max_gap_is_its_int(self):
+        walk = SignalProfile([SignalVector({X: -50}, 0),
+                              SignalVector({X: -51}, 60),
+                              SignalVector({X: -52}, 200)])
+        assert build_case_profile(walk, LifespanSchedule(), max_gap=60.0) == \
+            build_case_profile(walk, LifespanSchedule(), max_gap=60)
+
     def test_segment_ids_are_pair_unions(self, rng):
         walk = make_profile(rng, n_vectors=6, max_ids=6)
         profile = build_case_profile(walk, LifespanSchedule(default=60),
@@ -231,6 +248,26 @@ class TestBuildAreaProfile:
     def test_empty_survey_rejected(self):
         with pytest.raises(InsufficientDataError):
             build_area_profile(SignalProfile([]), 0, 600, 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("lifespan", 1.5), ("lifespan", float("nan")),
+        ("lifespan", float("inf")), ("lifespan", -1),
+        ("stay_start", 0.5), ("stay_start", float("nan")),
+        ("stay_end", 60.7), ("stay_end", float("inf"))])
+    def test_times_must_be_whole_seconds(self, name, value):
+        walk = SignalProfile([SignalVector({X: -40}, 0)])
+        times = {**dict(stay_start=0, stay_end=60, lifespan=0), name: value}
+        floor = " >= 0" if name == "lifespan" else ""
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number "
+                           f"of seconds{floor}, got {re.escape(repr(value))}$"):
+            build_area_profile(walk, **times)
+
+    def test_whole_times_kept_as_ints_and_stays_may_be_negative(self):
+        walk = SignalProfile([SignalVector({X: -40}, 0)])
+        (seg,) = build_area_profile(walk, -60.0, 0.0, 30.0).segments
+        assert (seg.t_start, seg.t_end) == (-60, 30)
+        assert build_area_profile(walk, -60.0, 0.0, 30.0) == \
+            build_area_profile(walk, -60, 0, 30)
 
     def test_backwards_stay_rejected(self):
         walk = SignalProfile([SignalVector({X: -40}, 0)])

@@ -14,12 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wifitrace import similarity
 from wifitrace.detection import ContactFlag, DetectionConfig, detect_contacts
-from wifitrace.evaluation import (
-    ProximityData,
-    _inout_scores,
-    precision_recall_f1,
-    record_score,
-)
+from wifitrace.evaluation import ProximityData, record_score, sweep_scores
 from wifitrace.model import (
     ProcessedProfile,
     ProcessedVector,
@@ -32,6 +27,7 @@ from wifitrace.similarity import _Columns, _ScanBatch, signal_similarity
 from wifitrace.simulator import _drop_batch_ids
 
 from conftest import ID_POOL, make_processed, make_vector
+from oracles import prf_brute
 
 POOL = ID_POOL[:10]  # small, so scans and segments share ids often
 
@@ -149,10 +145,12 @@ def test_inout_study_matches_per_pair_loop(cells, inside, outside, area, alpha):
     truth = set(range(len(inside)))
     detected = {i for i, vec in enumerate(scans)
                 if reference_best(vec, area.segments) >= alpha}
-    expected = precision_recall_f1(truth, detected)[:2]
-    assert _inout_scores(similarity._Columns.from_segments(area.segments),
-                         _ScanBatch.from_vectors(scans), len(inside),
-                         alpha) == expected
+    # run_inout_suite's scoring and evaluation of its spot batch
+    scores, _ = similarity._score_columns(_ScanBatch.from_vectors(scans),
+                                          _Columns.from_segments(area.segments))
+    (point,) = sweep_scores(scores, np.arange(len(scans)) < len(inside),
+                            [alpha])
+    assert (point.precision, point.recall) == prf_brute(truth, detected)[:2]
 
 
 # scans may also hold ids that no segment holds
