@@ -50,6 +50,7 @@ from .simulator import (
     _check_perturbation,
     _drop_batch_ids,
     _perturb_batch,
+    _sampling_period,
     _simulate_batch,
     make_site,
     stationary,
@@ -271,8 +272,7 @@ class RobustnessKnobs:
         for std in self.noise_stds:
             _check_perturbation(noise_std=std)
         for period in self.sampling_periods:
-            if not period > 0:
-                raise ValueError(f"sampling period must be positive, got {period}")
+            _sampling_period(period, "sampling period")
         for bias, rate in self.device_pairs:
             DeviceParams(bias, rate)  # a finite bias, a rate in (0, 1]
 

@@ -18,8 +18,9 @@ order, so a record's id is its position: replay refuses a log whose ids
 skip or repeat. Publishing identical bytes twice returns the original record
 id. In memory the server keeps only an index: each record's publish time,
 frame offset and frame length, and the digests of the payloads.
-``fetch_since`` reads the picked frames back from the log, and a GET streams
-them from the log to the socket with ``sendfile``.
+``fetch_since`` reads from the log the runs of frames that a GET streams to
+the socket with ``sendfile``; the frame reader takes a byte count and reads
+any stream, seekable or not.
 """
 
 from __future__ import annotations
@@ -84,31 +85,32 @@ _HEADER = re.compile(
 _MAX_HEADER_LINE = 79  # one byte past the longest header _HEADER matches
 
 
-def _frames(
-        stream: io.BufferedIOBase) -> Iterator[tuple[int, int, PublishedRecord]]:
-    """Parse frames from a seekable binary stream one at a time; yields each
-    record with the offsets where its frame starts and ends, and stops at
-    the first frame that is not whole and well formed."""
-    size = stream.seek(0, os.SEEK_END)
-    start = stream.seek(0)
-    while header := _HEADER.fullmatch(stream.readline(_MAX_HEADER_LINE)):
+def _frames(stream: io.BufferedIOBase,
+            size: int) -> Iterator[tuple[int, int, PublishedRecord]]:
+    """Parse frames from the next ``size`` bytes of any binary stream one at
+    a time, reading no byte past them; yields each record with the offsets,
+    from where the stream stood, where its frame starts and ends, and stops
+    at the first frame that is not whole and well formed."""
+    start = 0
+    while header := _HEADER.fullmatch(
+            stream.readline(min(_MAX_HEADER_LINE, size - start))):
         rid, at, length = map(int, header.groups())
-        if stream.tell() + length >= size:  # torn: the payload is not all there
+        end = start + len(header[0]) + length + 1
+        if end > size:  # torn: the payload is not all there
             return
         payload = stream.read(length)
         if stream.read(1) != b"\n":
             return
-        end = stream.tell()
         yield start, end, PublishedRecord(rid, payload, at)
         start = end
 
 
-def _read_frames(
-        stream: io.BufferedIOBase) -> tuple[list[PublishedRecord], int]:
+def _read_frames(stream: io.BufferedIOBase,
+                 size: int) -> tuple[list[PublishedRecord], int]:
     """The records of ``_frames`` and the offset just past the last good
     frame."""
     records, good = [], 0
-    for _, good, record in _frames(stream):
+    for _, good, record in _frames(stream, size):
         records.append(record)
     return records, good
 
@@ -176,7 +178,8 @@ class ProfileStore:
         # holds the index, never the log
         index, by_digest, good = [], {}, 0
         with open(self.log_path, "r+b") as fh:
-            for start, good, record in _frames(fh):
+            size = os.fstat(fh.fileno()).st_size
+            for start, good, record in _frames(fh, size):
                 if record.record_id != len(index) + 1:
                     # the index finds a record by its id: refuse the log,
                     # and leave it as it is
@@ -186,7 +189,7 @@ class ProfileStore:
                 payload = record.profile_bytes
                 by_digest[hashlib.sha256(payload).digest()] = record.record_id
                 index.append(_Entry(record.published_at, start, good - start))
-            if fh.seek(0, os.SEEK_END) > good:
+            if size > good:
                 # torn tail from a crash mid-append: drop it
                 fh.truncate(good)
         self._index = index
@@ -240,46 +243,41 @@ class ProfileStore:
             self._by_digest[digest] = record.record_id
             return record.record_id
 
-    def _pick(self, last_record_id: int,
-              now: int | None) -> list[tuple[int, _Entry]]:
-        """The unexpired entries newer than the cursor with their ids,
-        ascending by id."""
-        if last_record_id < 0:
-            raise ValueError("lastRecordId must be >= 0")
-        now = int(time.time()) if now is None else int(now)
-        horizon = now - self.retention_days * 86400
-        with self._lock:
-            tail = self._index[last_record_id:]
-        # publish times need not ascend (clocks, the ``now`` argument)
-        return [(record_id, e)
-                for record_id, e in enumerate(tail, last_record_id + 1)
-                if e.published_at >= horizon]
-
     def fetch_since(
         self, last_record_id: int, now: int | None = None
     ) -> list[PublishedRecord]:
         """All unexpired records newer than the cursor, ascending by id."""
         records = []
         with open(self.log_path, "rb") as log:
-            for record_id, e in self._pick(last_record_id, now):
-                log.seek(e.offset)
-                read, good = _read_frames(io.BytesIO(log.read(e.frame_len)))
-                if good < e.frame_len:
+            for first, offset, length in self.frame_runs(last_record_id, now):
+                log.seek(offset)
+                read, good = _read_frames(log, length)
+                if good < length:
                     raise OSError(f"{self.log_path} is cut short in "
-                                  f"record {record_id}")
+                                  f"record {first + len(read)}")
                 records += read
         return records
 
-    def frame_runs(self, last_record_id: int) -> list[tuple[int, int]]:
-        """The log's byte ranges, as (offset, length), that hold the frames
-        of ``fetch_since``'s records in order: one range per run of frames
-        adjacent in the log."""
-        runs: list[tuple[int, int]] = []
-        for _, e in self._pick(last_record_id, None):
-            if runs and sum(runs[-1]) == e.offset:
-                runs[-1] = (runs[-1][0], runs[-1][1] + e.frame_len)
+    def frame_runs(self, last_record_id: int, now: int | None = None
+                   ) -> list[tuple[int, int, int]]:
+        """The frames of the unexpired records newer than the cursor, in
+        order, as the log's byte ranges that hold them: (first id, offset,
+        length) for each run of frames adjacent in the log."""
+        if last_record_id < 0:
+            raise ValueError("lastRecordId must be >= 0")
+        now = int(time.time()) if now is None else int(now)
+        horizon = now - self.retention_days * 86400
+        with self._lock:
+            tail = self._index[last_record_id:]
+        runs: list[tuple[int, int, int]] = []
+        for record_id, e in enumerate(tail, last_record_id + 1):
+            # publish times need not ascend (clocks, the ``now`` argument)
+            if e.published_at < horizon:
+                continue
+            if runs and runs[-1][1] + runs[-1][2] == e.offset:
+                runs[-1] = (*runs[-1][:2], runs[-1][2] + e.frame_len)
             else:
-                runs.append((e.offset, e.frame_len))
+                runs.append((record_id, e.offset, e.frame_len))
         return runs
 
 
@@ -362,9 +360,9 @@ class _ExchangeHandler(BaseHTTPRequestHandler):
         store = self.server.store
         with open(store.log_path, "rb") as log:
             runs = store.frame_runs(since)
-            self._send_head(200, sum(n for _, n in runs),
+            self._send_head(200, sum(n for _, _, n in runs),
                             "application/octet-stream")
-            for offset, count in runs:
+            for _, offset, count in runs:
                 if self.connection.sendfile(log, offset, count) < count:
                     # the log shrank under the relay: hang up, so that a
                     # client keeping the connection open sees the reply end
@@ -459,7 +457,7 @@ def publish(endpoint: str, profile_bytes: bytes,
 def fetch_since(endpoint: str, last_record_id: int) -> list[PublishedRecord]:
     """Download all records newer than the cursor."""
     body = _request(f"{endpoint}/v1/profiles?since={int(last_record_id)}")
-    records, good = _read_frames(io.BytesIO(body))
+    records, good = _read_frames(io.BytesIO(body), len(body))
     if good != len(body):
         raise ExchangeError("malformed frame in server response")
     # the cursor advances to the last id, so each must be past the one before

@@ -49,6 +49,7 @@ from .model import (
     SignalId,
     SignalProfile,
     SignalVector,
+    _whole_seconds,
 )
 from .processing import build_case_profile
 from .profileio import write_profile
@@ -356,11 +357,19 @@ def sample_scan(
     return vec
 
 
+def _sampling_period(value, name: str = "sampling_period") -> int:
+    """``value`` as an int: a whole number of seconds above 0. Anything else
+    raises a ValueError that names ``name``."""
+    period = _whole_seconds(value, name, signed=True)
+    if period <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return period
+
+
 def scan_times(t_start: int, t_end: int, sampling_period: int) -> list[int]:
     """Scan instants [t_start, t_end) at the given period; at least one."""
-    if sampling_period <= 0:
-        raise ValueError("sampling_period must be positive")
-    return list(range(t_start, t_end, sampling_period)) or [t_start]
+    period = _sampling_period(sampling_period)
+    return list(range(t_start, t_end, period)) or [t_start]
 
 
 def simulate_profile(
@@ -516,8 +525,10 @@ class Scenario:
     USER_STREAM = 1
 
     def __post_init__(self) -> None:
-        # [case] lifespan and [perturb] fail here, before any scan is
-        # simulated
+        # [case] lifespan, both sampling periods and [perturb] fail here,
+        # before any scan is simulated
+        _sampling_period(self.case_period, "case sampling_period")
+        _sampling_period(self.user_period, "user sampling_period")
         LifespanSchedule(self.lifespan)
         _check_perturbation(self.filter_rate, self.noise_std)
 

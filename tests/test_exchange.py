@@ -1,6 +1,7 @@
 import contextlib
 import http.client
 import io
+import itertools
 import os
 import socket
 import stat
@@ -12,9 +13,12 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from wifitrace import exchange
 from wifitrace.cli import main
@@ -26,6 +30,7 @@ from wifitrace.exchange import (
     SyncState,
     _MAX_BODY_BYTES,
     _frame,
+    _frames,
     _read_frames,
     client_sync,
     fetch_since,
@@ -362,13 +367,13 @@ class TestProfileStore:
         assert peak < 4 * published / 40
 
     def test_concurrent_publishes_totally_ordered(self, store):
-        ids = []
+        acked = []
         lock = threading.Lock()
 
         def worker(i):
             rid = store.publish(processed_bytes(f"case-{i}"))
             with lock:
-                ids.append(rid)
+                acked.append((rid, processed_bytes(f"case-{i}")))
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(100)]
@@ -376,9 +381,116 @@ class TestProfileStore:
             t.start()
         for t in threads:
             t.join()
-        assert sorted(ids) == list(range(1, 101))
+        assert sorted(rid for rid, _ in acked) == list(range(1, 101))
         fetched = store.fetch_since(0)
         assert [r.record_id for r in fetched] == list(range(1, 101))
+        # the log replays to exactly the acknowledged records
+        replayed = ProfileStore(store.log_path.parent).fetch_since(0)
+        assert [(r.record_id, r.profile_bytes)
+                for r in replayed] == sorted(acked)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """A real store next to a model of the records it acknowledged, through
+    duplicates, refused bodies, failed fsyncs, crashes mid-append, restarts
+    and fetches at the retention horizon."""
+
+    DAY = 86_400
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.TemporaryDirectory()
+        self.store = ProfileStore(self.dir.name, retention_days=1)
+        self.model: list[PublishedRecord] = []
+        self.labels = itertools.count()
+        self.cursor, self.now = 0, 0
+
+    def teardown(self):
+        self.dir.cleanup()
+
+    def new_body(self) -> bytes:
+        return processed_bytes(f"case-{next(self.labels)}")
+
+    @rule(at=st.integers(0, 3 * DAY))
+    def publish_new(self, at):
+        record = PublishedRecord(len(self.model) + 1, self.new_body(), at)
+        assert self.store.publish(record.profile_bytes,
+                                  now=at) == record.record_id
+        self.model.append(record)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), at=st.integers(0, 3 * DAY))
+    def publish_again(self, data, at):
+        record = data.draw(st.sampled_from(self.model))
+        assert self.store.publish(record.profile_bytes,
+                                  now=at) == record.record_id
+
+    @rule(body=st.sampled_from([
+        b"", b"vcontact/1 processed\nt=10..5\n", processed_bytes()[:-7],
+        serialize_profile(SignalProfile([SignalVector({X: -50}, 0)])),
+    ]))
+    def publish_invalid(self, body):
+        log = self.store.log_path.read_bytes()
+        with pytest.raises(ProfileFormatError):
+            self.store.publish(body)
+        assert self.store.log_path.read_bytes() == log
+
+    @rule()
+    def publish_while_fsync_fails(self):
+        log = self.store.log_path.read_bytes()
+        with mock.patch.object(exchange.os, "fsync",
+                               side_effect=OSError("fsync failed")):
+            with pytest.raises(OSError, match="fsync failed"):
+                self.store.publish(self.new_body())
+        assert self.store.log_path.read_bytes() == log
+
+    @rule(data=st.data(), at=st.integers(0, 3 * DAY))
+    def crash_mid_append(self, data, at):
+        frame = _frame(PublishedRecord(len(self.model) + 1, self.new_body(),
+                                       at))
+        cut = data.draw(st.integers(1, len(frame) - 1))
+        with open(self.store.log_path, "ab") as log:
+            log.write(frame[:cut])
+        self.restart()
+
+    @rule()
+    def restart(self):
+        self.store = ProfileStore(self.dir.name, retention_days=1)
+
+    @rule(data=st.data())
+    def fetch(self, data):
+        self.cursor = data.draw(st.integers(0, len(self.model) + 1))
+        if self.model:
+            at = data.draw(st.sampled_from(self.model)).published_at
+            # on the record's horizon, or one second past it
+            self.now = at + self.DAY + data.draw(st.integers(0, 1))
+
+    @invariant()
+    def ids_are_dense(self):
+        n = len(self.model)
+        assert self.store.last_record_id == n
+        assert [r.record_id for r in self.store.fetch_since(0, now=0)] == (
+            list(range(1, n + 1)))
+
+    @invariant()
+    def fetch_gives_the_unexpired_records(self):
+        want = [r for r in self.model if r.record_id > self.cursor
+                and r.published_at >= self.now - self.DAY]
+        assert self.store.fetch_since(self.cursor, now=self.now) == want
+        # a GET sends the log's bytes at these runs, one run per gap
+        runs = self.store.frame_runs(self.cursor, now=self.now)
+        log = self.store.log_path.read_bytes()
+        assert b"".join(log[offset:offset + length]
+                        for _, offset, length in runs) == (
+            b"".join(map(_frame, want)))
+        assert [first for first, _, _ in runs] == [
+            r.record_id for i, r in enumerate(want)
+            if i == 0 or want[i - 1].record_id != r.record_id - 1]
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(max_examples=60, stateful_step_count=25,
+                                     deadline=None)
 
 
 class TestWireProtocol:
@@ -568,7 +680,7 @@ class TestWireProtocol:
             publish(server.endpoint, processed_bytes(label))
         raw = urllib.request.urlopen(
             f"{server.endpoint}/v1/profiles?since=0").read()
-        records, consumed = _read_frames(io.BytesIO(raw))
+        records, consumed = _read_frames(io.BytesIO(raw), len(raw))
         assert consumed == len(raw)
         assert [r.record_id for r in records] == [1, 2]
 
@@ -592,6 +704,7 @@ class TestWireProtocol:
         assert len(store.frame_runs(0)) == 2
         want = wire_frame(1, now, bodies[0]) + wire_frame(3, now, bodies[2])
         assert get_profiles(server.endpoint, 0) == (str(len(want)), want)
+        assert b"".join(map(_frame, store.fetch_since(0))) == want
         want = wire_frame(3, now, bodies[2])
         assert get_profiles(server.endpoint, 1) == (str(len(want)), want)
 
@@ -697,9 +810,19 @@ def test_a_signal_body_of_distinct_ids_costs_the_relay_its_size(store):
     assert peak < 9 * len(data)
 
 
+# frames, or any bytes: what a log or a response may hold
+FRAMED_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.builds(PublishedRecord, st.integers(0, 10**6),
+                       st.binary(max_size=12), st.integers(-10**10, 10**10)),
+             max_size=4).map(lambda rs: b"".join(map(_frame, rs))),
+)
+
+
 class TestFrames:
     def test_negative_length_rejected(self):
-        assert _read_frames(io.BytesIO(b"record id=1 at=0 len=-1\n")) == ([], 0)
+        data = b"record id=1 at=0 len=-1\n"
+        assert _read_frames(io.BytesIO(data), len(data)) == ([], 0)
 
     @pytest.mark.parametrize("header", [
         b"record id=+1 at=0 len=1\n", b"record id=01 at=0 len=1\n",
@@ -709,14 +832,16 @@ class TestFrames:
     ])
     def test_only_canonical_headers(self, header):
         good = _frame(PublishedRecord(1, b"x", 0))
-        records, consumed = _read_frames(io.BytesIO(good + header + b"x\n"))
+        data = good + header + b"x\n"
+        records, consumed = _read_frames(io.BytesIO(data), len(data))
         assert consumed == len(good) and len(records) == 1
 
     def test_a_length_past_the_end_is_never_read(self, tmp_path):
         # 19 digits pass the header pattern but are no size a read can take
         good = PublishedRecord(1, b"x", 0)
         data = _frame(good) + b"record id=2 at=0 len=9999999999999999999\nx\n"
-        assert _read_frames(io.BytesIO(data)) == ([good], len(_frame(good)))
+        assert _read_frames(io.BytesIO(data), len(data)) == (
+            [good], len(_frame(good)))
         (tmp_path / "s").mkdir()
         log = tmp_path / "s" / ProfileStore.LOG_NAME
         log.write_bytes(data)
@@ -754,17 +879,36 @@ class TestFrames:
             fetch_since("http://relay.invalid", 0)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(
-        st.binary(max_size=64),
-        st.lists(st.builds(PublishedRecord, st.integers(0, 10**6),
-                           st.binary(max_size=12), st.integers(-10**10, 10**10)),
-                 max_size=4).map(lambda rs: b"".join(map(_frame, rs))),
-    ), st.binary(max_size=8), st.integers(0, 64))
+    @given(FRAMED_BYTES, st.binary(max_size=8), st.integers(0, 64))
     def test_parsed_prefix_reframes_exactly(self, clean, noise, at):
         data = clean[:at] + noise + clean[at:]
-        records, good = _read_frames(io.BytesIO(data))
+        records, good = _read_frames(io.BytesIO(data), len(data))
         assert 0 <= good <= len(data)
         assert b"".join(_frame(r) for r in records) == data[:good]
+
+    def test_a_pipe_reads_like_a_seekable_stream(self):
+        frames = [_frame(PublishedRecord(rid, processed_bytes(str(rid)), rid))
+                  for rid in (1, 2, 3)]
+        data = b"".join(frames)
+        size = len(data) - len(frames[2])  # the third frame lies past size
+        read, write = os.pipe()
+        with open(write, "wb") as sink:
+            sink.write(data)
+        with open(read, "rb") as stream:
+            assert not stream.seekable()
+            assert list(_frames(stream, size)) == list(
+                _frames(io.BytesIO(data), size))
+            # the reader stopped exactly at size
+            assert stream.read() == frames[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(FRAMED_BYTES, st.data())
+    def test_a_size_reads_as_the_bytes_cut_there(self, data, draw):
+        size = draw.draw(st.integers(0, len(data) + 1))
+        stream = io.BytesIO(data)
+        assert _read_frames(stream, size) == _read_frames(
+            io.BytesIO(data[:size]), size)
+        assert stream.tell() <= size
 
 
 class TestClientSync:

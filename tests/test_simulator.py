@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from wifitrace.evaluation import random_walk
+from wifitrace.evaluation import RobustnessKnobs, random_walk
 from wifitrace.model import RSSI_CEIL, RSSI_FLOOR, SignalProfile, SignalVector
 from wifitrace.profileio import parse_profile, serialize_profile
 from wifitrace.similarity import _ScanBatch, signal_similarity
@@ -26,6 +26,7 @@ from wifitrace.simulator import (
     make_site,
     perturb_rssi_noise,
     sample_scan,
+    scan_times,
     simulate_profile,
     stationary,
 )
@@ -418,6 +419,30 @@ def test_scenario_rejects_a_bad_lifespan_before_simulating(lifespan):
     walk = stationary((6.0, 6.0), 0, 60)
     with pytest.raises(ValueError, match="lifespan"):
         Scenario(grid_env(), walk, walk, lifespan=lifespan)
+
+
+# each message follows the name of the period
+@pytest.mark.parametrize("period, message", [
+    (20.5, "must be a whole number of seconds, got 20.5"),
+    (math.inf, "must be a whole number of seconds, got inf"),
+    (math.nan, "must be a whole number of seconds, got nan"),
+    (0, "must be positive, got 0"),
+    (-1, "must be positive, got -1"),
+])
+def test_a_sampling_period_is_whole_seconds_above_zero(period, message):
+    with pytest.raises(ValueError, match=f"^sampling_period {message}$"):
+        scan_times(0, 100, period)
+    walk = stationary((6.0, 6.0), 0, 60)
+    for side in ("case", "user"):
+        with pytest.raises(ValueError,
+                           match=f"^{side} sampling_period {message}$"):
+            Scenario(grid_env(), walk, walk, **{f"{side}_period": period})
+    with pytest.raises(ValueError, match=f"^sampling period {message}$"):
+        RobustnessKnobs(sampling_periods=(10, period))
+
+
+def test_a_whole_float_sampling_period_is_taken_as_an_int():
+    assert scan_times(0, 100, 20.0) == [0, 20, 40, 60, 80]
 
 
 class TestScenarioConfig:
