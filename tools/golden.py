@@ -5,9 +5,11 @@
 
 Runs, in this one process, the four study commands on
 ``demos/scenarios/office_study.cfg`` (their CSVs and JSON summary lines),
-``simulate`` on both scenarios, every demo (its standard output), the
-baseline rows ``run_baseline_comparison`` returns for the office site, and a
-CLI exchange round (``publish`` of the ``lifespan_visit`` case, then
+``robustness`` on the mall preset (one seed, default knobs: its moving walk
+spans more than one block of simulated scans), ``simulate`` on both
+scenarios, every demo (its standard output), the baseline rows
+``run_baseline_comparison`` returns for the office site, and a CLI exchange
+round (``publish`` of the ``lifespan_visit`` case, then
 ``sync`` of its user, against a relay in a thread: the report and both
 summary lines). Output paths in summary lines read ``OUT``.
 
@@ -41,6 +43,7 @@ from wifitrace.exchange import ProfileStore, serve_in_thread  # noqa: E402
 
 STUDY_COMMANDS = ("calibrate", "proximity-study", "inout-study", "robustness")
 SCENARIO_NAMES = ("lifespan_visit", "moving_pair")
+MALL_STUDY = "[environment]\npreset = mall\n\n[study]\nseeds = 1\n"
 
 
 def _printed(run, *args) -> str:
@@ -66,6 +69,10 @@ def outputs(work: Path) -> dict[str, bytes]:
     text = {"study.jsonl": "".join(
         _cli(name, str(SCENARIOS / "office_study.cfg"), "--out",
              str(work / "study")) for name in STUDY_COMMANDS)}
+    mall = work / "mall_study.cfg"
+    mall.write_text(MALL_STUDY)
+    text["mall_study.jsonl"] = _cli("robustness", str(mall), "--out",
+                                    str(work / "mall_study"))
     for name in SCENARIO_NAMES:
         text[f"{name}.json"] = _cli(
             "simulate", str(SCENARIOS / f"{name}.cfg"), "--out",
@@ -90,7 +97,7 @@ def outputs(work: Path) -> dict[str, bytes]:
     for path in sorted(work.rglob("*")):
         name = path.relative_to(work).as_posix()
         if path.is_file() and name.split("/")[0] in (
-                "study", "exchange", *SCENARIO_NAMES):
+                "study", "mall_study", "exchange", *SCENARIO_NAMES):
             found[name] = path.read_bytes()
     return dict(sorted(found.items()))
 
