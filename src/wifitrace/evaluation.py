@@ -16,8 +16,9 @@ noise and sampling rows sweep a one-point grid, the seed's alpha, and the
 in/out rows one at the configured alpha; a sampling row's truth marks every
 user scan. Every table of a seed reads that seed's drill (README,
 "Studies": which tables keep the seed's alpha, which recalibrate). The
-robustness suite perturbs the drill's batch and scores the copies, and its
-device table simulates one more batch per phone model. The in/out study
+robustness suite perturbs the drill's batch and scores the copies; its
+device table reads one batch per phone model and its sampling table one
+per period, each built from the seed's one set of draws. The in/out study
 scores a batch of test spots against area columns from a survey batch,
 time-gated like every score: the area's window, from arrival to departure
 plus the lifespan, holds every test scan. No table builds a dict per scan.
@@ -52,6 +53,7 @@ from .simulator import (
     _perturb_batch,
     _sampling_period,
     _simulate_batch,
+    _simulate_variants,
     make_site,
     stationary,
 )
@@ -199,14 +201,16 @@ def collect_proximity_data(env: SimEnvironment,
     Case and users record simultaneously over the drill; the case's scans
     are processed with zero lifespan.
     """
-    return _proximity_data(env, layout, _case_batch(env, layout))
+    (users,) = _user_drill(env, layout)
+    return _proximity_data(_case_batch(env, layout), users)
 
 
-def _proximity_data(env: SimEnvironment, layout: SiteLayout,
-                    case: _ScanBatch) -> ProximityData:
-    """The drill's data, from the case's raw scans ``_case_batch`` made."""
+def _proximity_data(case: _ScanBatch, users: _ScanBatch) -> ProximityData:
+    """The drill's data, from the case's raw scans ``_case_batch`` made and
+    one device's user scans ``_user_drill`` made."""
     columns = _case_columns(case, _NO_LIFESPAN, DEFAULT_MAX_GAP)
-    return ProximityData(columns, *_user_drill(env, layout, DeviceParams()))
+    return ProximityData(columns, users, np.repeat(
+        np.array(_POSITIONS, dtype=float), _DRILL_SCANS))
 
 
 def case_raw_vectors(env: SimEnvironment, layout: SiteLayout) -> SignalProfile:
@@ -221,14 +225,16 @@ def _case_batch(env: SimEnvironment, layout: SiteLayout) -> _ScanBatch:
     return _simulate_batch(env, [(walk, _CASE_STREAM)], _DRILL_PERIOD)
 
 
-def _user_drill(env: SimEnvironment, layout: SiteLayout, device: DeviceParams
-                ) -> tuple[_ScanBatch, np.ndarray]:
-    """Every position's scans by a user device as one batch, position by
-    position, and each scan's distance in m."""
-    walks = [(stationary(layout.line_position(i), 0, _DRILL_DURATION, device),
+def _user_drill(env: SimEnvironment, layout: SiteLayout,
+                devices: Sequence[DeviceParams] = (DeviceParams(),)
+                ) -> list[_ScanBatch]:
+    """Every position's user scans as one batch per device, position by
+    position (a scan at position i is ``_POSITIONS[i]`` m from the case);
+    the devices read the same draws."""
+    walks = [(stationary(layout.line_position(i), 0, _DRILL_DURATION),
               _USER_STREAM + i) for i in _POSITIONS]
-    return (_simulate_batch(env, walks, _DRILL_PERIOD),
-            np.repeat(np.array(_POSITIONS, dtype=float), _DRILL_SCANS))
+    return _simulate_variants(env, walks,
+                              [(device, _DRILL_PERIOD) for device in devices])
 
 
 # --- studies ------------------------------------------------------------------
@@ -385,7 +391,8 @@ def run_baseline_comparison(preset: str, proximities: Sequence[float],
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
         case = _case_batch(env, layout)
-        data = _proximity_data(env, layout, case)
+        (users,) = _user_drill(env, layout)
+        data = _proximity_data(case, users)
         per_metric = {"similarity": (data.scores(), DEFAULT_ALPHA_GRID, False)}
         baselines = _baseline_scores(data.scans, case)
         for m, scores in zip(("jaccard", "amd", "aed"), baselines):
@@ -458,7 +465,10 @@ def run_robustness_suite(
     filter_rows, noise_rows, device_rows, sampling_rows = [], [], [], []
     for seed in seeds:
         env, layout = make_site(preset, seed=seed, **site_kwargs)
-        data = collect_proximity_data(env, layout)
+        # the plain user device and every phone model read the same draws
+        users, *hetero = _user_drill(env, layout, [DeviceParams()] + [
+            DeviceParams(*pair) for pair in knobs.device_pairs])
+        data = _proximity_data(_case_batch(env, layout), users)
         truth = data.truth(proximity)
         alpha = calibrate(data.scores(), truth).alpha
 
@@ -481,19 +491,19 @@ def run_robustness_suite(
                 rows.append(point_row(point, seed=seed, **{knob: value}))
 
         # another phone model: its own user scans against the same case segments
-        for bias, rate in knobs.device_pairs:
-            hetero, _ = _user_drill(env, layout, DeviceParams(bias, rate))
+        for (bias, rate), scans in zip(knobs.device_pairs, hetero):
             device_rows.append(point_row(
-                calibrate(_score_columns(hetero, data.case)[0], truth),
+                calibrate(_score_columns(scans, data.case)[0], truth),
                 seed=seed, device_bias=bias, device_detect_rate=rate))
 
         # the same two walks at every sampling period
         walks = (random_walk(layout.site_area, 3600, env.seed),
                  random_walk(layout.site_area, 3600, env.seed, offset=0.25))
-        for period in knobs.sampling_periods:
-            recall = _moving_recall(env, walks, period, alpha)
-            sampling_rows.append(dict(seed=seed, sampling_period=period,
-                                      alpha=alpha, recall=recall))
+        recalls = _moving_recalls(env, walks, knobs.sampling_periods, alpha)
+        sampling_rows += [dict(seed=seed, sampling_period=period, alpha=alpha,
+                               recall=recall)
+                          for period, recall in zip(knobs.sampling_periods,
+                                                    recalls)]
 
     return {
         "filter": filter_rows,
@@ -503,20 +513,28 @@ def run_robustness_suite(
     }
 
 
-def _moving_recall(env: SimEnvironment,
-                   walks: tuple[SimTrajectory, SimTrajectory], period: int,
-                   alpha: float) -> float:
-    """Recall for two devices walking together (the case's walk, then the
-    user's), both sampling at the given interval; every user scan is a
-    ground-truth contact (the pair stays well inside the contact proximity)."""
-    case_walk = _simulate_batch(env, [(walks[0], _CASE_STREAM + 500)], period)
-    if len(case_walk) < 2:
-        return 0.0
-    case = _case_columns(case_walk, _NO_LIFESPAN, max(600, period + 1))
-    user_walk = _simulate_batch(env, [(walks[1], _USER_STREAM + 500)], period)
-    scores, _ = _score_columns(user_walk, case)
-    (point,) = sweep_scores(scores, np.ones(len(scores), dtype=bool), [alpha])
-    return point.recall
+def _moving_recalls(env: SimEnvironment,
+                    walks: tuple[SimTrajectory, SimTrajectory],
+                    periods: Sequence[int], alpha: float) -> list[float]:
+    """Recall at each sampling period for two devices walking together (the
+    case's walk, then the user's), both sampling at that interval; every
+    user scan is a ground-truth contact (the pair stays well inside the
+    contact proximity). A period with fewer than 2 case scans, so no
+    segment, reads 0.0."""
+    variants = [(None, period) for period in periods]
+    cases = _simulate_variants(env, [(walks[0], _CASE_STREAM + 500)], variants)
+    users = _simulate_variants(env, [(walks[1], _USER_STREAM + 500)], variants)
+    recalls = []
+    for period, case_walk, user_walk in zip(periods, cases, users):
+        if len(case_walk) < 2:
+            recalls.append(0.0)
+            continue
+        case = _case_columns(case_walk, _NO_LIFESPAN, max(600, period + 1))
+        scores, _ = _score_columns(user_walk, case)
+        (point,) = sweep_scores(scores, np.ones(len(scores), dtype=bool),
+                                [alpha])
+        recalls.append(point.recall)
+    return recalls
 
 
 # --- output ----------------------------------------------------------------------

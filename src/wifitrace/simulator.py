@@ -12,16 +12,22 @@ reproducible in isolation and independent of evaluation order. Where the
 seed, the stream and every index of a block of scans each fit 32 bits, the
 block's generator states are computed at once (SeedSequence mixing and
 PCG64 seeding in numpy arithmetic) and set on one reused generator; the
-draws are the same either way.
+draws are the same either way. The draws (one standard normal, then one
+uniform, over all APs) depend on nothing else: not on the device, nor on
+the sampling period. ``_scan_draws`` takes them, and ``_readings`` turns
+them into a device's readings without writing to them, so a study draws
+each scan once per seed and builds every device and period variant from
+those draws (``_simulate_variants``).
 
 Scans are simulated into a ``similarity._ScanBatch``, the kernel's scan
 format: int64 times, a sorted vocabulary of exactly the ids the scans hold,
 and a dense int16 (scan x id) RSSI block with ``_UNHEARD`` where a scan
 lacks the id. ``_simulate_batch`` fills one with any number of walks, each
 with its own stream and scan indices from 0, so a study drill of several
-devices is one batch; ``_drop_batch_ids`` (a column mask) and
-``_perturb_batch`` (one masked operation over the block) are the one
-perturbation path, also under ``perturb_rssi_noise`` and
+positions is one batch, and ``_simulate_variants`` fills one per (device,
+sampling period) variant of the same walks. ``_drop_batch_ids`` (a column
+mask) and ``_perturb_batch`` (one masked operation over the block) are the
+one perturbation path, also under ``perturb_rssi_noise`` and
 ``Scenario.user_profile``. Dicts are built from a batch once, where a public
 name returns them, each scan's ids in id order; the draws stay in AP order.
 
@@ -249,17 +255,46 @@ def _simulate_batch(env: SimEnvironment,
                     sampling_period: int) -> _ScanBatch:
     """The scans of ``simulate_profile(env, trajectory, sampling_period,
     stream)`` for each ``(trajectory, stream)`` of ``walks``, in turn."""
-    times, blocks = [], []
+    (batch,) = _simulate_variants(env, walks, [(None, sampling_period)])
+    return batch
+
+
+def _simulate_variants(
+    env: SimEnvironment,
+    walks: Sequence[tuple[SimTrajectory, int]],
+    variants: Sequence[tuple[DeviceParams | None, int]],
+) -> list[_ScanBatch]:
+    """One batch per ``(device, sampling_period)`` of ``variants``: the
+    scans of ``_simulate_batch(env, walks, sampling_period)`` with every
+    walk carried by ``device`` (None keeps each trajectory's own).
+
+    Scan i of a walk draws the same numbers under every variant, so each
+    walk's draws are taken once, a block of scan indices at a time for the
+    variant with the most scans, and every variant reads its rows from
+    them; path loss is computed once per sampling period and block.
+    """
+    times = [[] for _ in variants]
+    blocks = [[] for _ in variants]
     step = max(1, _BLOCK // max(1, len(env.aps)))
     for trajectory, stream in walks:
-        walk_times = scan_times(trajectory.t_start, trajectory.t_end,
-                                sampling_period)
-        positions = trajectory._positions(walk_times)
-        times += walk_times
-        blocks += [_scan_readings(env, positions[lo:lo + step],
-                                  trajectory.device, stream, lo)
-                   for lo in range(0, len(walk_times), step)]
-    return _from_aps(env, times, np.concatenate(blocks))
+        walk_times = {period: scan_times(trajectory.t_start, trajectory.t_end,
+                                         period) for _, period in variants}
+        positions = {period: trajectory._positions(at)
+                     for period, at in walk_times.items()}
+        for (_, period), out in zip(variants, times):
+            out += walk_times[period]
+        longest = max(map(len, walk_times.values()), default=0)
+        for lo in range(0, longest, step):
+            means = {period: _path_loss(env, at[lo:lo + step])
+                     for period, at in positions.items() if len(at) > lo}
+            draws = _scan_draws(env, stream, lo, min(step, longest - lo))
+            for (device, period), out in zip(variants, blocks):
+                if period in means:
+                    mean = means[period]
+                    out.append(_readings(
+                        env, mean, [d[:len(mean)] for d in draws],
+                        trajectory.device if device is None else device))
+    return [_from_aps(env, t, np.concatenate(b)) for t, b in zip(times, blocks)]
 
 
 def _from_aps(env: SimEnvironment, times: list[int],
@@ -297,25 +332,27 @@ def _perturb_batch(batch: _ScanBatch, std: float,
     return _ScanBatch(batch.times, batch.ids, rssi)
 
 
-def _scan_readings(
-    env: SimEnvironment,
-    positions: np.ndarray,
-    device: DeviceParams,
-    stream: int,
-    first_index: int,
-) -> np.ndarray:
-    """One scan per row of ``positions`` as an int16 (scan x AP) block: the
-    RSSI where the AP is heard, _UNHEARD elsewhere.
+def _scan_draws(env: SimEnvironment, stream: int, first: int,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of scans first .. first + n - 1 of ``stream``: each scan's
+    standard normal over all APs, then its uniform over all APs, from its
+    own generator ``default_rng((env.seed, stream, index))``, as two
+    (scan x AP) blocks."""
+    normal = np.empty((n, len(env.aps)))
+    uniform = np.empty_like(normal)
+    if env.aps:
+        for i, rng in enumerate(_scan_rngs(env, stream, first, n)):
+            rng.standard_normal(out=normal[i])
+            rng.random(out=uniform[i])
+    return normal, uniform
 
-    Scan i draws from its own generator (env.seed, stream, first_index + i):
-    one normal over all APs, then one uniform over all APs. Path loss is
-    computed once per run of equal positions, so once for a stationary walk.
-    """
+
+def _path_loss(env: SimEnvironment, positions: np.ndarray) -> np.ndarray:
+    """The mean RSSI of every AP at each row of ``positions``, a (scan x
+    AP) block; computed once per run of equal positions, so once for a
+    stationary walk."""
     if not np.all(np.isfinite(positions)):
         raise ValueError("scan position must be finite")
-    n_aps = len(env.aps)
-    if n_aps == 0:
-        return np.empty((len(positions), 0), dtype=np.int16)
     moved = np.ones(len(positions), dtype=bool)
     moved[1:] = np.any(positions[1:] != positions[:-1], axis=1)
     spots = positions[moved]
@@ -325,14 +362,17 @@ def _scan_readings(
     mean = env._ap_tx - 10.0 * env.path_loss_exponent * np.log10(
         np.maximum(dist, 1.0)
     )
-    noise = np.empty((len(positions), n_aps))
-    uniform = np.empty_like(noise)
-    for i, rng in enumerate(_scan_rngs(env, stream, first_index, len(positions))):
-        rng.standard_normal(out=noise[i])
-        rng.random(out=uniform[i])
+    return mean[np.cumsum(moved) - 1]
+
+
+def _readings(env: SimEnvironment, mean: np.ndarray,
+              draws: Sequence[np.ndarray], device: DeviceParams) -> np.ndarray:
+    """One scan per row of ``mean`` as an int16 (scan x AP) block, from that
+    row's draws (``_scan_draws``), which stay as they are: the RSSI where
+    the AP is heard, _UNHEARD elsewhere."""
+    normal, uniform = draws
     # normal(0, std) draws exactly 0.0 + std * standard_normal
-    noise *= env.shadowing_std or 0.0
-    rssi = mean[np.cumsum(moved) - 1] + noise + device.bias
+    rssi = mean + (env.shadowing_std or 0.0) * normal + device.bias
     rssi = np.clip(np.rint(rssi), RSSI_FLOOR, RSSI_CEIL)
     heard = (rssi >= env.detection_floor) & (uniform < device.detect_rate)
     return np.where(heard, rssi, _UNHEARD).astype(np.int16)
@@ -351,8 +391,8 @@ def sample_scan(
     (stream, index) select the random draw; the same (env.seed, stream,
     index) always reproduces the same scan bit-for-bit.
     """
-    pos = np.asarray(position, dtype=float).reshape(1, 2)
-    block = _scan_readings(env, pos, device, stream, index)
+    mean = _path_loss(env, np.asarray(position, dtype=float).reshape(1, 2))
+    block = _readings(env, mean, _scan_draws(env, stream, index, 1), device)
     vec, = _from_aps(env, [int(timestamp)], block).vectors()
     return vec
 

@@ -2,9 +2,9 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from wifitrace import evaluation as ev
+from wifitrace import evaluation as ev, simulator
 from wifitrace.evaluation import (
     CSV_COLUMNS,
     CalibrationPoint,
@@ -19,17 +19,18 @@ from wifitrace.evaluation import (
     write_csv,
 )
 from wifitrace.model import (
+    LifespanSchedule,
     ProcessedProfile,
     ProcessedVector,
     ProfileSegment,
     SignalProfile,
     SignalVector,
 )
-from wifitrace.processing import build_area_profile
+from wifitrace.processing import _case_columns, build_area_profile
 from wifitrace.similarity import (_Columns, _ScanBatch, _score_columns, aed,
                                   amd, jaccard, signal_similarity)
-from wifitrace.simulator import (PRESET_NAMES, SimTrajectory, make_site,
-                                 simulate_profile, stationary)
+from wifitrace.simulator import (PRESET_NAMES, DeviceParams, SimTrajectory,
+                                 make_site, simulate_profile, stationary)
 
 from conftest import (ID_POOL, assert_same_columns, make_processed_profile,
                       make_vector)
@@ -334,7 +335,92 @@ def test_random_walk_refuses_an_area_too_small_to_walk(area):
         ev.random_walk(area, 60, 1)
 
 
+def rows_per_variant(preset, seed, knobs, proximity):
+    """The devices and sampling rows of ``run_robustness_suite`` for one
+    seed, each phone model's drill and each period's two walks simulated
+    by one ``_simulate_batch`` of their own."""
+    env, layout = make_site(preset, seed=seed)
+
+    def drill(device):
+        return ev._simulate_batch(env, [
+            (stationary(layout.line_position(i), 0, 600, device),
+             ev._USER_STREAM + i) for i in range(1, 11)], 5)
+
+    data = ev._proximity_data(ev._case_batch(env, layout),
+                              drill(DeviceParams()))
+    truth = data.truth(proximity)
+    alpha = calibrate(data.scores(), truth).alpha
+    devices = [ev.point_row(
+        calibrate(_score_columns(drill(DeviceParams(bias, rate)),
+                                 data.case)[0], truth),
+        seed=seed, device_bias=bias, device_detect_rate=rate)
+        for bias, rate in knobs.device_pairs]
+    case_walk, user_walk = (ev.random_walk(layout.site_area, 3600, seed,
+                                           offset=offset)
+                            for offset in (0.0, 0.25))
+    sampling = []
+    for period in knobs.sampling_periods:
+        case = ev._simulate_batch(
+            env, [(case_walk, ev._CASE_STREAM + 500)], period)
+        user = ev._simulate_batch(
+            env, [(user_walk, ev._USER_STREAM + 500)], period)
+        recall = 0.0
+        if len(case) >= 2:
+            scores, _ = _score_columns(user, _case_columns(
+                case, LifespanSchedule(default=0), max(600, period + 1)))
+            (point,) = sweep_scores(scores, np.ones(len(user), dtype=bool),
+                                    [alpha])
+            recall = point.recall
+        sampling.append(dict(seed=seed, sampling_period=period, alpha=alpha,
+                             recall=recall))
+    return devices, sampling
+
+
 class TestRobustnessSuite:
+    @settings(max_examples=12, deadline=None)
+    @given(preset=st.sampled_from(["office", "mall"]),
+           seed=st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(2**32, 2**64 - 1)),
+           periods=st.lists(st.sampled_from([10, 20, 45, 80, 600, 5000]),
+                            max_size=4),
+           pairs=st.lists(st.tuples(st.sampled_from([0.0, -3.0, 6.5]),
+                                    st.sampled_from([1.0, 0.9, 0.7])),
+                          max_size=3))
+    # periods out of order, repeated and longer than the walk; the plain
+    # device among the pairs, twice; a seed past 32 bits seeds scan by scan,
+    # and the mall's walk at 10 s spans two blocks of draws
+    @example(preset="mall", seed=2**32 + 1, periods=[80, 10, 10, 5000],
+             pairs=[(0.0, 1.0), (-3.0, 0.9), (0.0, 1.0)])
+    @example(preset="office", seed=1, periods=[80, 60, 40, 20, 10, 80],
+             pairs=[(-6.0, 0.7), (0.0, 1.0)])
+    def test_device_and_sampling_rows_equal_one_batch_per_variant(
+            self, preset, seed, periods, pairs):
+        knobs = ev.RobustnessKnobs(filter_rates=(), noise_stds=(),
+                                   sampling_periods=tuple(periods),
+                                   device_pairs=tuple(pairs))
+        tables = ev.run_robustness_suite(preset, (seed,), knobs)
+        devices, sampling = rows_per_variant(preset, seed, knobs,
+                                             ev.StudyParams.proximity)
+        assert tables["devices"] == devices
+        assert tables["sampling"] == sampling
+
+    def test_an_office_suite_builds_each_scan_generator_once(self,
+                                                             monkeypatch):
+        built = []
+        scan_rngs = simulator._scan_rngs
+
+        def counting(env, stream, first, n):
+            for rng in scan_rngs(env, stream, first, n):
+                built.append((stream, first))
+                first += 1
+                yield rng
+
+        monkeypatch.setattr(simulator, "_scan_rngs", counting)
+        ev.run_robustness_suite("office", (1,))
+        # the drill's 120 case and 1200 user scans, and 362 on each walk at
+        # 10 s; one generator per device pair and sampling period built 7602
+        assert len(built) == len(set(built)) == 2044
+
     def test_identity_perturbations_equal_baseline(self):
         from wifitrace.evaluation import (RobustnessKnobs,
                                           run_robustness_suite)
@@ -466,31 +552,30 @@ class TestRobustnessSuite:
                                           sweep_scores)
         from wifitrace.model import LifespanSchedule
         from wifitrace.processing import build_case_profile
-        from wifitrace import evaluation, simulator
         from wifitrace.simulator import (DeviceParams, perturb_rssi_noise,
                                          simulate_profile, stationary)
         seed, std, k = 1, 4.0, 2.0
         bias, rate = -3.0, 0.9
-        simulated = []
-        simulate = simulator._simulate_batch
+        drawn = []
+        draw = simulator._scan_draws
 
-        def counting(env, walks, sampling_period):
-            simulated.extend(stream for _, stream in walks)
-            return simulate(env, walks, sampling_period)
+        def counting(env, stream, first, n):
+            drawn.extend((stream, i) for i in range(first, first + n))
+            return draw(env, stream, first, n)
 
-        # every simulated stream, dict or batch, goes through the batch
-        # simulator
-        monkeypatch.setattr(simulator, "_simulate_batch", counting)
-        monkeypatch.setattr(evaluation, "_simulate_batch", counting)
+        # every simulated scan, dict or batch, takes its draws here
+        monkeypatch.setattr(simulator, "_scan_draws", counting)
         tables = run_robustness_suite(
             "office", seeds=(seed,), proximity=k,
             knobs=RobustnessKnobs(filter_rates=(), noise_stds=(std,),
                                   sampling_periods=(),
                                   device_pairs=((bias, rate),)))
-        # one proximity drill: the case once, each position once, and each
-        # position once more by the other device; noise re-simulates nothing
-        users = [_USER_STREAM + i for i in range(1, 11)]
-        assert sorted(simulated) == [_CASE_STREAM] + sorted(users * 2)
+        # one proximity drill, each scan drawn once: the case's, and each
+        # position's, which the other device reads too; noise re-simulates
+        # nothing
+        streams = [_CASE_STREAM] + [_USER_STREAM + i for i in range(1, 11)]
+        assert sorted(drawn) == [(stream, i) for stream in streams
+                                 for i in range(120)]
         monkeypatch.undo()
         env, layout = make_site("office", seed=seed)
         # the device row equals one from a fresh case walk and profile, with

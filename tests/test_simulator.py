@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 import statistics
 
 import numpy as np
@@ -17,6 +19,7 @@ from wifitrace.simulator import (
     _drop_batch_ids,
     _scan_rngs,
     _simulate_batch,
+    _simulate_variants,
     DeviceParams,
     Scenario,
     SimAp,
@@ -376,6 +379,60 @@ class TestMatchesReference:
         walk = SimTrajectory(((0, (1.0, 1.0)), (60, (math.inf, 1.0))))
         with pytest.raises(ValueError, match="finite"):
             simulate_profile(env, walk, 5)
+
+
+def assert_same_batch(got, want):
+    assert got.ids == want.ids
+    assert np.array_equal(got.times, want.times)
+    assert got.rssi.dtype == want.rssi.dtype
+    assert np.array_equal(got.rssi, want.rssi)
+
+
+VARIANT = st.tuples(
+    st.one_of(st.none(),
+              st.builds(DeviceParams, st.sampled_from([0.0, -3.0, 6.5]),
+                        st.sampled_from([1.0, 0.8, 0.3]))),
+    st.sampled_from([1, 2, 5, 45, 700]))
+
+
+class TestSimulateVariants:
+    """Several (device, sampling period) variants of the same walks read one
+    set of draws; each variant is the batch one _simulate_batch call makes
+    with that device and period."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(["office", "mall"]),
+           seed=st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(2**32, 2**64 - 1)),
+           variants=st.lists(VARIANT, min_size=1, max_size=4),
+           order=st.randoms(use_true_random=False))
+    # past 32 bits the seed seeds scan by scan; at 1 s the mall walk spans
+    # three blocks of draws (217 scans each on 301 APs)
+    @example(name="mall", seed=2**40, variants=[
+        (None, 1), (DeviceParams(-3.0, 0.8), 2), (None, 700), (None, 1)],
+        order=random.Random(0))
+    def test_each_variant_is_its_own_batch(self, name, seed, variants, order):
+        env, layout = make_site(name, seed=seed)
+        walks = [
+            (SimTrajectory(random_walk(layout.walk_area, 600, 3).waypoints,
+                           DeviceParams(bias=2.5, detect_rate=0.9)), 7),
+            (stationary(layout.line_position(2), 0, 600), 2002),
+        ]
+        want = [_simulate_batch(env, [
+            (trajectory if device is None
+             else dataclasses.replace(trajectory, device=device), stream)
+            for trajectory, stream in walks], period)
+            for device, period in variants]
+        got = _simulate_variants(env, walks, variants)
+        assert len(got) == len(want)
+        for batch, expected in zip(got, want):
+            assert_same_batch(batch, expected)
+        # in any order: no variant changes the draws the others read
+        perm = list(range(len(variants)))
+        order.shuffle(perm)
+        shuffled = _simulate_variants(env, walks, [variants[i] for i in perm])
+        for i, batch in zip(perm, shuffled):
+            assert_same_batch(batch, want[i])
 
 
 class TestSitePresets:
