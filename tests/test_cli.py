@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -217,6 +218,62 @@ def test_sync_without_flags_uses_the_detection_defaults(tmp_path, capsys,
                       "--profile", str(tmp_path / "user.signal"),
                       "--state", str(tmp_path / "state"))
     assert code == 0 and configs == [DetectionConfig()]
+
+
+# the command line as a user sees it: for each subcommand its help, its
+# positionals, and each option as (flags, default, type, required, help)
+SURFACE = {
+    "simulate": ("emit profiles + ground truth for a scenario", ["config"], [
+        (["--out"], "out", None, False, None)]),
+    "calibrate": ("threshold sweep at one proximity", ["config"], [
+        (["--out"], "out", None, False, None),
+        (["--k"], None, float, False, "contact proximity in meters")]),
+    "proximity-study": ("metrics versus proximity", ["config"], [
+        (["--out"], "out", None, False, None)]),
+    "inout-study": ("infected-area in/out detection", ["config"], [
+        (["--out"], "out", None, False, None)]),
+    "robustness": ("filter/noise/device/sampling tables", ["config"], [
+        (["--out"], "out", None, False, None)]),
+    "serve": ("run the profile exchange server", [], [
+        (["--host"], "127.0.0.1", None, False, None),
+        (["--port"], 8330, int, False, None),
+        (["--data-dir"], None, None, True, None),
+        (["--token"], None, None, False,
+         "upload token (or set WIFITRACE_UPLOAD_TOKEN)"),
+        (["--retention-days"], 28, float, False, None)]),
+    "publish": ("upload a processed profile file", ["file"], [
+        (["--endpoint"], None, None, True, None),
+        (["--token"], None, None, False, None)]),
+    "sync": ("fetch new profiles and match locally", [], [
+        (["--endpoint"], None, None, True, None),
+        (["--profile"], None, None, True, "local raw scan profile"),
+        (["--state"], None, None, True, "cursor state directory"),
+        (["--report"], None, None, False, "write the full report here"),
+        (["--alpha"], 0.2, float, False, None),
+        (["--window"], 600, int, False, None),
+        (["--min-exposure"], 300, int, False, None),
+        (["--period"], 60, int, False, None)]),
+}
+
+
+def test_the_command_line_surface_is_as_documented():
+    # the parser's actions, not --help text, whose layout depends on the
+    # terminal width and the Python version
+    parser = cli.build_parser()
+    assert parser.prog == "wifitrace"
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    found = {}
+    for name, command in sub.choices.items():
+        actions = [a for a in command._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        found[name] = (
+            helps[name],
+            [a.dest for a in actions if not a.option_strings],
+            [(a.option_strings, a.default, a.type, a.required, a.help)
+             for a in actions if a.option_strings])
+    assert found == SURFACE
 
 
 def test_serve_retention_defaults_to_the_store_default():
