@@ -9,9 +9,11 @@ Runs, in this one process, the four study commands on
 spans more than one block of simulated scans), ``simulate`` on both
 scenarios, every demo (its standard output), the baseline rows
 ``run_baseline_comparison`` returns for the office site, and a CLI exchange
-round (``publish`` of the ``lifespan_visit`` case, then
-``sync`` of its user, against a relay in a thread: the report and both
-summary lines). Output paths in summary lines read ``OUT``.
+round (``publish`` of the ``lifespan_visit`` case, then ``sync`` of its
+user, against a relay in a thread: the report and both summary lines), and
+a second device that syncs twice against the same relay, its second round
+finding no new record (both summary lines and the last report). Output
+paths in summary lines read ``OUT``.
 
 ``--write`` records the sha256, the size and a short digest of each line of
 every output in ``tests/golden.json``. ``--check`` compares the outputs with
@@ -44,6 +46,7 @@ from wifitrace.exchange import ProfileStore, serve_in_thread  # noqa: E402
 STUDY_COMMANDS = ("calibrate", "proximity-study", "inout-study", "robustness")
 SCENARIO_NAMES = ("lifespan_visit", "moving_pair")
 MALL_STUDY = "[environment]\npreset = mall\n\n[study]\nseeds = 1\n"
+EXCHANGE_ROUNDS = ("exchange", "exchange_again")
 
 
 def _printed(run, *args) -> str:
@@ -82,22 +85,28 @@ def outputs(work: Path) -> dict[str, bytes]:
             runpy.run_path, str(demo), None, "__main__")
     rows = evaluation.run_baseline_comparison("office", (2, 3), (1, 2))
     text["baselines.jsonl"] = "".join(json.dumps(r) + "\n" for r in rows)
-    (work / "exchange").mkdir()
     with serve_in_thread(ProfileStore(work / "relay")) as server:
+        sync = ("sync", "--endpoint", server.endpoint,
+                "--profile", str(work / "lifespan_visit" / "user.signal"))
+        for name in EXCHANGE_ROUNDS:
+            (work / name).mkdir()
         text["exchange.jsonl"] = _cli(
             "publish", str(work / "lifespan_visit" / "case.processed"),
             "--endpoint", server.endpoint) + _cli(
-            "sync", "--endpoint", server.endpoint,
-            "--profile", str(work / "lifespan_visit" / "user.signal"),
-            "--state", str(work / "state"),
+            *sync, "--state", str(work / "state"),
             "--report", str(work / "exchange" / "report.txt"))
+        # a second device syncs twice; its second round finds no new record
+        text["exchange_again.jsonl"] = "".join(_cli(
+            *sync, "--state", str(work / "state_again"),
+            "--report", str(work / "exchange_again" / "report.txt"))
+            for _ in range(2))
     # the summary lines name their output paths
     found = {name: body.replace(str(work), "OUT").encode()
              for name, body in text.items()}
     for path in sorted(work.rglob("*")):
         name = path.relative_to(work).as_posix()
         if path.is_file() and name.split("/")[0] in (
-                "study", "mall_study", "exchange", *SCENARIO_NAMES):
+                "study", "mall_study", *EXCHANGE_ROUNDS, *SCENARIO_NAMES):
             found[name] = path.read_bytes()
     return dict(sorted(found.items()))
 
