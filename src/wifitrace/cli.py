@@ -39,24 +39,17 @@ from .simulator import emit_scenario, make_site
 CONFIG_ERROR = 2
 
 
-def _summary(**kwargs) -> None:
-    print(json.dumps(kwargs, sort_keys=True))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.config)
-    paths = emit_scenario(scenario, args.out)
-    _summary(command="simulate", **paths)
-    return 0
+def cmd_simulate(args) -> dict:
+    return emit_scenario(load_scenario(args.config), args.out)
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> dict:
     preset, radio, study, _ = load_study(args.config)
     if args.k is not None:  # replace() checks --k like the config's value
         study = replace(study, calibration_proximity=args.k)
@@ -68,13 +61,13 @@ def cmd_calibrate(args) -> int:
     path = out / f"calibration_{preset}_k{k:g}.csv"
     ev.write_csv(path, [ev.point_row(p) for p in points],
                  ev.CSV_COLUMNS["calibration"])
-    _summary(command="calibrate", preset=preset, k=k, seed=study.seeds[0],
-             **ev.point_row(ev.pick_intersection(points), "intersection_alpha"),
-             csv=str(path))
-    return 0
+    return dict(preset=preset, k=k, seed=study.seeds[0],
+                **ev.point_row(ev.pick_intersection(points),
+                               "intersection_alpha"),
+                csv=str(path))
 
 
-def cmd_proximity_study(args) -> int:
+def cmd_proximity_study(args) -> dict:
     preset, radio, study, _ = load_study(args.config)
     out = _out_dir(args)
     rows = ev.run_proximity_study(preset, study.proximities, study.seeds,
@@ -82,24 +75,22 @@ def cmd_proximity_study(args) -> int:
     path = out / f"proximity_{preset}.csv"
     ev.write_csv(path, rows, ev.CSV_COLUMNS["proximity"])
     mean_f1 = sum(r["f1"] for r in rows) / len(rows)
-    _summary(command="proximity-study", preset=preset, seeds=list(study.seeds),
-             proximities=list(study.proximities), rows=len(rows),
-             mean_f1=round(mean_f1, 4), csv=str(path))
-    return 0
+    return dict(preset=preset, seeds=list(study.seeds),
+                proximities=list(study.proximities), rows=len(rows),
+                mean_f1=round(mean_f1, 4), csv=str(path))
 
 
-def cmd_inout_study(args) -> int:
+def cmd_inout_study(args) -> dict:
     preset, radio, study, _ = load_study(args.config)
     out = _out_dir(args)
     rows = ev.run_inout_suite(preset, study.seeds, alpha=study.alpha, **radio)
     path = out / f"inout_{preset}.csv"
     ev.write_csv(path, rows, ev.CSV_COLUMNS["inout"])
-    _summary(command="inout-study", preset=preset, alpha=study.alpha,
-             rows=len(rows), csv=str(path))
-    return 0
+    return dict(preset=preset, alpha=study.alpha, rows=len(rows),
+                csv=str(path))
 
 
-def cmd_robustness(args) -> int:
+def cmd_robustness(args) -> dict:
     preset, radio, study, knobs = load_study(args.config)
     out = _out_dir(args)
     tables = ev.run_robustness_suite(preset, study.seeds, knobs,
@@ -109,12 +100,11 @@ def cmd_robustness(args) -> int:
         path = out / f"robustness_{name}_{preset}.csv"
         ev.write_csv(path, rows, ev.CSV_COLUMNS[name])
         paths[name] = str(path)
-    _summary(command="robustness", preset=preset, seeds=list(study.seeds),
-             proximity=study.proximity, **paths)
-    return 0
+    return dict(preset=preset, seeds=list(study.seeds),
+                proximity=study.proximity, **paths)
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args) -> None:
     if not 0 <= args.port <= 65535:
         raise ValueError(f"port must be in 0..65535, got {args.port}")
     token = args.token or os.environ.get(TOKEN_ENV_VAR) or None
@@ -128,25 +118,19 @@ def cmd_serve(args) -> int:
         server.shutdown()
     finally:
         server.server_close()
-    return 0
 
 
-def cmd_publish(args) -> int:
+def cmd_publish(args) -> dict:
     token = args.token or os.environ.get(TOKEN_ENV_VAR) or None
     data = Path(args.file).read_bytes()
     record_id = publish(args.endpoint, data, upload_token=token)
-    _summary(command="publish", record_id=record_id, bytes=len(data))
-    return 0
+    return dict(record_id=record_id, bytes=len(data))
 
 
-def cmd_sync(args) -> int:
-    try:
-        profile = read_profile(args.profile)
-        if not isinstance(profile, SignalProfile):
-            raise ProfileFormatError("not a raw signal profile")
-    except ProfileFormatError as exc:
-        print(f"profile error: {args.profile}: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+def cmd_sync(args) -> dict:
+    profile = read_profile(args.profile)
+    if not isinstance(profile, SignalProfile):
+        raise ProfileFormatError("not a raw signal profile")
     cfg = DetectionConfig(alpha=args.alpha, window_length=args.window,
                           min_exposure=args.min_exposure,
                           sampling_period=args.period)
@@ -158,9 +142,7 @@ def cmd_sync(args) -> int:
         if out:
             out.truncate(0)
             out.write(serialize_report(report))
-    _summary(command="sync", cursor=state.last_record_id,
-             **report.summary())
-    return 0
+    return dict(cursor=state.last_record_id, **report.summary())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,32 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="emit profiles + ground truth for a scenario")
-    p.add_argument("config")
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("calibrate", help="threshold sweep at one proximity")
-    p.add_argument("config")
-    p.add_argument("--out", default="out")
-    p.add_argument("--k", type=float, default=None,
-                   help="contact proximity in meters")
-    p.set_defaults(fn=cmd_calibrate)
-
-    p = sub.add_parser("proximity-study", help="metrics versus proximity")
-    p.add_argument("config")
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_proximity_study)
-
-    p = sub.add_parser("inout-study", help="infected-area in/out detection")
-    p.add_argument("config")
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_inout_study)
-
-    p = sub.add_parser("robustness", help="filter/noise/device/sampling tables")
-    p.add_argument("config")
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_robustness)
+    for name, fn, text in (
+            ("simulate", cmd_simulate,
+             "emit profiles + ground truth for a scenario"),
+            ("calibrate", cmd_calibrate, "threshold sweep at one proximity"),
+            ("proximity-study", cmd_proximity_study,
+             "metrics versus proximity"),
+            ("inout-study", cmd_inout_study, "infected-area in/out detection"),
+            ("robustness", cmd_robustness,
+             "filter/noise/device/sampling tables")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("config")
+        p.add_argument("--out", default="out")
+        p.set_defaults(fn=fn)
+    sub.choices["calibrate"].add_argument(
+        "--k", type=float, default=None, help="contact proximity in meters")
 
     p = sub.add_parser("serve", help="run the profile exchange server")
     p.add_argument("--host", default="127.0.0.1")
@@ -231,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        summary = args.fn(args)
+    except ProfileFormatError as exc:  # sync's own scans
+        print(f"profile error: {args.profile}: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     # ValueError also covers ScenarioError; OSError a file or directory that
     # cannot be read or written
     except (OSError, ValueError) as exc:
@@ -240,6 +214,9 @@ def main(argv=None) -> int:
     except ExchangeError as exc:
         print(f"exchange error: {exc}", file=sys.stderr)
         return 1
+    if summary is not None:
+        print(json.dumps({"command": args.command, **summary}, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":
