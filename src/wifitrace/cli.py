@@ -2,11 +2,14 @@
 
 ``simulate`` reads a scenario config and the study subcommands a study
 config, both through ``wifitrace.config``, which rejects unknown keys. Study
-subcommands write fixed-schema CSV files and print one JSON summary line.
-Exit codes: 0 on success, 1 on an exchange error, 2 on a config problem, a
-file that cannot be read or written, or a scan profile that does not parse
-or is not a raw signal profile; ``sync`` reports the last two as ``profile
-error: <path>: ...`` and leaves its cursor and report untouched.
+subcommands write fixed-schema CSV files. Each command returns its summary;
+``main`` alone prints it as one JSON line and exits 0, or maps the failure
+to an exit code: 1 on an exchange error, 2 on a config problem, a file that
+cannot be read or written, or a scan profile that does not parse or is not
+a raw signal profile. ``sync`` reports the last two as ``profile error:
+<path>: ...`` and leaves its cursor and report untouched. It writes its
+report durably after the match and before the cursor moves, so a report
+that cannot be written exits 2 with the cursor where it was.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,8 +31,9 @@ from .exchange import (
     ExchangeServer,
     ProfileStore,
     SyncState,
-    client_sync,
+    fetch_and_match,
     publish,
+    write_durably,
 )
 from .model import SignalProfile
 from .profileio import ProfileFormatError, read_profile
@@ -135,13 +138,14 @@ def cmd_sync(args) -> dict:
                           min_exposure=args.min_exposure,
                           sampling_period=args.period)
     state = SyncState(args.state)
-    # opened before the sync advances the cursor, so a report that cannot be
-    # written fails first; appending keeps the old report if the sync fails
-    with open(args.report, "ab") if args.report else nullcontext() as out:
-        report = client_sync(state, args.endpoint, profile, cfg)
-        if out:
-            out.truncate(0)
-            out.write(serialize_report(report))
+    report, last = fetch_and_match(args.endpoint, state.last_record_id,
+                                   profile, cfg)
+    # the report is on disk before the cursor moves past its records, so a
+    # report that cannot be written leaves them to the next sync
+    if args.report:
+        write_durably(Path(args.report), serialize_report(report))
+    if last is not None:
+        state.advance(last)
     return dict(cursor=state.last_record_id, **report.summary())
 
 

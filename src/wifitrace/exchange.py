@@ -123,6 +123,26 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def write_durably(path: Path, data: bytes) -> None:
+    """Replace the file ``path`` with ``data``. The new bytes are fsynced in
+    a temporary file next to it before they replace the old ones, so a crash
+    leaves one or the other, never an empty or partial file; the directory
+    fsync makes the replace itself durable. A write that fails removes the
+    temporary file and leaves ``path`` as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    fh = open(tmp, "wb")  # a file that could not be opened is not ours
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _fsync_dir(path.parent)
+
+
 def _make_dirs(path: Path) -> list[Path]:
     """Create a directory and its missing parents. Returns the directories
     whose entries changed, the parent of each one created, innermost first:
@@ -476,32 +496,55 @@ class SyncState:
     match pass."""
 
     def __init__(self, state_dir):
-        self._dir = Path(state_dir)
-        for directory in _make_dirs(self._dir):
+        state_dir = Path(state_dir)
+        for directory in _make_dirs(state_dir):
             _fsync_dir(directory)
-        self._path = self._dir / "cursor"
+        self._path = state_dir / "cursor"
 
     @property
     def last_record_id(self) -> int:
         """The stored cursor, or 0 for a missing file or for anything but a
-        plain non-negative decimal, the rule the relay applies to since."""
+        plain non-negative decimal, the rule the relay applies to since, of
+        at most 19 significant digits."""
         try:
             text = self._path.read_text().strip()
         except (FileNotFoundError, UnicodeDecodeError):
             return 0
-        return int(text) if text.isascii() and text.isdigit() else 0
+        # digits counted first: int() refuses a string of over 4300 of them,
+        # and no id _HEADER reads has more than 19
+        digits = text.lstrip("0")
+        if not (text.isascii() and text.isdigit()) or len(digits) > 19:
+            return 0
+        return int(text)
 
     def advance(self, record_id: int) -> None:
-        # the new cursor is on disk before it replaces the old one, so a
-        # crash leaves one or the other, never an empty file; the directory
-        # fsync makes the replace itself durable
-        tmp = self._path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{record_id}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._path)
-        _fsync_dir(self._dir)
+        write_durably(self._path, f"{record_id}\n".encode("ascii"))
+
+
+def fetch_and_match(
+    endpoint: str,
+    since: int,
+    user_profile: SignalProfile,
+    cfg: DetectionConfig,
+) -> tuple[ContactReport, int | None]:
+    """A sync round without its cursor move: fetch the records after
+    ``since``, match the user's scans against them and aggregate episodes.
+    Returns the report and the last fetched id, or None when there is no new
+    record (then the report is empty and nothing is matched). On network
+    failure or a bad record, ExchangeError propagates."""
+    records = fetch_since(endpoint, since)
+    if not records:
+        return ContactReport((), ()), None
+    try:
+        labels, counts, cols = _read_processed(
+            [record.profile_bytes for record in records])
+    except ProfileFormatError as exc:
+        raise ExchangeError(
+            f"record {records[exc.record].record_id}: {exc}") from None
+    flags = detection._detect_columns(
+        user_profile.vectors, cols, labels, counts, cfg)
+    # through the module, so that a wrapper set on aggregate_episodes sees it
+    return detection.aggregate_episodes(flags, cfg), records[-1].record_id
 
 
 def client_sync(
@@ -516,18 +559,8 @@ def client_sync(
     the cursor. On network failure or a bad record, ExchangeError propagates
     and the cursor is untouched. No new records: empty report, no matching.
     """
-    records = fetch_since(endpoint, state.last_record_id)
-    if not records:
-        return ContactReport((), ())
-    try:
-        labels, counts, cols = _read_processed(
-            [record.profile_bytes for record in records])
-    except ProfileFormatError as exc:
-        raise ExchangeError(
-            f"record {records[exc.record].record_id}: {exc}") from None
-    flags = detection._detect_columns(
-        user_profile.vectors, cols, labels, counts, cfg)
-    # through the module, so that a wrapper set on aggregate_episodes sees it
-    report = detection.aggregate_episodes(flags, cfg)
-    state.advance(records[-1].record_id)
+    report, last = fetch_and_match(endpoint, state.last_record_id,
+                                   user_profile, cfg)
+    if last is not None:
+        state.advance(last)
     return report

@@ -1,6 +1,9 @@
 import argparse
+import builtins
 import csv
+import errno
 import json
+import os
 import re
 import time
 from pathlib import Path
@@ -204,16 +207,90 @@ def test_unwritable_report_leaves_the_cursor_unchanged(tmp_path, capsys):
     assert text.startswith("vcontact-report/1\n") and "older" not in text
 
 
+def test_a_report_that_cannot_be_written_keeps_the_records_for_later(
+        tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    device = tmp_path / "device"
+    device.mkdir()
+    report = device / "report.txt"
+    report.write_text("an older report\n")
+    real_open = open
+
+    class FullDisk:
+        """A file in the device's directory whose every write fails."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    def full_disk(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return FullDisk(fh) if Path(file).parent == device else fh
+
+    with serve_in_thread(ProfileStore(tmp_path / "relay")) as server:
+        run_cli(capsys, "publish", paths["processed"],
+                "--endpoint", server.endpoint)
+        sync = ["sync", "--endpoint", server.endpoint, "--profile",
+                paths["user"], "--state", str(tmp_path / "state"),
+                "--report", str(report)]
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", full_disk)
+            assert main(sync) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "state" / "cursor").exists()
+        assert files(device) == {"report.txt": b"an older report\n"}
+        # the retry still finds the record the failed sync fetched
+        code, summary = run_cli(capsys, *sync)
+    assert code == 0 and summary["cursor"] == 1
+    assert (summary["contacts"], summary["episodes"]) == (10, 1)
+    assert report.read_bytes().startswith(b"vcontact-report/1\n")
+
+
+def test_the_report_replaces_the_old_one_before_the_cursor_moves(
+        tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    replaced, real_replace = [], os.replace
+
+    def replace(src, dst):
+        replaced.append(Path(dst).name)
+        real_replace(src, dst)
+
+    with serve_in_thread(ProfileStore(tmp_path / "relay")) as server:
+        run_cli(capsys, "publish", paths["processed"],
+                "--endpoint", server.endpoint)
+        monkeypatch.setattr(os, "replace", replace)
+        code, _ = run_cli(capsys, "sync", "--endpoint", server.endpoint,
+                          "--profile", paths["user"],
+                          "--state", str(tmp_path / "state"),
+                          "--report", str(tmp_path / "report.txt"))
+    # each through a fsynced temporary file (see test_exchange.py), so a
+    # crash between the two leaves the records to the next sync
+    assert code == 0 and replaced == ["report.txt", "cursor"]
+
+
 def test_sync_without_flags_uses_the_detection_defaults(tmp_path, capsys,
                                                        monkeypatch):
     write_profile(tmp_path / "user.signal", SignalProfile([]))
     configs = []
 
-    def fake_sync(state, endpoint, profile, cfg):
+    def fake_round(endpoint, since, profile, cfg):
         configs.append(cfg)
-        return ContactReport((), ())
+        return ContactReport((), ()), None
 
-    monkeypatch.setattr(cli, "client_sync", fake_sync)
+    monkeypatch.setattr(cli, "fetch_and_match", fake_round)
     code, _ = run_cli(capsys, "sync", "--endpoint", "http://relay.invalid",
                       "--profile", str(tmp_path / "user.signal"),
                       "--state", str(tmp_path / "state"))

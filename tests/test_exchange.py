@@ -932,8 +932,13 @@ class TestClientSync:
         again = client_sync(state, server.endpoint, self.user_profile())
         assert again.flags == () and again.episodes == ()
 
-    # int() reads each of these, but none is a plain non-negative decimal
-    @pytest.mark.parametrize("text", ["-3\n", "+1\n", "1_0\n", "١\n"])
+    # none is a plain non-negative decimal of at most 19 significant digits,
+    # the most a relay id has; int() reads all but the 5000 nines, which it
+    # refuses past its digit limit
+    @pytest.mark.parametrize("text", [
+        "-3\n", "+1\n", "1_0\n", "١\n",
+        pytest.param("1" + "0" * 19 + "\n", id="20 digits"),
+        pytest.param("9" * 5000, id="5000 digits")])
     def test_cursor_that_is_not_a_plain_decimal_syncs_from_zero(
             self, server, tmp_path, text):
         publish(server.endpoint, processed_bytes())
@@ -942,6 +947,15 @@ class TestClientSync:
         assert state.last_record_id == 0
         report = client_sync(state, server.endpoint, self.user_profile())
         assert len(report.episodes) == 1 and state.last_record_id == 1
+
+    @pytest.mark.parametrize("text", [
+        "9" * 19, "007\n", "000\n",
+        pytest.param("0" * 30 + "1" * 19 + "\n", id="zeros, then 19 digits")])
+    def test_cursor_of_up_to_19_significant_digits_is_read(self, tmp_path,
+                                                           text):
+        state = SyncState(tmp_path / "client")
+        (tmp_path / "client" / "cursor").write_text(text, encoding="utf-8")
+        assert state.last_record_id == int(text)
 
     def test_cursor_is_fsynced_before_it_replaces_the_old_one(
             self, tmp_path, monkeypatch):
