@@ -130,8 +130,6 @@ def _detect_columns(
 ) -> list[ContactFlag]:
     """detect_contacts over records already in one batch of columns, given
     each record's case label and segment count in input order."""
-    owners = [(label, seg_idx) for label, n in zip(labels, counts)
-              for seg_idx in range(n)]
     scores, matched = np.zeros(len(vectors)), np.full(len(vectors), -1)
     if len(cols.length):
         # the scans are in time order, so those inside some segment's window
@@ -141,12 +139,18 @@ def _detect_columns(
         hi = bisect_right(times, max(cols.t_end.tolist()))
         scores[lo:hi], matched[lo:hi] = _score_columns(
             _ScanBatch.from_vectors(vectors[lo:hi]), cols, cfg.alpha)
+    # each matched segment's record, and its index within that record
+    hits = matched[matched >= 0]
+    ends = np.cumsum(counts, dtype=np.intp)
+    record = np.searchsorted(ends, hits, "right")
+    owners = zip(map(labels.__getitem__, record.tolist()),
+                 (hits - ends[record] + np.take(counts, record)).tolist())
     flags: list[ContactFlag] = []
     for vec, score, g in zip(vectors, scores.tolist(), matched.tolist()):
         if g < 0:
             flags.append(ContactFlag(vec.timestamp, False, score))
         else:
-            label, seg_idx = owners[g]
+            label, seg_idx = next(owners)
             flags.append(ContactFlag(vec.timestamp, True, score, seg_idx, label))
     return flags
 

@@ -15,13 +15,16 @@ signal_similarity() scores one pair and is the reference arithmetic;
 _score_columns(), the one kernel, scores many scans against many segments at
 once with numpy, in bit-identical floats, each scan only against the
 segments whose validity window contains its time, and applies detection's
-first-match rule. It owns both of its input formats: scans as one
+first-match rule. It finds those covering pairs with a sort-merge interval
+join (``_Columns.covering``), so its work follows the pairs, not scans x
+segments. It owns both of its input formats: scans as one
 ``_ScanBatch`` (times and a dense scan x id RSSI block), the package's one
 inner scan form, and segments as one ``_Columns``, the one segment form
 that modules pass each other. Both convert both ways (``from_vectors`` and
 ``vectors()``, ``from_segments`` and ``segments()``). It maps the segment ids
-to the batch's columns once, one lookup per id, and reads each pair from the
-batch's own block. The studies hand it simulated batches and case and area
+to the batch's columns once, one lookup per id, and reads each pair from one
+copy of the batch's block that has an extra, never heard column for ids no
+scan holds. The studies hand it simulated batches and case and area
 segments built from one; detection builds a batch from the one time slice
 of dict scans a window may contain, and ``evaluation.record_score`` from
 its one dict scan.
@@ -39,7 +42,10 @@ import numpy as np
 from .model import (RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalId,
                     SignalVector)
 
-_CELLS = 1 << 16  # bound on the cells of each _score_columns() temporary
+# _score_columns() scores chunks of at most _CELLS pairs, with at most _CELLS
+# (pair, segment id) entries per shared_terms() call; at 2**14 a call's
+# temporaries stay in cache (2**16 was slower and raised the study's peak RSS)
+_CELLS = 1 << 14
 
 _UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
 
@@ -152,7 +158,9 @@ class _Columns:
                  hi: np.ndarray, lengths: Sequence[int], t_start: list[int],
                  t_end: list[int]):
         self.index: dict[bytes, int] = dict(zip(ids, count()))
-        self.col, self.lo, self.hi = col, lo, hi
+        # contiguous: numpy's take copies a strided source whole, per call
+        self.col = col
+        self.lo, self.hi = np.ascontiguousarray(lo), np.ascontiguousarray(hi)
         self.length = np.array(lengths, dtype=np.intp)
         self.ptr = np.cumsum(self.length) - self.length
         self.t_start = _times(t_start)
@@ -189,23 +197,77 @@ class _Columns:
                                          self.t_start.tolist(),
                                          self.t_end.tolist())]
 
-    def shared_terms(self, block: np.ndarray, row: np.ndarray, seg: np.ndarray,
-                     entry_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def covering(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (scan, segment) pairs where the segment is non-empty and its
+        window holds the scan's time, ``t_start <= times[scan] <= t_end``,
+        as two index arrays. They come grouped by scan, the scans in time
+        order (equal times in index order), each scan's segments in index
+        order.
+
+        A sort-merge interval join: the scans are sorted once, so each
+        window covers one contiguous run of them, found by two binary
+        searches. Each pair is then one integer key, its scan's sorted
+        position above its segment, and one sort of the keys puts the pairs
+        in scan order. The cost follows the pairs, not scans x segments.
+        """
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+        first = np.searchsorted(ordered, self.t_start, "left")
+        runs = ((np.searchsorted(ordered, self.t_end, "right") - first)
+                * (self.length > 0))
+        bits = len(runs).bit_length()
+        key = np.repeat(first - (np.cumsum(runs) - runs), runs)
+        key += np.arange(len(key))
+        key <<= bits
+        key |= np.repeat(np.arange(len(runs)), runs)
+        key.sort()
+        return order.take(key >> bits), key & ((1 << bits) - 1)
+
+    def shared_terms(self, block: np.ndarray, row: np.ndarray,
+                     seg: np.ndarray, entry_col: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """Shared-id count and summed out-of-range distance of each pair
         (block[row[i]], segment seg[i]), where a segment's entry e reads
-        column entry_col[e] of block; every segment must be non-empty."""
+        column entry_col[e] of the C-contiguous ``block``; every segment
+        must be non-empty. The pairs go in runs of at most _CELLS
+        (pair, segment id) entries, or one pair that holds more."""
         lens = self.length[seg]
         ends = np.cumsum(lens)
-        starts = ends - lens
-        entry = (np.arange(int(ends[-1]))
-                 - np.repeat(starts - self.ptr[seg], lens))
-        rssi = block.ravel().take(np.repeat(row * block.shape[1], lens)
-                                  + entry_col.take(entry))
-        heard = rssi != _UNHEARD
-        dist = np.maximum(np.maximum(self.lo.take(entry) - rssi,
-                                     rssi - self.hi.take(entry)), 0) * heard
-        return (np.add.reduceat(heard, starts, dtype=np.int64),
-                np.add.reduceat(dist, starts, dtype=np.int64))
+        before = ends - lens
+        shift = self.ptr[seg] - before  # pair i's entry e is shift[i] + e
+        base = row * block.shape[1]
+        flat = block.ravel()
+        count = np.empty(len(seg), dtype=np.int64)
+        total = np.empty(len(seg), dtype=np.int64)
+        a = 0
+        while a < len(seg):
+            b = max(a + 1, int(np.searchsorted(ends, before[a] + _CELLS,
+                                               "right")))
+            run = lens[a:b]
+            entry = np.repeat(shift[a:b], run)
+            entry += np.arange(before[a], ends[b - 1])
+            cell = np.repeat(base[a:b], run)
+            cell += entry_col.take(entry)
+            rssi = flat.take(cell)
+            heard = rssi != _UNHEARD
+            below, above = self.lo.take(entry), self.hi.take(entry)
+            np.subtract(below, rssi, out=below)
+            np.subtract(rssi, above, out=above)
+            np.maximum(below, above, out=below)
+            np.maximum(below, 0, out=below)
+            below *= heard
+            starts = before[a:b] - before[a]
+            count[a:b] = np.add.reduceat(heard, starts, dtype=np.int64)
+            total[a:b] = np.add.reduceat(below, starts, dtype=np.int64)
+            a = b
+        return count, total
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal keys starts."""
+    mask = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
+    return mask
 
 
 def _score_columns(
@@ -216,7 +278,8 @@ def _score_columns(
     """Score a batch of scans against a batch of segments, both already in
     columns, with the first-match rule; segment indices are positions in
     ``cols``. A segment is a candidate for a scan when its validity window
-    contains the scan time; scans need not be ordered.
+    contains the scan time; scans need not be ordered. Only the candidate
+    pairs are scored: :meth:`_Columns.covering` finds them once per call.
 
     Each candidate pair scores ``signal_similarity(scan, segment.vector)``,
     bit for bit: the shared-id count, the smaller id count and the summed
@@ -233,49 +296,45 @@ def _score_columns(
     matched = np.full(n, -1, dtype=np.intp)
     if not n or not m:
         return score, matched
+    scan, seg = cols.covering(scans.times)
+    if not len(scan):
+        return score, matched
     # each segment entry's batch column; ids no scan holds read an extra one
     width = len(scans.ids)
     batch_col = dict(zip(scans.ids, range(width)))
     entry_col = np.fromiter(map(batch_col.get, cols.index, repeat(width)),
                             dtype=np.intp, count=len(cols.index)).take(cols.col)
-    # an empty segment shares no id, and shared_terms needs entries per pair
-    nonempty = cols.length > 0
-    step = max(1, _CELLS // max(1, int(cols.length.max())))
+    block = np.full((n, width + 1), _UNHEARD, dtype=np.int16)
+    block[:, :width] = scans.rssi
+    sizes = np.count_nonzero(scans.rssi != _UNHEARD, axis=1)
 
-    # chunks of scans keep the cover matrix and the RSSI block small
-    rows = max(1, _CELLS // max(m, width + 1))
-    for first in range(0, n, rows):
-        t = scans.times[first:first + rows, None]
-        cover = (cols.t_start <= t) & (t <= cols.t_end) & nonempty
-        block = np.full((len(t), width + 1), _UNHEARD, dtype=np.int16)
-        block[:, :width] = scans.rssi[first:first + rows]
-
-        # candidate pairs, scan-major with segments in input order; at most
-        # _CELLS (pair, segment id) entries at a time
-        row, seg = np.nonzero(cover)
-        count = np.empty(len(row), dtype=np.int64)
-        total = np.empty(len(row), dtype=np.int64)
-        for a in range(0, len(row), step):
-            count[a:a + step], total[a:a + step] = cols.shared_terms(
-                block, row[a:a + step], seg[a:a + step], entry_col)
-
+    # chunks of at most _CELLS pairs; a scan's pairs may span two of them
+    for first in range(0, len(scan), _CELLS):
+        chunk_scan = scan[first:first + _CELLS]
+        chunk_seg = seg[first:first + _CELLS]
+        count, total = cols.shared_terms(block, chunk_scan, chunk_seg,
+                                         entry_col)
         keep = count > 0  # a pair without shared ids scores 0
         if not keep.any():
             continue
-        row, seg, count, total = row[keep], seg[keep], count[keep], total[keep]
-        scan = first + row
-        sizes = np.count_nonzero(block != _UNHEARD, axis=1)
-        smaller = np.minimum(sizes[row], cols.length[seg])
+        chunk_scan, chunk_seg = chunk_scan[keep], chunk_seg[keep]
+        count, total = count[keep], total[keep]
+        smaller = np.minimum(sizes[chunk_scan], cols.length[chunk_seg])
         pair_score = (count / smaller) / (total / count + 1.0)
-        heads = np.flatnonzero(np.r_[True, scan[1:] != scan[:-1]])
-        score[scan[heads]] = np.maximum.reduceat(pair_score, heads)
+        # a scan matched in an earlier chunk keeps that match and its score
+        heads = np.flatnonzero(_starts(chunk_scan))
+        owner = chunk_scan[heads]
+        open_ = matched[owner] < 0
+        owner = owner[open_]
+        score[owner] = np.maximum(
+            score[owner], np.maximum.reduceat(pair_score, heads)[open_])
         if alpha is not None:
             hits = np.flatnonzero(pair_score >= alpha)
-            if len(hits):
-                # the first hit of each scan: pairs are scan-major
-                hits = hits[np.r_[True, scan[hits][1:] != scan[hits][:-1]]]
-                score[scan[hits]] = pair_score[hits]
-                matched[scan[hits]] = seg[hits]
+            # the first hit of each scan: pairs come grouped by scan
+            hits = hits[_starts(chunk_scan[hits])]
+            hits = hits[matched[chunk_scan[hits]] < 0]
+            score[chunk_scan[hits]] = pair_score[hits]
+            matched[chunk_scan[hits]] = chunk_seg[hits]
     return score, matched
 
 

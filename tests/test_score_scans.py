@@ -191,6 +191,94 @@ def test_times_beyond_int64_compare_exactly(big):
             == reference_detect(user, profiles, 0.2))
 
 
+# The interval join's shapes: scans and windows over three days (a day is
+# 1000 here), scans unordered and up to ten at one time, windows that nest,
+# that start or end exactly on a scan, that hold no scan or lie beyond
+# int64, segments without ids, and segments shuffled across days.
+BEYOND = [2**63, 2**63 + 3, 2**70, -2**63 - 1, -2**63 - 4]
+day_times = st.one_of(st.builds(lambda day, t: 1000 * day + t,
+                                st.integers(0, 2), st.integers(0, 60)),
+                      st.sampled_from(BEYOND))
+
+
+@st.composite
+def join_cases(draw):
+    """(scans, segments): scans in any order, segments in any order."""
+    times = draw(st.lists(day_times, max_size=8))
+    repeat = draw(st.integers(1, 10))
+    times = draw(st.permutations([t for t in times for _ in range(repeat)]))
+    edges = st.one_of(day_times, st.sampled_from(times)) if times else day_times
+    segments = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(edges)
+        # an end that may land on a scan; the window holds at least one unit
+        end = draw(st.one_of(edges, st.integers(1, 80).map(start.__add__)))
+        if end <= start:
+            start, end = end, start + (end == start)
+        segments.append(ProfileSegment(draw(id_ranges()), start, end))
+    scans = [SignalVector(draw(readings), t) for t in times]
+    return scans, draw(st.permutations(segments))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=join_cases())
+def test_covering_pairs_are_the_brute_force_pairs(case):
+    scans, segments = case
+    times = [vec.timestamp for vec in scans]
+    want = sorted(((i, g) for i, t in enumerate(times)
+                   for g, seg in enumerate(segments)
+                   if seg.vector.ranges and seg.covers(t)),
+                  key=lambda pair: (times[pair[0]], pair))
+    scan, seg = _Columns.from_segments(segments).covering(
+        similarity._times(times))
+    assert list(zip(scan.tolist(), seg.tolist())) == want
+
+
+def reference_columns(scans, segments, alpha):
+    """_score_columns' two outputs by the per-pair loop, as lists."""
+    scores, matched = [], []
+    for vec in scans:
+        best, hit = 0.0, -1
+        for g, seg in enumerate(segments):
+            if not seg.covers(vec.timestamp):
+                continue
+            score = signal_similarity(vec, seg.vector)
+            if alpha is not None and score >= alpha:
+                best, hit = score, g
+                break
+            best = max(best, score)
+        scores.append(best)
+        matched.append(hit)
+    return scores, matched
+
+
+@settings(examples, max_examples=150)
+@given(case=join_cases(), alpha=st.one_of(st.none(), alphas))
+def test_kernel_over_join_shapes_matches_per_pair_loop(cells, case, alpha):
+    scans, segments = case
+    got, matched = similarity._score_columns(
+        _ScanBatch.from_vectors(scans), _Columns.from_segments(segments),
+        alpha)
+    assert (got.tolist(), matched.tolist()) == reference_columns(
+        scans, segments, alpha)
+
+
+def test_one_scan_may_hold_more_pairs_than_a_chunk(cells):
+    """Ten scans at one time, each inside five nested windows: with a
+    chunk of 3 pairs, every scan's pairs span two chunks."""
+    rng = random.Random(3)
+    pool = ID_POOL[:12]
+    scans = [make_vector(rng, 6, 30, pool) for _ in range(10)]
+    segments = [ProfileSegment(make_processed(rng, 4 + g, pool), 30 - g, 31 + g)
+                for g in range(5)]
+    for alpha in (None, 0.05, 0.3):
+        got, matched = similarity._score_columns(
+            _ScanBatch.from_vectors(scans), _Columns.from_segments(segments),
+            alpha)
+        assert (got.tolist(), matched.tolist()) == reference_columns(
+            scans, segments, alpha)
+
+
 def tie_case():
     """6 of 10 ids shared, summed out-of-range distance 3: exactly 0.4 in
     rationals, 0.39999999999999997 in floats."""
