@@ -135,8 +135,8 @@ def _detect_columns(
         # the scans are in time order, so those inside some segment's window
         # are within one slice: convert just that
         times = [vec.timestamp for vec in vectors]
-        lo = bisect_left(times, min(cols.t_start.tolist()))
-        hi = bisect_right(times, max(cols.t_end.tolist()))
+        lo = bisect_left(times, int(cols.t_start.min()))
+        hi = bisect_right(times, int(cols.t_end.max()))
         scores[lo:hi], matched[lo:hi] = _score_columns(
             _ScanBatch.from_vectors(vectors[lo:hi]), cols, cfg.alpha)
     # each matched segment's record, and its index within that record

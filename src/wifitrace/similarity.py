@@ -17,14 +17,15 @@ once with numpy, in bit-identical floats, each scan only against the
 segments whose validity window contains its time, and applies detection's
 first-match rule. It finds those covering pairs with a sort-merge interval
 join (``_Columns.covering``), so its work follows the pairs, not scans x
-segments. It owns both of its input formats: scans as one
-``_ScanBatch`` (times and a dense scan x id RSSI block), the package's one
-inner scan form, and segments as one ``_Columns``, the one segment form
-that modules pass each other. Both convert both ways (``from_vectors`` and
-``vectors()``, ``from_segments`` and ``segments()``). It maps the segment ids
-to the batch's columns once, one lookup per id, and reads each pair from one
-copy of the batch's block that has an extra, never heard column for ids no
-scan holds. The studies hand it simulated batches and case and area
+segments, and with alpha it skips the pairs of scans already matched. It
+owns both of its input formats: scans as one ``_ScanBatch`` (times and a
+dense scan x id RSSI block), the package's one inner scan form, and
+segments as one ``_Columns``, the one segment form that modules pass each
+other. Both convert both ways (``from_vectors`` and ``vectors()``,
+``from_segments`` and ``segments()``). It maps the segment ids to the
+batch's columns once, one lookup per id, then the entries of the covered
+segments to those columns, and reads each pair from one copy of the
+batch's block that has an extra, never heard column for ids no scan holds. The studies hand it simulated batches and case and area
 segments built from one; detection builds a batch from the one time slice
 of dict scans a window may contain, and ``evaluation.record_score`` from
 its one dict scan.
@@ -42,9 +43,9 @@ import numpy as np
 from .model import (RSSI_FLOOR, ProcessedVector, ProfileSegment, SignalId,
                     SignalVector)
 
-# _score_columns() scores chunks of at most _CELLS pairs, with at most _CELLS
-# (pair, segment id) entries per shared_terms() call; at 2**14 a call's
-# temporaries stay in cache (2**16 was slower and raised the study's peak RSS)
+# _score_columns() scores chunks of at most _CELLS (pair, segment id) entries,
+# one shared_terms() call each; at 2**14 a call's temporaries stay in cache
+# (2**16 was slower and raised the study's peak RSS)
 _CELLS = 1 << 14
 
 _UNHEARD = 1  # no clamped RSSI is positive, so this marks an id not in the scan
@@ -200,28 +201,22 @@ class _Columns:
     def covering(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (scan, segment) pairs where the segment is non-empty and its
         window holds the scan's time, ``t_start <= times[scan] <= t_end``,
-        as two index arrays. They come grouped by scan, the scans in time
-        order (equal times in index order), each scan's segments in index
-        order.
+        as two index arrays. They come in segment order, each segment's
+        scans in time order (equal times in index order).
 
         A sort-merge interval join: the scans are sorted once, so each
         window covers one contiguous run of them, found by two binary
-        searches. Each pair is then one integer key, its scan's sorted
-        position above its segment, and one sort of the keys puts the pairs
-        in scan order. The cost follows the pairs, not scans x segments.
+        searches, and the pairs are those runs laid end to end. The cost
+        follows the pairs, not scans x segments.
         """
         order = np.argsort(times, kind="stable")
         ordered = times[order]
         first = np.searchsorted(ordered, self.t_start, "left")
         runs = ((np.searchsorted(ordered, self.t_end, "right") - first)
                 * (self.length > 0))
-        bits = len(runs).bit_length()
-        key = np.repeat(first - (np.cumsum(runs) - runs), runs)
-        key += np.arange(len(key))
-        key <<= bits
-        key |= np.repeat(np.arange(len(runs)), runs)
-        key.sort()
-        return order.take(key >> bits), key & ((1 << bits) - 1)
+        pos = np.repeat(first - (np.cumsum(runs) - runs), runs)
+        pos += np.arange(len(pos))
+        return order.take(pos), np.repeat(np.arange(len(runs)), runs)
 
     def shared_terms(self, block: np.ndarray, row: np.ndarray,
                      seg: np.ndarray, entry_col: np.ndarray
@@ -229,45 +224,25 @@ class _Columns:
         """Shared-id count and summed out-of-range distance of each pair
         (block[row[i]], segment seg[i]), where a segment's entry e reads
         column entry_col[e] of the C-contiguous ``block``; every segment
-        must be non-empty. The pairs go in runs of at most _CELLS
-        (pair, segment id) entries, or one pair that holds more."""
-        lens = self.length[seg]
+        must be non-empty. Its temporaries hold one value per (pair,
+        segment id) entry: the caller sizes the chunk."""
+        lens = self.length.take(seg)
         ends = np.cumsum(lens)
-        before = ends - lens
-        shift = self.ptr[seg] - before  # pair i's entry e is shift[i] + e
-        base = row * block.shape[1]
-        flat = block.ravel()
-        count = np.empty(len(seg), dtype=np.int64)
-        total = np.empty(len(seg), dtype=np.int64)
-        a = 0
-        while a < len(seg):
-            b = max(a + 1, int(np.searchsorted(ends, before[a] + _CELLS,
-                                               "right")))
-            run = lens[a:b]
-            entry = np.repeat(shift[a:b], run)
-            entry += np.arange(before[a], ends[b - 1])
-            cell = np.repeat(base[a:b], run)
-            cell += entry_col.take(entry)
-            rssi = flat.take(cell)
-            heard = rssi != _UNHEARD
-            below, above = self.lo.take(entry), self.hi.take(entry)
-            np.subtract(below, rssi, out=below)
-            np.subtract(rssi, above, out=above)
-            np.maximum(below, above, out=below)
-            np.maximum(below, 0, out=below)
-            below *= heard
-            starts = before[a:b] - before[a]
-            count[a:b] = np.add.reduceat(heard, starts, dtype=np.int64)
-            total[a:b] = np.add.reduceat(below, starts, dtype=np.int64)
-            a = b
-        return count, total
-
-
-def _starts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a run of equal keys starts."""
-    mask = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
-    return mask
+        starts = ends - lens
+        entry = np.repeat(self.ptr.take(seg) - starts, lens)
+        entry += np.arange(ends[-1])
+        cell = np.repeat(row * block.shape[1], lens)
+        cell += entry_col.take(entry)
+        rssi = block.ravel().take(cell)
+        heard = rssi != _UNHEARD
+        below, above = self.lo.take(entry), self.hi.take(entry)
+        np.subtract(below, rssi, out=below)
+        np.subtract(rssi, above, out=above)
+        np.maximum(below, above, out=below)
+        np.maximum(below, 0, out=below)
+        below *= heard
+        return (np.add.reduceat(heard, starts, dtype=np.int64),
+                np.add.reduceat(below, starts, dtype=np.int64))
 
 
 def _score_columns(
@@ -279,12 +254,18 @@ def _score_columns(
     columns, with the first-match rule; segment indices are positions in
     ``cols``. A segment is a candidate for a scan when its validity window
     contains the scan time; scans need not be ordered. Only the candidate
-    pairs are scored: :meth:`_Columns.covering` finds them once per call.
+    pairs are scored: :meth:`_Columns.covering` finds them once per call, in
+    segment order, and they are scored in that order in chunks of at most
+    _CELLS (pair, segment id) entries. With ``alpha``, each chunk first
+    drops the pairs of scans matched in an earlier chunk: the first hit met
+    is the first in input order, and nothing after it can change the scan's
+    score or segment. Without ``alpha`` every candidate pair is scored.
 
     Each candidate pair scores ``signal_similarity(scan, segment.vector)``,
     bit for bit: the shared-id count, the smaller id count and the summed
     out-of-range distance are exact integers, then O = count / smaller,
-    D = total / count and O / (D + 1.0) are float64 divisions in that order.
+    D = total / count and O / (D + 1.0) are float64 divisions in that order
+    (a pair with no shared id divides by 1 instead and scores 0.0).
 
     Returns two arrays with one entry per scan, ``(score, segment)``. When
     ``alpha`` is given and some candidate scores >= alpha, they hold the
@@ -299,42 +280,49 @@ def _score_columns(
     scan, seg = cols.covering(scans.times)
     if not len(scan):
         return score, matched
-    # each segment entry's batch column; ids no scan holds read an extra one
+    # the batch column of each entry of the covered segments (seg ascends);
+    # ids no scan holds read an extra one
     width = len(scans.ids)
     batch_col = dict(zip(scans.ids, range(width)))
-    entry_col = np.fromiter(map(batch_col.get, cols.index, repeat(width)),
-                            dtype=np.intp, count=len(cols.index)).take(cols.col)
+    id_col = np.fromiter(map(batch_col.get, cols.index, repeat(width)),
+                         dtype=np.intp, count=len(cols.index))
+    span = slice(cols.ptr[seg[0]], cols.ptr[seg[-1]] + cols.length[seg[-1]])
+    entry_col = np.empty(len(cols.col), dtype=np.intp)
+    id_col.take(cols.col[span], out=entry_col[span])
     block = np.full((n, width + 1), _UNHEARD, dtype=np.int16)
     block[:, :width] = scans.rssi
     sizes = np.count_nonzero(scans.rssi != _UNHEARD, axis=1)
 
-    # chunks of at most _CELLS pairs; a scan's pairs may span two of them
-    for first in range(0, len(scan), _CELLS):
-        chunk_scan = scan[first:first + _CELLS]
-        chunk_seg = seg[first:first + _CELLS]
+    # chunks of at most _CELLS (pair, segment id) entries, or one pair
+    ends = np.cumsum(cols.length.take(seg))
+    a = done = 0
+    while a < len(seg):
+        b = max(a + 1, int(np.searchsorted(ends, done + _CELLS, "right")))
+        chunk_scan, chunk_seg = scan[a:b], seg[a:b]
+        a, done = b, ends[b - 1]
+        if alpha is not None:
+            # a matched scan keeps its match: its later pairs go unscored
+            open_ = matched.take(chunk_scan) < 0
+            chunk_scan, chunk_seg = chunk_scan[open_], chunk_seg[open_]
+            if not len(chunk_scan):
+                continue
         count, total = cols.shared_terms(block, chunk_scan, chunk_seg,
                                          entry_col)
-        keep = count > 0  # a pair without shared ids scores 0
-        if not keep.any():
-            continue
-        chunk_scan, chunk_seg = chunk_scan[keep], chunk_seg[keep]
-        count, total = count[keep], total[keep]
-        smaller = np.minimum(sizes[chunk_scan], cols.length[chunk_seg])
-        pair_score = (count / smaller) / (total / count + 1.0)
-        # a scan matched in an earlier chunk keeps that match and its score
-        heads = np.flatnonzero(_starts(chunk_scan))
-        owner = chunk_scan[heads]
-        open_ = matched[owner] < 0
-        owner = owner[open_]
-        score[owner] = np.maximum(
-            score[owner], np.maximum.reduceat(pair_score, heads)[open_])
+        smaller = np.minimum(sizes.take(chunk_scan), cols.length.take(chunk_seg))
+        # a pair without shared ids scores 0 / 1 / (0 / 1 + 1.0) = 0.0
+        pair_score = ((count / np.maximum(smaller, 1))
+                      / (total / np.maximum(count, 1) + 1.0))
+        np.maximum.at(score, chunk_scan, pair_score)
         if alpha is not None:
+            # each scan's first hit by position, which is in input order;
+            # its score replaces the maximum just taken
             hits = np.flatnonzero(pair_score >= alpha)
-            # the first hit of each scan: pairs come grouped by scan
-            hits = hits[_starts(chunk_scan[hits])]
-            hits = hits[matched[chunk_scan[hits]] < 0]
-            score[chunk_scan[hits]] = pair_score[hits]
-            matched[chunk_scan[hits]] = chunk_seg[hits]
+            if not len(hits):
+                continue
+            owner, first = np.unique(chunk_scan[hits], return_index=True)
+            hits = hits[first]
+            score[owner] = pair_score[hits]
+            matched[owner] = chunk_seg[hits]
     return score, matched
 
 

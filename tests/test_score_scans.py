@@ -228,7 +228,7 @@ def test_covering_pairs_are_the_brute_force_pairs(case):
     want = sorted(((i, g) for i, t in enumerate(times)
                    for g, seg in enumerate(segments)
                    if seg.vector.ranges and seg.covers(t)),
-                  key=lambda pair: (times[pair[0]], pair))
+                  key=lambda pair: (pair[1], times[pair[0]], pair[0]))
     scan, seg = _Columns.from_segments(segments).covering(
         similarity._times(times))
     assert list(zip(scan.tolist(), seg.tolist())) == want
@@ -277,6 +277,71 @@ def test_one_scan_may_hold_more_pairs_than_a_chunk(cells):
             alpha)
         assert (got.tolist(), matched.tolist()) == reference_columns(
             scans, segments, alpha)
+
+
+def counted_pairs(monkeypatch):
+    """A list that collects the number of pairs each shared_terms call
+    receives."""
+    sizes = []
+    shared_terms = _Columns.shared_terms
+
+    def counting(self, block, row, seg, entry_col):
+        sizes.append(len(seg))
+        return shared_terms(self, block, row, seg, entry_col)
+
+    monkeypatch.setattr(_Columns, "shared_terms", counting)
+    return sizes
+
+
+def test_pruning_skips_the_pairs_of_matched_scans(cells, monkeypatch):
+    """Segment 0 matches each of the n scans with score 1; segments 1-9
+    cover them too. Once a scan is matched its later pairs go unscored, so
+    besides segment 0's n pairs at most one chunk's pairs reach
+    shared_terms. Without alpha all 10 n pairs are scored."""
+    rng = random.Random(11)
+    ids = ID_POOL[:4]
+    n = 12
+    scans = [SignalVector({sid: -50 for sid in ids}, t) for t in range(n)]
+    segments = [ProfileSegment(ProcessedVector({sid: (-60, -40) for sid in ids}),
+                               0, n)]
+    segments += [ProfileSegment(make_processed(rng, 4, ids), 0, n)
+                 for _ in range(9)]
+    per_chunk = max(1, similarity._CELLS // len(ids))
+    sizes = counted_pairs(monkeypatch)
+    for alpha in (0.2, None):
+        sizes.clear()
+        got, matched = similarity._score_columns(
+            _ScanBatch.from_vectors(scans), _Columns.from_segments(segments),
+            alpha)
+        assert (got.tolist(), matched.tolist()) == reference_columns(
+            scans, segments, alpha)
+        if alpha is None:
+            assert sum(sizes) == 10 * n
+        else:
+            assert matched.tolist() == [0] * n
+            assert sum(sizes) < n + per_chunk
+
+
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_a_later_higher_score_keeps_the_first_match(chunks, monkeypatch):
+    """Segment 0 scores 0.3 (3 of 10 ids shared, all in range) and segment
+    1 scores 1.0, at alpha 0.2: the flag keeps segment 0 and 0.3, whether
+    both pairs share a chunk or each has its own."""
+    monkeypatch.setattr(similarity, "_CELLS", 20 if chunks == 1 else 1)
+    sizes = counted_pairs(monkeypatch)
+    scan = SignalVector({sid: -50 for sid in ID_POOL[:10]}, 30)
+    first = {sid: (-60, -40) for sid in ID_POOL[:3] + ID_POOL[10:17]}
+    later = {sid: (-60, -40) for sid in ID_POOL[:10]}
+    profile = ProcessedProfile([ProfileSegment(ProcessedVector(first), 0, 60),
+                                ProfileSegment(ProcessedVector(later), 0, 60)],
+                               case_label="first")
+    assert [signal_similarity(scan, seg.vector)
+            for seg in profile.segments] == [0.3, 1.0]
+    (flag,) = detect_contacts(SignalProfile([scan]), [profile],
+                              DetectionConfig(alpha=0.2))
+    assert flag == ContactFlag(30, True, 0.3, 0, "first")
+    # one chunk scores both pairs; with two, the second is never scored
+    assert sizes == ([2] if chunks == 1 else [1])
 
 
 def tie_case():
