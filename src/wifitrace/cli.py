@@ -7,7 +7,9 @@ subcommands write fixed-schema CSV files. Each command returns its summary;
 to an exit code: 1 on an exchange error, 2 on a config problem, a file that
 cannot be read or written, or a scan profile that does not parse or is not
 a raw signal profile. ``sync`` reports the last two as ``profile error:
-<path>: ...`` and leaves its cursor and report untouched. It writes its
+<path>: ...`` and leaves its cursor and report untouched. It reads its scan
+profile's bytes straight into the matching kernel's scan batch
+(``profileio._signal_scans``), building no SignalVector. It writes its
 report durably after the match and before the cursor moves, so a report
 that cannot be written exits 2 with the cursor where it was.
 """
@@ -35,8 +37,7 @@ from .exchange import (
     publish,
     write_durably,
 )
-from .model import SignalProfile
-from .profileio import ProfileFormatError, read_profile
+from .profileio import ProfileFormatError, _signal_scans
 from .simulator import emit_scenario, make_site
 
 CONFIG_ERROR = 2
@@ -131,15 +132,13 @@ def cmd_publish(args) -> dict:
 
 
 def cmd_sync(args) -> dict:
-    profile = read_profile(args.profile)
-    if not isinstance(profile, SignalProfile):
-        raise ProfileFormatError("not a raw signal profile")
+    scans = _signal_scans(Path(args.profile).read_bytes())
     cfg = DetectionConfig(alpha=args.alpha, window_length=args.window,
                           min_exposure=args.min_exposure,
                           sampling_period=args.period)
     state = SyncState(args.state)
     report, last = fetch_and_match(args.endpoint, state.last_record_id,
-                                   profile, cfg)
+                                   scans, cfg)
     # the report is on disk before the cursor moves past its records, so a
     # report that cannot be written leaves them to the next sync
     if args.report:

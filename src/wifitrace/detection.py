@@ -5,10 +5,15 @@ published segment whose validity window contains t; the first segment whose
 similarity reaches the threshold flags the timestamp as a contact and is the
 one recorded. The user's scans are in time order, so the ones that some
 segment's window may contain form one slice, from the earliest window start
-to the latest window end. That slice is scored in one batch by
-similarity's kernel, which applies the first-match rule; every scan outside
-it gets a false flag with score 0. The threshold and the window settings
-come from DetectionConfig, which ``wifitrace sync`` builds from its flags.
+to the latest window end. Only that slice is built into a scan batch and
+scored by similarity's kernel, which applies the first-match rule; every
+scan outside it gets a false flag with score 0. The core takes the scans
+in one form: their times, and a maker of the batch of any slice.
+``detect_contacts`` and ``client_sync`` make that batch from dict scans;
+``wifitrace sync`` makes it straight from the signal reader's columns
+(``profileio._signal_scans``) and builds no ``SignalVector``. The threshold
+and the window settings come from DetectionConfig, which ``wifitrace sync``
+builds from its flags.
 
 Close-contact aggregation: a sliding time window of configurable length is
 passed over the flags; wherever the true flags inside some window placement
@@ -23,7 +28,7 @@ import math
 import urllib.parse
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,30 +120,43 @@ def detect_contacts(
     Output has exactly one flag per user scan, in timestamp order.
     """
     segments = [seg for profile in published for seg in profile.segments]
-    return _detect_columns(user.vectors, _Columns.from_segments(segments),
+    return _detect_columns(*_vector_scans(user.vectors),
+                           _Columns.from_segments(segments),
                            [profile.case_label for profile in published],
                            [len(profile.segments) for profile in published],
                            cfg)
 
 
-def _detect_columns(
+def _vector_scans(
     vectors: Sequence[SignalVector],
+) -> tuple[list[int], Callable[[int, int], _ScanBatch]]:
+    """Dict scans as _detect_columns takes them: their times, and the maker
+    of the batch of scans lo..hi-1."""
+    return ([vec.timestamp for vec in vectors],
+            lambda lo, hi: _ScanBatch.from_vectors(vectors[lo:hi]))
+
+
+def _detect_columns(
+    times: Sequence[int],
+    rows: Callable[[int, int], _ScanBatch],
     cols: _Columns,
     labels: Sequence[str],
     counts: Sequence[int],
     cfg: DetectionConfig,
 ) -> list[ContactFlag]:
     """detect_contacts over records already in one batch of columns, given
-    each record's case label and segment count in input order."""
-    scores, matched = np.zeros(len(vectors)), np.full(len(vectors), -1)
+    each record's case label and segment count in input order, and the
+    user's scans as their times, in order, and ``rows(lo, hi)``, which
+    returns the batch of scans lo..hi-1. Only the slice of scans that some
+    segment's window may contain is built."""
+    scores, matched = np.zeros(len(times)), np.full(len(times), -1)
     if len(cols.length):
         # the scans are in time order, so those inside some segment's window
-        # are within one slice: convert just that
-        times = [vec.timestamp for vec in vectors]
+        # are within one slice: build just that
         lo = bisect_left(times, int(cols.t_start.min()))
         hi = bisect_right(times, int(cols.t_end.max()))
-        scores[lo:hi], matched[lo:hi] = _score_columns(
-            _ScanBatch.from_vectors(vectors[lo:hi]), cols, cfg.alpha)
+        scores[lo:hi], matched[lo:hi] = _score_columns(rows(lo, hi), cols,
+                                                       cfg.alpha)
     # each matched segment's record, and its index within that record
     hits = matched[matched >= 0]
     ends = np.cumsum(counts, dtype=np.intp)
@@ -146,12 +164,12 @@ def _detect_columns(
     owners = zip(map(labels.__getitem__, record.tolist()),
                  (hits - ends[record] + np.take(counts, record)).tolist())
     flags: list[ContactFlag] = []
-    for vec, score, g in zip(vectors, scores.tolist(), matched.tolist()):
+    for t, score, g in zip(times, scores.tolist(), matched.tolist()):
         if g < 0:
-            flags.append(ContactFlag(vec.timestamp, False, score))
+            flags.append(ContactFlag(t, False, score))
         else:
             label, seg_idx = next(owners)
-            flags.append(ContactFlag(vec.timestamp, True, score, seg_idx, label))
+            flags.append(ContactFlag(t, True, score, seg_idx, label))
     return flags
 
 

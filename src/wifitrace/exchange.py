@@ -21,6 +21,13 @@ frame offset and frame length, and the digests of the payloads.
 ``fetch_since`` reads from the log the runs of frames that a GET streams to
 the socket with ``sendfile``; the frame reader takes a byte count and reads
 any stream, seekable or not.
+
+A device's round (``fetch_and_match``) reads the fetched records straight
+into kernel columns and builds the scan batch of only the slice of the
+user's scans that their windows may cover: ``client_sync`` from its dict
+scans, ``wifitrace sync`` straight from its profile's bytes, with no
+SignalVector. A round matches the scans only against the records it
+fetched.
 """
 
 from __future__ import annotations
@@ -41,12 +48,13 @@ import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import detection
 from .detection import ContactReport, DetectionConfig
 from .model import SignalProfile
 from .profileio import ProfileFormatError, _check_processed, _read_processed
+from .similarity import _ScanBatch
 
 DEFAULT_RETENTION_DAYS = 28
 # far above the largest processed profile a day of scans makes (~130 KB)
@@ -524,14 +532,17 @@ class SyncState:
 def fetch_and_match(
     endpoint: str,
     since: int,
-    user_profile: SignalProfile,
+    scans: tuple[Sequence[int], Callable[[int, int], _ScanBatch]],
     cfg: DetectionConfig,
 ) -> tuple[ContactReport, int | None]:
     """A sync round without its cursor move: fetch the records after
     ``since``, match the user's scans against them and aggregate episodes.
-    Returns the report and the last fetched id, or None when there is no new
-    record (then the report is empty and nothing is matched). On network
-    failure or a bad record, ExchangeError propagates."""
+    The scans come as ``detection._detect_columns`` takes them: their times,
+    and the maker of the batch of a slice (``detection._vector_scans`` of
+    dict scans, or ``profileio._signal_scans`` of profile bytes). Returns
+    the report and the last fetched id, or None when there is no new record
+    (then the report is empty and nothing is matched). On network failure
+    or a bad record, ExchangeError propagates."""
     records = fetch_since(endpoint, since)
     if not records:
         return ContactReport((), ()), None
@@ -541,8 +552,7 @@ def fetch_and_match(
     except ProfileFormatError as exc:
         raise ExchangeError(
             f"record {records[exc.record].record_id}: {exc}") from None
-    flags = detection._detect_columns(
-        user_profile.vectors, cols, labels, counts, cfg)
+    flags = detection._detect_columns(*scans, cols, labels, counts, cfg)
     # through the module, so that a wrapper set on aggregate_episodes sees it
     return detection.aggregate_episodes(flags, cfg), records[-1].record_id
 
@@ -559,8 +569,8 @@ def client_sync(
     the cursor. On network failure or a bad record, ExchangeError propagates
     and the cursor is untouched. No new records: empty report, no matching.
     """
-    report, last = fetch_and_match(endpoint, state.last_record_id,
-                                   user_profile, cfg)
+    scans = detection._vector_scans(user_profile.vectors)
+    report, last = fetch_and_match(endpoint, state.last_record_id, scans, cfg)
     if last is not None:
         state.advance(last)
     return report

@@ -41,10 +41,14 @@ Processed records are read in runs of whole records, a signal profile in
 runs of whole lines, which bounds the temporaries of a long profile; its
 times are checked once, across the runs. ``_read_processed`` returns
 records' segments as one ``similarity._Columns``, which the device's sync
-round scores and ``parse_profile`` turns into segments (``segments()``);
-``parse_profile`` builds its scans from the signal reader's columns, and
-the relay's publish check runs the checks alone (``_check_processed``, and
-``_read_signal`` to name the fault of a signal body). A profile of either
+round scores and ``parse_profile`` turns into segments (``segments()``).
+The device reads its own signal profile straight into the kernel's scan
+batch: ``_signal_scans`` keeps the signal reader's sparse columns and
+builds the batch of the covered slice of scans only, over the ids that
+slice holds, with no SignalVector; ``parse_profile`` builds its
+SignalVectors from the same columns. The relay's publish check runs the
+checks alone (``_check_processed``, and ``_read_signal`` to name the fault
+of a signal body). A profile of either
 kind that the reader rejects goes to one explainer with the line the bulk
 pass flagged: the first with a bad field, else the first whose time falls.
 The explainer cuts that line and the one before it from the bytes and walks
@@ -57,7 +61,7 @@ from __future__ import annotations
 import re
 import urllib.parse
 from itertools import chain, islice
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -72,7 +76,7 @@ from .model import (
     SignalVector,
     clamp_rssi,
 )
-from .similarity import _Columns, _times
+from .similarity import _UNHEARD, _Columns, _ScanBatch, _times
 
 MAGIC = "vcontact/1"
 KIND_SIGNAL = "signal"
@@ -663,6 +667,40 @@ def _read_signal(data: bytes) -> tuple[str, tuple]:
     if len(falls):  # scan i + 1, on line i + 3, is not after scan i
         _explain(data, int(falls[0]) + 3)
     return head[0], (ids, col, rssi, lengths, times)
+
+
+def _signal_scans(
+    data: bytes,
+) -> tuple[list[int], Callable[[int, int], _ScanBatch]]:
+    """A signal profile's scans as ``detection._detect_columns`` takes them,
+    straight from _read_signal's columns: their times, and the maker of the
+    batch of scans lo..hi-1, over exactly the ids those scans hold. No
+    SignalVector or SignalProfile is built.
+
+    Raises:
+        ProfileFormatError: as parse_profile raises it, or "not a raw
+            signal profile" for a processed profile that parses.
+    """
+    if data.startswith(_PROCESSED_HEADER):
+        parse_profile(data)  # a malformed one names its own fault
+        raise ProfileFormatError("not a raw signal profile")
+    _, (ids, col, rssi, lengths, times) = _read_signal(data)
+    ptr = np.cumsum([0, *lengths], dtype=np.intp)
+
+    def rows(lo: int, hi: int) -> _ScanBatch:
+        span = slice(ptr[lo], ptr[hi])
+        entries = col[span]
+        # the ids the slice holds, in order, and each one's column
+        kept = np.flatnonzero(np.bincount(entries, minlength=len(ids)))
+        column = np.empty(len(ids), dtype=np.intp)
+        column[kept] = np.arange(len(kept))
+        block = np.full((hi - lo, len(kept)), _UNHEARD, dtype=np.int16)
+        block[np.repeat(np.arange(hi - lo), lengths[lo:hi]),
+              column.take(entries)] = rssi[span]
+        return _ScanBatch(_times(times[lo:hi]),
+                          list(map(ids.__getitem__, kept.tolist())), block)
+
+    return times, rows
 
 
 def write_profile(path, profile: SignalProfile | ProcessedProfile) -> None:

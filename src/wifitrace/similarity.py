@@ -11,24 +11,31 @@ are the scan-to-scan baselines used for comparison; AMD/AED fill ids missing
 on one side with the -100 dBm floor and divide by the union's size. They
 score one pair, the reference for ``evaluation._baseline_scores``.
 
-signal_similarity() scores one pair and is the reference arithmetic;
-_score_columns(), the one kernel, scores many scans against many segments at
-once with numpy, in bit-identical floats, each scan only against the
+signal_similarity() scores one pair and is the reference arithmetic.
+_score_columns(), the one kernel, scores many scans against many segments
+at once with numpy, in bit-identical floats, each scan only against the
 segments whose validity window contains its time, and applies detection's
 first-match rule. It finds those covering pairs with a sort-merge interval
 join (``_Columns.covering``), so its work follows the pairs, not scans x
-segments, and with alpha it skips the pairs of scans already matched. It
-owns both of its input formats: scans as one ``_ScanBatch`` (times and a
-dense scan x id RSSI block), the package's one inner scan form, and
-segments as one ``_Columns``, the one segment form that modules pass each
-other. Both convert both ways (``from_vectors`` and ``vectors()``,
-``from_segments`` and ``segments()``). It maps the segment ids to the
-batch's columns once, one lookup per id, then the entries of the covered
-segments to those columns, and reads each pair from one copy of the
-batch's block that has an extra, never heard column for ids no scan holds. The studies hand it simulated batches and case and area
-segments built from one; detection builds a batch from the one time slice
-of dict scans a window may contain, and ``evaluation.record_score`` from
-its one dict scan.
+segments, and with alpha it skips the pairs of scans already matched.
+
+The kernel owns both of its input formats: scans as one ``_ScanBatch``
+(times and a dense scan x id RSSI block), the package's one inner scan
+form, and segments as one ``_Columns``, the one segment form that modules
+pass each other. Both convert both ways (``from_vectors`` and
+``vectors()``, ``from_segments`` and ``segments()``). It maps the segment
+ids to the batch's columns once, one lookup per id, then the entries of
+the covered segments to those columns. It reads each pair from one copy
+of the batch's block with an extra column, never heard, for the ids no
+scan holds.
+
+The studies hand the kernel simulated batches, and case and area segments
+built from one. Detection hands it the batch of the one time slice of the
+user's scans that some window may contain, built for that slice only:
+from dict scans (``from_vectors``) in ``detect_contacts`` and
+``client_sync``, and in ``wifitrace sync`` straight from the signal
+reader's columns (``profileio._signal_scans``), with no SignalVector in
+between. ``evaluation.record_score`` builds a batch from its one dict scan.
 """
 
 from __future__ import annotations

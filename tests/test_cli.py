@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from wifitrace import cli
+from wifitrace import cli, profileio
 from wifitrace import evaluation as ev
 from wifitrace.cli import main
 from wifitrace.detection import ContactReport, DetectionConfig
 from wifitrace.exchange import (DEFAULT_RETENTION_DAYS, ProfileStore, SyncState,
                                 serve_in_thread)
-from wifitrace.model import ProcessedProfile, SignalProfile
+from wifitrace.model import ProcessedProfile, SignalProfile, SignalVector
 from wifitrace.profileio import read_profile, write_profile
 from wifitrace.simulator import make_site
 
@@ -412,6 +412,58 @@ def test_malformed_profile_is_a_profile_error(tmp_path, capsys, state):
         f"profile error: {bad}: line 4: bad rssi '-05'"]
     assert files(state) == before
     assert report.read_text() == "an older report\n"
+
+
+def test_malformed_processed_profile_names_its_own_fault(tmp_path, capsys,
+                                                        state):
+    # refused as user data only once it parses: first its own parse error
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+    lines = Path(paths["processed"]).read_bytes().split(b"\n")
+    lines[2] = re.sub(rb":-?[0-9]+\.\.", b":-05..", lines[2], count=1)
+    bad = tmp_path / "bad.processed"
+    bad.write_bytes(b"\n".join(lines))
+    report = tmp_path / "report.txt"
+    report.write_text("an older report\n")
+    before = files(state)
+    code = main(["sync", "--endpoint", "http://127.0.0.1:1", "--profile",
+                 str(bad), "--state", str(state), "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"profile error: {bad}: line 3: bad rssi range '-05'"]
+    assert files(state) == before
+    assert report.read_text() == "an older report\n"
+
+
+def test_sync_matches_without_building_scan_objects(tmp_path, capsys,
+                                                    monkeypatch):
+    cfg = write(tmp_path, "scenario.cfg", SCENARIO_CFG)
+    _, paths = run_cli(capsys, "simulate", cfg, "--out", str(tmp_path / "sim"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sync round built a scan object")
+
+    with serve_in_thread(ProfileStore(tmp_path / "relay")) as server:
+        run_cli(capsys, "publish", paths["processed"],
+                "--endpoint", server.endpoint)
+
+        def sync(name):
+            return run_cli(capsys, "sync", "--endpoint", server.endpoint,
+                           "--profile", paths["user"],
+                           "--state", str(tmp_path / name),
+                           "--report", str(tmp_path / f"{name}.txt"))
+
+        plain = sync("plain")
+        for owner, name in ((SignalVector, "__post_init__"),
+                            (SignalVector, "_trusted"),
+                            (SignalProfile, "__post_init__"),
+                            (profileio, "parse_profile")):
+            monkeypatch.setattr(owner, name, refuse)
+        straight = sync("straight")
+    assert plain[0] == 0 and plain[1]["episodes"] == 1
+    assert straight == plain
+    assert ((tmp_path / "straight.txt").read_bytes()
+            == (tmp_path / "plain.txt").read_bytes())
 
 
 def test_unreadable_input_file_is_exit_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from wifitrace import exchange
+from wifitrace import detection, exchange
 from wifitrace.cli import main
 from wifitrace.detection import DetectionConfig, match_and_notify
 from wifitrace.exchange import (
@@ -45,8 +45,10 @@ from wifitrace.model import (
     SignalProfile,
     SignalVector,
 )
-from wifitrace.profileio import (ProfileFormatError, parse_profile,
+from wifitrace.profileio import (ProfileFormatError, _read_processed,
+                                 _signal_scans, parse_profile,
                                  serialize_profile)
+from wifitrace.similarity import _ScanBatch
 
 from conftest import ID_POOL
 
@@ -1122,3 +1124,29 @@ def test_client_sync_equals_matching_the_parsed_records(relay, inputs):
                              relay.endpoint, user, cfg)
     published = [parse_profile(data) for data in dict.fromkeys(records)]
     assert report == match_and_notify(user, published, cfg)
+
+
+# the device's straight read of its own profile bytes is the parsed scans:
+# every slice's batch, and so every flag of a round
+@given(sync_inputs())
+@settings(max_examples=40, deadline=None)
+def test_the_straight_read_of_the_scans_is_the_parsed_scans(inputs):
+    records, user, cfg = inputs
+    data = serialize_profile(user)
+    times, rows = _signal_scans(data)
+    vectors = parse_profile(data).vectors
+    assert times == [vec.timestamp for vec in vectors]
+    for lo, hi in itertools.combinations_with_replacement(
+            range(len(vectors) + 1), 2):
+        got, want = rows(lo, hi), _ScanBatch.from_vectors(vectors[lo:hi])
+        assert got.times.dtype == want.times.dtype
+        assert got.times.tolist() == want.times.tolist()
+        assert got.ids == want.ids
+        assert got.rssi.dtype == want.rssi.dtype
+        assert got.rssi.shape == want.rssi.shape
+        assert (got.rssi == want.rssi).all()
+    labels, counts, cols = _read_processed(records)
+    assert (detection._detect_columns(times, rows, cols, labels, counts, cfg)
+            == detection._detect_columns(
+                *detection._vector_scans(user.vectors), cols, labels, counts,
+                cfg))

@@ -4,19 +4,27 @@
 
 Builds one sync-day day (``perfbench/sync_day.Day``: 480 scans and 80
 records) and makes day d by shifting its scans and records by d * 86400 s.
-It times ``detection._detect_columns`` only, on records already read into
-columns, and prints the best of ``--repeat`` runs as two rows of the
-ROADMAP baseline table:
+It prints the best of ``--repeat`` runs as three rows of the ROADMAP
+baseline table:
 
 * the day-0 scans matched against day 0's records and against ``--days``
   days of records, with the pairs the kernel scores against one day next
   to the covering pairs (it skips the pairs of scans already matched);
 * ``min(7, --days)`` days of scans matched against as many days of records,
-  in one batch and as one batch per day.
+  in one batch and as one batch per day;
+* the device's own scans: a device round as ``wifitrace sync`` makes it,
+  without the fetch (its own profile's bytes read, the last hour's records
+  read, then the match), over 1 and ``--days`` days of scans. The parse
+  path reads the profile with ``parse_profile`` and matches its dict scans;
+  the straight path builds the covered slice's batch from the signal
+  reader's columns (``profileio._signal_scans``). Each is timed, and its
+  peak traced by tracemalloc in one more run.
 
-Each pair of runs must give equal flags: the extra days' windows cover no
-day-0 scan, and a day's records cover only that day's scans. A difference
-exits 1. Nothing gates on time.
+The first two rows time ``detection._detect_columns`` only, on records
+already read into columns. Each pair of runs must give equal flags: the
+extra days' windows cover no day-0 scan, a day's records cover only that
+day's scans, and both paths read the same scans. A difference exits 1.
+Nothing gates on time.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from sync_day import DAY, Day, shifted  # noqa: E402
 from wifitrace import detection, profileio, similarity  # noqa: E402
-from wifitrace.model import SignalVector  # noqa: E402
+from wifitrace.model import SignalProfile, SignalVector  # noqa: E402
 
 
 def best_ms(repeat: int, fn, *args):
@@ -42,6 +51,16 @@ def best_ms(repeat: int, fn, *args):
         out = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best * 1e3, out
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """The peak of memory traced by tracemalloc during ``fn(*args)``, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def scored_pairs(match, vectors, log) -> tuple[int, int]:
@@ -88,7 +107,16 @@ def main(argv=None) -> int:
                 for d in days for v in day.user]
 
     def match(vectors, log):
-        return detection._detect_columns(vectors, log[2], log[0], log[1], cfg)
+        return detection._detect_columns(*detection._vector_scans(vectors),
+                                         log[2], log[0], log[1], cfg)
+
+    def parsed(data: bytes):
+        return detection._vector_scans(profileio.parse_profile(data).vectors)
+
+    def device_round(read, data: bytes, hour: list[bytes]):
+        labels, counts, cols = profileio._read_processed(hour)
+        return detection._detect_columns(*read(data), cols, labels, counts,
+                                         cfg)
 
     failed = []
 
@@ -123,6 +151,34 @@ def main(argv=None) -> int:
           f"matching only | **{batch_ms:.1f} ms** in one batch, against "
           f"{per_day_ms:.1f} ms as {week} per-day batches: "
           f"{batch_ms / per_day_ms:.2f}x |")
+
+    # the device's own scans, read by the parse path and by the straight
+    # one, against the last hour's records of the last day
+    paths = (parsed, profileio._signal_scans)
+    rounds = []
+    for n in (1, args.days):
+        data = profileio.serialize_profile(SignalProfile(scans(range(n))))
+        hour = [shifted(body, (n - 1) * DAY) for _, _, body in day.batches[-1]]
+        (parse_ms, parse_flags), (straight_ms, straight_flags) = (
+            best_ms(args.repeat, device_round, read, data, hour)
+            for read in paths)
+        if parse_flags != straight_flags:
+            failed.append(f"straight read of {n} days of scans")
+        rounds.append((len(data) / 1e6, parse_ms, straight_ms))
+    # the peaks of the --days round
+    parse_mb, straight_mb = (traced_peak_mb(device_round, read, data, hour)
+                             for read in paths)
+    (one_mb, one_parse, one_straight), (many_mb, many_parse,
+                                        many_straight) = rounds
+    print(f"| the device's own scans | a device round without the fetch: the "
+          f"own signal profile read, {len(hour)} records of the last hour "
+          f"read, then matched; 1 and {args.days} days of scans "
+          f"({one_mb:.2f} and {many_mb:.1f} MB), read by `parse_profile` "
+          f"then dict scans, against straight from the reader's columns "
+          f"| 1 day: {one_parse:.1f} → **{one_straight:.1f} ms**; "
+          f"{args.days} days: {many_parse:.1f} → **{many_straight:.1f} ms**, "
+          f"traced peak {parse_mb:.1f} → {straight_mb:.1f} MB; the same "
+          f"flags |")
 
     for what in failed:
         print(f"FAIL: the {what} gave other flags", file=sys.stderr)
