@@ -11,13 +11,16 @@ are the scan-to-scan baselines used for comparison; AMD/AED fill ids missing
 on one side with the -100 dBm floor and divide by the union's size. They
 score one pair, the reference for ``evaluation._baseline_scores``.
 
-signal_similarity() scores one pair and is the reference arithmetic.
+signal_similarity() scores one pair. The tests pin it bit for bit to the
+spec's arithmetic, ``similarity_float`` in ``tests/oracles.py``.
 _score_columns(), the one kernel, scores many scans against many segments
 at once with numpy, in bit-identical floats, each scan only against the
 segments whose validity window contains its time, and applies detection's
-first-match rule. It finds those covering pairs with a sort-merge interval
-join (``_Columns.covering``), so its work follows the pairs, not scans x
-segments, and with alpha it skips the pairs of scans already matched.
+first-match rule; the tests check its scores and segments exactly against
+the spec's statement of that rule, ``oracles.match_brute``. It finds those
+covering pairs with a sort-merge interval join (``_Columns.covering``), so
+its work follows the pairs, not scans x segments, and with alpha it skips
+the pairs of scans already matched.
 
 The kernel owns both of its input formats: scans as one ``_ScanBatch``
 (times and a dense scan x id RSSI block), the package's one inner scan
@@ -151,7 +154,8 @@ def _range_pair(lo: int, hi: int) -> tuple[int, int]:
 
 class _Columns:
     """A batch of segments in columnar form. Ids are interned to dense
-    column numbers for this batch only, in id order; segment g's entries
+    column numbers for this batch only: ``ids`` lists them in id order, and
+    an entry's column is its id's position there. Segment g's entries
     (column, lo, hi) sit at [ptr[g], ptr[g] + length[g]). Ranges fit int16,
     since they are validated into [-100, 0].
 
@@ -165,7 +169,7 @@ class _Columns:
     def __init__(self, ids: Sequence[bytes], col: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, lengths: Sequence[int], t_start: list[int],
                  t_end: list[int]):
-        self.index: dict[bytes, int] = dict(zip(ids, count()))
+        self.ids = list(ids)
         # contiguous: numpy's take copies a strided source whole, per call
         self.col = col
         self.lo, self.hi = np.ascontiguousarray(lo), np.ascontiguousarray(hi)
@@ -192,7 +196,7 @@ class _Columns:
     def segments(self) -> list[ProfileSegment]:
         """The segments, in order. Equal ids share one SignalId, and equal
         ranges one tuple across every segment built here."""
-        ids = list(map(SignalId, self.index))
+        ids = list(map(SignalId, self.ids))
         _, first, pair = np.unique(self.lo.astype(np.int64) * 65536 + self.hi,
                                    return_index=True, return_inverse=True)
         pairs = list(map(_range_pair, self.lo[first].tolist(),
@@ -291,8 +295,8 @@ def _score_columns(
     # ids no scan holds read an extra one
     width = len(scans.ids)
     batch_col = dict(zip(scans.ids, range(width)))
-    id_col = np.fromiter(map(batch_col.get, cols.index, repeat(width)),
-                         dtype=np.intp, count=len(cols.index))
+    id_col = np.fromiter(map(batch_col.get, cols.ids, repeat(width)),
+                         dtype=np.intp, count=len(cols.ids))
     span = slice(cols.ptr[seg[0]], cols.ptr[seg[-1]] + cols.length[seg[-1]])
     entry_col = np.empty(len(cols.col), dtype=np.intp)
     id_col.take(cols.col[span], out=entry_col[span])

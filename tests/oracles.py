@@ -4,6 +4,10 @@ Everything here works on plain dicts/lists and is written directly from the
 defining formulas, with no early exits, shared helpers, or reuse of package
 internals: the implementations under test must agree with these, not the
 other way around.
+
+``match_brute`` is the one statement of detection's first-match rule: the
+matcher, ``record_score``, the studies' scores and ``tools/matchbench.py``
+are all checked against it, on exact scores and segments.
 """
 
 import re
@@ -244,19 +248,26 @@ def similarity_float(a: dict, p: dict) -> float:
     return o / (d + 1.0)
 
 
-def detect_brute(user: list[tuple[int, dict]],
-                 published: list[list[tuple[dict, int, int]]],
-                 alpha: float) -> list[bool]:
-    """All-pairs threshold matcher: no early break, no time shortcuts."""
+def match_brute(user: list[tuple[int, dict]],
+                published: list[tuple[str, list[tuple[dict, int, int]]]],
+                alpha: float | None = None) -> list[tuple]:
+    """The first-match rule, per user scan (t, readings): every segment of
+    every (label, segments) profile is tried in input order, and one whose
+    window [t_start, t_end] holds t is scored. The first that scores >=
+    alpha gives (score, its index in its profile, label); with none, or
+    with no alpha, the scan gives (best covering score or 0.0, None, None).
+    """
     out = []
     for t, readings in user:
-        hit = False
-        for profile in published:
-            for ranges, t_start, t_end in profile:
+        best, match = 0.0, None
+        for label, segments in published:
+            for index, (ranges, t_start, t_end) in enumerate(segments):
                 if t_start <= t <= t_end:
-                    if similarity_float(readings, ranges) >= alpha:
-                        hit = True
-        out.append(hit)
+                    score = similarity_float(readings, ranges)
+                    best = max(best, score)
+                    if match is None and alpha is not None and score >= alpha:
+                        match = (score, index, label)
+        out.append(match or (best, None, None))
     return out
 
 

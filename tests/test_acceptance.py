@@ -59,11 +59,11 @@ from wifitrace.similarity import (
 )
 from wifitrace.simulator import make_site, simulate_profile, stationary
 
-from conftest import ID_POOL, make_processed_profile, make_profile, make_vector
+from conftest import (ID_POOL, brute_flags, make_processed_profile,
+                      make_profile, make_vector)
 from oracles import (
     area_profile_brute,
     case_profile_brute,
-    detect_brute,
     episodes_brute,
     similarity_fraction,
 )
@@ -141,8 +141,9 @@ def test_c02_processed_profile_oracle_equivalence():
 
 
 def test_c03_algorithm_equivalence():
-    with criterion("per-timestamp detection equals no-early-break all-pairs "
-                   "brute force on 1000 random instances"):
+    with criterion("per-timestamp detection equals the first-match oracle "
+                   "in flag, score, segment and case on 1000 random "
+                   "instances"):
         rng = random.Random(303)
         for _ in range(1000):
             user = make_profile(rng, n_vectors=rng.randint(1, 15),
@@ -151,13 +152,8 @@ def test_c03_algorithm_equivalence():
                          for _ in range(rng.randint(0, 3))]
             alpha = rng.choice([0.05, 0.15, 0.3, 0.5, 0.8, 1.0])
             cfg = DetectionConfig(alpha=alpha)
-            got = [f.in_contact for f in detect_contacts(user, published, cfg)]
-            expected = detect_brute(
-                [(v.timestamp, dict(v.readings)) for v in user.vectors],
-                [[(dict(s.vector.ranges), s.t_start, s.t_end)
-                  for s in p.segments] for p in published],
-                alpha)
-            assert got == expected
+            assert (detect_contacts(user, published, cfg)
+                    == brute_flags(user.vectors, published, alpha))
 
 
 def test_c04_sliding_window_rule_exhaustive():

@@ -19,8 +19,8 @@ from wifitrace.model import (
     SignalVector,
 )
 
-from conftest import ID_POOL, make_processed_profile, make_profile
-from oracles import detect_brute, episodes_brute
+from conftest import ID_POOL, brute_flags, make_processed_profile, make_profile
+from oracles import episodes_brute
 
 X, Y = ID_POOL[0], ID_POOL[1]
 CFG = DetectionConfig()
@@ -105,13 +105,8 @@ class TestDetectContacts:
                          for _ in range(rng.randint(0, 3))]
             alpha = rng.choice([0.05, 0.2, 0.5, 0.9])
             cfg = DetectionConfig(alpha=alpha)
-            got = [f.in_contact for f in detect_contacts(user, published, cfg)]
-            expected = detect_brute(
-                [(v.timestamp, dict(v.readings)) for v in user.vectors],
-                [[(dict(s.vector.ranges), s.t_start, s.t_end)
-                  for s in p.segments] for p in published],
-                alpha)
-            assert got == expected
+            assert (detect_contacts(user, published, cfg)
+                    == brute_flags(user.vectors, published, alpha))
 
     def test_monotone_in_alpha(self, rng):
         user = make_profile(rng, n_vectors=20)

@@ -28,12 +28,12 @@ from wifitrace.model import (
 )
 from wifitrace.processing import _case_columns, build_area_profile
 from wifitrace.similarity import (_Columns, _ScanBatch, _score_columns, aed,
-                                  amd, jaccard, signal_similarity)
+                                  amd, jaccard)
 from wifitrace.simulator import (PRESET_NAMES, DeviceParams, SimTrajectory,
                                  make_site, simulate_profile, stationary)
 
-from conftest import (ID_POOL, assert_same_columns, make_processed_profile,
-                      make_vector)
+from conftest import (ID_POOL, assert_same_columns, brute_columns,
+                      brute_detected, make_processed_profile, make_vector)
 import oracles
 from oracles import prf_brute
 
@@ -192,10 +192,7 @@ class TestRecordScore:
             vec = make_vector(rng, rng.randint(0, 6),
                               timestamp=rng.randint(0, 1500))
             profile = make_processed_profile(rng, rng.randint(1, 5))
-            expected = max(
-                (signal_similarity(vec, s.vector) for s in profile.segments
-                 if s.t_start <= vec.timestamp <= s.t_end),
-                default=0.0)
+            (expected,), _ = brute_columns([vec], profile.segments)
             assert record_score(vec, profile) == expected
 
 
@@ -232,9 +229,7 @@ def test_inout_suite_is_the_study_over_the_drills_dicts(preset):
             tuple(map(list, inout_drill_ref(env, layout)))
         area = build_area_profile(SignalProfile(survey.vectors()), 0,
                                   ev._INOUT_STAY, ev._INOUT_LIFESPAN)
-        detected = {i for i, vec in enumerate(vectors) if max(
-            (signal_similarity(vec, seg.vector) for seg in area.segments
-             if seg.covers(vec.timestamp)), default=0.0) >= 0.2}
+        detected = brute_detected(vectors, area.segments, 0.2)
         precision, recall, _ = prf_brute(set(range(n_inside)), detected)
         assert run_inout_suite(preset, [seed], alpha=0.2) == [dict(
             seed=seed, alpha=0.2, precision=precision, recall=recall)]
@@ -285,17 +280,9 @@ class TestInOutStudy:
         outside = [make_vector(rng, rng.randint(0, 5), t) for t in range(30)]
         alpha = 0.3
         precision, recall = inout_scores(area, inside, outside, alpha)
-
-        def classified(vec):
-            return max((signal_similarity(vec, s.vector) for s in area.segments
-                        if s.covers(vec.timestamp)), default=0.0) >= alpha
-
-        tp = sum(1 for v in inside if classified(v))
-        fp = sum(1 for v in outside if classified(v))
-        expected_p = tp / (tp + fp) if tp + fp else 1.0 if not inside else 0.0
-        expected_r = tp / len(inside)
-        assert precision == pytest.approx(expected_p)
-        assert recall == pytest.approx(expected_r)
+        detected = brute_detected(inside + outside, area.segments, alpha)
+        expected = prf_brute(set(range(len(inside))), detected)
+        assert (precision, recall) == expected[:2]
 
 
 class TestCsvOutput:
@@ -483,12 +470,7 @@ class TestRobustnessSuite:
         processed = build_case_profile(SignalProfile(case_walk),
                                        LifespanSchedule(default=0),
                                        max_gap=max(600, period + 1))
-        hits = 0
-        for vec in user_walk:
-            best = max((signal_similarity(vec, seg.vector)
-                        for seg in processed.segments
-                        if seg.covers(vec.timestamp)), default=0.0)
-            hits += best >= row["alpha"]
+        hits = len(brute_detected(user_walk, processed.segments, row["alpha"]))
         assert 0 < hits < len(user_walk)
         assert row == dict(seed=seed, sampling_period=period,
                            alpha=row["alpha"], recall=hits / len(user_walk))
@@ -532,15 +514,10 @@ class TestRobustnessSuite:
         assert 0 < len(removed) < len(ids)
         processed = build_case_profile(case_raw_vectors(env, layout),
                                        LifespanSchedule(default=0))
-        detected = set()
-        for i, (vec, _) in enumerate(data.vectors):
-            kept = SignalVector({sid: r for sid, r in vec.readings.items()
-                                 if sid not in removed}, vec.timestamp)
-            best = max((signal_similarity(kept, seg.vector)
-                        for seg in processed.segments
-                        if seg.covers(vec.timestamp)), default=0.0)
-            if best >= alpha:
-                detected.add(i)
+        kept = [SignalVector({sid: r for sid, r in vec.readings.items()
+                              if sid not in removed}, vec.timestamp)
+                for vec, _ in data.vectors]
+        detected = brute_detected(kept, processed.segments, alpha)
         expected = prf_brute(set(np.flatnonzero(truth).tolist()), detected)
         (row,) = tables["filter"]
         assert row["alpha"] == alpha
@@ -609,13 +586,7 @@ class TestRobustnessSuite:
             noisy += perturb_rssi_noise(profile, std, seed * 10000 + i).vectors
         assert len(noisy) == len(data.vectors)
         assert all(n != vec for n, (vec, _) in zip(noisy, data.vectors))
-        detected = set()
-        for i, vec in enumerate(noisy):
-            best = max((signal_similarity(vec, seg.vector)
-                        for seg in processed.segments
-                        if seg.covers(vec.timestamp)), default=0.0)
-            if best >= alpha:
-                detected.add(i)
+        detected = brute_detected(noisy, processed.segments, alpha)
         expected = prf_brute(set(np.flatnonzero(truth).tolist()), detected)
         (row,) = tables["noise"]
         assert row["alpha"] == alpha

@@ -382,7 +382,7 @@ def test_batch_read_of_many_records_is_parse_profile(records):
 
 def test_batch_read_of_nothing_is_empty():
     labels, counts, columns = _read_processed([])
-    assert labels == counts == [] and columns.index == {}
+    assert labels == counts == [] and columns.ids == []
     assert_same_columns(columns, _Columns.from_segments([]))
 
 
@@ -404,8 +404,8 @@ def assert_reads_as_oracle(records: list[bytes], run_bytes: int = 1 << 20):
     segments = want[2]
     entries = [entry for _, _, seg in segments for entry in seg]
     ids = sorted({bytes.fromhex(h) for h, _, _ in entries})
-    assert cols.index == dict(zip(ids, range(len(ids))))
-    assert all(type(sid) is bytes for sid in cols.index)
+    assert cols.ids == ids
+    assert all(type(sid) is bytes for sid in cols.ids)
     assert (cols.col.dtype, cols.lo.dtype, cols.hi.dtype) == (
         np.intp, np.int16, np.int16)
     assert [(ids[c].hex(), lo, hi) for c, lo, hi in zip(

@@ -1,7 +1,8 @@
-"""The batched scorer against a straight per-pair loop over signal_similarity.
+"""The batched scorer against ``oracles.match_brute``, the first-match rule
+as the spec states it.
 
-Every comparison is exact: the kernel must give the same floats as the
-scalar reference, not merely close ones.
+Every comparison is exact: the kernel, the matcher and the studies' scores
+must give the oracle's floats and segments, not merely close ones.
 """
 
 import hashlib
@@ -26,7 +27,8 @@ from wifitrace.model import (
 from wifitrace.similarity import _Columns, _ScanBatch, signal_similarity
 from wifitrace.simulator import _drop_batch_ids
 
-from conftest import ID_POOL, make_processed, make_vector
+from conftest import (ID_POOL, brute_columns, brute_flags, make_processed,
+                      make_vector)
 from oracles import prf_brute
 
 POOL = ID_POOL[:10]  # small, so scans and segments share ids often
@@ -74,31 +76,6 @@ def user_profiles(draw):
     return SignalProfile([SignalVector(draw(readings), t) for t in ts])
 
 
-def reference_detect(user, profiles, alpha):
-    flags = []
-    for vec in user.vectors:
-        best, flag = 0.0, None
-        for profile in profiles:
-            for seg_idx, seg in enumerate(profile.segments):
-                if not seg.covers(vec.timestamp):
-                    continue
-                score = signal_similarity(vec, seg.vector)
-                best = max(best, score)
-                if score >= alpha:
-                    flag = ContactFlag(vec.timestamp, True, score, seg_idx,
-                                       profile.case_label)
-                    break
-            if flag is not None:
-                break
-        flags.append(flag or ContactFlag(vec.timestamp, False, best))
-    return flags
-
-
-def reference_best(vec, segments):
-    return max((signal_similarity(vec, seg.vector) for seg in segments
-                if seg.covers(vec.timestamp)), default=0.0)
-
-
 @pytest.fixture(params=[similarity._CELLS, 3], ids=["cells-default", "cells-3"])
 def cells(request, monkeypatch):
     """Also run with tiny chunks, so every chunk boundary is crossed."""
@@ -116,7 +93,7 @@ alphas = st.sampled_from([0.05, 0.2, 0.4, 0.5, 1.0])
 @given(user=user_profiles(), profiles=published(), alpha=alphas)
 def test_detect_contacts_matches_per_pair_loop(cells, user, profiles, alpha):
     got = detect_contacts(user, profiles, DetectionConfig(alpha=alpha))
-    assert got == reference_detect(user, profiles, alpha)
+    assert got == brute_flags(user.vectors, profiles, alpha)
     assert all(type(f.best_score) is float for f in got)
 
 
@@ -125,7 +102,7 @@ def test_detect_contacts_matches_per_pair_loop(cells, user, profiles, alpha):
        proximity=st.sampled_from([0.5, 1.0, 2.5, 10.0]))
 def test_record_score_and_dataset_scores_match(cells, scans, profile,
                                                proximity):
-    expected = [reference_best(vec, profile.segments) for vec in scans]
+    expected, _ = brute_columns(scans, profile.segments)
     assert [record_score(vec, profile) for vec in scans] == expected
     distances = [float(i % 10 + 1) for i in range(len(scans))]
     data = ProximityData(similarity._Columns.from_segments(profile.segments),
@@ -143,11 +120,12 @@ def test_record_score_and_dataset_scores_match(cells, scans, profile,
 def test_inout_study_matches_per_pair_loop(cells, inside, outside, area, alpha):
     scans = inside + outside
     truth = set(range(len(inside)))
-    detected = {i for i, vec in enumerate(scans)
-                if reference_best(vec, area.segments) >= alpha}
+    best, _ = brute_columns(scans, area.segments)
+    detected = {i for i, score in enumerate(best) if score >= alpha}
     # run_inout_suite's scoring and evaluation of its spot batch
     scores, _ = similarity._score_columns(_ScanBatch.from_vectors(scans),
                                           _Columns.from_segments(area.segments))
+    assert scores.tolist() == best
     (point,) = sweep_scores(scores, np.arange(len(scans)) < len(inside),
                             [alpha])
     assert (point.precision, point.recall) == prf_brute(truth, detected)[:2]
@@ -174,8 +152,7 @@ def test_batch_scores_are_the_dict_scores(cells, scans, profile, rate):
                  for vec in scans]
     got, matched = similarity._score_columns(
         batch, similarity._Columns.from_segments(profile.segments))
-    expected = [reference_best(vec, profile.segments) for vec in scans]
-    assert got.tolist() == expected
+    assert got.tolist() == brute_columns(scans, profile.segments)[0]
     assert (matched == -1).all()
 
 
@@ -188,7 +165,7 @@ def test_times_beyond_int64_compare_exactly(big):
     profiles = [ProcessedProfile([ProfileSegment(vector, *sorted((0, big)))]),
                 ProcessedProfile([ProfileSegment(vector, big, big + 1)])]
     assert (detect_contacts(user, profiles, DetectionConfig())
-            == reference_detect(user, profiles, 0.2))
+            == brute_flags(user.vectors, profiles, 0.2))
 
 
 # The interval join's shapes: scans and windows over three days (a day is
@@ -234,24 +211,6 @@ def test_covering_pairs_are_the_brute_force_pairs(case):
     assert list(zip(scan.tolist(), seg.tolist())) == want
 
 
-def reference_columns(scans, segments, alpha):
-    """_score_columns' two outputs by the per-pair loop, as lists."""
-    scores, matched = [], []
-    for vec in scans:
-        best, hit = 0.0, -1
-        for g, seg in enumerate(segments):
-            if not seg.covers(vec.timestamp):
-                continue
-            score = signal_similarity(vec, seg.vector)
-            if alpha is not None and score >= alpha:
-                best, hit = score, g
-                break
-            best = max(best, score)
-        scores.append(best)
-        matched.append(hit)
-    return scores, matched
-
-
 @settings(examples, max_examples=150)
 @given(case=join_cases(), alpha=st.one_of(st.none(), alphas))
 def test_kernel_over_join_shapes_matches_per_pair_loop(cells, case, alpha):
@@ -259,7 +218,7 @@ def test_kernel_over_join_shapes_matches_per_pair_loop(cells, case, alpha):
     got, matched = similarity._score_columns(
         _ScanBatch.from_vectors(scans), _Columns.from_segments(segments),
         alpha)
-    assert (got.tolist(), matched.tolist()) == reference_columns(
+    assert (got.tolist(), matched.tolist()) == brute_columns(
         scans, segments, alpha)
 
 
@@ -275,7 +234,7 @@ def test_one_scan_may_hold_more_pairs_than_a_chunk(cells):
         got, matched = similarity._score_columns(
             _ScanBatch.from_vectors(scans), _Columns.from_segments(segments),
             alpha)
-        assert (got.tolist(), matched.tolist()) == reference_columns(
+        assert (got.tolist(), matched.tolist()) == brute_columns(
             scans, segments, alpha)
 
 
@@ -313,7 +272,7 @@ def test_pruning_skips_the_pairs_of_matched_scans(cells, monkeypatch):
         got, matched = similarity._score_columns(
             _ScanBatch.from_vectors(scans), _Columns.from_segments(segments),
             alpha)
-        assert (got.tolist(), matched.tolist()) == reference_columns(
+        assert (got.tolist(), matched.tolist()) == brute_columns(
             scans, segments, alpha)
         if alpha is None:
             assert sum(sizes) == 10 * n
@@ -335,8 +294,9 @@ def test_a_later_higher_score_keeps_the_first_match(chunks, monkeypatch):
     profile = ProcessedProfile([ProfileSegment(ProcessedVector(first), 0, 60),
                                 ProfileSegment(ProcessedVector(later), 0, 60)],
                                case_label="first")
-    assert [signal_similarity(scan, seg.vector)
-            for seg in profile.segments] == [0.3, 1.0]
+    # the best score is segment 1's; the first match is segment 0's
+    assert brute_columns([scan], profile.segments) == ([1.0], [-1])
+    assert brute_columns([scan], profile.segments, 0.2) == ([0.3], [0])
     (flag,) = detect_contacts(SignalProfile([scan]), [profile],
                               DetectionConfig(alpha=0.2))
     assert flag == ContactFlag(30, True, 0.3, 0, "first")

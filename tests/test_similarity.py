@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -19,7 +20,8 @@ from wifitrace.similarity import (
 )
 
 from conftest import ID_POOL, make_processed, make_vector
-from oracles import amd_brute, jaccard_brute, similarity_fraction
+from oracles import (amd_brute, jaccard_brute, match_brute, similarity_float,
+                     similarity_fraction)
 
 X, Y, Z, U, V = ID_POOL[:5]
 
@@ -101,6 +103,26 @@ class TestSignalSimilarity:
         assert score == signal_similarity(a, p)
         expected = similarity_fraction(dict(a.readings), dict(p.ranges))
         assert score == pytest.approx(float(expected), abs=1e-12)
+
+    @given(readings, range_maps)
+    @settings(max_examples=300)
+    def test_is_the_oracle_float_bit_for_bit(self, ra, rp):
+        score = signal_similarity(SignalVector(ra, 0), ProcessedVector(rp))
+        assert score == similarity_float(ra, rp)
+
+    def test_tie_is_the_oracle_float_and_not_flagged(self):
+        # 6 of 10 ids shared, summed out-of-range distance 3: exactly 0.4
+        # in rationals, 0.39999999999999997 in floats
+        scan = {sid: -50 for sid in ID_POOL[:10]}
+        ranges = {sid: (-50, -50) for sid in ID_POOL[4:14]}
+        ranges[ID_POOL[4]] = (-47, -40)
+        tie = 0.39999999999999997
+        assert similarity_fraction(scan, ranges) == Fraction(2, 5)
+        score = signal_similarity(SignalVector(scan, 30),
+                                  ProcessedVector(ranges))
+        assert score == similarity_float(scan, ranges) == tie
+        assert match_brute([(30, scan)], [("tie", [(ranges, 0, 60)])],
+                           0.4) == [(tie, None, None)]
 
     @given(readings, range_maps)
     @settings(max_examples=150)

@@ -23,21 +23,30 @@ baseline table:
 The first two rows time ``detection._detect_columns`` only, on records
 already read into columns. Each pair of runs must give equal flags: the
 extra days' windows cover no day-0 scan, a day's records cover only that
-day's scans, and both paths read the same scans. A difference exits 1.
-Nothing gates on time.
+day's scans, and both paths read the same scans. Each row's flags of a
+seeded sample of 8 scans must also equal ``oracles.match_brute`` (from
+``tests/oracles.py``) over the row's records as ``read_processed_brute``
+reads them, in score, segment and case: day-0 scans against one day's
+records in the first row and a week's in the second, and in the third the
+last day's scans against the last hour's records; each drawn from the
+scans between the records' first start and last end. A difference exits
+1. Nothing gates on time.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / name) for name in ("src", "perfbench", "tests")]
 
+from oracles import match_brute, read_processed_brute  # noqa: E402
 from sync_day import DAY, Day, shifted  # noqa: E402
 from wifitrace import detection, profileio, similarity  # noqa: E402
 from wifitrace.model import SignalProfile, SignalVector  # noqa: E402
@@ -83,6 +92,31 @@ def scored_pairs(match, vectors, log) -> tuple[int, int]:
     return scored, len(log[2].covering(times)[0])
 
 
+def sample_differs(rng: random.Random, vectors, flags, records: list[bytes],
+                   alpha: float) -> bool:
+    """Whether the flags of 8 of the scans that lie between the records'
+    first start and last end, drawn by ``rng``, differ from those of
+    ``oracles.match_brute`` over the records: in contact, score, segment
+    and case."""
+    labels, counts, segments = read_processed_brute(records)
+    entries = iter(segments)
+    published = [(label, [({h: (lo, hi) for h, lo, hi in ranges}, start, end)
+                          for start, end, ranges in islice(entries, n)])
+                 for label, n in zip(labels, counts)]
+    first = min(start for start, _, _ in segments)
+    last = max(end for _, end, _ in segments)
+    inside = [i for i, vec in enumerate(vectors)
+              if first <= vec.timestamp <= last]
+    picks = sorted(rng.sample(inside, min(8, len(inside))))
+    scans = [(vectors[i].timestamp, {bytes.hex(sid): rssi for sid, rssi
+                                     in vectors[i].readings.items()})
+             for i in picks]
+    want = [(index is not None, score, index, label)
+            for score, index, label in match_brute(scans, published, alpha)]
+    return want != [(f.in_contact, f.best_score, f.matched_segment,
+                     f.matched_case) for f in map(flags.__getitem__, picks)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--days", type=int, default=28,
@@ -97,10 +131,13 @@ def main(argv=None) -> int:
     day = Day(args.seed)
     cfg = day.cfg
     records = [data for batch in day.batches for _, _, data in batch]
+    rng = random.Random(args.seed)
+
+    def day_records(days: range) -> list[bytes]:
+        return [shifted(data, d * DAY) for d in days for data in records]
 
     def read(days: range):
-        return profileio._read_processed(
-            [shifted(data, d * DAY) for d in days for data in records])
+        return profileio._read_processed(day_records(days))
 
     def scans(days: range):
         return [SignalVector(v.readings, v.timestamp + d * DAY)
@@ -126,6 +163,9 @@ def main(argv=None) -> int:
     many_ms, many_flags = best_ms(args.repeat, match, day.user, many)
     if one_flags != many_flags:
         failed.append(f"{args.days}-day log")
+    # the longer log's flags must equal these, so one check covers both
+    if sample_differs(rng, day.user, one_flags, records, cfg.alpha):
+        failed.append("1-day log, against the oracle,")
     scored, covering = scored_pairs(match, day.user, one)
     print(f"| matching against longer logs | the {len(day.user)} day-0 scans "
           f"against 1 and {args.days} days of records "
@@ -146,6 +186,9 @@ def main(argv=None) -> int:
         per_day_flags += flags
     if batch_flags != per_day_flags:
         failed.append(f"{week}-day batch")
+    if sample_differs(rng, day.user, batch_flags,
+                      day_records(range(week)), cfg.alpha):
+        failed.append(f"{week}-day batch, against the oracle,")
     print(f"| matching over a week | {week} days of scans "
           f"({week * len(day.user)}) against {week} days of records, "
           f"matching only | **{batch_ms:.1f} ms** in one batch, against "
@@ -157,13 +200,19 @@ def main(argv=None) -> int:
     paths = (parsed, profileio._signal_scans)
     rounds = []
     for n in (1, args.days):
-        data = profileio.serialize_profile(SignalProfile(scans(range(n))))
+        own = scans(range(n))
+        data = profileio.serialize_profile(SignalProfile(own))
         hour = [shifted(body, (n - 1) * DAY) for _, _, body in day.batches[-1]]
         (parse_ms, parse_flags), (straight_ms, straight_flags) = (
             best_ms(args.repeat, device_round, read, data, hour)
             for read in paths)
         if parse_flags != straight_flags:
             failed.append(f"straight read of {n} days of scans")
+        last = slice((n - 1) * len(day.user), None)
+        if sample_differs(rng, own[last], straight_flags[last], hour,
+                          cfg.alpha):
+            failed.append(f"straight read of {n} days of scans, against the "
+                          f"oracle,")
         rounds.append((len(data) / 1e6, parse_ms, straight_ms))
     # the peaks of the --days round
     parse_mb, straight_mb = (traced_peak_mb(device_round, read, data, hour)
