@@ -6,7 +6,8 @@
 Runs, in this one process, the four study commands on
 ``demos/scenarios/office_study.cfg`` (their CSVs and JSON summary lines),
 ``robustness`` on the mall preset (one seed, default knobs: its moving walk
-spans more than one block of simulated scans), ``simulate`` on both
+spans more than one block of simulated scans) and on the office preset (two
+seeds, noise levels out of order and repeated), ``simulate`` on both
 scenarios, every demo (its standard output), the baseline rows
 ``run_baseline_comparison`` returns for the office site, and a CLI exchange
 round (``publish`` of the ``lifespan_visit`` case, then ``sync`` of its
@@ -45,7 +46,11 @@ from wifitrace.exchange import ProfileStore, serve_in_thread  # noqa: E402
 
 STUDY_COMMANDS = ("calibrate", "proximity-study", "inout-study", "robustness")
 SCENARIO_NAMES = ("lifespan_visit", "moving_pair")
-MALL_STUDY = "[environment]\npreset = mall\n\n[study]\nseeds = 1\n"
+ROBUSTNESS_RUNS = {  # output name -> study config
+    "mall_study": "[environment]\npreset = mall\n\n[study]\nseeds = 1\n",
+    "office_noise": "[environment]\npreset = office\n\n[study]\nseeds = 2 4"
+                    "\n\n[robustness]\nnoise_stds = 4 0 4 1 8\n",
+}
 EXCHANGE_ROUNDS = ("exchange", "exchange_again")
 
 
@@ -72,10 +77,10 @@ def outputs(work: Path) -> dict[str, bytes]:
     text = {"study.jsonl": "".join(
         _cli(name, str(SCENARIOS / "office_study.cfg"), "--out",
              str(work / "study")) for name in STUDY_COMMANDS)}
-    mall = work / "mall_study.cfg"
-    mall.write_text(MALL_STUDY)
-    text["mall_study.jsonl"] = _cli("robustness", str(mall), "--out",
-                                    str(work / "mall_study"))
+    for name, config in ROBUSTNESS_RUNS.items():
+        (work / f"{name}.cfg").write_text(config)
+        text[f"{name}.jsonl"] = _cli("robustness", str(work / f"{name}.cfg"),
+                                     "--out", str(work / name))
     for name in SCENARIO_NAMES:
         text[f"{name}.json"] = _cli(
             "simulate", str(SCENARIOS / f"{name}.cfg"), "--out",
@@ -106,7 +111,7 @@ def outputs(work: Path) -> dict[str, bytes]:
     for path in sorted(work.rglob("*")):
         name = path.relative_to(work).as_posix()
         if path.is_file() and name.split("/")[0] in (
-                "study", "mall_study", *EXCHANGE_ROUNDS, *SCENARIO_NAMES):
+                "study", *ROBUSTNESS_RUNS, *EXCHANGE_ROUNDS, *SCENARIO_NAMES):
             found[name] = path.read_bytes()
     return dict(sorted(found.items()))
 
