@@ -16,12 +16,14 @@ noise and sampling rows sweep a one-point grid, the seed's alpha, and the
 in/out rows one at the configured alpha; a sampling row's truth marks every
 user scan. Every table of a seed reads that seed's drill (README,
 "Studies": which tables keep the seed's alpha, which recalibrate). The
-robustness suite perturbs the drill's batch and scores the copies; its
-device table reads one batch per phone model and its sampling table one
-per period, each built from the seed's one set of draws. The in/out study
-scores a batch of test spots against area columns from a survey batch,
-time-gated like every score: the area's window, from arrival to departure
-plus the lifespan, holds every test scan. No table builds a dict per scan.
+robustness suite perturbs the drill's batch and scores the copies, every
+noise level's from one draw of each position's stream; its device table
+reads one batch per phone model and its sampling table one per period (of
+one walk and that walk shifted 0.25 m), each built from the seed's one set
+of draws. The in/out study scores a batch of test spots against area
+columns from a survey batch, time-gated like every score: the area's
+window, from arrival to departure plus the lifespan, holds every test scan.
+No table builds a dict per scan.
 
 All functions are deterministic given (preset, seed); CSV schemas are fixed
 so downstream plots regenerate bit-identically.
@@ -474,19 +476,20 @@ def run_robustness_suite(
 
         # perturbed copies of the scans simulated above; nothing re-simulates.
         # One noise stream per position (positions are whole meters), over
-        # row slices: perturb writes through views of its copy
+        # disjoint row slices, drawn once for every noise level
         streams = [(slice(j * _DRILL_SCANS, (j + 1) * _DRILL_SCANS),
                     seed * 10000 + i) for j, i in enumerate(_POSITIONS)]
         perturbations = (
             # one site-wide id draw per seed, shared by every position's scans
             (filter_rows, "filter_rate", knobs.filter_rates,
-             lambda rate: _drop_batch_ids(data.scans, rate, seed)),
+             (_drop_batch_ids(data.scans, rate, seed)
+              for rate in knobs.filter_rates)),
             (noise_rows, "noise_std", knobs.noise_stds,
-             lambda std: _perturb_batch(data.scans, std, streams)),
+             _perturb_batch(data.scans, knobs.noise_stds, streams)),
         )
-        for rows, knob, values, perturb in perturbations:
-            for value in values:
-                scores, _ = _score_columns(perturb(value), data.case)
+        for rows, knob, values, batches in perturbations:
+            for value, batch in zip(values, batches):
+                scores, _ = _score_columns(batch, data.case)
                 (point,) = sweep_scores(scores, truth, [alpha])
                 rows.append(point_row(point, seed=seed, **{knob: value}))
 
@@ -496,10 +499,14 @@ def run_robustness_suite(
                 calibrate(_score_columns(scans, data.case)[0], truth),
                 seed=seed, device_bias=bias, device_detect_rate=rate))
 
-        # the same two walks at every sampling period
-        walks = (random_walk(layout.site_area, 3600, env.seed),
-                 random_walk(layout.site_area, 3600, env.seed, offset=0.25))
-        recalls = _moving_recalls(env, walks, knobs.sampling_periods, alpha)
+        # the same two walks at every sampling period: the user walks the
+        # case's path 0.25 m off, exactly random_walk's offset=0.25, which
+        # enters only where a waypoint is written
+        walk = random_walk(layout.site_area, 3600, env.seed)
+        user = SimTrajectory(tuple((t, (x + 0.25, y + 0.25))
+                                   for t, (x, y) in walk.waypoints))
+        recalls = _moving_recalls(env, (walk, user), knobs.sampling_periods,
+                                  alpha)
         sampling_rows += [dict(seed=seed, sampling_period=period, alpha=alpha,
                                recall=recall)
                           for period, recall in zip(knobs.sampling_periods,

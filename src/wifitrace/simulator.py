@@ -26,10 +26,14 @@ lacks the id. ``_simulate_batch`` fills one with any number of walks, each
 with its own stream and scan indices from 0, so a study drill of several
 positions is one batch, and ``_simulate_variants`` fills one per (device,
 sampling period) variant of the same walks. ``_drop_batch_ids`` (a column
-mask) and ``_perturb_batch`` (one masked operation over the block) are the
-one perturbation path, also under ``perturb_rssi_noise`` and
-``Scenario.user_profile``. Dicts are built from a batch once, where a public
-name returns them, each scan's ids in id order; the draws stay in AP order.
+mask) and ``_perturb_batch`` are the one perturbation path, also under
+``perturb_rssi_noise`` and ``Scenario.user_profile`` (one noise level each).
+``_perturb_batch`` takes each stream's standard normals z once
+(``_noise_draws``) and builds every level it is asked for from them, level
+std being ``0.0 + std * z``, each in one masked operation over the heard
+cells; so the study's noise table draws each position's stream once per
+seed. Dicts are built from a batch once, where a public name returns them,
+each scan's ids in id order; the draws stay in AP order.
 
 Three site presets mirror common deployments: a small office, an outdoor
 bus station with mostly-distant APs, and a store inside a dense mall. AP
@@ -314,22 +318,49 @@ def _drop_batch_ids(batch: _ScanBatch, rate: float, seed: int) -> _ScanBatch:
                       batch.rssi[:, kept])
 
 
-def _perturb_batch(batch: _ScanBatch, std: float,
-                   streams: Iterable[tuple[slice, int]]) -> _ScanBatch:
-    """A copy with Gaussian noise added to every reading, re-clamped into
-    [-100, 0]. Each ``(rows, seed)`` of ``streams`` draws one stream over
-    the readings of those rows: scan by scan, each scan's readings in id
-    order, which is the row-major order of the heard cells."""
-    _check_perturbation(noise_std=std)
-    rssi = batch.rssi.copy()
+def _perturb_batch(batch: _ScanBatch, stds: Sequence[float],
+                   streams: Iterable[tuple[slice, int]]) -> list[_ScanBatch]:
+    """One copy per std of ``stds``, with Gaussian noise of that std added
+    to every reading of the streams' rows, re-clamped into [-100, 0]. Each
+    ``(rows, seed)`` of ``streams`` draws one stream over the readings of
+    those rows (``_noise_draws``), once for every std."""
+    for std in stds:
+        _check_perturbation(noise_std=std)
+    if not stds:
+        return []
+    cells, z = _noise_draws(batch.rssi, streams)
+    base = batch.rssi.ravel()[cells]
+    noisy = []
+    for std in stds:
+        rssi = batch.rssi.copy()
+        np.put(rssi, cells, np.clip(np.rint(base + (0.0 + std * z)),
+                                    RSSI_FLOOR, RSSI_CEIL))
+        noisy.append(_ScanBatch(batch.times, batch.ids, rssi))
+    return noisy
+
+
+def _noise_draws(rssi: np.ndarray, streams: Iterable[tuple[slice, int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the cells the streams perturb, ascending, and a
+    standard normal z for each.
+
+    Stream ``(rows, seed)`` is ``default_rng((seed, 0x201E))``, drawn over
+    the heard cells of ``rssi[rows]`` scan by scan, each scan's readings in
+    id order. The streams must be disjoint row slices: each writes its draws
+    through a view. The noise at level std is ``0.0 + std * z``, bit for bit
+    what ``normal(0.0, std)`` draws from the same stream: numpy computes
+    ``loc + scale * z``, and with loc 0.0 that is one rounding, with or
+    without FMA.
+    """
+    cells = np.zeros(rssi.shape, dtype=bool)
+    z = np.zeros(rssi.shape)
     for rows, seed in streams:
-        part = rssi[rows]
-        heard = part != _UNHEARD
-        noise = np.random.default_rng((seed, 0x201E)).normal(
-            0.0, std, np.count_nonzero(heard))
-        part[heard] = np.clip(np.rint(part[heard] + noise),
-                              RSSI_FLOOR, RSSI_CEIL)
-    return _ScanBatch(batch.times, batch.ids, rssi)
+        heard = rssi[rows] != _UNHEARD
+        cells[rows] = heard
+        z[rows][heard] = np.random.default_rng((seed, 0x201E)).standard_normal(
+            np.count_nonzero(heard))
+    cells = np.flatnonzero(cells)
+    return cells, z.ravel()[cells]
 
 
 def _scan_draws(env: SimEnvironment, stream: int, first: int,
@@ -447,8 +478,8 @@ def perturb_rssi_noise(
     One stream per profile, drawn over the readings scan by scan, each
     scan's readings in id order; each noisy scan lists its ids in id order.
     """
-    noisy = _perturb_batch(_ScanBatch.from_vectors(profile.vectors), std,
-                           [(slice(None), seed)])
+    (noisy,) = _perturb_batch(_ScanBatch.from_vectors(profile.vectors),
+                              [std], [(slice(None), seed)])
     return SignalProfile(noisy.vectors(), device_tag=profile.device_tag)
 
 
@@ -582,8 +613,8 @@ class Scenario:
         if self.filter_rate > 0:
             scans = _drop_batch_ids(scans, self.filter_rate, self.env.seed)
         if self.noise_std > 0:
-            scans = _perturb_batch(scans, self.noise_std,
-                                   [(slice(None), self.env.seed)])
+            (scans,) = _perturb_batch(scans, [self.noise_std],
+                                      [(slice(None), self.env.seed)])
         return SignalProfile(scans.vectors())
 
 

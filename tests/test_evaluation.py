@@ -481,16 +481,70 @@ class TestRobustnessSuite:
                                           run_robustness_suite)
         knobs = RobustnessKnobs(filter_rates=(), noise_stds=(),
                                 sampling_periods=(20, 40, 60), device_pairs=())
-        walks = []
+        walks, walked = [], []
+        moving_recalls = evaluation._moving_recalls
 
         def counting(area, duration, walk_seed, offset=0.0):
             walks.append((walk_seed, offset))
             return random_walk(area, duration, walk_seed, offset=offset)
 
+        def recording(env, pair, periods, alpha):
+            walked.append(pair)
+            return moving_recalls(env, pair, periods, alpha)
+
         monkeypatch.setattr(evaluation, "random_walk", counting)
+        monkeypatch.setattr(evaluation, "_moving_recalls", recording)
         tables = run_robustness_suite("office", seeds=(1, 2), knobs=knobs)
-        assert walks == [(1, 0.0), (1, 0.25), (2, 0.0), (2, 0.25)]
+        assert walks == [(1, 0.0), (2, 0.0)]
         assert len(tables["sampling"]) == 6
+        # the user's walk is the offset walk, waypoint for waypoint
+        area = make_site("office")[1].site_area
+        assert walked == [(random_walk(area, 3600, seed),
+                           random_walk(area, 3600, seed, offset=0.25))
+                          for seed in (1, 2)]
+
+    def test_an_office_suite_draws_each_noise_stream_once(self, monkeypatch):
+        drawn = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            if isinstance(seed, tuple) and seed[1:] == (0x201E,):
+                drawn.append(seed[0])
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        ev.run_robustness_suite("office", (1, 2))
+        # each seed's ten position streams, each drawn once for the seven
+        # default noise levels (one per position and level would be 70)
+        assert drawn == [seed * 10000 + i for seed in (1, 2)
+                         for i in range(1, 11)]
+
+    def test_each_noise_level_equals_the_reference_position_by_position(
+            self):
+        seed, stds = 3, [4.0, 0.0, 4.0, 1.0, 8.0]
+        env, layout = make_site("office", seed=seed)
+        (drill,) = ev._user_drill(env, layout)
+        before = drill.rssi.copy()
+        n = ev._DRILL_SCANS
+        # the suite's streams: one per position, seeded by the position in m
+        streams = [(slice(j * n, (j + 1) * n), seed * 10000 + i)
+                   for j, i in enumerate(range(1, 11))]
+        noisy = simulator._perturb_batch(drill, stds, streams)
+        assert np.array_equal(drill.rssi, before)
+        assert len(noisy) == len(stds)
+        scans = drill.vectors()
+        for std, batch in zip(stds, noisy):
+            assert batch.ids == drill.ids
+            assert np.array_equal(batch.times, drill.times)
+            assert batch.rssi.dtype == drill.rssi.dtype
+            got = batch.vectors()
+            for rows, stream in streams:
+                want = oracles.perturb_rssi_noise_ref(
+                    [(v.timestamp, dict(v.readings)) for v in scans[rows]],
+                    std, stream)
+                assert [(v.timestamp, dict(v.readings))
+                        for v in got[rows]] == want
+        assert noisy[0].vectors() != scans
 
     def test_filter_row_drops_one_site_wide_id_draw(self):
         from wifitrace.evaluation import (RobustnessKnobs, case_raw_vectors,
